@@ -26,7 +26,6 @@ let max_letters = Sys.int_size - 1
    nonsense.  Widths 0..61 keep [2^n - 1 <= max_int]. *)
 let max_sweep_letters = Sys.int_size - 2
 let fits alpha = size alpha <= max_letters
-let mem_letter alpha x = Hashtbl.mem alpha.index x
 let index_of alpha x = Hashtbl.find_opt alpha.index x
 let letter alpha i = alpha.arr.(i)
 
@@ -41,18 +40,6 @@ let pack alpha m =
           acc lor (1 lsl i)
       | None -> acc)
     m 0
-
-let unpack alpha mask =
-  let s = ref Var.Set.empty in
-  let rest = ref mask in
-  while !rest <> 0 do
-    let low = !rest land - !rest in
-    (* index of the lowest set bit *)
-    let rec bit i b = if b = low then i else bit (i + 1) (b lsl 1) in
-    s := Var.Set.add alpha.arr.(bit 0 1) !s;
-    rest := !rest lxor low
-  done;
-  !s
 
 (* SWAR popcount.  The 64-bit constants exceed OCaml's 63-bit literal
    range, so they are assembled from 32-bit halves; masks only ever use
@@ -71,40 +58,83 @@ let popcount x =
 let hamming m n = popcount (m lxor n)
 let subset a b = a land lnot b = 0
 
+(* Index of the lowest set bit of a nonzero [x]: the bits below it,
+   counted. *)
+let ctz x = popcount ((x land -x) - 1)
+
+let unpack alpha mask =
+  let s = ref Var.Set.empty in
+  let rest = ref mask in
+  while !rest <> 0 do
+    s := Var.Set.add alpha.arr.(ctz !rest) !s;
+    rest := !rest land (!rest - 1)
+  done;
+  !s
+
+(* Bit-sliced evaluation.  The [2^n] assignment codes split into blocks
+   of 32 consecutive codes, and a compiled formula maps a block index to
+   one word holding its truth value on all 32 codes at once.  Letter [i]
+   is bit [i] of the code, so over the codes [32b .. 32b + 31] letters
+   0..4 run through the fixed patterns below (bit [j] of the pattern is
+   bit [i] of [j]), and letter [i >= 5] is constant across the block:
+   bit [i - 5] of [b]. *)
+let block_log = 5
+let block_bits = 1 lsl block_log
+let full = 0xFFFFFFFF
+
+let low_letter = function
+  | 0 -> 0xAAAAAAAA
+  | 1 -> 0xCCCCCCCC
+  | 2 -> 0xF0F0F0F0
+  | 3 -> 0xFF00FF00
+  | _ -> 0xFFFF0000
+
 let compile alpha (f : Formula.t) =
-  let rec go (f : Formula.t) : t -> bool =
+  let rec go (f : Formula.t) : int -> int =
     match f with
-    | True -> fun _ -> true
-    | False -> fun _ -> false
+    | True -> fun _ -> full
+    | False -> fun _ -> 0
     | Var x -> (
         match Hashtbl.find_opt alpha.index x with
+        | Some i when i < block_log ->
+            let w = low_letter i in
+            fun _ -> w
         | Some i ->
             assert (i < max_letters);
-            let bit = 1 lsl i in
-            fun m -> m land bit <> 0
-        | None -> fun _ -> false)
+            let s = i - block_log in
+            fun b -> -((b lsr s) land 1) land full
+        | None -> fun _ -> 0)
     | Not g ->
         let g = go g in
-        fun m -> not (g m)
+        fun b -> g b lxor full
     | And gs ->
-        let gs = List.map go gs in
-        fun m -> List.for_all (fun g -> g m) gs
+        (* Stop at the first all-false word.  [loop] is built once per
+           node, so a call allocates nothing. *)
+        let gs = Array.of_list (List.map go gs) in
+        let k = Array.length gs in
+        let rec loop b acc i =
+          if i = k || acc = 0 then acc else loop b (acc land gs.(i) b) (i + 1)
+        in
+        fun b -> loop b full 0
     | Or gs ->
-        let gs = List.map go gs in
-        fun m -> List.exists (fun g -> g m) gs
-    | Imp (a, b) ->
-        let a = go a and b = go b in
-        fun m -> (not (a m)) || b m
-    | Iff (a, b) ->
-        let a = go a and b = go b in
-        fun m -> a m = b m
-    | Xor (a, b) ->
-        let a = go a and b = go b in
-        fun m -> a m <> b m
+        let gs = Array.of_list (List.map go gs) in
+        let k = Array.length gs in
+        let rec loop b acc i =
+          if i = k || acc = full then acc
+          else loop b (acc lor gs.(i) b) (i + 1)
+        in
+        fun b -> loop b 0 0
+    | Imp (a, c) ->
+        let a = go a and c = go c in
+        fun b -> a b lxor full lor c b
+    | Iff (a, c) ->
+        let a = go a and c = go c in
+        fun b -> a b lxor c b lxor full
+    | Xor (a, c) ->
+        let a = go a and c = go c in
+        fun b -> a b lxor c b
   in
   go f
-
-let sat alpha m f = compile alpha f m
 
 type set = t array
 
@@ -173,21 +203,6 @@ let min_incl masks =
     a;
   normalize (Array.of_list !out)
 
-let max_incl masks =
-  let a = normalize masks in
-  Array.sort
-    (fun x y ->
-      match Int.compare (popcount y) (popcount x) with
-      | 0 -> Int.compare x y
-      | c -> c)
-    a;
-  let out = ref [] in
-  Array.iter
-    (fun m ->
-      if not (List.exists (fun m' -> subset m m') !out) then out := m :: !out)
-    a;
-  normalize (Array.of_list !out)
-
 (* A min-inclusion frontier: the antichain of inclusion-minimal masks
    seen so far.  [add] is the online filter behind the streaming distance
    reductions — a candidate is dropped when some kept mask is contained
@@ -231,55 +246,87 @@ module Frontier = struct
   let to_set fr = normalize (to_array fr)
 end
 
-(* Chunk accounting is per-range, never per-code: two atomic adds on a
-   block of up to 2^n assignments keep the inner loop untouched. *)
-let c_sweep_chunks = Revkb_obs.Obs.counter "enum.sweep_chunks"
-let c_sweep_codes = Revkb_obs.Obs.counter "enum.sweep_codes"
-
-let sweep_range pred lo hi =
-  Revkb_obs.Obs.incr c_sweep_chunks;
-  Revkb_obs.Obs.add c_sweep_codes (hi - lo);
-  let buf = ref [] and count = ref 0 in
-  for code = hi - 1 downto lo do
-    if pred code then begin
-      buf := code :: !buf;
-      incr count
-    end
-  done;
-  let out = Array.make !count 0 in
-  List.iteri (fun i m -> out.(i) <- m) !buf;
-  out
-
-(* Below this many assignments the batch overhead beats the win; the
-   sequential and parallel paths produce identical arrays either way
-   (ascending ranges, ascending within a range). *)
+(* Below this many codes the batch overhead beats the win; the
+   sequential and parallel paths produce identical results either way. *)
 let sweep_parallel_threshold = 1 lsl 12
 
-let sweep alpha pred =
-  let n = size alpha in
-  (* [1 lsl n] at n = max_letters (62) overflows into the sign bit:
-     [total] goes negative, the parallel threshold test silently routes
-     the sweep sequential, and range arithmetic wraps.  The widest
-     sweepable width is therefore [max_sweep_letters]; wider alphabets
+(* The blocks covering the [2^n] codes, and the mask of a block's bits
+   that are real codes: below 5 letters the one block holds every code
+   in its low [2^n] bits. *)
+let blocks name n =
+  (* [1 lsl n] at n = max_letters (62) overflows into the sign bit, so
+     the widest sweepable width is [max_sweep_letters]; wider alphabets
      must enumerate through the SAT walk (Models.enumerate_wide /
      Semantics.masks_sat_wide), which never materializes 2^n. *)
   if n > max_sweep_letters then
     invalid_arg
       (Printf.sprintf
-         "Interp_packed.sweep: alphabet has %d letters, limit is %d (2^n \
-          exceeds the native int range — the overflow class lint rule R2 \
-          guards; use the SAT-backed wide engine Models.enumerate_wide \
-          for larger alphabets)"
-         n max_sweep_letters);
+         "%s: alphabet has %d letters, limit is %d (2^n exceeds the native \
+          int range — the overflow class lint rule R2 guards; use the \
+          SAT-backed wide engine Models.enumerate_wide for larger alphabets)"
+         name n max_sweep_letters);
+  if n < block_log then (1, full lsr (block_bits - (1 lsl n)))
+  else (1 lsl (n - block_log), full)
+
+(* Compile [f] once and run [chunk kernel valid lo hi] over the block
+   ranges: one range on the sequential path, else contiguous ranges
+   across the pool, returned in ascending order.  Compiled kernels keep
+   no mutable state, so the domains share one. *)
+let over_blocks name alpha f chunk =
+  let nblocks, valid = blocks name (size alpha) in
+  let kernel = compile alpha f in
+  let pool = Revkb_parallel.Pool.global () in
+  if
+    Revkb_parallel.Pool.jobs pool = 1
+    || nblocks * block_bits < sweep_parallel_threshold
+  then [| chunk kernel valid 0 nblocks |]
+  else Revkb_parallel.Pool.map_ranges pool ~lo:0 ~hi:nblocks (chunk kernel valid)
+
+(* Chunk accounting is per-range, never per-code: two atomic adds on a
+   range of blocks keep the inner loop untouched. *)
+let c_sweep_chunks = Revkb_obs.Obs.counter "enum.sweep_chunks"
+let c_sweep_codes = Revkb_obs.Obs.counter "enum.sweep_codes"
+
+let sweep_chunk kernel valid lo hi =
+  Revkb_obs.Obs.incr c_sweep_chunks;
+  Revkb_obs.Obs.add c_sweep_codes ((hi - lo) * popcount valid);
+  let out = ref (Array.make 64 0) and len = ref 0 in
+  for b = lo to hi - 1 do
+    let w = ref (kernel b land valid) in
+    while !w <> 0 do
+      if !len = Array.length !out then begin
+        let bigger = Array.make (2 * !len) 0 in
+        Array.blit !out 0 bigger 0 !len;
+        out := bigger
+      end;
+      !out.(!len) <- (b lsl block_log) lor ctz !w;
+      incr len;
+      w := !w land (!w - 1)
+    done
+  done;
+  Array.sub !out 0 !len
+
+let sweep alpha f =
   Revkb_obs.Obs.with_span "enum.sweep"
-    ~attrs:(fun () -> [ ("n", string_of_int n) ])
+    ~attrs:(fun () -> [ ("n", string_of_int (size alpha)) ])
     (fun () ->
-      let total = 1 lsl n in
-      let pool = Revkb_parallel.Pool.global () in
-      if Revkb_parallel.Pool.jobs pool = 1 || total < sweep_parallel_threshold
-      then sweep_range pred 0 total
-      else
-        Array.concat
-          (Array.to_list
-             (Revkb_parallel.Pool.map_ranges pool ~lo:0 ~hi:total
-                (sweep_range pred))))
+      match over_blocks "Interp_packed.sweep" alpha f sweep_chunk with
+      | [| set |] -> set
+      | sets -> Array.concat (Array.to_list sets))
+
+let count alpha f =
+  let chunk kernel valid lo hi =
+    let c = ref 0 in
+    for b = lo to hi - 1 do
+      c := !c + popcount (kernel b land valid)
+    done;
+    !c
+  in
+  Array.fold_left ( + ) 0 (over_blocks "Interp_packed.count" alpha f chunk)
+
+let satisfiable alpha f =
+  let chunk kernel valid lo hi =
+    let rec go b = b < hi && (kernel b land valid <> 0 || go (b + 1)) in
+    go lo
+  in
+  Array.exists Fun.id (over_blocks "Interp_packed.satisfiable" alpha f chunk)

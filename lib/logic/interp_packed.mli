@@ -39,8 +39,6 @@ val fits : alphabet -> bool
 (** Does the alphabet fit in one mask?  Callers switch to the
     {!Interp_wide} multi-word engine when it does not. *)
 
-val mem_letter : alphabet -> Var.t -> bool
-
 val index_of : alphabet -> Var.t -> int option
 (** Bit index of a letter, when it is in the alphabet.  This is the
     letter-to-bit map shared with the {!Interp_wide} multi-word engine
@@ -68,14 +66,6 @@ val hamming : t -> t -> int
 val subset : t -> t -> bool
 (** [subset a b]: is [a] a subset of [b] (as sets of true letters)? *)
 
-val compile : alphabet -> Formula.t -> t -> bool
-(** [compile alpha f] specializes [f] into a mask predicate; letters of
-    [f] outside the alphabet read false.  Compile once, evaluate per
-    mask — this is what makes the [2^n] sweep cheap. *)
-
-val sat : alphabet -> t -> Formula.t -> bool
-(** One-shot [compile] + apply; prefer {!compile} in loops. *)
-
 (** {1 Model sets: sorted duplicate-free [int array]s} *)
 
 type set = t array
@@ -101,20 +91,47 @@ val min_incl : t array -> set
     duplicates collapse).  Masks are sets of letters here, so minimality
     is bitwise inclusion. *)
 
-val max_incl : t array -> set
-(** [maxc]. *)
+(** {1 Truth-table sweeps}
 
-val sweep : alphabet -> (t -> bool) -> set
-(** All masks [0 .. 2^size - 1] satisfying the predicate, ascending: the
-    packed truth-table sweep.  Raises [Invalid_argument] beyond
-    {!max_sweep_letters} letters — [2^n] itself is not representable
-    there — naming the SAT-backed enumerator to use instead.  Above a
-    size threshold
-    the assignment space is partitioned into contiguous ranges (fixing
-    the top letters) evaluated across the {!Revkb_parallel.Pool.global}
-    pool; chunk results concatenate in range order, so the output is
-    identical at every job count.  The predicate must therefore be pure —
-    {!compile}d predicates are. *)
+    The [2^n] assignment codes of an [n]-letter alphabet are split into
+    blocks of 32 consecutive codes: block [b] holds the codes
+    [32b .. 32b + 31], and bit [j] of a block word stands for code
+    [32b + j].  Letters 0..4 vary inside a block, so their words are the
+    fixed patterns [0xAAAAAAAA], [0xCCCCCCCC], [0xF0F0F0F0],
+    [0xFF00FF00] and [0xFFFF0000]; letter [i >= 5] is constant over a
+    block, all ones or zero by bit [i - 5] of [b].  Connectives become
+    word operations, so one evaluation decides 32 assignments.  Below 5
+    letters there is a single block and only its low [2^n] bits are
+    codes. *)
+
+val compile : alphabet -> Formula.t -> int -> int
+(** [compile alpha f] is [f]'s block kernel: applied to a block index
+    [b], its 32 low bits are [f]'s truth values on the codes of block
+    [b] (bits above 31 are zero).  Letters of [f] outside the alphabet
+    read false.  Compile once, apply per block: a call allocates
+    nothing, and the kernel keeps no state, so domains may share it.
+    Bits of a block past [2^n] are not codes and must be masked off by
+    the caller. *)
+
+val sweep : alphabet -> Formula.t -> set
+(** All masks [0 .. 2^size - 1] satisfying the formula, ascending: the
+    packed truth-table sweep.  Compiles the formula, walks the blocks
+    and emits each set bit of a block word as a code.  Raises
+    [Invalid_argument] beyond {!max_sweep_letters} letters — [2^n]
+    itself is not representable there — naming the SAT-backed
+    enumerator to use instead.  From [2^12] codes on, the blocks are
+    split into contiguous ranges evaluated across the
+    {!Revkb_parallel.Pool.global} pool; range results concatenate in
+    range order, so the output is identical at every job count.  Each
+    sweep adds [2^size] to the [enum.sweep_codes] counter. *)
+
+val count : alphabet -> Formula.t -> int
+(** Number of masks satisfying the formula: a popcount per block, no
+    model stored.  Same width limit and parallel split as {!sweep}. *)
+
+val satisfiable : alphabet -> Formula.t -> bool
+(** Does some mask satisfy the formula?  Each range stops at its first
+    nonzero block.  Same width limit and parallel split as {!sweep}. *)
 
 (** {1 Min-inclusion frontiers} *)
 

@@ -78,7 +78,7 @@ let enumerate_packed ?cap alpha f =
       ~attrs:(fun () -> [ ("n", string_of_int (Interp_packed.size alpha)) ])
       (fun () ->
         if Interp_packed.size alpha <= sat_cutover then
-          Interp_packed.sweep alpha (Interp_packed.compile alpha f)
+          Interp_packed.sweep alpha f
         else Semantics.masks_sat ?cap alpha f)
   in
   Revkb_obs.Obs.add c_models (Array.length set);
@@ -97,7 +97,7 @@ let enumerate_wide ?cap alpha f =
       (fun () ->
         if Interp_packed.size alpha <= sat_cutover then
           Interp_wide.set_of_masks alpha
-            (Interp_packed.sweep alpha (Interp_packed.compile alpha f))
+            (Interp_packed.sweep alpha f)
         else Semantics.masks_sat_wide ?cap alpha f)
   in
   Revkb_obs.Obs.add c_models (Array.length set);
@@ -121,60 +121,13 @@ let enumerate alphabet f =
     List.sort Var.Set.compare ms
   end
 
-(* Chunked forall-sweep shared by count/equivalent_on/entails_on: fold a
-   per-range result across the pool.  Conjunction and sum are
-   associative with an in-order merge, so the answer is identical at
-   every job count. *)
-let sweep_parallel_threshold = 1 lsl 12
-
-(* Every [1 lsl n] total-count here is guarded: callers only reach these
-   below [sat_cutover] (20), far under the n = 62 sign-bit overflow that
-   bit Interp_packed.sweep, but the assertion keeps a future caller from
-   reintroducing the silent wraparound. *)
-let check_sweepable n =
-  assert (n <= Interp_packed.max_sweep_letters)
-
-let for_all_codes n pred =
-  check_sweepable n;
-  (* lint: shift-ok check_sweepable above asserts n <= max_sweep_letters *)
-  let total = 1 lsl n in
-  let chunk lo hi =
-    let rec go code = code >= hi || (pred code && go (code + 1)) in
-    go lo
-  in
-  let pool = Revkb_parallel.Pool.global () in
-  if Revkb_parallel.Pool.jobs pool = 1 || total < sweep_parallel_threshold
-  then chunk 0 total
-  else
-    Revkb_parallel.Pool.parallel_for_reduce pool ~lo:0 ~hi:total ~map:chunk
-      ~reduce:( && ) true
-
 let count ?cap alphabet f =
   check_alphabet "Models.count" alphabet f;
   let n = List.length alphabet in
-  if n <= sat_cutover then begin
-    (* Popcount-style path: evaluate the compiled predicate over every
-       assignment and sum per-range tallies — no model is ever unpacked
-       (or even stored). *)
-    let alpha = Interp_packed.alphabet alphabet in
-    check_sweepable (Interp_packed.size alpha);
-    let pred = Interp_packed.compile alpha f in
-    (* lint: shift-ok check_sweepable above asserts the width fits *)
-    let total = 1 lsl Interp_packed.size alpha in
-    let chunk lo hi =
-      let c = ref 0 in
-      for code = lo to hi - 1 do
-        if pred code then incr c
-      done;
-      !c
-    in
-    let pool = Revkb_parallel.Pool.global () in
-    if Revkb_parallel.Pool.jobs pool = 1 || total < sweep_parallel_threshold
-    then chunk 0 total
-    else
-      Revkb_parallel.Pool.parallel_for_reduce pool ~lo:0 ~hi:total ~map:chunk
-        ~reduce:( + ) 0
-  end
+  if n <= sat_cutover then
+    (* A popcount per block of the word-parallel sweep: no model is
+       ever unpacked (or even stored). *)
+    Interp_packed.count (Interp_packed.alphabet alphabet) f
   else if not (Semantics.is_sat (assign_false_outside alphabet f)) then 0
   else
     (* Above the cutover: walk the models through the SAT enumerator's
@@ -186,26 +139,26 @@ let count ?cap alphabet f =
        unsatisfiable case free. *)
     Semantics.count_sat ?cap (Interp_packed.alphabet alphabet) f
 
+(* Below the cutover both checks look for a counter-model block by
+   block: [a] and [b] differ where [a xor b] holds, and [a] fails to
+   entail [b] where [a & ~b] does. *)
 let equivalent_on alphabet a b =
-  if List.length alphabet <= sat_cutover then begin
-    let alpha = Interp_packed.alphabet alphabet in
-    let fa = Interp_packed.compile alpha a
-    and fb = Interp_packed.compile alpha b in
-    for_all_codes (Interp_packed.size alpha) (fun code -> fa code = fb code)
-  end
+  if List.length alphabet <= sat_cutover then
+    not
+      (Interp_packed.satisfiable
+         (Interp_packed.alphabet alphabet)
+         (Formula.xor a b))
   else
     Semantics.equiv
       (assign_false_outside alphabet a)
       (assign_false_outside alphabet b)
 
 let entails_on alphabet a b =
-  if List.length alphabet <= sat_cutover then begin
-    let alpha = Interp_packed.alphabet alphabet in
-    let fa = Interp_packed.compile alpha a
-    and fb = Interp_packed.compile alpha b in
-    for_all_codes (Interp_packed.size alpha) (fun code ->
-        (not (fa code)) || fb code)
-  end
+  if List.length alphabet <= sat_cutover then
+    not
+      (Interp_packed.satisfiable
+         (Interp_packed.alphabet alphabet)
+         (Formula.conj2 a (Formula.not_ b)))
   else
     Semantics.entails
       (assign_false_outside alphabet a)

@@ -6,8 +6,9 @@
     alphabet size:
 
     - at most {!sat_cutover} letters: a packed truth-table sweep — the
-      formula is compiled to a mask predicate ({!Interp_packed.compile})
-      and all [2^n] masks are swept;
+      formula is compiled to a bit-sliced block kernel
+      ({!Interp_packed.compile}) that decides 32 masks per word
+      operation, and all [2^n] masks are swept;
     - beyond the cutover: a SAT-backed enumerator that walks the models of
       the Tseitin-encoded formula via blocking clauses on the incremental
       CDCL solver ({!Semantics.masks_sat} /
@@ -52,8 +53,9 @@ val enumerate_wide :
 
 val count : ?cap:int -> Var.t list -> Formula.t -> int
 (** Model count over the alphabet without materializing the model set: at
-    most {!sat_cutover} letters, a compiled-predicate tally over the
-    [2^n] assignments (chunked across the pool, no model unpacked).
+    most {!sat_cutover} letters, a popcount per 32-assignment block of
+    the bit-sliced sweep ({!Interp_packed.count}: chunked across the
+    pool, no model unpacked).
     Above the cutover one SAT call settles the zero case; otherwise the
     blocking-clause walk tallies models without storing them
     ({!Semantics.count_sat}), bounded by [cap] (default 1_000_000) —
@@ -61,11 +63,15 @@ val count : ?cap:int -> Var.t list -> Formula.t -> int
     walking an astronomical model set to completion. *)
 
 val equivalent_on : Var.t list -> Formula.t -> Formula.t -> bool
-(** Logical equivalence over the alphabet: packed truth-table sweep below
-    the cutover, SAT equivalence above it.  Letters outside the alphabet
-    read false in both formulas. *)
+(** Logical equivalence over the alphabet: below the cutover a packed
+    sweep of [a xor b] that stops at the first block where they differ,
+    SAT equivalence above it.  Letters outside the alphabet read false
+    in both formulas. *)
 
 val entails_on : Var.t list -> Formula.t -> Formula.t -> bool
+(** Entailment over the alphabet: below the cutover a packed sweep of
+    [a & ~b] that stops at the first counter-model block, SAT
+    entailment above it. *)
 
 val project : Var.Set.t -> Interp.t list -> Interp.t list
 (** Project a model list onto a sub-alphabet, deduplicating — the model-set

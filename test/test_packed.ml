@@ -52,11 +52,13 @@ let test_popcount_exhaustive () =
     (Interp_packed.popcount ((top - 1) lor top))
 
 let prop_sat_agrees =
-  qtest "Interp_packed.sat = Interp.sat" ~count:200 arb_f10 (fun fm ->
+  qtest "sweep membership = Interp.sat" ~count:200 arb_f10 (fun fm ->
       let alpha = Interp_packed.alphabet vars10 in
-      let eval = Interp_packed.compile alpha fm in
+      let models = Interp_packed.sweep alpha fm in
       List.for_all
-        (fun m -> eval (Interp_packed.pack alpha m) = Interp.sat m fm)
+        (fun m ->
+          Interp_packed.mem models (Interp_packed.pack alpha m)
+          = Interp.sat m fm)
         (Interp.subsets (letters 8)))
 
 let prop_min_incl_agrees =
@@ -82,7 +84,7 @@ let prop_sat_enumerator_agrees =
       let alpha = Interp_packed.alphabet vars10 in
       Interp_packed.equal_set
         (Semantics.masks_sat alpha fm)
-        (Interp_packed.sweep alpha (Interp_packed.compile alpha fm)))
+        (Interp_packed.sweep alpha fm))
 
 let prop_equivalent_on_agrees =
   qtest "equivalent_on: packed = legacy" ~count:200
@@ -94,6 +96,84 @@ let prop_entails_on_agrees =
   qtest "entails_on: packed = legacy" ~count:200 (arb_pair arb_f10 arb_f10)
     (fun (a, b) ->
       Models.entails_on vars10 a b = Models.Legacy.entails_on vars10 a b)
+
+(* -- word-parallel sweep: partial blocks, job counts, counters ------------ *)
+
+(* Widths 0..4 fill only the low [2^n] bits of the single block, and the
+   formulas range over two letters past the alphabet, which read false.
+   Every block-kernel entry point must agree with the legacy engine
+   there, and the kernel itself with [Interp.sat] bit by bit. *)
+let arb_narrow =
+  QCheck.make
+    ~print:(fun (n, a, b) ->
+      Printf.sprintf "n=%d a=%s b=%s" n (Formula.to_string a)
+        (Formula.to_string b))
+    (fun st ->
+      let n = Random.State.int st 8 in
+      let vars = letters (n + 2) in
+      (n, Gen.formula st ~vars ~depth:3, Gen.formula st ~vars ~depth:3))
+
+let prop_narrow_widths_agree =
+  qtest "sweep/count/entails/equivalent at n = 0..7 = legacy" ~count:300
+    arb_narrow (fun (n, a, b) ->
+      let vars = letters n in
+      let alpha = Interp_packed.alphabet vars in
+      let reads_false f =
+        Formula.assign_vars
+          (Var.Set.fold
+             (fun x acc ->
+               if List.mem x vars then acc else Var.Map.add x false acc)
+             (Formula.vars f) Var.Map.empty)
+          f
+      in
+      let legacy = Models.Legacy.enumerate vars (reads_false a) in
+      let kernel = Interp_packed.compile alpha a in
+      let codes = List.map (Interp_packed.pack alpha) (Interp.subsets vars) in
+      same_models
+        (Interp_packed.interps_of_set alpha (Interp_packed.sweep alpha a))
+        legacy
+      && Interp_packed.count alpha a = List.length legacy
+      && Interp_packed.satisfiable alpha a = (legacy <> [])
+      && List.for_all
+           (fun c ->
+             (kernel (c lsr 5) lsr (c land 31)) land 1 = 1
+             = Interp.sat (Interp_packed.unpack alpha c) a)
+           codes
+      && Models.entails_on vars a b = Models.Legacy.entails_on vars a b
+      && Models.equivalent_on vars a b
+         = Models.Legacy.equivalent_on vars a b)
+
+(* n = 14 is past the 2^12-code parallel threshold, so jobs = 4 splits
+   the blocks into ranges; the answers must not notice. *)
+let prop_jobs_bit_identical =
+  qtest "sweep/count/satisfiable: jobs 1 = jobs 4 at n = 14" ~count:20
+    (arb_formula ~depth:4 (letters 14))
+    (fun fm ->
+      let alpha = Interp_packed.alphabet (letters 14) in
+      let run jobs =
+        Revkb_parallel.Pool.with_jobs jobs (fun () ->
+            ( Interp_packed.sweep alpha fm,
+              Interp_packed.count alpha fm,
+              Interp_packed.satisfiable alpha fm ))
+      in
+      run 1 = run 4)
+
+(* The benchmark fingerprint cites enum.sweep_codes: one sweep adds
+   exactly 2^n, whether the block is partial or split across domains. *)
+let test_sweep_codes_counter () =
+  let codes = Revkb_obs.Obs.counter "enum.sweep_codes" in
+  List.iter
+    (fun (n, jobs) ->
+      let alpha = Interp_packed.alphabet (letters n) in
+      let fm = Formula.disj2 (Formula.v "x1") (Formula.v "x3") in
+      Revkb_parallel.Pool.with_jobs jobs (fun () ->
+          let before = Revkb_obs.Obs.value codes in
+          ignore (Interp_packed.sweep alpha fm);
+          check_int
+            (Printf.sprintf "sweep_codes at n=%d jobs=%d" n jobs)
+            (1 lsl n)
+            (Revkb_obs.Obs.value codes - before)))
+    [ (3, 1); (3, 4); (14, 1); (14, 4) ]
 
 (* The tentpole's large-alphabet case: 30 letters is past the legacy
    25-letter brute-force cap, but the SAT-backed enumerator walks the
@@ -237,6 +317,29 @@ let test_streaming_delta_allocation () =
            (nt*np array would be ~8MB)"
           allocated)
 
+(* The bit-sliced sweep evaluates a block of 32 codes per kernel call
+   and allocates nothing per block: a 16-letter, 64-clause 3-CNF
+   (2048 blocks) stays under 2^16 minor words.  A kernel that allocates
+   a closure per code spends over two million here. *)
+let test_sweep_allocation () =
+  let st = Random.State.make [| 16 |] in
+  let vars = letters 16 in
+  let fm = Gen.cnf3 st ~vars ~nclauses:64 in
+  let alpha = Interp_packed.alphabet vars in
+  Revkb_parallel.Pool.with_jobs 1 (fun () ->
+      ignore (Revkb_parallel.Pool.global ());
+      let before = Gc.minor_words () in
+      let models = Interp_packed.sweep alpha fm in
+      let allocated = Gc.minor_words () -. before in
+      check_int "sweep = legacy count"
+        (List.length (Models.Legacy.enumerate vars fm))
+        (Array.length models);
+      if allocated >= 65536. then
+        Alcotest.failf
+          "sweep allocated %.0f minor words on a 16-letter 3-CNF (limit \
+           65536)"
+          allocated)
+
 (* -- the unified empty-model-set contract -------------------------------------- *)
 
 let test_distance_empty_contract () =
@@ -276,6 +379,12 @@ let () =
           prop_entails_on_agrees;
           Alcotest.test_case "beyond the 25-letter cap" `Quick
             test_enumerate_beyond_legacy_cap;
+          prop_narrow_widths_agree;
+          prop_jobs_bit_identical;
+          Alcotest.test_case "sweep_codes grows by 2^n" `Quick
+            test_sweep_codes_counter;
+          Alcotest.test_case "sweep allocates under 2^16 minor words" `Quick
+            test_sweep_allocation;
         ] );
       ("operators", List.map op_agrees Model_based.all);
       ("revise_on", List.map revise_agrees Model_based.all);

@@ -46,7 +46,7 @@ let test_sweep_boundary () =
   check_int "max_sweep_letters" (Sys.int_size - 2) IP.max_sweep_letters;
   let alpha = IP.alphabet (letters IP.max_letters) in
   check_bool "fits at the boundary" true (IP.fits alpha);
-  match IP.sweep alpha (fun _ -> false) with
+  match IP.sweep alpha Formula.bot with
   | exception Invalid_argument msg ->
       check_bool "message names the limit" true
         (contains_substring msg (string_of_int IP.max_sweep_letters))
