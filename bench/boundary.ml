@@ -14,6 +14,7 @@
 open Logic
 module MB = Revision.Model_based
 module Dist = Revision.Distance
+module Legacy = Revkb_oracle.Legacy
 
 let widths = [ 61; 62; 63; 64; 65; 100 ]
 
@@ -42,27 +43,30 @@ let check_against_oracle n t_models p_models =
         not
           (same_interp_lists
              (MB.select op t_models p_models)
-             (MB.Legacy.select op t_models p_models))
+             (Legacy.Model_based.select op t_models p_models))
       then fail n ("operator " ^ MB.name op))
     MB.all;
   let m = List.hd t_models in
-  if not (same_diff_lists (Dist.mu m p_models) (Dist.Legacy.mu m p_models))
+  if
+    not (same_diff_lists (Dist.mu m p_models) (Legacy.Distance.mu m p_models))
   then fail n "mu";
-  if Dist.k_pointwise m p_models <> Dist.Legacy.k_pointwise m p_models then
-    fail n "k_pointwise";
+  if Dist.k_pointwise m p_models <> Legacy.Distance.k_pointwise m p_models
+  then fail n "k_pointwise";
   if
     not
       (same_diff_lists
          (Dist.delta t_models p_models)
-         (Dist.Legacy.delta t_models p_models))
+         (Legacy.Distance.delta t_models p_models))
   then fail n "delta";
-  if Dist.k_global t_models p_models <> Dist.Legacy.k_global t_models p_models
+  if
+    Dist.k_global t_models p_models
+    <> Legacy.Distance.k_global t_models p_models
   then fail n "k_global";
   if
     not
       (Var.Set.equal
          (Dist.omega t_models p_models)
-         (Dist.Legacy.omega t_models p_models))
+         (Legacy.Distance.omega t_models p_models))
   then fail n "omega"
 
 let row n =

@@ -1,15 +1,15 @@
 (* Incremental-session bench: the fresh-solver baselines against the
    session paths on identical inputs.  Three workloads:
 
-   - dalal-min-distance: the k_{T,P} sweep ([Hamming.min_distance_exa]
+   - dalal-min-distance: the k_{T,P} sweep ([Fresh.min_distance_exa]
      vs [Hamming.min_distance_sat]) — one solver + ladder assumption
      flips against a fresh solver and a fresh EXA Tseitin build per
      threshold.
    - dist-to-sweep: minimum distance from many reference points to one
-     formula ([Check.Fresh.dist_to] per point vs one reused
+     formula ([Fresh.dist_to] per point vs one reused
      [Check.Dist] prober).
    - cegar-forbus: a Forbus model check whose CEGAR loop refutes every
-     witness ([Check.Fresh.model_check] vs the shared-session
+     witness ([Fresh.model_check] vs the shared-session
      [Check.model_check]).
 
    Every session answer is asserted equal to the fresh one before its
@@ -25,6 +25,7 @@ open Logic
 module Obs = Revkb_obs.Obs
 module Check = Compact.Check
 module MB = Revision.Model_based
+module Fresh = Revkb_oracle.Fresh
 
 type row = {
   bench : string;
@@ -111,7 +112,7 @@ let dalal_rows () =
         if n mod 2 = 0 then antipodal n else pinned_random n 6 st
       in
       compare_paths ~bench:"dalal-min-distance" ~n ~equal:( = )
-        (fun () -> Hamming.min_distance_exa t p)
+        (fun () -> Fresh.min_distance_exa t p)
         (fun () -> Hamming.min_distance_sat t p))
     [ 12; 15; 20 ]
 
@@ -133,7 +134,7 @@ let dist_to_rows () =
   in
   [
     compare_paths ~bench:"dist-to-sweep" ~n ~equal:( = )
-      (fun () -> List.map (fun r -> Check.Fresh.dist_to f r vars) refs)
+      (fun () -> List.map (fun r -> Fresh.dist_to f r vars) refs)
       (fun () ->
         let d = Check.Dist.create f vars in
         List.map (Check.Dist.to_interp d) refs);
@@ -174,7 +175,7 @@ let cegar_rows () =
       in
       let p = Formula.and_ (List.init 6 (fun _ -> gen_block ())) in
       compare_paths ~bench:"cegar-forbus" ~n ~equal:Bool.equal
-        (fun () -> Check.Fresh.model_check MB.Forbus t p candidate)
+        (fun () -> Fresh.model_check MB.Forbus t p candidate)
         (fun () -> Check.model_check MB.Forbus t p candidate))
     [ 12; 16 ]
 

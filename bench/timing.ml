@@ -38,7 +38,8 @@ let packed_vs_legacy_tests () =
           [
             Test.make ~name:(name "legacy")
               (Staged.stage (fun () ->
-                   ignore (Revision.Model_based.Legacy.revise_on op vars t p)));
+                   ignore
+                     (Revkb_oracle.Legacy.Model_based.revise_on op vars t p)));
             Test.make ~name:(name "packed")
               (Staged.stage (fun () ->
                    ignore (Revision.Model_based.revise_on op vars t p)));
@@ -47,7 +48,7 @@ let packed_vs_legacy_tests () =
     [ 12; 14; 16 ]
 
 (* The SAT-backed enumerator past the legacy 25-letter cap: 30 letters,
-   6 models.  There is no legacy row — Models.Legacy.enumerate rejects
+   6 models.  There is no legacy row — Legacy.Models.enumerate rejects
    alphabets beyond 25 letters outright. *)
 let sat_enumerator_test () =
   let vars = Gen.letters 30 in

@@ -3,8 +3,8 @@
    Usage: revkb_lint [--json] [--report FILE] [--baseline FILE]
                      [--update-baseline] [--usage DIR]... [ROOT]...
 
-   Default roots are lib, bin and bench; test and examples feed the
-   usage index (R5 reachability) without being linted.  Exit status: 0
+   Default roots are lib, bin and bench; test, examples and revbench
+   feed the usage index (R5 reachability) without being linted.  Exit status: 0
    when every finding is baselined (or there are none), 1 on new
    findings, 2 on usage errors. *)
 
@@ -43,7 +43,7 @@ let () =
   let default_usage =
     List.filter
       (fun d -> Sys.file_exists d && Sys.is_directory d)
-      [ "test"; "examples" ]
+      [ "test"; "examples"; "revbench" ]
   in
   let usage_roots = List.rev !usage_dirs @ default_usage in
   let to_inputs pairs =

@@ -27,28 +27,6 @@ module Dist = struct
   let to_interp d n =
     Session.min_distance d.s ~assume:(Ladder.pin d.pv n) d.fs
       (Ladder.ladder d.pv)
-
-  let to_mask d m =
-    Session.min_distance d.s ~assume:(Ladder.pin_mask d.pv m) d.fs
-      (Ladder.ladder d.pv)
-
-  let to_mask_wide d m =
-    Session.min_distance d.s ~assume:(Ladder.pin_mask_wide d.pv m) d.fs
-      (Ladder.ladder d.pv)
-
-  (* Model of [fs] strictly closer to the reference than [k]?  A single
-     probe — the exact minimum is never needed for the CEGAR refutes. *)
-  let closer_than_interp d n k =
-    Session.closer_than d.s ~assume:(Ladder.pin d.pv n) d.fs
-      (Ladder.ladder d.pv) k
-
-  let closer_than_mask d m k =
-    Session.closer_than d.s ~assume:(Ladder.pin_mask d.pv m) d.fs
-      (Ladder.ladder d.pv) k
-
-  let closer_than_mask_wide d m k =
-    Session.closer_than d.s ~assume:(Ladder.pin_mask_wide d.pv m) d.fs
-      (Ladder.ladder d.pv) k
 end
 
 let dist_to f n alphabet = Dist.to_interp (Dist.create f alphabet) n
@@ -100,112 +78,53 @@ let witness_loop ctx s t scope ~model ~block ~refutes =
 (* Is there a model of [p] strictly closer (inclusion-wise) to [m] than
    [n] is?  One query on the shared session: the agreement pin is pure
    assumption literals (premise of a literal conjunction), the strict
-   part one memoized disjunction.  The difference is one [lxor], and the
-   pin/strict formulas read bits instead of set membership. *)
-let closer_by_inclusion_packed_in s p alpha m n =
-  let d = m lxor n in
-  if d = 0 then false
-  else begin
-    let bits =
-      (* lint: shift-ok i < Interp_packed.size alpha <= max_letters: the
-         packed checkers only run on fits-checked alphabets *)
-      List.mapi (fun i x -> (1 lsl i, x)) (Interp_packed.letters alpha)
-    in
-    let agree =
-      Formula.and_
-        (List.filter_map
-           (fun (bit, x) ->
-             if d land bit <> 0 then None
-             else Some (Formula.lit (m land bit <> 0) x))
-           bits)
-    in
-    let strictly_inside =
-      Formula.or_
-        (List.filter_map
-           (fun (bit, x) ->
-             if d land bit <> 0 then Some (Formula.lit (m land bit <> 0) x)
-             else None)
-           bits)
-    in
-    Session.solve s [ p; agree; strictly_inside ]
-  end
-
-(* Multi-word variant: same two formulas, bits read through
-   [Interp_wide.test]. *)
-let closer_by_inclusion_wide_in s p alpha m n =
-  let d = Interp_wide.lxor_ m n in
-  if Interp_wide.is_zero d then false
+   part one memoized disjunction.  The difference is one mask [diff],
+   and the pin/strict formulas read bits instead of set membership. *)
+let closer_by_inclusion_in (type m) (module M : Mask.S with type t = m) s p
+    alpha (m : m) n =
+  let d = M.diff m n in
+  if M.is_zero d then false
   else begin
     let bits = List.mapi (fun i x -> (i, x)) (Interp_packed.letters alpha) in
-    let agree =
-      Formula.and_
-        (List.filter_map
-           (fun (i, x) ->
-             if Interp_wide.test d i then None
-             else Some (Formula.lit (Interp_wide.test m i) x))
-           bits)
+    let lits inside =
+      List.filter_map
+        (fun (i, x) ->
+          if M.test d i = inside then Some (Formula.lit (M.test m i) x)
+          else None)
+        bits
     in
-    let strictly_inside =
-      Formula.or_
-        (List.filter_map
-           (fun (i, x) ->
-             if Interp_wide.test d i then
-               Some (Formula.lit (Interp_wide.test m i) x)
-             else None)
-           bits)
-    in
-    Session.solve s [ p; agree; strictly_inside ]
+    Session.solve s [ p; Formula.and_ (lits false); Formula.or_ (lits true) ]
   end
 
 (* The pointwise checks.  Each builds one session carrying: [t]'s
    witness enumeration (scoped blocking), [p]'s refutation probes, and
-   for Forbus the shared pinnable cardinality ladder over [p]. *)
+   for Forbus the shared pinnable cardinality ladder over [p].  The
+   witness masks take the representation {!Mask.engine} picks. *)
 
 let winslett_in ctx s t p alphabet n =
   let alpha = Interp_packed.alphabet alphabet in
+  let (module M) = Mask.engine alpha in
   let scope = Session.new_scope s in
-  if Interp_packed.fits alpha then begin
-    let nm = Interp_packed.pack alpha n in
-    witness_loop ctx s t scope
-      ~model:(fun () -> Session.mask_on s alpha)
-      ~block:(fun m -> Session.block_mask s scope alpha m)
-      ~refutes:(fun m -> closer_by_inclusion_packed_in s p alpha m nm)
-  end
-  else begin
-    let nm = Interp_wide.pack alpha n in
-    witness_loop ctx s t scope
-      ~model:(fun () -> Session.mask_on_wide s alpha)
-      ~block:(fun m -> Session.block_mask_wide s scope alpha m)
-      ~refutes:(fun m -> closer_by_inclusion_wide_in s p alpha m nm)
-  end
+  let nm = M.pack alpha n in
+  witness_loop ctx s t scope
+    ~model:(fun () -> Session.mask_on (module M) s alpha)
+    ~block:(fun m -> Session.block_mask (module M) s scope alpha m)
+    ~refutes:(fun m -> closer_by_inclusion_in (module M) s p alpha m nm)
 
 let forbus_in ctx s t p alphabet n =
   let alpha = Interp_packed.alphabet alphabet in
+  let (module M) = Mask.engine alpha in
   let scope = Session.new_scope s in
-  let env = Session.env s in
-  if Interp_packed.fits alpha then begin
-    let letters = Interp_packed.letters alpha in
-    let pv = Ladder.against env letters in
-    let lad = Ladder.ladder pv in
-    let nm = Interp_packed.pack alpha n in
-    witness_loop ctx s t scope
-      ~model:(fun () -> Session.mask_on s alpha)
-      ~block:(fun m -> Session.block_mask s scope alpha m)
-      ~refutes:(fun m ->
-        Session.closer_than s ~assume:(Ladder.pin_mask pv m) [ p ] lad
-          (Interp_packed.hamming m nm))
-  end
-  else begin
-    let pv = Ladder.against env alphabet in
-    let lad = Ladder.ladder pv in
-    let nm = Interp_wide.pack alpha n in
-    witness_loop ctx s t scope
-      ~model:(fun () -> Session.mask_on_wide s alpha)
-      ~block:(fun m -> Session.block_mask_wide s scope alpha m)
-      ~refutes:(fun m ->
-        Session.closer_than s ~assume:(Ladder.pin_mask_wide pv m) [ p ] lad
-          (Interp_wide.hamming m nm))
-  end
+  let pv = Ladder.against (Session.env s) (Interp_packed.letters alpha) in
+  let lad = Ladder.ladder pv in
+  let nm = M.pack alpha n in
+  witness_loop ctx s t scope
+    ~model:(fun () -> Session.mask_on (module M) s alpha)
+    ~block:(fun m -> Session.block_mask (module M) s scope alpha m)
+    ~refutes:(fun m ->
+      Session.closer_than s
+        ~assume:(Ladder.pin_mask (module M) pv m)
+        [ p ] lad (M.hamming m nm))
 
 let ctx_for ~cap op alphabet =
   { cap; opname = MB.name op; nletters = List.length alphabet }
@@ -370,122 +289,3 @@ let entails op t p q =
         Iterated_bounded.for_op op t [ p ]
   in
   Semantics.entails compiled q
-
-(* -- fresh-solver oracle -------------------------------------------------
-
-   The pre-session implementations: a fresh solver (and a fresh Tseitin
-   encoding, and for distances a fresh [Hamming.exa k]) per probe.  Kept
-   callable as the differential oracle of the session paths and as the
-   baseline side of the incremental bench. *)
-
-module Fresh = struct
-  let dist_to f n alphabet =
-    if not (Semantics.is_sat f) then None
-    else begin
-      let avoid = Var.set_of_list alphabet in
-      let ys = Names.copy ~avoid ~suffix:"_d" alphabet in
-      let pin =
-        Formula.and_
-          (List.map2
-             (fun x y -> Formula.lit (Var.Set.mem x n) y)
-             alphabet ys)
-      in
-      let len = List.length alphabet in
-      let rec probe k =
-        if k > len then None
-        else begin
-          let exa_k, _ = Hamming.exa k alphabet ys in
-          if Semantics.is_sat (Formula.and_ [ f; pin; exa_k ]) then Some k
-          else probe (k + 1)
-        end
-      in
-      probe 0
-    end
-
-  let exists_witness ctx t alphabet refutes =
-    let env = Semantics.create () in
-    List.iter (fun x -> ignore (Semantics.lit_of_var env x)) alphabet;
-    Semantics.assert_formula env t;
-    let rec loop i =
-      if i > ctx.cap then cegar_fail ctx
-      else if not (Semantics.solve env) then false
-      else begin
-        let m = Semantics.model_on env alphabet in
-        if refutes m then begin
-          Obs.incr c_cegar;
-          Semantics.block env alphabet m;
-          loop (i + 1)
-        end
-        else true
-      end
-    in
-    loop 0
-
-  let closer_by_inclusion p alphabet m n =
-    let d = Interp.sym_diff m n in
-    if Var.Set.is_empty d then false
-    else begin
-      let agree =
-        Formula.and_
-          (List.filter_map
-             (fun x ->
-               if Var.Set.mem x d then None
-               else Some (Formula.lit (Var.Set.mem x m) x))
-             alphabet)
-      in
-      let strictly_inside =
-        Formula.or_
-          (List.map
-             (fun x -> Formula.lit (Var.Set.mem x m) x)
-             (Var.Set.elements d))
-      in
-      Semantics.is_sat (Formula.and_ [ p; agree; strictly_inside ])
-    end
-
-  let closer_by_cardinality p alphabet m d =
-    match dist_to p m alphabet with
-    | None -> false
-    | Some dp -> dp < d
-
-  let winslett_check ~cap t p alphabet n =
-    exists_witness (ctx_for ~cap MB.Winslett alphabet) t alphabet (fun m ->
-        closer_by_inclusion p alphabet m n)
-
-  let forbus_check ~cap t p alphabet n =
-    exists_witness (ctx_for ~cap MB.Forbus alphabet) t alphabet (fun m ->
-        closer_by_cardinality p alphabet m (Interp.hamming m n))
-
-  let model_check ?(cegar_cap = 50_000) op t p n =
-    if not (Semantics.is_sat t) then
-      invalid_arg "Compact.Check: T unsatisfiable";
-    if not (Semantics.is_sat p) then
-      invalid_arg "Compact.Check: P unsatisfiable";
-    let alphabet = joint t p in
-    let n = Interp.restrict (Var.set_of_list alphabet) n in
-    if not (Interp.sat n p) then false
-    else
-      match op with
-      | MB.Dalal -> (
-          match (Hamming.min_distance_exa t p, dist_to t n alphabet) with
-          | Some k, Some d -> d = k
-          | _ -> assert false (* both satisfiable *))
-      | MB.Weber ->
-          let omega = Measure.omega t p in
-          let pin =
-            Formula.and_
-              (List.filter_map
-                 (fun x ->
-                   if Var.Set.mem x omega then None
-                   else Some (Formula.lit (Var.Set.mem x n) x))
-                 alphabet)
-          in
-          Semantics.is_sat (Formula.conj2 t pin)
-      | MB.Satoh ->
-          let delta = Measure.delta t p in
-          List.exists (fun s -> Interp.sat (Interp.sym_diff n s) t) delta
-      | MB.Winslett -> winslett_check ~cap:cegar_cap t p alphabet n
-      | MB.Forbus -> forbus_check ~cap:cegar_cap t p alphabet n
-      | MB.Borgida ->
-          if Semantics.is_sat (Formula.conj2 t p) then Interp.sat n t
-          else winslett_check ~cap:cegar_cap t p alphabet n
-end

@@ -21,7 +21,11 @@
 
     All checkers agree with the extensional
     {!Revision.Result.model_check} (property-tested); their point is
-    scale: alphabets far beyond brute-force enumeration. *)
+    scale: alphabets far beyond brute-force enumeration.  The CEGAR
+    witnesses are masks, written once over {!Logic.Mask.S} in the
+    representation {!Logic.Mask.engine} picks for the alphabet.  The
+    fresh-solver checkers these sessions replaced are kept only as the
+    test suite's differential oracle, outside the library. *)
 
 open Logic
 
@@ -69,28 +73,15 @@ val dist_to : Formula.t -> Interp.t -> Var.t list -> int option
     each threshold is an assumption flip.  Exposed for the benches. *)
 
 (** A reusable distance prober: [f] and the ladder are encoded once,
-    and every reference point (interpretation or packed mask) is a set
-    of pin assumptions on the same live solver.  [dist_to] is
-    [Dist.to_interp (Dist.create f alphabet)]; keep the prober when
-    sweeping many reference points against one formula. *)
+    and every reference point is a set of pin assumptions on the same
+    live solver.  [dist_to] is [Dist.to_interp (Dist.create f
+    alphabet)]; keep the prober when sweeping many reference points
+    against one formula. *)
 module Dist : sig
   type t
 
   val create : Formula.t -> Var.t list -> t
   val to_interp : t -> Interp.t -> int option
-  val to_mask : t -> Interp_packed.t -> int option
-
-  val to_mask_wide : t -> Interp_wide.t -> int option
-  (** {!to_mask} for multi-word masks: reference points past
-      {!Interp_packed.max_letters} letters pin through
-      {!Logic.Semantics.Ladder.pin_mask_wide}. *)
-
-  val closer_than_interp : t -> Interp.t -> int -> bool
-  (** Model of [f] strictly closer than [k] to the reference?  A single
-      ladder probe — no minimum computed. *)
-
-  val closer_than_mask : t -> Interp_packed.t -> int -> bool
-  val closer_than_mask_wide : t -> Interp_wide.t -> int -> bool
 end
 
 val entails :
@@ -104,20 +95,3 @@ val entails :
     therefore subject to the bounded-|V(P)| limit; Satoh uses the
     corrected δ-guard step.  Raises [Invalid_argument] on unsatisfiable
     [t]/[p] or on an over-wide [p] for the pointwise operators. *)
-
-(** The pre-session implementations — a fresh solver, a fresh Tseitin
-    encoding, and (for distances) a fresh [Hamming.exa k] build per
-    probe.  Semantically identical to the session paths; kept callable
-    as their differential oracle and as the baseline side of the
-    incremental bench. *)
-module Fresh : sig
-  val dist_to : Formula.t -> Interp.t -> Var.t list -> int option
-
-  val model_check :
-    ?cegar_cap:int ->
-    Revision.Model_based.op ->
-    Formula.t ->
-    Formula.t ->
-    Interp.t ->
-    bool
-end

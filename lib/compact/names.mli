@@ -1,4 +1,4 @@
-(** Fresh copies of alphabets.
+(** Disjoint copies of alphabets.
 
     The paper's constructions repeatedly introduce letter sets [Y], [Z],
     [Y_i], ... "one-to-one with" an existing alphabet.  This helper builds

@@ -12,16 +12,10 @@ let logically_equivalent result f =
       then false
       else
         let alpha = Interp_packed.alphabet alphabet in
-        if Interp_packed.fits alpha then
-          Interp_packed.equal_set
-            (Models.enumerate_packed alpha f)
-            (Interp_packed.set_of_interps alpha
-               (Revision.Result.models result))
-        else
-          Interp_wide.equal_set
-            (Models.enumerate_wide alpha f)
-            (Interp_wide.set_of_interps alpha
-               (Revision.Result.models result)))
+        let (module M) = Mask.engine alpha in
+        M.equal_set
+          (Models.enumerate_masks (module M) alpha f)
+          (M.set_of_interps alpha (Revision.Result.models result)))
 
 (* The candidate's projected models come out of one incremental session
    (scoped blocking clauses, encode-once); the reference side is already
@@ -30,18 +24,11 @@ let query_equivalent result f =
   Revkb_obs.Obs.with_span "verify.query" (fun () ->
       let alphabet = Revision.Result.alphabet result in
       let alpha = Interp_packed.alphabet alphabet in
-      if Interp_packed.fits alpha then begin
-        let s = Semantics.Session.create ~vars:alphabet () in
-        Interp_packed.equal_set
-          (Semantics.Session.masks s alpha f)
-          (Interp_packed.set_of_interps alpha (Revision.Result.models result))
-      end
-      else begin
-        let s = Semantics.Session.create ~vars:alphabet () in
-        Interp_wide.equal_set
-          (Semantics.Session.masks_wide s alpha f)
-          (Interp_wide.set_of_interps alpha (Revision.Result.models result))
-      end)
+      let (module M) = Mask.engine alpha in
+      let s = Semantics.Session.create ~vars:alphabet () in
+      M.equal_set
+        (Semantics.Session.masks (module M) s alpha f)
+        (M.set_of_interps alpha (Revision.Result.models result)))
 
 (* The BDD oracle: compile the reference model set and the candidate
    into one manager and compare roots — canonicity turns equivalence

@@ -137,30 +137,6 @@ let min_distance_sat t p =
   let lad = Semantics.Ladder.of_pairs env pairs in
   Semantics.Session.min_distance s [ t_y; p ] lad
 
-(* The pre-session sweep — one fresh solver and one [exa k] Tseitin
-   build per threshold — kept as the differential oracle and the
-   baseline side of the incremental bench. *)
-let min_distance_exa t p =
-  if not (Semantics.is_sat t) then None
-  else if not (Semantics.is_sat p) then None
-  else begin
-    let alphabet =
-      Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
-    in
-    let ys = List.map (Var.copy_of ~suffix:"__y") alphabet in
-    let t_y = Formula.rename (List.combine alphabet ys) t in
-    let n = List.length alphabet in
-    let rec go k =
-      if k > n then None
-      else begin
-        let exa_k, _ = exa k alphabet ys in
-        if Semantics.is_sat (Formula.and_ [ t_y; p; exa_k ]) then Some k
-        else go (k + 1)
-      end
-    in
-    go 0
-  end
-
 (* Totalizer: recursively merge unary ("sorted") count vectors.  A leaf
    is the single difference bit [d_i]; merging two sorted vectors [a]
    (length la) and [b] (length lb) yields [r] of length la + lb with

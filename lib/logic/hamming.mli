@@ -50,11 +50,6 @@ val min_distance_sat : Formula.t -> Formula.t -> int option
     cardinality ladder are encoded once, and each threshold is an
     assumption flip. *)
 
-val min_distance_exa : Formula.t -> Formula.t -> int option
-(** The fresh-solver sweep ([t[X/Y] /\ p /\ EXA(k)] rebuilt and
-    re-solved for each increasing [k]): the differential oracle for
-    {!min_distance_sat} and the baseline of the incremental bench. *)
-
 val exa_totalizer : int -> Var.t list -> Var.t list -> Formula.t * Var.t list
 (** Alternative [EXA] built from a totalizer (balanced-tree unary
     counter): the definitions compute a sorted unary output

@@ -9,13 +9,6 @@ let alphabet vars =
   Array.iteri (fun i x -> Hashtbl.replace index x i) arr;
   { arr; index }
 
-let alphabet_of_formulas fs =
-  alphabet
-    (Var.Set.elements
-       (List.fold_left
-          (fun acc f -> Var.Set.union acc (Formula.vars f))
-          Var.Set.empty fs))
-
 let size alpha = Array.length alpha.arr
 let letters alpha = Array.to_list alpha.arr
 let max_letters = Sys.int_size - 1
@@ -184,7 +177,6 @@ let filter p set =
 
 let inter a b = filter (mem b) a
 let exists p set = Array.exists p set
-let union_all set = Array.fold_left ( lor ) 0 set
 
 (* Sort by popcount so every potential strict subset of a mask precedes
    it; then a mask survives iff no earlier survivor is contained in it. *)
@@ -257,7 +249,7 @@ let blocks name n =
   (* [1 lsl n] at n = max_letters (62) overflows into the sign bit, so
      the widest sweepable width is [max_sweep_letters]; wider alphabets
      must enumerate through the SAT walk (Models.enumerate_wide /
-     Semantics.masks_sat_wide), which never materializes 2^n. *)
+     Semantics.masks_sat), which never materializes 2^n. *)
   if n > max_sweep_letters then
     invalid_arg
       (Printf.sprintf

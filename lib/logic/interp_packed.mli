@@ -18,7 +18,6 @@ type alphabet
     {!Var.compare} order, matching {!Interp.subsets}' counter order. *)
 
 val alphabet : Var.t list -> alphabet
-val alphabet_of_formulas : Formula.t list -> alphabet
 
 val size : alphabet -> int
 (** Number of letters. *)
@@ -83,8 +82,6 @@ val equal_set : set -> set -> bool
 val inter : set -> set -> set
 val filter : (t -> bool) -> set -> set
 val exists : (t -> bool) -> set -> bool
-val union_all : set -> t
-(** [lor] over the set: the union of the member sets of letters. *)
 
 val min_incl : t array -> set
 (** The paper's [minc]: subset-minimal masks (input need not be sorted;

@@ -9,17 +9,12 @@
 
 type alphabet = Interp_packed.alphabet
 
-let alphabet = Interp_packed.alphabet
-let alphabet_of_formulas = Interp_packed.alphabet_of_formulas
-let size = Interp_packed.size
-let letters = Interp_packed.letters
-
 (* 62 payload bits per word, matching Interp_packed.max_letters: bit 62
    is the sign bit on 64-bit OCaml and must stay clear both for the
    SWAR byte-sum multiply and for word comparisons to read unsigned. *)
 let bits_per_word = Interp_packed.max_letters
 let words_for n = if n <= 0 then 1 else ((n - 1) / bits_per_word) + 1
-let words alpha = words_for (size alpha)
+let words alpha = words_for (Interp_packed.size alpha)
 
 type t = int array
 
@@ -41,23 +36,17 @@ let pack alpha m =
 
 let unpack alpha m =
   let s = ref Var.Set.empty in
-  let n = size alpha in
+  let n = Interp_packed.size alpha in
   for i = 0 to n - 1 do
     if test m i then s := Var.Set.add (Interp_packed.letter alpha i) !s
   done;
   !s
 
-(* Converters to/from the one-word representation, for alphabets where
-   both engines apply (differential tests, SAT-walk sharing). *)
+(* Widen a one-word mask, for alphabets where both engines apply. *)
 let of_mask alpha w =
   let out = zero alpha in
   out.(0) <- w;
   out
-
-let to_mask alpha m =
-  if words alpha <> 1 then
-    invalid_arg "Interp_wide.to_mask: alphabet does not fit one word";
-  m.(0)
 
 let popcount m =
   let acc = ref 0 in
@@ -95,40 +84,6 @@ let compare_masks a b =
       if c <> 0 then c else go (w - 1)
   in
   go (Array.length a - 1)
-
-let compile alpha (f : Formula.t) =
-  let rec go (f : Formula.t) : t -> bool =
-    match f with
-    | True -> fun _ -> true
-    | False -> fun _ -> false
-    | Var x -> (
-        match Interp_packed.index_of alpha x with
-        | Some i ->
-            let w = i / bits_per_word and bit = 1 lsl (i mod bits_per_word) in
-            fun m -> m.(w) land bit <> 0
-        | None -> fun _ -> false)
-    | Not g ->
-        let g = go g in
-        fun m -> not (g m)
-    | And gs ->
-        let gs = List.map go gs in
-        fun m -> List.for_all (fun g -> g m) gs
-    | Or gs ->
-        let gs = List.map go gs in
-        fun m -> List.exists (fun g -> g m) gs
-    | Imp (a, b) ->
-        let a = go a and b = go b in
-        fun m -> (not (a m)) || b m
-    | Iff (a, b) ->
-        let a = go a and b = go b in
-        fun m -> a m = b m
-    | Xor (a, b) ->
-        let a = go a and b = go b in
-        fun m -> a m <> b m
-  in
-  go f
-
-let sat alpha m f = compile alpha f m
 
 type set = t array
 
@@ -181,16 +136,6 @@ let filter p set =
 let inter a b = filter (mem b) a
 let exists p set = Array.exists p set
 
-let union_all alpha set =
-  let out = zero alpha in
-  Array.iter
-    (fun m ->
-      for w = 0 to Array.length out - 1 do
-        out.(w) <- out.(w) lor m.(w)
-      done)
-    set;
-  out
-
 (* Same antichain algorithms as the one-word engine, over word arrays. *)
 let min_incl masks =
   let a = normalize masks in
@@ -204,21 +149,6 @@ let min_incl masks =
   Array.iter
     (fun m ->
       if not (List.exists (fun m' -> subset m' m) !out) then out := m :: !out)
-    a;
-  normalize (Array.of_list !out)
-
-let max_incl masks =
-  let a = normalize masks in
-  Array.sort
-    (fun x y ->
-      match Int.compare (popcount y) (popcount x) with
-      | 0 -> compare_masks x y
-      | c -> c)
-    a;
-  let out = ref [] in
-  Array.iter
-    (fun m ->
-      if not (List.exists (fun m' -> subset m m') !out) then out := m :: !out)
     a;
   normalize (Array.of_list !out)
 

@@ -12,19 +12,12 @@
     bit-for-bit on every width where both apply.
 
     This engine removes the 62-letter ceiling; {!Interp_packed} remains
-    the specialized fast case that consumers select when
-    {!Interp_packed.fits} holds.  The legacy [Var.Set.t] list pipeline
-    is no longer a production fallback anywhere — it survives only as a
-    differential oracle. *)
+    the specialized fast case.  Consumers reach both through the common
+    {!Mask.S} signature, and {!Mask.engine} picks one by width. *)
 
 type alphabet = Interp_packed.alphabet
 (** Shared with the one-word engine: same letter order, same bit
     indices. *)
-
-val alphabet : Var.t list -> alphabet
-val alphabet_of_formulas : Formula.t list -> alphabet
-val size : alphabet -> int
-val letters : alphabet -> Var.t list
 
 val bits_per_word : int
 (** Payload bits per word: {!Interp_packed.max_letters} (62). *)
@@ -49,10 +42,6 @@ val of_mask : alphabet -> Interp_packed.t -> t
 (** Widen a one-word mask (meaningful when the alphabet fits one
     word). *)
 
-val to_mask : alphabet -> t -> Interp_packed.t
-(** Inverse of {!of_mask}; raises [Invalid_argument] when the alphabet
-    needs more than one word. *)
-
 val popcount : t -> int
 val lxor_ : t -> t -> t
 val hamming : t -> t -> int
@@ -63,12 +52,6 @@ val equal : t -> t -> bool
 val compare_masks : t -> t -> int
 (** Masks-as-integers order: most significant word first.  Agrees with
     [Int.compare] on one-word masks. *)
-
-val compile : alphabet -> Formula.t -> t -> bool
-(** Specialize a formula into a wide-mask predicate; letters outside
-    the alphabet read false. *)
-
-val sat : alphabet -> t -> Formula.t -> bool
 
 (** {1 Model sets: sorted duplicate-free arrays of wide masks} *)
 
@@ -87,9 +70,7 @@ val equal_set : set -> set -> bool
 val inter : set -> set -> set
 val filter : (t -> bool) -> set -> set
 val exists : (t -> bool) -> set -> bool
-val union_all : alphabet -> set -> t
 val min_incl : t array -> set
-val max_incl : t array -> set
 
 (** Min-inclusion frontier over wide masks — the same online antichain
     filter as {!Interp_packed.Frontier}, insertion-order independent,

@@ -27,81 +27,33 @@ let assign_false_outside alphabet f =
          Var.Map.empty)
       f
 
-(* The legacy list engine is a differential oracle, not a production
-   fallback: every production path now has a packed one-word or
-   multi-word route.  Any entry here still bumps a fallback counter (and
-   says so once on stderr under --stats), so a future caller silently
-   routing hot traffic through the list pipeline shows up in every
-   snapshot and trace instead of just running 100x slower. *)
-(* lint: obs-ok shared with Model_based.Legacy: every legacy entry
-   point bumps the same counter so one snapshot shows them all *)
-let c_fallback_legacy = Revkb_obs.Obs.counter "models.fallback.legacy"
-
-let legacy_note =
-  lazy
-    (prerr_endline
-       "revkb: note: legacy list-pipeline engine entered \
-        (models.fallback.legacy) — expected only from differential oracles \
-        and old-vs-new benchmarks")
-
-let note_legacy () =
-  Revkb_obs.Obs.incr c_fallback_legacy;
-  if Revkb_obs.Obs.enabled () then Lazy.force legacy_note
-
-module Legacy = struct
-  let enumerate alphabet f =
-    note_legacy ();
-    check_alphabet "Models.enumerate" alphabet f;
-    List.filter (fun m -> Interp.sat m f) (Interp.subsets alphabet)
-
-  let equivalent_on alphabet a b =
-    note_legacy ();
-    List.for_all
-      (fun m -> Interp.sat m a = Interp.sat m b)
-      (Interp.subsets alphabet)
-
-  let entails_on alphabet a b =
-    note_legacy ();
-    List.for_all
-      (fun m -> (not (Interp.sat m a)) || Interp.sat m b)
-      (Interp.subsets alphabet)
-end
-
 (* One span per enumeration covers both engines; the model counter sums
    what every enumeration in the process produced. *)
 let c_models = Revkb_obs.Obs.counter "enum.models"
 
-let enumerate_packed ?cap alpha f =
+(* Below the cutover the one-word sweep runs and its masks convert for
+   free (one word is the degenerate wide layout); above it the SAT walk
+   reads masks of the requested representation directly, so no width
+   ever leaves the packed representation. *)
+let enumerate_masks (type m) (module M : Mask.S with type t = m) ?cap alpha f
+    : M.set =
   check_alphabet "Models.enumerate" (Interp_packed.letters alpha) f;
   let set =
     Revkb_obs.Obs.with_span "models.enumerate"
       ~attrs:(fun () -> [ ("n", string_of_int (Interp_packed.size alpha)) ])
       (fun () ->
         if Interp_packed.size alpha <= sat_cutover then
-          Interp_packed.sweep alpha f
-        else Semantics.masks_sat ?cap alpha f)
+          M.of_packed alpha (Interp_packed.sweep alpha f)
+        else Semantics.masks_sat (module M) ?cap alpha f)
   in
   Revkb_obs.Obs.add c_models (Array.length set);
   set
 
-(* Multi-word enumeration: the packed pipeline's entry point past
-   [Interp_packed.max_letters].  Below the cutover the one-word sweep
-   runs and its masks widen for free (one word is the degenerate wide
-   layout); everything else walks the SAT enumerator reading wide masks
-   directly, so no width ever leaves the packed representation. *)
+let enumerate_packed ?cap alpha f =
+  enumerate_masks (module Mask.Packed) ?cap alpha f
+
 let enumerate_wide ?cap alpha f =
-  check_alphabet "Models.enumerate" (Interp_packed.letters alpha) f;
-  let set =
-    Revkb_obs.Obs.with_span "models.enumerate"
-      ~attrs:(fun () -> [ ("n", string_of_int (Interp_packed.size alpha)) ])
-      (fun () ->
-        if Interp_packed.size alpha <= sat_cutover then
-          Interp_wide.set_of_masks alpha
-            (Interp_packed.sweep alpha f)
-        else Semantics.masks_sat_wide ?cap alpha f)
-  in
-  Revkb_obs.Obs.add c_models (Array.length set);
-  set
+  enumerate_masks (module Mask.Wide) ?cap alpha f
 
 let enumerate alphabet f =
   let n = List.length alphabet in
@@ -109,13 +61,9 @@ let enumerate alphabet f =
     let alpha = Interp_packed.alphabet alphabet in
     Interp_packed.interps_of_set alpha (enumerate_packed alpha f)
   else begin
-    check_alphabet "Models.enumerate" alphabet f;
     let alpha = Interp_packed.alphabet alphabet in
-    let ms =
-      if Interp_packed.fits alpha then
-        Interp_packed.interps_of_set alpha (enumerate_packed alpha f)
-      else Interp_wide.interps_of_set alpha (enumerate_wide alpha f)
-    in
+    let (module M) = Mask.engine alpha in
+    let ms = M.interps_of_set alpha (enumerate_masks (module M) alpha f) in
     (* Documented contract above the cutover: Var.Set.compare order, not
        counter order. *)
     List.sort Var.Set.compare ms

@@ -11,18 +11,15 @@
       operation, and all [2^n] masks are swept;
     - beyond the cutover: a SAT-backed enumerator that walks the models of
       the Tseitin-encoded formula via blocking clauses on the incremental
-      CDCL solver ({!Semantics.masks_sat} /
-      {!Semantics.masks_sat_wide}), so formulas with small model
+      CDCL solver ({!Semantics.masks_sat}), so formulas with small model
       sets over large alphabets (even past the 25-letter brute-force cap)
       enumerate in time proportional to the answer.
 
-    Alphabets past {!Interp_packed.max_letters} letters route through the
-    {!Interp_wide} multi-word engine ({!enumerate_wide}) — there is no
-    width ceiling and no legacy fallback.  The original list-based engine
-    survives in {!Legacy} as the reference implementation for
-    differential tests and old-vs-new benchmarks; every entry into it
-    bumps the [models.fallback.legacy] counter (and notes it once on
-    stderr under [--stats]). *)
+    Both engines produce masks of either representation ({!Mask.S}):
+    one-word {!Interp_packed} masks, or multi-word {!Interp_wide} masks
+    past {!Interp_packed.max_letters} letters — there is no width
+    ceiling.  The list-based reference engine used by the differential
+    tests lives outside the library, in the test oracle. *)
 
 val alphabet_of : Formula.t list -> Var.t list
 (** Sorted joint alphabet of a list of formulas. *)
@@ -37,19 +34,26 @@ val enumerate : Var.t list -> Formula.t -> Interp.t list
     order is [Var.Set.compare]-sorted rather than counter order, and the
     SAT walk's 1M-model cap applies ({!Semantics.models_sat}). *)
 
+val enumerate_masks :
+  (module Mask.S with type t = 'm) ->
+  ?cap:int ->
+  Interp_packed.alphabet ->
+  Formula.t ->
+  'm array
+(** Mask-level [enumerate], in the given representation: below the
+    cutover the one-word sweep runs and its masks convert
+    ({!Mask.S.of_packed}); above it the SAT walk reads masks directly
+    ({!Semantics.masks_sat}).  [cap] bounds the SAT walk (ignored by
+    the sweep). *)
+
 val enumerate_packed :
   ?cap:int -> Interp_packed.alphabet -> Formula.t -> Interp_packed.set
-(** Packed-native [enumerate]: the hot pipeline's entry point when the
-    alphabet fits one word ({!Interp_packed.fits}).  [cap] bounds the
-    SAT walk (ignored by the sweep). *)
+(** [enumerate_masks (module Mask.Packed)]: the hot pipeline's entry
+    point when the alphabet fits one word ({!Interp_packed.fits}). *)
 
 val enumerate_wide :
   ?cap:int -> Interp_packed.alphabet -> Formula.t -> Interp_wide.set
-(** Multi-word [enumerate]: the pipeline's entry point past
-    {!Interp_packed.max_letters} letters (works at any width).  Below
-    the cutover the one-word sweep runs and its masks widen; above it
-    the SAT walk reads wide masks directly
-    ({!Semantics.masks_sat_wide}). *)
+(** [enumerate_masks (module Mask.Wide)]: works at any width. *)
 
 val count : ?cap:int -> Var.t list -> Formula.t -> int
 (** Model count over the alphabet without materializing the model set: at
@@ -81,15 +85,3 @@ val dnf_of_models : Var.t list -> Interp.t list -> Formula.t
 (** The naive representation: disjunction of minterms.  This is the
     "completely naive storage organization" whose size Winslett's
     conjecture (Section 3.1) is about. *)
-
-(** The original [Var.Set.t]-list engine: a filtered {!Interp.subsets}
-    sweep, capped at 25 letters.  Kept verbatim so property tests can
-    assert the packed engines agree with it and benchmarks can report the
-    speedup.  Not reachable from any production path: each call bumps
-    the [models.fallback.legacy] counter, and under [--stats] the first
-    call notes itself on stderr. *)
-module Legacy : sig
-  val enumerate : Var.t list -> Formula.t -> Interp.t list
-  val equivalent_on : Var.t list -> Formula.t -> Formula.t -> bool
-  val entails_on : Var.t list -> Formula.t -> Formula.t -> bool
-end

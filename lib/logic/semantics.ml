@@ -138,46 +138,19 @@ let blocking_clause env alphabet m =
 
 let block env alphabet m = add env (blocking_clause env alphabet m)
 
-let mask_on env alpha =
-  let mask = ref 0 in
-  List.iteri
-    (fun i x ->
-      (* lint: shift-ok i < Interp_packed.size alpha <= max_letters: every
-         packed-mask caller checks Interp_packed.fits first *)
-      if S.value env.solver (lit_of_var env x) then mask := !mask lor (1 lsl i))
-    (Interp_packed.letters alpha);
-  !mask
+(* Mask-level model readout and blocking, once for both mask
+   representations: bit [i] is letter [i] of the alphabet. *)
+let mask_on (type m) (module M : Mask.S with type t = m) env alpha : m =
+  M.init alpha (fun i ->
+      S.value env.solver (lit_of_var env (Interp_packed.letter alpha i)))
 
-let blocking_clause_mask env alpha mask =
+let blocking_clause_mask (type m) (module M : Mask.S with type t = m) env
+    alpha (mask : m) =
   List.mapi
     (fun i x ->
       let l = lit_of_var env x in
-      (* lint: shift-ok i < Interp_packed.size alpha <= max_letters (the
-         packed-mask callers check Interp_packed.fits) *)
-      if mask land (1 lsl i) <> 0 then L.neg l else l)
+      if M.test mask i then L.neg l else l)
     (Interp_packed.letters alpha)
-
-let block_mask env alpha mask = add env (blocking_clause_mask env alpha mask)
-
-(* Wide-mask variants: same letter-to-bit map, words instead of one
-   int, no width ceiling. *)
-let mask_on_wide env alpha =
-  let m = Interp_wide.zero alpha in
-  List.iteri
-    (fun i x ->
-      if S.value env.solver (lit_of_var env x) then Interp_wide.set_bit m i)
-    (Interp_packed.letters alpha);
-  m
-
-let blocking_clause_mask_wide env alpha mask =
-  List.mapi
-    (fun i x ->
-      let l = lit_of_var env x in
-      if Interp_wide.test mask i then L.neg l else l)
-    (Interp_packed.letters alpha)
-
-let block_mask_wide env alpha mask =
-  add env (blocking_clause_mask_wide env alpha mask)
 
 (* -- cardinality ladder -------------------------------------------------
 
@@ -266,21 +239,10 @@ module Ladder = struct
          (fun i x -> if Var.Set.mem x n then p.ys.(i) else L.neg p.ys.(i))
          p.letters)
 
-  let pin_mask p mask =
+  let pin_mask (type m) (module M : Mask.S with type t = m) p (mask : m) =
     Array.to_list
       (Array.mapi
-         (fun i _ ->
-           (* lint: shift-ok i < Array.length p.letters <= max_letters:
-              one-word masks only reach here through fits-checked
-              alphabets; wide masks use pin_mask_wide below *)
-           if mask land (1 lsl i) <> 0 then p.ys.(i) else L.neg p.ys.(i))
-         p.letters)
-
-  let pin_mask_wide p mask =
-    Array.to_list
-      (Array.mapi
-         (fun i _ ->
-           if Interp_wide.test mask i then p.ys.(i) else L.neg p.ys.(i))
+         (fun i _ -> if M.test mask i then p.ys.(i) else L.neg p.ys.(i))
          p.letters)
 end
 
@@ -344,20 +306,15 @@ module Session = struct
     not (solve s (premises @ [ Formula.not_ q ]))
 
   let model_on s alphabet = model_on s.env alphabet
-  let mask_on s alpha = mask_on s.env alpha
+  let mask_on m s alpha = mask_on m s.env alpha
   let new_scope s = fresh_lit s.env
   let scoped_clause s sel c = add s.env (L.neg sel :: c)
 
   let block s sel alphabet m =
     scoped_clause s sel (blocking_clause s.env alphabet m)
 
-  let block_mask s sel alpha mask =
-    scoped_clause s sel (blocking_clause_mask s.env alpha mask)
-
-  let mask_on_wide s alpha = mask_on_wide s.env alpha
-
-  let block_mask_wide s sel alpha mask =
-    scoped_clause s sel (blocking_clause_mask_wide s.env alpha mask)
+  let block_mask m s sel alpha mask =
+    scoped_clause s sel (blocking_clause_mask m s.env alpha mask)
 
   let retire s sel =
     s.scopes_retired <- s.scopes_retired + 1;
@@ -406,41 +363,25 @@ module Session = struct
         in
         go [] 0)
 
-  let masks ?(cap = 1_000_000) s alpha f =
-    if not (Interp_packed.fits alpha) then
+  let masks (type m) (module M : Mask.S with type t = m) ?(cap = 1_000_000) s
+      alpha f =
+    if not (M.fits alpha) then
       invalid_arg
         (Printf.sprintf
            "Semantics.masks_sat: alphabet has %d letters, limit is %d for \
             one-word masks (the bit-shift bound lint rule R2 enforces; \
-            use the wide engine masks_sat_wide for larger alphabets)"
+            use the wide engine Mask.Wide for larger alphabets)"
            (Interp_packed.size alpha) Interp_packed.max_letters);
     declare s (Interp_packed.letters alpha);
     with_retractable s (fun scope ->
         let rec go acc n =
           if n > cap then cap_exceeded "masks_sat" cap
           else if solve s ~scopes:[ scope ] [ f ] then begin
-            let m = mask_on s alpha in
-            block_mask s scope alpha m;
+            let m = mask_on (module M) s alpha in
+            block_mask (module M) s scope alpha m;
             go (m :: acc) (n + 1)
           end
-          else Interp_packed.normalize (Array.of_list acc)
-        in
-        go [] 0)
-
-  (* Wide-mask enumeration: the same scoped blocking walk with no width
-     ceiling — this is the production enumerator past
-     [Interp_packed.max_letters]. *)
-  let masks_wide ?(cap = 1_000_000) s alpha f =
-    declare s (Interp_packed.letters alpha);
-    with_retractable s (fun scope ->
-        let rec go acc n =
-          if n > cap then cap_exceeded "masks_sat_wide" cap
-          else if solve s ~scopes:[ scope ] [ f ] then begin
-            let m = mask_on_wide s alpha in
-            block_mask_wide s scope alpha m;
-            go (m :: acc) (n + 1)
-          end
-          else Interp_wide.normalize (Array.of_list acc)
+          else M.normalize (Array.of_list acc)
         in
         go [] 0)
 
@@ -459,7 +400,8 @@ module Session = struct
                   (raise ~cap if walking a model set this size is intended)"
                  cap (Interp_packed.size alpha))
           else if solve s ~scopes:[ scope ] [ f ] then begin
-            block_mask_wide s scope alpha (mask_on_wide s alpha);
+            block_mask (module Mask.Wide) s scope alpha
+              (mask_on (module Mask.Wide) s alpha);
             go (n + 1)
           end
           else n
@@ -467,13 +409,9 @@ module Session = struct
         go 0)
 end
 
-let masks_sat ?cap alpha f =
+let masks_sat m ?cap alpha f =
   let s = Session.create ~vars:(Interp_packed.letters alpha) () in
-  Session.masks ?cap s alpha f
-
-let masks_sat_wide ?cap alpha f =
-  let s = Session.create ~vars:(Interp_packed.letters alpha) () in
-  Session.masks_wide ?cap s alpha f
+  Session.masks m ?cap s alpha f
 
 let count_sat ?cap alpha f =
   let s = Session.create ~vars:(Interp_packed.letters alpha) () in

@@ -23,8 +23,8 @@
 type env
 
 exception Enumeration_cap_exceeded of { enumerator : string; cap : int }
-(** A model-enumeration walk ([models_sat], [masks_sat],
-    [masks_sat_wide] or their {!Session} forms) produced more than [cap]
+(** A model-enumeration walk ([models_sat], [masks_sat] or their
+    {!Session} forms) produced more than [cap]
     models.  Raised instead of truncating, so a silent partial model set
     can never flow into a revision. *)
 
@@ -90,7 +90,7 @@ module Ladder : sig
   type pinned
 
   val against : env -> Var.t list -> pinned
-  (** Fresh Y literals paired with the letters' literals, diff bits, and
+  (** New Y literals paired with the letters' literals, diff bits, and
       the full ladder, all encoded once. *)
 
   val ladder : pinned -> t
@@ -99,11 +99,10 @@ module Ladder : sig
   (** Assumptions setting Y to the interpretation (over the [against]
       alphabet, in its order). *)
 
-  val pin_mask : pinned -> int -> Satsolver.Lit.t list
-  (** Mask-level {!pin}; bit [i] is letter [i] of the [against] list. *)
-
-  val pin_mask_wide : pinned -> Interp_wide.t -> Satsolver.Lit.t list
-  (** {!pin_mask} for multi-word masks: no width ceiling. *)
+  val pin_mask :
+    (module Mask.S with type t = 'm) -> pinned -> 'm -> Satsolver.Lit.t list
+  (** Mask-level {!pin}, for either mask representation; bit [i] is
+      letter [i] of the [against] list. *)
 end
 
 (** {1 Incremental sessions} *)
@@ -118,7 +117,7 @@ module Session : sig
   type stats = { queries : int; scopes_retired : int }
 
   val create : ?vars:Var.t list -> unit -> t
-  (** Fresh session: one solver, one memo table, for many queries.
+  (** A new session: one solver, one memo table, for many queries.
       [vars] pre-allocates letter literals (as {!declare}). *)
 
   val env : t -> env
@@ -151,18 +150,25 @@ module Session : sig
       Tseitin memo and the accumulated learned clauses. *)
 
   val model_on : t -> Var.t list -> Interp.t
-  val mask_on : t -> Interp_packed.alphabet -> Interp_packed.t
-  val mask_on_wide : t -> Interp_packed.alphabet -> Interp_wide.t
+
+  val mask_on :
+    (module Mask.S with type t = 'm) -> t -> Interp_packed.alphabet -> 'm
+  (** Projection of the last model onto the alphabet, as a mask. *)
 
   val new_scope : t -> scope
-  (** Fresh selector literal.  Clauses added under it ({!block},
+  (** A new selector literal.  Clauses added under it ({!block},
       {!block_mask}) bind only queries that activate the scope. *)
 
   val block : t -> scope -> Var.t list -> Interp.t -> unit
-  val block_mask : t -> scope -> Interp_packed.alphabet -> Interp_packed.t -> unit
 
-  val block_mask_wide :
-    t -> scope -> Interp_packed.alphabet -> Interp_wide.t -> unit
+  val block_mask :
+    (module Mask.S with type t = 'm) ->
+    t ->
+    scope ->
+    Interp_packed.alphabet ->
+    'm ->
+    unit
+  (** Mask-level {!block}. *)
 
   val retire : t -> scope -> unit
   (** Permanently deactivate the scope (unit clause on the negated
@@ -195,15 +201,16 @@ module Session : sig
       session without contaminating each other. *)
 
   val masks :
-    ?cap:int -> t -> Interp_packed.alphabet -> Formula.t -> Interp_packed.set
-  (** Packed {!models}.  Raises [Invalid_argument] past
-      {!Interp_packed.max_letters} letters, naming {!masks_wide}. *)
-
-  val masks_wide :
-    ?cap:int -> t -> Interp_packed.alphabet -> Formula.t -> Interp_wide.set
-  (** Multi-word {!masks}: the same scoped blocking walk with no width
-      ceiling — the production enumerator past
-      {!Interp_packed.max_letters} letters. *)
+    (module Mask.S with type t = 'm) ->
+    ?cap:int ->
+    t ->
+    Interp_packed.alphabet ->
+    Formula.t ->
+    'm array
+  (** Mask-level {!models}, read off as sorted masks of the given
+      representation.  Raises [Invalid_argument] when the alphabet does
+      not fit it ({!Mask.S.fits}: one-word masks past
+      {!Interp_packed.max_letters} letters). *)
 
   val count_masks : ?cap:int -> t -> Interp_packed.alphabet -> Formula.t -> int
   (** Model count by the blocking walk, tallying instead of storing.
@@ -233,29 +240,19 @@ val equiv : Formula.t -> Formula.t -> bool
 (** Both CDCL directions share one session: the second direction reuses
     the first's encodings and learned clauses. *)
 
-val mask_on : env -> Interp_packed.alphabet -> Interp_packed.t
-(** Projection of the last model onto a packed alphabet, as a mask. *)
-
-val block_mask : env -> Interp_packed.alphabet -> Interp_packed.t -> unit
-(** Mask-level {!block}. *)
-
-val mask_on_wide : env -> Interp_packed.alphabet -> Interp_wide.t
-val block_mask_wide : env -> Interp_packed.alphabet -> Interp_wide.t -> unit
-
 val masks_sat :
-  ?cap:int -> Interp_packed.alphabet -> Formula.t -> Interp_packed.set
-(** Packed {!models_sat}: walk the models of the Tseitin-encoded formula
-    with blocking clauses on the incremental CDCL solver, reading each
-    model off as a bitmask.  This is the enumerator behind
-    {!Models.enumerate} for alphabets past the brute-force cutover.
-    Requires the alphabet to fit in a mask; raises
+  (module Mask.S with type t = 'm) ->
+  ?cap:int ->
+  Interp_packed.alphabet ->
+  Formula.t ->
+  'm array
+(** Mask-level {!models_sat}: walk the models of the Tseitin-encoded
+    formula with blocking clauses on the incremental CDCL solver, reading
+    each model off as a mask of the given representation.  This is the
+    enumerator behind {!Models.enumerate} for alphabets past the
+    brute-force cutover.  Same width check as {!Session.masks}; raises
     {!Enumeration_cap_exceeded} at [cap] (default 1_000_000) so
     truncation is never silent. *)
-
-val masks_sat_wide :
-  ?cap:int -> Interp_packed.alphabet -> Formula.t -> Interp_wide.set
-(** {!masks_sat} for multi-word masks: the enumerator for alphabets past
-    {!Interp_packed.max_letters} letters (no width ceiling). *)
 
 val count_sat : ?cap:int -> Interp_packed.alphabet -> Formula.t -> int
 (** One-shot {!Session.count_masks}: model count over the alphabet by

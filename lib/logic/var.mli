@@ -1,7 +1,7 @@
 (** Propositional variables.
 
     Variables are interned: the same name always yields the same variable,
-    and every variable has a printable name.  Fresh (gensym) variables get
+    and every variable has a printable name.  Gensym ("fresh") variables get
     unique names and are used for Tseitin encodings, the [W] letters of
     [EXA(k,X,Y,W)], the [Y]/[Z] copies of an alphabet, etc. *)
 

@@ -190,10 +190,10 @@ type domain_buf = {
   mutable events : event list; (* newest first *)
   mutable depth : int;
   (* Innermost-first stack of the names of the currently open spans on
-     this domain.  Single-writer like the rest of the buffer; the
-     sampling profiler reads its own domain's head from the SIGALRM
-     handler, which runs on the same domain it interrupted, so no other
-     domain ever observes a torn update. *)
+     this domain.  Single-writer like the rest of the buffer.  The
+     sampling profiler reads the head through a {!span_reader} bound
+     to the profiled domain; its SIGALRM handler may run on another
+     domain, which then sees an immutable list, never a torn one. *)
   mutable stack : string list;
 }
 
@@ -286,11 +286,18 @@ let span_depth () =
 
 (* Deliberately not gated on [enabled]: the stack is empty when
    recording is off, and the profiler's signal handler must be able to
-   read it without a flag race.  The DLS access may initialize this
-   domain's buffer (which takes the registry mutex), so the profiler
-   touches it once from [start] — plain code, not the handler. *)
-let current_span () =
-  match (Domain.DLS.get buf_key).stack with [] -> None | s :: _ -> Some s
+   read it without a flag race. *)
+let top_of b = match b.stack with [] -> None | s :: _ -> Some s
+let current_span () = top_of (Domain.DLS.get buf_key)
+
+(* The DLS lookup happens here, in plain code; the returned reader only
+   dereferences the bound buffer.  That is what makes it usable from a
+   signal handler, which OCaml 5 may run on any domain: a DLS read there
+   would consult (or create, under the registry mutex) the buffer of
+   whichever domain happened to poll first. *)
+let span_reader () =
+  let b = Domain.DLS.get buf_key in
+  fun () -> top_of b
 
 let trace_events () =
   let evs =

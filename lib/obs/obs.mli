@@ -92,9 +92,15 @@ val span_depth : unit -> int
 
 val current_span : unit -> string option
 (** Name of the innermost span currently open on this domain, if any.
-    The sampling profiler ({!Profile}) reads this from its SIGALRM
-    handler to attribute samples to spans, so it is not gated: with
-    recording off the stack is simply empty. *)
+    Not gated: with recording off the stack is simply empty. *)
+
+val span_reader : unit -> unit -> string option
+(** [span_reader ()] binds the calling domain's span stack (creating
+    its buffer if needed) and returns a reader of its innermost open
+    span, as {!current_span} would answer on that domain.  The reader
+    takes no lock and does no domain-local lookup, so it is safe from
+    a signal handler running on any domain: the sampling profiler
+    ({!Profile}) binds one in [start] to attribute samples to spans. *)
 
 val set_span_exit_hook : (unit -> unit) option -> unit
 (** Install (or clear) a callback fired once per recorded span exit,

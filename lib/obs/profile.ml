@@ -7,21 +7,24 @@
    lines (outermost frame first, semicolon-separated, space, count).
 
    Signal-safety invariants (see DESIGN.md §17):
-   - the handler is OCaml-level (it runs at a safepoint of the
-     interrupted domain, not as a raw C signal handler), so capturing a
-     backtrace and bumping atomics is legal;
+   - the handler is OCaml-level (it runs at a safepoint, not as a raw C
+     signal handler), so capturing a backtrace and bumping atomics is
+     legal;
+   - it runs at a safepoint of whichever domain polls first, which with
+     pool workers alive is sometimes not the profiled one.  So it does
+     no domain-local lookup: the span name comes from an
+     [Obs.span_reader] that [start] binds to its own domain's buffer;
    - it still touches only the preallocated ring (two array stores, a
      cursor bump) and lock-free [Obs] cells — never the registry mutex,
-     never a Hashtbl.  [start] forces this domain's span buffer into
-     existence precisely so [Obs.current_span] is lock-free from the
-     handler;
+     never a Hashtbl;
    - aggregation ([folded]/[write]) runs only after [stop] has disarmed
      the timer, so it never races the handler.
 
-   Samples land on whichever domain the runtime picks to run the
-   handler — in practice the main domain, which is where the engine's
-   orchestration and the sequential hot paths live.  Pool workers are
-   profiled indirectly: the main domain's stack shows the batch it is
+   The call stack is that of whichever domain the runtime picks to run
+   the handler — in practice the main domain, which is where the
+   engine's orchestration and the sequential hot paths live; the span
+   name is always the profiled domain's.  Pool workers are profiled
+   indirectly: the main domain's stack shows the batch it is
    coordinating (or helping with, via the caller-help loop). *)
 
 let samples_c = Obs.counter "prof.samples"
@@ -44,13 +47,20 @@ let cursor = ref 0
 (* lint: domain-safe toggled by start/stop on the controlling domain *)
 let running = ref false
 
+(* lint: domain-safe set by [start] before the timer is armed; the
+   handler only calls it *)
+let span_of_profiled = ref (fun () -> None)
+
 let handler _signum =
   if !running then begin
-    if !cursor < cap then begin
-      ring_bt.(!cursor) <- Printexc.get_callstack max_frames;
-      ring_span.(!cursor) <-
-        (match Obs.current_span () with Some s -> s | None -> "");
-      incr cursor;
+    (* One read of the cursor: two handlers on two domains can then at
+       worst share a slot, never index past the ring. *)
+    let i = !cursor in
+    if i < cap then begin
+      ring_bt.(i) <- Printexc.get_callstack max_frames;
+      ring_span.(i) <-
+        (match !span_of_profiled () with Some s -> s | None -> "");
+      cursor := i + 1;
       Obs.incr samples_c
     end
     else Obs.incr dropped_c
@@ -67,9 +77,9 @@ let start ?(hz = 99) () =
     invalid_arg
       (Printf.sprintf "Profile.start: hz=%d outside [1, 1000]" hz);
   cursor := 0;
-  (* Touch this domain's span buffer so [Obs.current_span] from the
-     handler can never hit the registry mutex (buffer creation locks). *)
-  ignore (Obs.current_span ());
+  (* Bind this domain's span buffer here, in plain code: buffer
+     creation takes the registry mutex, which the handler must never. *)
+  span_of_profiled := Obs.span_reader ();
   running := true;
   Sys.set_signal Sys.sigalrm (Sys.Signal_handle handler);
   set_timer (1.0 /. float_of_int hz)

@@ -1,282 +1,151 @@
 open Logic
+module Pool = Revkb_parallel.Pool
+module Obs = Revkb_obs.Obs
+
+module type S = sig
+  module M : Mask.S
+
+  val mu : M.t -> M.set -> M.set
+  val k_pointwise : M.t -> M.set -> int
+  val delta : M.set -> M.set -> M.set
+  val k_global : M.set -> M.set -> int
+  val omega : M.set -> M.set -> M.t
+end
 
 (* Unified contract: every distance is taken over nonempty model sets.
    The paper's definitions presuppose satisfiable T and P; callers
    (Model_based.select) dispatch the degenerate cases before measuring. *)
-let require name models =
-  if models = [] then invalid_arg ("Distance." ^ name ^ ": empty model set")
+let require name n =
+  if n = 0 then invalid_arg ("Distance." ^ name ^ ": empty model set")
+
+(* Below this many (m, n) pairs the batch overhead beats the win. *)
+let parallel_threshold = 1 lsl 14
+
+(* Per-chunk frontier sizes: the live antichain is the whole memory
+   story of the streaming reductions, so its size distribution is the
+   number to watch.  Recorded once per chunk, far off the per-candidate
+   Frontier.add path; one histogram for both mask representations. *)
+let h_frontier = Obs.hist "dist.frontier_size"
+
+let size_attrs nt np () = [ ("nt", string_of_int nt); ("np", string_of_int np) ]
 
 (* Streaming reductions: δ, k and Ω fold over Mod(T) × Mod(P) without
-   ever materializing the nt·np difference array the previous version
-   allocated — each chunk of Mod(T) keeps a min-inclusion frontier (or a
-   running min) and chunks merge at the barrier.  The minimal antichain
-   of a candidate stream is order-independent and min_incl canonicalizes
-   the merged frontiers, so sequential and parallel runs (any job count,
-   any chunking) return bit-identical sets. *)
-module Packed = struct
-  module IP = Interp_packed
-  module Pool = Revkb_parallel.Pool
-  module Obs = Revkb_obs.Obs
-
-  let require name set =
-    if Array.length set = 0 then
-      invalid_arg ("Distance." ^ name ^ ": empty model set")
-
-  (* Below this many (m, n) pairs the batch overhead beats the win. *)
-  let parallel_threshold = 1 lsl 14
-
-  (* Per-chunk frontier sizes: the live antichain is the whole memory
-     story of the streaming rewrite, so its size distribution is the
-     number to watch.  Recorded once per chunk, far off the
-     per-candidate Frontier.add path. *)
-  (* lint: obs-ok shared with the Wide engine below: one histogram for
-     the antichain size regardless of which engine filled it *)
-  let h_frontier = Obs.hist "dist.frontier_size"
+   ever materializing the nt·np difference array — each chunk of Mod(T)
+   keeps a min-inclusion frontier (or a running min) and chunks merge at
+   the barrier.  The minimal antichain of a candidate stream is
+   order-independent and min_incl canonicalizes the merged frontiers, so
+   sequential and parallel runs (any job count, any chunking) return
+   bit-identical sets.  The inner minima are plain int loops: the
+   functor's calls stay monomorphic. *)
+module Make (M : Mask.S) = struct
+  module M = M
 
   let mu m p_models =
-    require "mu" p_models;
-    let fr = IP.Frontier.create () in
-    Array.iter (fun n -> IP.Frontier.add fr (m lxor n)) p_models;
-    IP.Frontier.to_set fr
+    require "mu" (Array.length p_models);
+    let fr = M.Frontier.create () in
+    Array.iter (fun n -> M.Frontier.add fr (M.diff m n)) p_models;
+    M.Frontier.to_set fr
 
   let k_pointwise m p_models =
-    require "k_pointwise" p_models;
-    Array.fold_left (fun acc n -> min acc (IP.hamming m n)) max_int p_models
+    require "k_pointwise" (Array.length p_models);
+    let acc = ref max_int in
+    for i = 0 to Array.length p_models - 1 do
+      acc := Int.min !acc (M.hamming m p_models.(i))
+    done;
+    !acc
 
   let delta_chunk t_models p_models lo hi =
-    let fr = IP.Frontier.create () in
+    let fr = M.Frontier.create () in
     for i = lo to hi - 1 do
       let m = t_models.(i) in
-      Array.iter (fun p -> IP.Frontier.add fr (m lxor p)) p_models
+      Array.iter (fun p -> M.Frontier.add fr (M.diff m p)) p_models
     done;
-    Obs.observe h_frontier (IP.Frontier.size fr);
+    Obs.observe h_frontier (M.Frontier.size fr);
     fr
 
-  let size_attrs nt np () =
-    [ ("nt", string_of_int nt); ("np", string_of_int np) ]
+  let sequential t_models p_models =
+    Pool.jobs (Pool.global ()) = 1
+    || Array.length t_models * Array.length p_models < parallel_threshold
 
   let delta t_models p_models =
-    require "delta" t_models;
-    require "delta" p_models;
+    require "delta" (Array.length t_models);
+    require "delta" (Array.length p_models);
     let nt = Array.length t_models and np = Array.length p_models in
     Obs.with_span "dist.delta" ~attrs:(size_attrs nt np) (fun () ->
-        let pool = Pool.global () in
-        if Pool.jobs pool = 1 || nt * np < parallel_threshold then
-          IP.Frontier.to_set (delta_chunk t_models p_models 0 nt)
+        if sequential t_models p_models then
+          M.Frontier.to_set (delta_chunk t_models p_models 0 nt)
         else
-          IP.min_incl
+          M.min_incl
             (Array.concat
                (Array.to_list
-                  (Array.map IP.Frontier.to_array
-                     (Pool.map_ranges pool ~lo:0 ~hi:nt
+                  (Array.map M.Frontier.to_array
+                     (Pool.map_ranges (Pool.global ()) ~lo:0 ~hi:nt
                         (delta_chunk t_models p_models))))))
 
   let k_global t_models p_models =
-    require "k_global" t_models;
-    require "k_global" p_models;
+    require "k_global" (Array.length t_models);
+    require "k_global" (Array.length p_models);
     let nt = Array.length t_models and np = Array.length p_models in
     Obs.with_span "dist.k_global" ~attrs:(size_attrs nt np) (fun () ->
         let chunk lo hi =
           let acc = ref max_int in
           for i = lo to hi - 1 do
-            acc := min !acc (k_pointwise t_models.(i) p_models)
+            acc := Int.min !acc (k_pointwise t_models.(i) p_models)
           done;
           !acc
         in
-        let pool = Pool.global () in
-        if Pool.jobs pool = 1 || nt * np < parallel_threshold then chunk 0 nt
+        if sequential t_models p_models then chunk 0 nt
         else
-          Pool.parallel_for_reduce pool ~lo:0 ~hi:nt ~map:chunk ~reduce:min
-            max_int)
+          Pool.parallel_for_reduce (Pool.global ()) ~lo:0 ~hi:nt ~map:chunk
+            ~reduce:Int.min max_int)
 
-  let omega t_models p_models = IP.union_all (delta t_models p_models)
-end
-
-(* Multi-word mirror of [Packed]: same streaming-frontier reductions,
-   same chunk/merge contract, over [Interp_wide] masks.  Selected by the
-   Var.Set wrappers whenever the joint alphabet does not fit one word —
-   this is what removed the 62-letter ceiling. *)
-module Wide = struct
-  module IW = Interp_wide
-  module Pool = Revkb_parallel.Pool
-  module Obs = Revkb_obs.Obs
-
-  let require name set =
-    if Array.length set = 0 then
-      invalid_arg ("Distance." ^ name ^ ": empty model set")
-
-  let parallel_threshold = Packed.parallel_threshold
-
-  (* lint: obs-ok shared with the Packed engine above: one histogram
-     for the antichain size regardless of which engine filled it *)
-  let h_frontier = Obs.hist "dist.frontier_size"
-
-  let mu m p_models =
-    require "mu" p_models;
-    let fr = IW.Frontier.create () in
-    Array.iter (fun n -> IW.Frontier.add fr (IW.lxor_ m n)) p_models;
-    IW.Frontier.to_set fr
-
-  let k_pointwise m p_models =
-    require "k_pointwise" p_models;
-    Array.fold_left (fun acc n -> min acc (IW.hamming m n)) max_int p_models
-
-  let delta_chunk t_models p_models lo hi =
-    let fr = IW.Frontier.create () in
-    for i = lo to hi - 1 do
-      let m = t_models.(i) in
-      Array.iter (fun p -> IW.Frontier.add fr (IW.lxor_ m p)) p_models
-    done;
-    Obs.observe h_frontier (IW.Frontier.size fr);
-    fr
-
-  let size_attrs nt np () =
-    [ ("nt", string_of_int nt); ("np", string_of_int np) ]
-
-  let delta t_models p_models =
-    require "delta" t_models;
-    require "delta" p_models;
-    let nt = Array.length t_models and np = Array.length p_models in
-    Obs.with_span "dist.delta" ~attrs:(size_attrs nt np) (fun () ->
-        let pool = Pool.global () in
-        if Pool.jobs pool = 1 || nt * np < parallel_threshold then
-          IW.Frontier.to_set (delta_chunk t_models p_models 0 nt)
-        else
-          IW.min_incl
-            (Array.concat
-               (Array.to_list
-                  (Array.map IW.Frontier.to_array
-                     (Pool.map_ranges pool ~lo:0 ~hi:nt
-                        (delta_chunk t_models p_models))))))
-
-  let k_global t_models p_models =
-    require "k_global" t_models;
-    require "k_global" p_models;
-    let nt = Array.length t_models and np = Array.length p_models in
-    Obs.with_span "dist.k_global" ~attrs:(size_attrs nt np) (fun () ->
-        let chunk lo hi =
-          let acc = ref max_int in
-          for i = lo to hi - 1 do
-            acc := min !acc (k_pointwise t_models.(i) p_models)
-          done;
-          !acc
-        in
-        let pool = Pool.global () in
-        if Pool.jobs pool = 1 || nt * np < parallel_threshold then chunk 0 nt
-        else
-          Pool.parallel_for_reduce pool ~lo:0 ~hi:nt ~map:chunk ~reduce:min
-            max_int)
-
-  let omega alpha t_models p_models =
-    IW.union_all alpha (delta t_models p_models)
-end
-
-(* The legacy list engine is a differential oracle only; see the note in
-   Models.  Every entry bumps [dist.fallback.legacy]. *)
-let c_fallback_legacy = Revkb_obs.Obs.counter "dist.fallback.legacy"
-
-let legacy_note =
-  lazy
-    (prerr_endline
-       "revkb: note: legacy list-pipeline distance engine entered \
-        (dist.fallback.legacy) — expected only from differential oracles \
-        and old-vs-new benchmarks")
-
-let note_legacy () =
-  Revkb_obs.Obs.incr c_fallback_legacy;
-  if Revkb_obs.Obs.enabled () then Lazy.force legacy_note
-
-module Legacy = struct
-  let mu m p_models =
-    note_legacy ();
-    require "mu" p_models;
-    Interp.min_incl (List.map (fun n -> Interp.sym_diff m n) p_models)
-
-  let k_pointwise m p_models =
-    note_legacy ();
-    require "k_pointwise" p_models;
-    List.fold_left
-      (fun acc n -> min acc (Interp.hamming m n))
-      max_int p_models
-
-  let delta t_models p_models =
-    note_legacy ();
-    require "delta" t_models;
-    require "delta" p_models;
-    Interp.min_incl (List.concat_map (fun m -> mu m p_models) t_models)
-
-  let k_global t_models p_models =
-    note_legacy ();
-    require "k_global" t_models;
-    require "k_global" p_models;
-    List.fold_left
-      (fun acc m -> min acc (k_pointwise m p_models))
-      max_int t_models
-
+  (* δ of nonempty sets is nonempty, so Ω folds from its first member. *)
   let omega t_models p_models =
-    List.fold_left Var.Set.union Var.Set.empty (delta t_models p_models)
+    let d = delta t_models p_models in
+    Array.fold_left M.union d.(0) d
 end
+
+module Packed = Make (Mask.Packed)
+module Wide = Make (Mask.Wide)
 
 (* Var.Set wrappers: pack over the union alphabet of the inputs (letters
-   false everywhere cannot appear in a symmetric difference), run the
-   packed engine, unpack.  One-word alphabets take the specialized
-   [Packed] fast case; wider ones the multi-word [Wide] engine — the
-   legacy list pipeline is never reached from here. *)
+   false everywhere cannot appear in a symmetric difference), measure,
+   unpack. *)
 
-let joint_alphabet interps =
-  Interp_packed.alphabet
-    (Var.Set.elements
-       (List.fold_left Var.Set.union Var.Set.empty interps))
+let engine models =
+  let alpha =
+    Interp_packed.alphabet
+      (Var.Set.elements (List.fold_left Var.Set.union Var.Set.empty models))
+  in
+  (alpha, Mask.by_width alpha (module Packed : S) (module Wide : S))
 
 let mu m p_models =
-  require "mu" p_models;
-  let alpha = joint_alphabet (m :: p_models) in
-  if Interp_packed.fits alpha then
-    Interp_packed.interps_of_set alpha
-      (Packed.mu (Interp_packed.pack alpha m)
-         (Interp_packed.set_of_interps alpha p_models))
-  else
-    Interp_wide.interps_of_set alpha
-      (Wide.mu (Interp_wide.pack alpha m)
-         (Interp_wide.set_of_interps alpha p_models))
+  require "mu" (List.length p_models);
+  let alpha, (module E) = engine (m :: p_models) in
+  E.M.interps_of_set alpha
+    (E.mu (E.M.pack alpha m) (E.M.set_of_interps alpha p_models))
 
 let k_pointwise m p_models =
-  require "k_pointwise" p_models;
-  let alpha = joint_alphabet (m :: p_models) in
-  if Interp_packed.fits alpha then
-    Packed.k_pointwise (Interp_packed.pack alpha m)
-      (Interp_packed.set_of_interps alpha p_models)
-  else
-    Wide.k_pointwise (Interp_wide.pack alpha m)
-      (Interp_wide.set_of_interps alpha p_models)
+  require "k_pointwise" (List.length p_models);
+  let alpha, (module E) = engine (m :: p_models) in
+  E.k_pointwise (E.M.pack alpha m) (E.M.set_of_interps alpha p_models)
 
 let delta t_models p_models =
-  require "delta" t_models;
-  require "delta" p_models;
-  let alpha = joint_alphabet (t_models @ p_models) in
-  if Interp_packed.fits alpha then
-    Interp_packed.interps_of_set alpha
-      (Packed.delta
-         (Interp_packed.set_of_interps alpha t_models)
-         (Interp_packed.set_of_interps alpha p_models))
-  else
-    Interp_wide.interps_of_set alpha
-      (Wide.delta
-         (Interp_wide.set_of_interps alpha t_models)
-         (Interp_wide.set_of_interps alpha p_models))
+  require "delta" (List.length t_models);
+  require "delta" (List.length p_models);
+  let alpha, (module E) = engine (t_models @ p_models) in
+  E.M.interps_of_set alpha
+    (E.delta
+       (E.M.set_of_interps alpha t_models)
+       (E.M.set_of_interps alpha p_models))
 
 let k_global t_models p_models =
-  require "k_global" t_models;
-  require "k_global" p_models;
-  let alpha = joint_alphabet (t_models @ p_models) in
-  if Interp_packed.fits alpha then
-    Packed.k_global
-      (Interp_packed.set_of_interps alpha t_models)
-      (Interp_packed.set_of_interps alpha p_models)
-  else
-    Wide.k_global
-      (Interp_wide.set_of_interps alpha t_models)
-      (Interp_wide.set_of_interps alpha p_models)
+  require "k_global" (List.length t_models);
+  require "k_global" (List.length p_models);
+  let alpha, (module E) = engine (t_models @ p_models) in
+  E.k_global
+    (E.M.set_of_interps alpha t_models)
+    (E.M.set_of_interps alpha p_models)
 
 let omega t_models p_models =
   List.fold_left Var.Set.union Var.Set.empty (delta t_models p_models)

@@ -10,14 +10,12 @@
     the degenerate cases before any distance is measured, so these guards
     only trip on misuse.
 
-    The [Var.Set.t] API below is a thin wrapper over the packed engines:
-    inputs are packed into bitmasks over their joint alphabet, measured
-    with [lxor]/popcount, and unpacked.  One-word alphabets
-    ({!Interp_packed.fits}) take the specialized {!Packed} fast case;
-    wider alphabets the multi-word {!Wide} engine — there is no width
-    ceiling.  {!Legacy}, the original list-based implementation, is kept
-    only as the reference for differential tests and old-vs-new
-    benchmarks; entering it bumps the [dist.fallback.legacy] counter. *)
+    The measures are written once, as {!Make} over the {!Logic.Mask.S}
+    signature, and applied to both mask representations: {!Packed}
+    (one [int] per model, the fast case) and {!Wide} (multi-word, no
+    width ceiling).  The [Var.Set.t] API below is a thin wrapper: inputs
+    are packed over their joint alphabet, measured by the engine
+    {!Logic.Mask.by_width} picks, and unpacked. *)
 
 open Logic
 
@@ -40,45 +38,28 @@ val omega : Interp.t list -> Interp.t list -> Var.Set.t
 (** [Ω = ∪ δ(T, P)]: every letter appearing in at least one minimal
     difference (Weber's revision). *)
 
-(** Packed engine: masks over a shared {!Interp_packed.alphabet}.
-    Symmetric difference is [lxor], Hamming distance popcount, and
-    minimal-difference filtering bitwise-inclusion over sorted mask
-    arrays.  [delta]/[k_global]/[omega] are streaming reductions: chunks
-    of [Mod(T)] fold into per-domain min-inclusion frontiers
-    ({!Interp_packed.Frontier}) or running minima, merged at the barrier
-    — the [|Mod(T)|·|Mod(P)|] candidate array is never materialized, and
-    results are bit-identical at every job count.  Same nonempty
-    contract as above. *)
-module Packed : sig
-  val mu : Interp_packed.t -> Interp_packed.set -> Interp_packed.set
-  val k_pointwise : Interp_packed.t -> Interp_packed.set -> int
-  val delta : Interp_packed.set -> Interp_packed.set -> Interp_packed.set
-  val k_global : Interp_packed.set -> Interp_packed.set -> int
-  val omega : Interp_packed.set -> Interp_packed.set -> Interp_packed.t
+(** A distance engine over one mask representation.  [delta],
+    [k_global] and [omega] are streaming reductions: chunks of [Mod(T)]
+    fold into per-domain min-inclusion frontiers ({!Mask.S.Frontier})
+    or running minima, merged at the barrier — the [|Mod(T)|·|Mod(P)|]
+    candidate array is never materialized, and results are
+    bit-identical at every job count.  Same nonempty contract as
+    above. *)
+module type S = sig
+  module M : Mask.S
+
+  val mu : M.t -> M.set -> M.set
+  val k_pointwise : M.t -> M.set -> int
+  val delta : M.set -> M.set -> M.set
+  val k_global : M.set -> M.set -> int
+  val omega : M.set -> M.set -> M.t
 end
 
-(** Multi-word mirror of {!Packed} over {!Interp_wide} masks: identical
-    streaming reductions and chunk/merge contracts, no width ceiling.
-    [omega] takes the alphabet explicitly (a wide zero mask needs a word
-    count).  Same nonempty contract as above. *)
-module Wide : sig
-  val mu : Interp_wide.t -> Interp_wide.set -> Interp_wide.set
-  val k_pointwise : Interp_wide.t -> Interp_wide.set -> int
-  val delta : Interp_wide.set -> Interp_wide.set -> Interp_wide.set
-  val k_global : Interp_wide.set -> Interp_wide.set -> int
+module Make (M : Mask.S) : S with module M = M
 
-  val omega :
-    Interp_packed.alphabet -> Interp_wide.set -> Interp_wide.set -> Interp_wide.t
-end
+module Packed : S with module M = Mask.Packed
+(** One-word masks over a shared {!Interp_packed.alphabet}: symmetric
+    difference is [lxor], Hamming distance popcount. *)
 
-(** The original list-of-[Var.Set.t] implementation: a differential
-    oracle, not a reachable production fallback.  Every entry bumps
-    [dist.fallback.legacy] (and notes itself once on stderr under
-    [--stats]).  Same nonempty contract as above. *)
-module Legacy : sig
-  val mu : Interp.t -> Interp.t list -> Var.Set.t list
-  val k_pointwise : Interp.t -> Interp.t list -> int
-  val delta : Interp.t list -> Interp.t list -> Var.Set.t list
-  val k_global : Interp.t list -> Interp.t list -> int
-  val omega : Interp.t list -> Interp.t list -> Var.Set.t
-end
+module Wide : S with module M = Mask.Wide
+(** Multi-word masks ({!Interp_wide}): no width ceiling. *)

@@ -22,57 +22,53 @@ let of_name s =
   | "weber" -> Some Weber
   | _ -> None
 
-(* Packed engine: models are bitmasks, model sets sorted int arrays.
-   Beyond the representation change, the pointwise operators hoist the
-   per-M work (µ(M, P), k_{M,P}) out of the per-N loop, which the legacy
-   code recomputed for every candidate N. *)
-module Packed = struct
-  module IP = Interp_packed
+(* The six operators, once over either mask representation.  The
+   pointwise operators compute each model M's measure (µ(M, P),
+   k_{M,P}) once, outside the per-N loop. *)
+module Make (M : Mask.S) = struct
+  module M = M
+  module D = Distance.Make (M)
 
   let winslett t_models p_models =
-    let mus = Array.map (fun m -> Distance.Packed.mu m p_models) t_models in
-    IP.filter
+    let mus = Array.map (fun m -> D.mu m p_models) t_models in
+    M.filter
       (fun n ->
         let rec probe i =
           i < Array.length t_models
-          && (IP.mem mus.(i) (t_models.(i) lxor n) || probe (i + 1))
+          && (M.mem mus.(i) (M.diff t_models.(i) n) || probe (i + 1))
         in
         probe 0)
       p_models
 
   let borgida t_models p_models =
-    let inter = IP.inter p_models t_models in
+    let inter = M.inter p_models t_models in
     if Array.length inter > 0 then inter else winslett t_models p_models
 
   let forbus t_models p_models =
-    let ks =
-      Array.map (fun m -> Distance.Packed.k_pointwise m p_models) t_models
-    in
-    IP.filter
+    let ks = Array.map (fun m -> D.k_pointwise m p_models) t_models in
+    M.filter
       (fun n ->
         let rec probe i =
           i < Array.length t_models
-          && (IP.hamming t_models.(i) n = ks.(i) || probe (i + 1))
+          && (M.hamming t_models.(i) n = ks.(i) || probe (i + 1))
         in
         probe 0)
       p_models
 
   let satoh t_models p_models =
-    let d = Distance.Packed.delta t_models p_models in
-    IP.filter
-      (fun n -> IP.exists (fun m -> IP.mem d (n lxor m)) t_models)
+    let d = D.delta t_models p_models in
+    M.filter
+      (fun n -> M.exists (fun m -> M.mem d (M.diff n m)) t_models)
       p_models
 
   let dalal t_models p_models =
-    let k = Distance.Packed.k_global t_models p_models in
-    IP.filter
-      (fun n -> IP.exists (fun m -> IP.hamming n m = k) t_models)
-      p_models
+    let k = D.k_global t_models p_models in
+    M.filter (fun n -> M.exists (fun m -> M.hamming n m = k) t_models) p_models
 
   let weber t_models p_models =
-    let omega = Distance.Packed.omega t_models p_models in
-    IP.filter
-      (fun n -> IP.exists (fun m -> IP.subset (n lxor m) omega) t_models)
+    let omega = D.omega t_models p_models in
+    M.filter
+      (fun n -> M.exists (fun m -> M.subset (M.diff n m) omega) t_models)
       p_models
 
   let select op t_models p_models =
@@ -88,153 +84,23 @@ module Packed = struct
       | Weber -> weber t_models p_models
 end
 
-(* Multi-word mirror of [Packed] over Interp_wide masks: the same
-   per-M hoisting, selected by the wrappers past the one-word width.
-   Wide masks are arrays, so symmetric differences allocate ([lxor_])
-   where the one-word path used a register [lxor] — the reason the
-   one-word engine stays as the specialized fast case. *)
+module Packed = Make (Mask.Packed)
+module Wide_engine = Make (Mask.Wide)
+
 module Wide = struct
-  module IW = Interp_wide
-
-  let winslett t_models p_models =
-    let mus = Array.map (fun m -> Distance.Wide.mu m p_models) t_models in
-    IW.filter
-      (fun n ->
-        let rec probe i =
-          i < Array.length t_models
-          && (IW.mem mus.(i) (IW.lxor_ t_models.(i) n) || probe (i + 1))
-        in
-        probe 0)
-      p_models
-
-  let borgida t_models p_models =
-    let inter = IW.inter p_models t_models in
-    if Array.length inter > 0 then inter else winslett t_models p_models
-
-  let forbus t_models p_models =
-    let ks =
-      Array.map (fun m -> Distance.Wide.k_pointwise m p_models) t_models
-    in
-    IW.filter
-      (fun n ->
-        let rec probe i =
-          i < Array.length t_models
-          && (IW.hamming t_models.(i) n = ks.(i) || probe (i + 1))
-        in
-        probe 0)
-      p_models
-
-  let satoh t_models p_models =
-    let d = Distance.Wide.delta t_models p_models in
-    IW.filter
-      (fun n -> IW.exists (fun m -> IW.mem d (IW.lxor_ n m)) t_models)
-      p_models
-
-  let dalal t_models p_models =
-    let k = Distance.Wide.k_global t_models p_models in
-    IW.filter
-      (fun n -> IW.exists (fun m -> IW.hamming n m = k) t_models)
-      p_models
-
-  let weber alpha t_models p_models =
-    let omega = Distance.Wide.omega alpha t_models p_models in
-    IW.filter
-      (fun n -> IW.exists (fun m -> IW.subset (IW.lxor_ n m) omega) t_models)
-      p_models
-
-  let select op alpha t_models p_models =
-    if Array.length p_models = 0 then [||]
-    else if Array.length t_models = 0 then p_models
-    else
-      match op with
-      | Winslett -> winslett t_models p_models
-      | Borgida -> borgida t_models p_models
-      | Forbus -> forbus t_models p_models
-      | Satoh -> satoh t_models p_models
-      | Dalal -> dalal t_models p_models
-      | Weber -> weber alpha t_models p_models
+  (* The alphabet argument predates the shared engine (Weber's Ω once
+     needed a word count); it is kept so callers stay source-compatible. *)
+  let select op (_ : Interp_packed.alphabet) = Wide_engine.select op
 end
 
-(* The original list-of-Var.Set engine: a differential oracle for tests
-   and old-vs-new benchmarks, never a production fallback.  Entries bump
-   [models.fallback.legacy] via the Distance/Models legacy layers; the
-   [select] wrapper below never routes here. *)
-module Legacy = struct
-  (* Registry-keyed: this is the same counter Models' legacy engine
-     bumps, so one snapshot shows every legacy entry point. *)
-  (* lint: obs-ok shared with Models.c_fallback_legacy by design *)
-  let c_fallback = Revkb_obs.Obs.counter "models.fallback.legacy"
+module type ENGINE = sig
+  module M : Mask.S
 
-  let winslett t_models p_models =
-    List.filter
-      (fun n ->
-        List.exists
-          (fun m ->
-            let d = Interp.sym_diff m n in
-            List.exists (Var.Set.equal d) (Distance.Legacy.mu m p_models))
-          t_models)
-      p_models
-
-  let borgida t_models p_models =
-    let inter =
-      List.filter (fun n -> List.exists (Interp.equal n) t_models) p_models
-    in
-    if inter <> [] then inter else winslett t_models p_models
-
-  let forbus t_models p_models =
-    List.filter
-      (fun n ->
-        List.exists
-          (fun m ->
-            Interp.hamming m n = Distance.Legacy.k_pointwise m p_models)
-          t_models)
-      p_models
-
-  let satoh t_models p_models =
-    let d = Distance.Legacy.delta t_models p_models in
-    List.filter
-      (fun n ->
-        List.exists
-          (fun m -> List.exists (Var.Set.equal (Interp.sym_diff n m)) d)
-          t_models)
-      p_models
-
-  let dalal t_models p_models =
-    let k = Distance.Legacy.k_global t_models p_models in
-    List.filter
-      (fun n -> List.exists (fun m -> Interp.hamming n m = k) t_models)
-      p_models
-
-  let weber t_models p_models =
-    let omega = Distance.Legacy.omega t_models p_models in
-    List.filter
-      (fun n ->
-        List.exists
-          (fun m -> Var.Set.subset (Interp.sym_diff n m) omega)
-          t_models)
-      p_models
-
-  let select op t_models p_models =
-    Revkb_obs.Obs.incr c_fallback;
-    match p_models with
-    | [] -> []
-    | _ -> (
-        match t_models with
-        | [] -> p_models
-        | _ -> (
-            match op with
-            | Winslett -> winslett t_models p_models
-            | Borgida -> borgida t_models p_models
-            | Forbus -> forbus t_models p_models
-            | Satoh -> satoh t_models p_models
-            | Dalal -> dalal t_models p_models
-            | Weber -> weber t_models p_models))
-
-  let revise_on op alphabet t p =
-    let t_models = Models.Legacy.enumerate alphabet t in
-    let p_models = Models.Legacy.enumerate alphabet p in
-    Result.make alphabet (select op t_models p_models)
+  val select : op -> M.set -> M.set -> M.set
 end
+
+let engine alpha =
+  Mask.by_width alpha (module Packed : ENGINE) (module Wide_engine : ENGINE)
 
 let select op t_models p_models =
   match (p_models, t_models) with
@@ -249,31 +115,18 @@ let select op t_models p_models =
              (List.fold_left Var.Set.union Var.Set.empty
                 (t_models @ p_models)))
       in
-      if Interp_packed.fits alpha then
-        Interp_packed.interps_of_set alpha
-          (Packed.select op
-             (Interp_packed.set_of_interps alpha t_models)
-             (Interp_packed.set_of_interps alpha p_models))
-      else
-        Interp_wide.interps_of_set alpha
-          (Wide.select op alpha
-             (Interp_wide.set_of_interps alpha t_models)
-             (Interp_wide.set_of_interps alpha p_models))
+      let (module E) = engine alpha in
+      E.M.interps_of_set alpha
+        (E.select op
+           (E.M.set_of_interps alpha t_models)
+           (E.M.set_of_interps alpha p_models))
 
 let revise_on op alphabet t p =
   let alpha = Interp_packed.alphabet alphabet in
-  if Interp_packed.fits alpha then
-    let t_models = Models.enumerate_packed alpha t in
-    let p_models = Models.enumerate_packed alpha p in
-    Result.make alphabet
-      (Interp_packed.interps_of_set alpha
-         (Packed.select op t_models p_models))
-  else
-    let t_models = Models.enumerate_wide alpha t in
-    let p_models = Models.enumerate_wide alpha p in
-    Result.make alphabet
-      (Interp_wide.interps_of_set alpha
-         (Wide.select op alpha t_models p_models))
+  let (module E) = engine alpha in
+  let models f = Models.enumerate_masks (module E.M) alpha f in
+  Result.make alphabet
+    (E.M.interps_of_set alpha (E.select op (models t) (models p)))
 
 let revise op t p =
   let alphabet = Models.alphabet_of [ t; p ] in

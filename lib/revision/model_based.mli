@@ -29,35 +29,34 @@ val of_name : string -> op option
 val select : op -> Interp.t list -> Interp.t list -> Interp.t list
 (** [select op t_models p_models]: the surviving models of [P]
     (boundary conventions above).  Internally packs both sets into
-    bitmasks over their joint letters and runs {!Packed.select}; joint
-    alphabets past {!Interp_packed.max_letters} letters run
-    {!Wide.select} on multi-word masks — no width ceiling, no legacy
-    fallback. *)
+    masks over their joint letters and runs the operator engine that
+    {!Mask.by_width} picks: {!Packed} when the letters fit one word,
+    {!Wide} past {!Interp_packed.max_letters} — no width ceiling. *)
 
 val revise_on : op -> Var.t list -> Formula.t -> Formula.t -> Result.t
 (** Revision with models enumerated over an explicit alphabet, which must
-    contain the letters of both formulas.  Runs the packed pipeline
-    ({!Models.enumerate_packed} + {!Packed.select}; past
-    {!Interp_packed.max_letters} letters {!Models.enumerate_wide} +
-    {!Wide.select}); past {!Models.sat_cutover} letters enumeration is
+    contain the letters of both formulas.  Runs the mask pipeline
+    ({!Models.enumerate_masks} + the engine {!select} uses, chosen by
+    the same width rule); past {!Models.sat_cutover} letters enumeration is
     SAT-backed, so large alphabets work as long as the model sets stay
     small. *)
 
 val revise : op -> Formula.t -> Formula.t -> Result.t
 (** [revise_on] over the joint alphabet [V(T) ∪ V(P)]. *)
 
-(** The packed hot path: operators on mask sets ({!Interp_packed.set})
-    over a shared alphabet.  The pointwise operators compute each model
-    [M]'s measure ([µ(M, P)], [k_{M,P}]) once, instead of once per
-    candidate as the legacy engine did. *)
+(** The operator engine, written once over {!Mask.S} and applied to
+    both mask representations.  The pointwise operators compute each
+    model [M]'s measure ([µ(M, P)], [k_{M,P}]) once, not once per
+    candidate. *)
+
+(** One-word masks ({!Interp_packed.set}) over a shared alphabet. *)
 module Packed : sig
   val select :
     op -> Interp_packed.set -> Interp_packed.set -> Interp_packed.set
 end
 
-(** Multi-word mirror of {!Packed} over {!Interp_wide} mask sets: same
-    per-model hoisting, selected past the one-word width.  Takes the
-    shared alphabet explicitly (Weber's [Ω] needs a word count). *)
+(** Multi-word masks ({!Interp_wide.set}).  The alphabet argument is
+    ignored; it is kept so existing callers stay source-compatible. *)
 module Wide : sig
   val select :
     op ->
@@ -65,15 +64,4 @@ module Wide : sig
     Interp_wide.set ->
     Interp_wide.set ->
     Interp_wide.set
-end
-
-(** The original list-of-[Var.Set.t] engine, kept verbatim as a
-    differential oracle and old-vs-new benchmark baseline — no
-    production path reaches it.  Every [select]/[revise_on] bumps the
-    [models.fallback.legacy] counter (shared with {!Models.Legacy}). *)
-module Legacy : sig
-  val select : op -> Interp.t list -> Interp.t list -> Interp.t list
-
-  val revise_on : op -> Var.t list -> Formula.t -> Formula.t -> Result.t
-  (** Enumerates with {!Models.Legacy.enumerate} (25-letter cap). *)
 end

@@ -364,6 +364,25 @@ let test_current_span () =
             (Obs.current_span () = Some "t.cur.outer"));
       check_bool "unwound" true (Obs.current_span () = None))
 
+(* A reader bound on one domain answers for that domain wherever it is
+   called: the profiler's handler may run on a pool worker. *)
+let test_span_reader_cross_domain () =
+  with_flags ~enabled:true ~tracing:false (fun () ->
+      let read =
+        Obs.with_span "t.reader" (fun () ->
+            let read = Obs.span_reader () in
+            let from_other, other_own =
+              Domain.join
+                (Domain.spawn (fun () -> (read (), Obs.current_span ())))
+            in
+            check_bool "reader answers for the binding domain" true
+              (from_other = Some "t.reader");
+            check_bool "the calling domain's own stack is separate" true
+              (other_own = None);
+            read)
+      in
+      check_bool "reader follows the unwind" true (read () = None))
+
 let test_profile_guards () =
   (match Profile.start ~hz:0 () with
   | exception Invalid_argument _ -> ()
@@ -404,6 +423,38 @@ let test_profile_samples_and_span () =
            (fun (s, _) -> Helpers.contains_substring s "[span] t.profspan")
            stacks);
       check_bool "dropped is non-negative" true (Profile.dropped () >= 0))
+
+(* Profiling with parked pool workers alive: the runtime then runs some
+   SIGALRM handlers on a worker domain.  Every sample must still carry
+   the profiled domain's open span (one may fall between the span's
+   exit and [stop]), and the process must survive. *)
+let test_profile_with_workers_alive () =
+  let c = Obs.counter "t.profworkers.c" in
+  Pool.with_jobs 4 (fun () ->
+      Pool.run (Pool.global ()) (Array.init 8 (fun _ () -> Obs.incr c)));
+  with_flags ~enabled:true ~tracing:false (fun () ->
+      Profile.start ~hz:500 ();
+      Fun.protect ~finally:Profile.stop (fun () ->
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          Obs.with_span "t.profworkers" (fun () ->
+              while
+                Profile.sample_count () < 20
+                && Unix.gettimeofday () < deadline
+              do
+                ignore (Sys.opaque_identity (List.init 256 (fun i -> i * i)))
+              done));
+      let stacks = Profile.folded () in
+      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 stacks in
+      let attributed =
+        List.fold_left
+          (fun acc (s, n) ->
+            if Helpers.contains_substring s "[span] t.profworkers" then acc + n
+            else acc)
+          0 stacks
+      in
+      check_bool "samples captured" true (total > 0);
+      check_bool "samples carry the profiled domain's span" true
+        (attributed >= total - 1))
 
 (* -- gcstats -------------------------------------------------------------- *)
 
@@ -637,6 +688,10 @@ let () =
           Alcotest.test_case "start guards" `Quick test_profile_guards;
           Alcotest.test_case "samples and span attribution" `Quick
             test_profile_samples_and_span;
+          Alcotest.test_case "span_reader across domains" `Quick
+            test_span_reader_cross_domain;
+          Alcotest.test_case "samples with pool workers alive" `Quick
+            test_profile_with_workers_alive;
         ] );
       ( "gcstats",
         [

@@ -8,6 +8,7 @@
 open Logic
 open Revision
 open Helpers
+open Revkb_oracle
 
 let vars6 = letters 6
 let vars10 = letters 10
@@ -77,25 +78,25 @@ let prop_enumerate_agrees =
   qtest "enumerate: packed = legacy" ~count:200 arb_f10 (fun fm ->
       same_models
         (Models.enumerate vars10 fm)
-        (Models.Legacy.enumerate vars10 fm))
+        (Legacy.Models.enumerate vars10 fm))
 
 let prop_sat_enumerator_agrees =
   qtest "enumerate: SAT walk = sweep" ~count:50 arb_f10 (fun fm ->
       let alpha = Interp_packed.alphabet vars10 in
       Interp_packed.equal_set
-        (Semantics.masks_sat alpha fm)
+        (Semantics.masks_sat (module Mask.Packed) alpha fm)
         (Interp_packed.sweep alpha fm))
 
 let prop_equivalent_on_agrees =
   qtest "equivalent_on: packed = legacy" ~count:200
     (arb_pair arb_f10 arb_f10) (fun (a, b) ->
-      Models.equivalent_on vars10 a b = Models.Legacy.equivalent_on vars10 a b
+      Models.equivalent_on vars10 a b = Legacy.Models.equivalent_on vars10 a b
       && Models.equivalent_on vars10 a a)
 
 let prop_entails_on_agrees =
   qtest "entails_on: packed = legacy" ~count:200 (arb_pair arb_f10 arb_f10)
     (fun (a, b) ->
-      Models.entails_on vars10 a b = Models.Legacy.entails_on vars10 a b)
+      Models.entails_on vars10 a b = Legacy.Models.entails_on vars10 a b)
 
 (* -- word-parallel sweep: partial blocks, job counts, counters ------------ *)
 
@@ -126,7 +127,7 @@ let prop_narrow_widths_agree =
              (Formula.vars f) Var.Map.empty)
           f
       in
-      let legacy = Models.Legacy.enumerate vars (reads_false a) in
+      let legacy = Legacy.Models.enumerate vars (reads_false a) in
       let kernel = Interp_packed.compile alpha a in
       let codes = List.map (Interp_packed.pack alpha) (Interp.subsets vars) in
       same_models
@@ -139,9 +140,9 @@ let prop_narrow_widths_agree =
              (kernel (c lsr 5) lsr (c land 31)) land 1 = 1
              = Interp.sat (Interp_packed.unpack alpha c) a)
            codes
-      && Models.entails_on vars a b = Models.Legacy.entails_on vars a b
+      && Models.entails_on vars a b = Legacy.Models.entails_on vars a b
       && Models.equivalent_on vars a b
-         = Models.Legacy.equivalent_on vars a b)
+         = Legacy.Models.equivalent_on vars a b)
 
 (* n = 14 is past the 2^12-code parallel threshold, so jobs = 4 splits
    the blocks into ranges; the answers must not notice. *)
@@ -187,7 +188,7 @@ let test_enumerate_beyond_legacy_cap () =
       (List.map Formula.var fixed
       @ [ Formula.disj2 (Formula.var x28) (Formula.var x29) ])
   in
-  (match Models.Legacy.enumerate vars30 fm with
+  (match Legacy.Models.enumerate vars30 fm with
   | exception Invalid_argument msg ->
       check_bool "legacy error names the limit" true
         (contains_substring msg "25")
@@ -204,11 +205,11 @@ let op_agrees op =
     (Printf.sprintf "select %s: packed = legacy" (Model_based.name op))
     ~count:200 arb_tp
     (fun (t, p) ->
-      let t_models = Models.Legacy.enumerate vars6 t in
-      let p_models = Models.Legacy.enumerate vars6 p in
+      let t_models = Legacy.Models.enumerate vars6 t in
+      let p_models = Legacy.Models.enumerate vars6 p in
       same_models
         (Model_based.select op t_models p_models)
-        (Model_based.Legacy.select op t_models p_models))
+        (Legacy.Model_based.select op t_models p_models))
 
 let revise_agrees op =
   qtest
@@ -217,7 +218,7 @@ let revise_agrees op =
     (fun (t, p) ->
       same_models
         (Result.models (Model_based.revise_on op vars6 t p))
-        (Result.models (Model_based.Legacy.revise_on op vars6 t p)))
+        (Result.models (Legacy.Model_based.revise_on op vars6 t p)))
 
 (* -- distance ----------------------------------------------------------------- *)
 
@@ -225,21 +226,21 @@ let prop_distance_agrees =
   qtest "Distance {mu,delta,k_global,omega}: packed = legacy" ~count:200
     (arb_pair (arb_interp vars6) arb_tp)
     (fun (m, (t, p)) ->
-      let t_models = Models.Legacy.enumerate vars6 t in
-      let p_models = Models.Legacy.enumerate vars6 p in
+      let t_models = Legacy.Models.enumerate vars6 t in
+      let p_models = Legacy.Models.enumerate vars6 p in
       (t_models = [] || p_models = [])
       || same_models (Distance.mu m p_models)
-           (Distance.Legacy.mu m p_models)
+           (Legacy.Distance.mu m p_models)
          && Distance.k_pointwise m p_models
-            = Distance.Legacy.k_pointwise m p_models
+            = Legacy.Distance.k_pointwise m p_models
          && same_models
               (Distance.delta t_models p_models)
-              (Distance.Legacy.delta t_models p_models)
+              (Legacy.Distance.delta t_models p_models)
          && Distance.k_global t_models p_models
-            = Distance.Legacy.k_global t_models p_models
+            = Legacy.Distance.k_global t_models p_models
          && Var.Set.equal
               (Distance.omega t_models p_models)
-              (Distance.Legacy.omega t_models p_models))
+              (Legacy.Distance.omega t_models p_models))
 
 (* -- streaming delta regression ------------------------------------------------ *)
 
@@ -263,12 +264,12 @@ let prop_streaming_delta_matches_legacy =
       same_models
         (Interp_packed.interps_of_set alpha
            (Distance.Packed.delta t_masks p_masks))
-        (Distance.Legacy.delta t_models p_models)
+        (Legacy.Distance.delta t_models p_models)
       && Var.Set.equal
            (Interp_packed.unpack alpha (Distance.Packed.omega t_masks p_masks))
-           (Distance.Legacy.omega t_models p_models)
+           (Legacy.Distance.omega t_models p_models)
       && Distance.Packed.k_global t_masks p_masks
-         = Distance.Legacy.k_global t_models p_models)
+         = Legacy.Distance.k_global t_models p_models)
 
 let test_packed_distance_empty_contract () =
   let some = [| 1 |] in
@@ -332,7 +333,7 @@ let test_sweep_allocation () =
       let models = Interp_packed.sweep alpha fm in
       let allocated = Gc.minor_words () -. before in
       check_int "sweep = legacy count"
-        (List.length (Models.Legacy.enumerate vars fm))
+        (List.length (Legacy.Models.enumerate vars fm))
         (Array.length models);
       if allocated >= 65536. then
         Alcotest.failf

@@ -5,6 +5,7 @@
 
 open Logic
 open Helpers
+open Revkb_oracle
 module Session = Semantics.Session
 module Ladder = Semantics.Ladder
 module Check = Compact.Check
@@ -72,13 +73,13 @@ let prop_min_distance_matches_exa =
   qtest "min_distance_sat = min_distance_exa" ~count:150
     (arb_pair (arb_formula x) (arb_formula x))
     (fun (t, p) ->
-      Hamming.min_distance_sat t p = Hamming.min_distance_exa t p)
+      Hamming.min_distance_sat t p = Fresh.min_distance_exa t p)
 
 let prop_dist_to_matches_fresh =
   let x = letters 6 in
-  qtest "Check.dist_to = Check.Fresh.dist_to" ~count:150
+  qtest "Check.dist_to = Fresh.dist_to" ~count:150
     (arb_pair (arb_formula x) (arb_interp x))
-    (fun (fm, n) -> Check.dist_to fm n x = Check.Fresh.dist_to fm n x)
+    (fun (fm, n) -> Check.dist_to fm n x = Fresh.dist_to fm n x)
 
 (* The reusable prober answers every reference point like one-shot
    [dist_to] does. *)
@@ -89,7 +90,7 @@ let prop_dist_prober_reusable =
     (fun fm ->
       let d = Check.Dist.create fm x in
       List.for_all
-        (fun n -> Check.Dist.to_interp d n = Check.Fresh.dist_to fm n x)
+        (fun n -> Check.Dist.to_interp d n = Fresh.dist_to fm n x)
         (Interp.subsets x))
 
 (* -- session-backed checkers vs the fresh-solver oracle ------------------- *)
@@ -101,7 +102,7 @@ let prop_model_check_matches_fresh =
     (fun (t, p, n) ->
       List.for_all
         (fun op ->
-          Check.model_check op t p n = Check.Fresh.model_check op t p n)
+          Check.model_check op t p n = Fresh.model_check op t p n)
         MB.all)
 
 (* The sessionized diff sweep in Measure agrees with the formula-level

@@ -7,16 +7,15 @@
    the one-word engine (where it still fits), the multi-word engine,
    and the legacy list oracle, at one and at four worker domains;
    (3) the 100-letter acceptance run: enumeration, Dalal min-distance,
-   and Compact.Check entirely on the packed path with zero
-   *.fallback.legacy increments. *)
+   and Compact.Check on the multi-word path. *)
 
 open Logic
 open Revision
 open Helpers
+open Revkb_oracle
 module IW = Interp_wide
 module IP = Interp_packed
 module Pool = Revkb_parallel.Pool
-module Obs = Revkb_obs.Obs
 
 let vars100 = letters 100
 let alpha100 = IP.alphabet vars100
@@ -71,11 +70,6 @@ let prop_subset =
       IW.subset (IW.pack alpha100 m) (IW.pack alpha100 n)
       = Var.Set.subset m n)
 
-let prop_compile =
-  qtest "wide compile = Interp.sat at 100 letters" ~count:100
-    (arb_pair (arb_formula ~depth:4 vars100) arb_interp100) (fun (fm, m) ->
-      IW.compile alpha100 fm (IW.pack alpha100 m) = Interp.sat m fm)
-
 (* Ordering contract: over a one-word alphabet the wide set order is
    exactly the one-word masks-as-integers order. *)
 let prop_order_agrees =
@@ -111,6 +105,43 @@ let prop_frontier =
       let fr = IW.Frontier.create () in
       List.iter (IW.Frontier.add fr) masks;
       IW.equal_set (IW.Frontier.to_set fr) (IW.min_incl (Array.of_list masks)))
+
+(* -- one engine, two representations -------------------------------------- *)
+
+(* Packed and Wide are the two applications of the same functors and
+   the only production routes, so on widened one-word sets they must
+   agree bit for bit: every operator and every measure. *)
+let prop_packed_eq_wide =
+  let vars = letters 8 in
+  let alpha = IP.alphabet vars in
+  let widen = IW.set_of_masks alpha in
+  let same a b = IW.equal_set (widen a) b in
+  qtest "Packed = Wide: six operators, mu, k, delta, omega (n = 8)"
+    ~count:150
+    (arb_pair (arb_formula vars) (arb_formula vars))
+    (fun (t, p) ->
+      let ts = Models.enumerate_packed alpha t
+      and ps = Models.enumerate_packed alpha p in
+      let wts = widen ts and wps = widen ps in
+      List.for_all
+        (fun op ->
+          same
+            (Model_based.Packed.select op ts ps)
+            (Model_based.Wide.select op alpha wts wps))
+        Model_based.all
+      && (Array.length ts = 0 || Array.length ps = 0
+         || Array.for_all
+              (fun m ->
+                let wm = IW.of_mask alpha m in
+                same (Distance.Packed.mu m ps) (Distance.Wide.mu wm wps)
+                && Distance.Packed.k_pointwise m ps
+                   = Distance.Wide.k_pointwise wm wps)
+              ts
+            && same (Distance.Packed.delta ts ps) (Distance.Wide.delta wts wps)
+            && Distance.Packed.k_global ts ps = Distance.Wide.k_global wts wps
+            && IW.equal
+                 (IW.of_mask alpha (Distance.Packed.omega ts ps))
+                 (Distance.Wide.omega wts wps)))
 
 (* -- boundary differentials ------------------------------------------------ *)
 
@@ -153,27 +184,27 @@ let check_boundary_width n =
   check_bool
     (Printf.sprintf "mu at n=%d" n)
     true
-    (same_models (Distance.mu m p_models) (Distance.Legacy.mu m p_models));
+    (same_models (Distance.mu m p_models) (Legacy.Distance.mu m p_models));
   check_int
     (Printf.sprintf "k_pointwise at n=%d" n)
-    (Distance.Legacy.k_pointwise m p_models)
+    (Legacy.Distance.k_pointwise m p_models)
     (Distance.k_pointwise m p_models);
   check_bool
     (Printf.sprintf "delta at n=%d" n)
     true
     (same_models
        (Distance.delta t_models p_models)
-       (Distance.Legacy.delta t_models p_models));
+       (Legacy.Distance.delta t_models p_models));
   check_int
     (Printf.sprintf "k_global at n=%d" n)
-    (Distance.Legacy.k_global t_models p_models)
+    (Legacy.Distance.k_global t_models p_models)
     (Distance.k_global t_models p_models);
   check_bool
     (Printf.sprintf "omega at n=%d" n)
     true
     (Var.Set.equal
        (Distance.omega t_models p_models)
-       (Distance.Legacy.omega t_models p_models));
+       (Legacy.Distance.omega t_models p_models));
   (* All six operators, wrapper vs legacy oracle. *)
   List.iter
     (fun op ->
@@ -182,7 +213,7 @@ let check_boundary_width n =
         true
         (same_models
            (Model_based.select op t_models p_models)
-           (Model_based.Legacy.select op t_models p_models)))
+           (Legacy.Model_based.select op t_models p_models)))
     Model_based.all
 
 let test_boundary jobs () =
@@ -217,32 +248,9 @@ let test_count_unsat () =
   check_int "unsat counts zero without walking" 0
     (Models.count vars (Formula.conj2 x1 (Formula.not_ x1)))
 
-(* -- loud legacy fallback -------------------------------------------------- *)
-
-let test_legacy_counters () =
-  let c_models = Obs.counter "models.fallback.legacy" in
-  let c_dist = Obs.counter "dist.fallback.legacy" in
-  let vars = letters 6 in
-  let before = Obs.value c_models in
-  ignore (Models.Legacy.enumerate vars (Formula.var (List.hd vars)));
-  check_bool "Models.Legacy.enumerate bumps the counter" true
-    (Obs.value c_models > before);
-  let before = Obs.value c_dist in
-  let m = Var.Set.empty and n = Var.set_of_list vars in
-  ignore (Distance.Legacy.mu m [ n ]);
-  check_bool "Distance.Legacy.mu bumps the counter" true
-    (Obs.value c_dist > before);
-  let before = Obs.value c_models in
-  ignore (Model_based.Legacy.select Model_based.Dalal [ m ] [ n ]);
-  check_bool "Model_based.Legacy.select bumps the counter" true
-    (Obs.value c_models > before)
-
 (* -- 100-letter acceptance run --------------------------------------------- *)
 
 let test_acceptance_100 () =
-  let c_models = Obs.counter "models.fallback.legacy" in
-  let c_dist = Obs.counter "dist.fallback.legacy" in
-  let m0 = Obs.value c_models and d0 = Obs.value c_dist in
   let fam = Witness.Wide_family.make ~n:100 ~m:4 in
   let vars = Witness.Wide_family.letters fam in
   let t = fam.Witness.Wide_family.t_wide
@@ -280,10 +288,7 @@ let test_acceptance_100 () =
            (Model_based.name op))
         false
         (Compact.Check.model_check op t p two_flip))
-    [ Model_based.Dalal; Model_based.Winslett; Model_based.Forbus ];
-  (* The whole run stayed on the packed path. *)
-  check_int "no models.fallback.legacy increments" m0 (Obs.value c_models);
-  check_int "no dist.fallback.legacy increments" d0 (Obs.value c_dist)
+    [ Model_based.Dalal; Model_based.Winslett; Model_based.Forbus ]
 
 let () =
   Alcotest.run "wide"
@@ -295,10 +300,10 @@ let () =
           prop_roundtrip;
           prop_hamming;
           prop_subset;
-          prop_compile;
           prop_order_agrees;
           prop_min_incl;
           prop_frontier;
+          prop_packed_eq_wide;
         ] );
       ( "boundary",
         [
@@ -312,14 +317,9 @@ let () =
           Alcotest.test_case "cap failure is loud" `Quick test_count_cap;
           Alcotest.test_case "unsat is free" `Quick test_count_unsat;
         ] );
-      ( "fallback",
-        [
-          Alcotest.test_case "legacy entries bump counters" `Quick
-            test_legacy_counters;
-        ] );
       ( "acceptance",
         [
-          Alcotest.test_case "100-letter run, zero legacy fallbacks" `Quick
+          Alcotest.test_case "100-letter run on the multi-word path" `Quick
             test_acceptance_100;
         ] );
     ]
