@@ -53,37 +53,66 @@ let cegar_fail ctx =
     (Cegar_cap_exceeded
        { cap = ctx.cap; opname = ctx.opname; nletters = ctx.nletters })
 
+(* The letters a refinement blocks on.  Witness [M] was refuted by the
+   P-model [N'] against the candidate [N]: A = (N' Δ N) \ (M Δ N'), the
+   letters where N' leaves N and M already sides with N'.  Every witness
+   M' that agrees with N' on A is refuted by the same N':
+
+   - inclusion (Winslett, Borgida): A is all of N' Δ N, so
+     M' Δ N' = (M' Δ N) \ A, a strict subset of M' Δ N;
+   - cardinality (Forbus): with D = N' Δ N, M sides with N' on a strict
+     majority of D, so |M' Δ N'| - |M' Δ N| <= |D \ A| - |A| < 0.
+
+   M itself agrees with N' on A, and A is never empty, so the clause
+   always excludes M.  Blocking agreement on all of D instead is sound
+   for inclusion only: under cardinality it can miss M. *)
+let refutation_core (type m) (module M : Mask.S with type t = m) ~witness
+    ~candidate ~refuter =
+  let d = M.diff refuter candidate and e = M.diff witness refuter in
+  (* (d ∪ e) Δ e = d \ e *)
+  M.diff (M.union d e) e
+
 (* CEGAR for the pointwise operators, all on ONE session per call site:
    witnesses are models of [t] under a retractable blocking scope, and
-   [refutes m] — which must hold when the witness does NOT select [n] —
-   asks its own queries on the same solver (the blocking scope is not
-   activated for those, so blocked witnesses never constrain a
-   refutation probe). *)
-let witness_loop ctx s t scope ~model ~block ~refutes =
+   [refutes m] asks its own queries on the same solver (the blocking
+   scope is not activated for those, so blocked witnesses never
+   constrain a refutation probe).  It returns the refuting P-model N',
+   read right after its own satisfiable query, exactly when the witness
+   does NOT select [n]; the round then blocks every witness that N'
+   refutes ({!refutation_core}), not just [m]. *)
+let witness_loop (type m) (module M : Mask.S with type t = m) ctx s t scope
+    alpha (nm : m) ~refutes =
   let rec loop i =
     if i > ctx.cap then cegar_fail ctx
     else if not (Session.solve s ~scopes:[ scope ] [ t ]) then false
     else begin
-      let m = model () in
-      if refutes m then begin
-        Obs.incr c_cegar;
-        block m;
-        loop (i + 1)
-      end
-      else true
+      let m = Session.mask_on (module M) s alpha in
+      match refutes m with
+      | Some n' ->
+          Obs.incr c_cegar;
+          let on =
+            refutation_core (module M) ~witness:m ~candidate:nm ~refuter:n'
+          in
+          Session.block_mask (module M) ~on s scope alpha n';
+          loop (i + 1)
+      | None -> true
     end
   in
   loop 0
 
-(* Is there a model of [p] strictly closer (inclusion-wise) to [m] than
-   [n] is?  One query on the shared session: the agreement pin is pure
-   assumption literals (premise of a literal conjunction), the strict
-   part one memoized disjunction.  The difference is one mask [diff],
+(* The refuting P-model: the model of the query just answered [sat]. *)
+let refuter (type m) (module M : Mask.S with type t = m) s alpha sat =
+  if sat then Some (Session.mask_on (module M) s alpha : m) else None
+
+(* A model of [p] strictly closer (inclusion-wise) to [m] than [n] is,
+   if there is one.  One query on the shared session: the agreement pin
+   is pure assumption literals (premise of a literal conjunction), the
+   strict part one memoized disjunction.  The difference is one mask [diff],
    and the pin/strict formulas read bits instead of set membership. *)
 let closer_by_inclusion_in (type m) (module M : Mask.S with type t = m) s p
     alpha (m : m) n =
   let d = M.diff m n in
-  if M.is_zero d then false
+  if M.is_zero d then None
   else begin
     let bits = List.mapi (fun i x -> (i, x)) (Interp_packed.letters alpha) in
     let lits inside =
@@ -93,7 +122,9 @@ let closer_by_inclusion_in (type m) (module M : Mask.S with type t = m) s p
           else None)
         bits
     in
-    Session.solve s [ p; Formula.and_ (lits false); Formula.or_ (lits true) ]
+    refuter (module M) s alpha
+      (Session.solve s
+         [ p; Formula.and_ (lits false); Formula.or_ (lits true) ])
   end
 
 (* The pointwise checks.  Each builds one session carrying: [t]'s
@@ -106,10 +137,8 @@ let winslett_in ctx s t p alphabet n =
   let (module M) = Mask.engine alpha in
   let scope = Session.new_scope s in
   let nm = M.pack alpha n in
-  witness_loop ctx s t scope
-    ~model:(fun () -> Session.mask_on (module M) s alpha)
-    ~block:(fun m -> Session.block_mask (module M) s scope alpha m)
-    ~refutes:(fun m -> closer_by_inclusion_in (module M) s p alpha m nm)
+  witness_loop (module M) ctx s t scope alpha nm ~refutes:(fun m ->
+      closer_by_inclusion_in (module M) s p alpha m nm)
 
 let forbus_in ctx s t p alphabet n =
   let alpha = Interp_packed.alphabet alphabet in
@@ -118,13 +147,11 @@ let forbus_in ctx s t p alphabet n =
   let pv = Ladder.against (Session.env s) (Interp_packed.letters alpha) in
   let lad = Ladder.ladder pv in
   let nm = M.pack alpha n in
-  witness_loop ctx s t scope
-    ~model:(fun () -> Session.mask_on (module M) s alpha)
-    ~block:(fun m -> Session.block_mask (module M) s scope alpha m)
-    ~refutes:(fun m ->
-      Session.closer_than s
-        ~assume:(Ladder.pin_mask (module M) pv m)
-        [ p ] lad (M.hamming m nm))
+  witness_loop (module M) ctx s t scope alpha nm ~refutes:(fun m ->
+      refuter (module M) s alpha
+        (Session.closer_than s
+           ~assume:(Ladder.pin_mask (module M) pv m)
+           [ p ] lad (M.hamming m nm)))
 
 let ctx_for ~cap op alphabet =
   { cap; opname = MB.name op; nletters = List.length alphabet }

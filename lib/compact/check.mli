@@ -13,9 +13,14 @@
       and [N Δ M = S] pins [M = N Δ S] — so the check is an evaluation per
       member of δ.
     - {b Winslett / Forbus}: genuinely Σ₂-flavoured; a CEGAR loop guesses
-      a witness [M |= T] with one solver and refutes the minimality of
-      [N Δ M] with another, blocking refuted witnesses.  The loop is
-      capped; hitting the cap raises rather than guessing.
+      a witness [M |= T] and refutes the minimality of [N Δ M] with a
+      P-model [N'] closer to [M].  Each refutation blocks every witness
+      that agrees with [N'] on [A = (N' Δ N) \ (M Δ N')]
+      ({!refutation_core}): under inclusion [A] is all of [N' Δ N] and
+      such an [M'] has [M' Δ N' = (M' Δ N) \ A ⊊ M' Δ N]; under
+      cardinality [M] sides with [N'] on a strict majority of
+      [D = N' Δ N], so [|M' Δ N'| - |M' Δ N| <= |D \ A| - |A| < 0].
+      The loop is capped; hitting the cap raises rather than guessing.
     - {b Borgida}: evaluation when [T ∧ P] is satisfiable, Winslett
       otherwise.
 
@@ -64,6 +69,19 @@ val model_check_batch :
     the {!Revkb_parallel.Pool.global} work pool.  Answers are returned
     in candidate order, agree with the one-at-a-time {!model_check},
     and are identical at every job count. *)
+
+val refutation_core :
+  (module Mask.S with type t = 'm) ->
+  witness:'m ->
+  candidate:'m ->
+  refuter:'m ->
+  'm
+(** [refutation_core (module M) ~witness:m ~candidate:n ~refuter:n']:
+    the mask [A = (N' Δ N) \ (M Δ N')] of letters the CEGAR loop blocks
+    on after [n'] refuted the witness [m] against the candidate [n].
+    Every witness agreeing with [n'] on [A] is refuted by [n'] too (by
+    inclusion when [M Δ N' ⊊ M Δ N], by cardinality when
+    [|M Δ N'| < |M Δ N|]), and [m] is one of them. *)
 
 val dist_to : Formula.t -> Interp.t -> Var.t list -> int option
 (** [dist_to f n alphabet]: minimum Hamming distance over the alphabet

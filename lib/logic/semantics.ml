@@ -144,13 +144,20 @@ let mask_on (type m) (module M : Mask.S with type t = m) env alpha : m =
   M.init alpha (fun i ->
       S.value env.solver (lit_of_var env (Interp_packed.letter alpha i)))
 
-let blocking_clause_mask (type m) (module M : Mask.S with type t = m) env
+(* The clause excluding every model that agrees with [mask] on the bits
+   set in [on] (by default, on the whole alphabet): one literal per
+   selected letter, each false exactly where [mask] is. *)
+let blocking_clause_mask (type m) (module M : Mask.S with type t = m) ?on env
     alpha (mask : m) =
-  List.mapi
-    (fun i x ->
-      let l = lit_of_var env x in
-      if M.test mask i then L.neg l else l)
-    (Interp_packed.letters alpha)
+  let selected i = match on with None -> true | Some o -> M.test o i in
+  List.filter_map Fun.id
+    (List.mapi
+       (fun i x ->
+         if not (selected i) then None
+         else
+           let l = lit_of_var env x in
+           Some (if M.test mask i then L.neg l else l))
+       (Interp_packed.letters alpha))
 
 (* -- cardinality ladder -------------------------------------------------
 
@@ -313,8 +320,8 @@ module Session = struct
   let block s sel alphabet m =
     scoped_clause s sel (blocking_clause s.env alphabet m)
 
-  let block_mask m s sel alpha mask =
-    scoped_clause s sel (blocking_clause_mask m s.env alpha mask)
+  let block_mask m ?on s sel alpha mask =
+    scoped_clause s sel (blocking_clause_mask m ?on s.env alpha mask)
 
   let retire s sel =
     s.scopes_retired <- s.scopes_retired + 1;

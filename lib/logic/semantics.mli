@@ -163,12 +163,16 @@ module Session : sig
 
   val block_mask :
     (module Mask.S with type t = 'm) ->
+    ?on:'m ->
     t ->
     scope ->
     Interp_packed.alphabet ->
     'm ->
     unit
-  (** Mask-level {!block}. *)
+  (** [block_mask m ?on s sel alpha mask]: under [sel], exclude every
+      model that agrees with [mask] on the letters whose bits are set in
+      [on] (default: the whole alphabet, the mask-level {!block}); the
+      clause has one literal per such letter. *)
 
   val retire : t -> scope -> unit
   (** Permanently deactivate the scope (unit clause on the negated

@@ -1,10 +1,16 @@
+(* A binary max-heap in a plain int array.  Comparisons read the
+   activity array in place: one unboxed float load per side, no closure
+   call and no boxed float.  Sifting moves a hole instead of swapping,
+   and every element ends where pairwise swaps would put it: the
+   solver's decisions depend on that order. *)
 type t = {
-  score : int -> float;
-  heap : int Vec.t; (* heap of variable indices *)
+  act : float array ref;
+  mutable heap : int array; (* heap of variable indices *)
+  mutable size : int;
   mutable pos : int array; (* var -> index in heap, or -1 *)
 }
 
-let create score = { score; heap = Vec.create (); pos = Array.make 16 (-1) }
+let create act = { act; heap = [||]; size = 0; pos = Array.make 16 (-1) }
 
 let grow_to t n =
   let cap = Array.length t.pos in
@@ -14,56 +20,75 @@ let grow_to t n =
     t.pos <- pos'
   end
 
-let mem t v = v < Array.length t.pos && t.pos.(v) >= 0
-let size t = Vec.size t.heap
+let size t = t.size
 
-let swap t i j =
-  let vi = Vec.get t.heap i and vj = Vec.get t.heap j in
-  Vec.set t.heap i vj;
-  Vec.set t.heap j vi;
-  t.pos.(vi) <- j;
-  t.pos.(vj) <- i
+let sift_up t i =
+  let a = !(t.act) in
+  let v = t.heap.(i) in
+  let av = a.(v) in
+  let i = ref i in
+  while !i > 0 && av > a.(t.heap.((!i - 1) / 2)) do
+    let parent = (!i - 1) / 2 in
+    let p = t.heap.(parent) in
+    t.heap.(!i) <- p;
+    t.pos.(p) <- !i;
+    i := parent
+  done;
+  t.heap.(!i) <- v;
+  t.pos.(v) <- !i
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.score (Vec.get t.heap i) > t.score (Vec.get t.heap parent) then begin
-      swap t i parent;
-      sift_up t parent
+let sift_down t i =
+  let a = !(t.act) in
+  let n = t.size in
+  let v = t.heap.(i) in
+  let av = a.(v) in
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let child =
+        if r < n && a.(t.heap.(r)) > a.(t.heap.(l)) then r else l
+      in
+      let c = t.heap.(child) in
+      if a.(c) > av then begin
+        t.heap.(!i) <- c;
+        t.pos.(c) <- !i;
+        i := child
+      end
+      else continue := false
     end
-  end
-
-let rec sift_down t i =
-  let n = Vec.size t.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && t.score (Vec.get t.heap l) > t.score (Vec.get t.heap !best) then
-    best := l;
-  if r < n && t.score (Vec.get t.heap r) > t.score (Vec.get t.heap !best) then
-    best := r;
-  if !best <> i then begin
-    swap t i !best;
-    sift_down t !best
-  end
+  done;
+  t.heap.(!i) <- v;
+  t.pos.(v) <- !i
 
 let insert t v =
   grow_to t (v + 1);
   if t.pos.(v) < 0 then begin
-    Vec.push t.heap v;
-    t.pos.(v) <- Vec.size t.heap - 1;
-    sift_up t (Vec.size t.heap - 1)
+    if t.size = Array.length t.heap then begin
+      let heap' = Array.make (max 16 (2 * t.size)) 0 in
+      Array.blit t.heap 0 heap' 0 t.size;
+      t.heap <- heap'
+    end;
+    t.heap.(t.size) <- v;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
   end
 
+let mem t v = v < Array.length t.pos && t.pos.(v) >= 0
 let update t v = if mem t v then sift_up t t.pos.(v)
 
 let pop_max t =
-  if Vec.size t.heap = 0 then None
+  if t.size = 0 then None
   else begin
-    let top = Vec.get t.heap 0 in
-    let n = Vec.size t.heap in
-    swap t 0 (n - 1);
-    ignore (Vec.pop t.heap);
+    let top = t.heap.(0) in
+    t.size <- t.size - 1;
     t.pos.(top) <- -1;
-    if Vec.size t.heap > 0 then sift_down t 0;
+    if t.size > 0 then begin
+      t.heap.(0) <- t.heap.(t.size);
+      sift_down t 0
+    end;
     Some top
   end

@@ -6,13 +6,13 @@
 
 type t
 
-val create : (int -> float) -> t
-(** [create score] builds an empty heap ordering variables by [score]
-    (higher first).  [score] is read at comparison time, so bumping a
-    variable's activity requires a subsequent {!update} to restore heap
-    order. *)
+val create : float array ref -> t
+(** [create act] builds an empty heap ordering variables by their entry
+    in [!act] (higher first).  The array is read in place at comparison
+    time, so it may be replaced (grown) through the reference, and
+    bumping a variable's activity requires a subsequent {!update} to
+    restore heap order.  Every variable inserted must index [!act]. *)
 
-val mem : t -> int -> bool
 val insert : t -> int -> unit
 (** No-op when already present. *)
 

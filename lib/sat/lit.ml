@@ -13,5 +13,3 @@ let of_int i =
   if i = 0 then invalid_arg "Lit.of_int: zero"
   else if i > 0 then of_var (i - 1)
   else of_var ~neg:true (-i - 1)
-
-let pp ppf l = Format.fprintf ppf "%d" (to_int l)

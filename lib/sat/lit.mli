@@ -24,6 +24,3 @@ val to_int : t -> int
 
 val of_int : int -> t
 (** Inverse of {!to_int}.  Raises [Invalid_argument] on [0]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Print in DIMACS style. *)

@@ -7,7 +7,9 @@
      watch, becomes unit (first literal enqueued), or is a conflict.
    - reason.(v) is the clause that propagated v, and that clause's first
      literal is the literal on v that was enqueued ("locked" clauses are
-     exactly reasons and are never deleted by DB reduction). *)
+     exactly reasons and are never deleted by DB reduction).  Decisions,
+     assumptions, units and unassigned variables have the solver's own
+     [no_reason] sentinel, so an enqueue allocates nothing. *)
 
 type clause = {
   lits : int array;
@@ -19,7 +21,8 @@ type clause = {
 type t = {
   mutable assign : int array; (* var -> 0 / 1 / -1 *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : clause array;
+  no_reason : clause; (* compared by [==] only, never mutated *)
   mutable watches : clause Vec.t array; (* indexed by literal *)
   mutable polarity : bool array; (* phase saving *)
   mutable seen : bool array;
@@ -39,7 +42,8 @@ type t = {
   mutable propagations : int;
   mutable learned : int;
   mutable restarts : int;
-  mutable last_model : bool array;
+  mutable last_model : bool array; (* capacity; the model is a prefix *)
+  mutable model_len : int;
 }
 
 let var_decay = 1.0 /. 0.95
@@ -51,6 +55,7 @@ let create () =
     assign = [||];
     level = [||];
     reason = [||];
+    no_reason = { lits = [||]; learnt = false; activity = 0.0; deleted = true };
     watches = [||];
     polarity = [||];
     seen = [||];
@@ -60,9 +65,7 @@ let create () =
     qhead = 0;
     clauses = Vec.create ();
     learnts = Vec.create ();
-    order =
-      Heap.create (fun v ->
-          if v < Array.length !activity then !activity.(v) else 0.0);
+    order = Heap.create activity;
     nvars = 0;
     var_inc = 1.0;
     cla_inc = 1.0;
@@ -73,12 +76,11 @@ let create () =
     learned = 0;
     restarts = 0;
     last_model = [||];
+    model_len = 0;
   }
 
 let nvars s = s.nvars
 let ok s = s.ok
-let n_conflicts s = s.conflicts
-let n_decisions s = s.decisions
 let n_propagations s = s.propagations
 
 let grow_arrays s n =
@@ -92,7 +94,7 @@ let grow_arrays s n =
     in
     s.assign <- copy s.assign 0;
     s.level <- copy s.level (-1);
-    s.reason <- copy s.reason None;
+    s.reason <- copy s.reason s.no_reason;
     s.polarity <- copy s.polarity false;
     s.seen <- copy s.seen false;
     s.var_activity := copy !(s.var_activity) 0.0;
@@ -165,7 +167,7 @@ let cancel_until s lvl =
       let v = Lit.var l in
       s.polarity.(v) <- Lit.is_pos l;
       s.assign.(v) <- 0;
-      s.reason.(v) <- None;
+      s.reason.(v) <- s.no_reason;
       Heap.insert s.order v
     done;
     Vec.shrink s.trail bound;
@@ -182,7 +184,7 @@ let attach s c =
 (* Propagate all enqueued facts; return the conflicting clause if any. *)
 let propagate s =
   let confl = ref None in
-  while !confl = None && s.qhead < Vec.size s.trail do
+  while Option.is_none !confl && s.qhead < Vec.size s.trail do
     let p = Vec.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
@@ -236,7 +238,7 @@ let propagate s =
             (* Unit: propagate first literal. *)
             Vec.set ws !j c;
             incr j;
-            enqueue s first (Some c)
+            enqueue s first c
           end
         end
       end
@@ -252,16 +254,13 @@ let analyze s confl =
   Vec.push learnt 0 (* slot for the asserting literal *);
   let counter = ref 0 in
   let p = ref (-1) (* -1 means: take all literals of the clause *) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let index = ref (Vec.size s.trail - 1) in
   let btlevel = ref 0 in
   let continue = ref true in
   while !continue do
-    let c =
-      match !confl with
-      | Some c -> c
-      | None -> assert false (* every expanded literal has a reason *)
-    in
+    let c = !confl in
+    assert (c != s.no_reason) (* every expanded literal has a reason *);
     if c.learnt then clause_bump s c;
     Array.iter
       (fun q ->
@@ -299,7 +298,7 @@ let analyze s confl =
 
 let record_learnt s lits =
   s.learned <- s.learned + 1;
-  if Array.length lits = 1 then enqueue s lits.(0) None
+  if Array.length lits = 1 then enqueue s lits.(0) s.no_reason
   else begin
     let c = { lits; learnt = true; activity = 0.0; deleted = false } in
     (* Watch the asserting literal and a literal from the backjump level so
@@ -316,15 +315,13 @@ let record_learnt s lits =
     Vec.push s.learnts c;
     attach s c;
     clause_bump s c;
-    enqueue s lits.(0) (Some c)
+    enqueue s lits.(0) c
   end
 
 (* -- clause database reduction ----------------------------------------- *)
 
 let locked s c =
-  match s.reason.(Lit.var c.lits.(0)) with
-  | Some r -> r == c && value_lit s c.lits.(0) = 1
-  | None -> false
+  s.reason.(Lit.var c.lits.(0)) == c && value_lit s c.lits.(0) = 1
 
 let reduce_db s =
   let n = Vec.size s.learnts in
@@ -343,31 +340,67 @@ let reduce_db s =
 
 (* -- adding clauses ----------------------------------------------------- *)
 
-let add_clause s lits =
-  if s.ok then begin
-    cancel_until s 0;
-    List.iter (fun l -> ensure_nvars s (Lit.var l + 1)) lits;
-    (* Simplify: sort, dedup, drop false literals, detect tautology and
-       literals already true at level 0. *)
-    let lits = List.sort_uniq compare lits in
-    let taut =
-      List.exists (fun l -> List.mem (Lit.neg l) lits) lits
-      || List.exists (fun l -> value_lit s l = 1) lits
-    in
-    if not taut then begin
-      let lits = List.filter (fun l -> value_lit s l <> -1) lits in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
-          enqueue s l None;
-          if propagate s <> None then s.ok <- false
-      | _ ->
-          let arr = Array.of_list lits in
-          let c = { lits = arr; learnt = false; activity = 0.0; deleted = false } in
-          Vec.push s.clauses c;
-          attach s c
+(* Sorted and unique, the order [List.sort_uniq compare] gives; without
+   a tautology, the literals not yet false at level 0.  [None] for a
+   tautology or a clause already true at level 0. *)
+let simplify s lits =
+  cancel_until s 0;
+  let a = Array.of_list lits in
+  (* Insertion sort: no comparison closure, and measured faster than
+     [Array.sort Int.compare] on the benchmark's clauses.  Quadratic in
+     the clause length: cheap for the alphabet-sized clauses revision
+     builds, slow only for a DIMACS clause of many thousands. *)
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  (* Drop duplicates in place; the [n] distinct literals are a prefix. *)
+  let n = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    if !n = 0 || a.(!n - 1) <> a.(i) then begin
+      a.(!n) <- a.(i);
+      incr n
     end
+  done;
+  let n = !n in
+  if n > 0 then ensure_nvars s (Lit.var a.(n - 1) + 1);
+  (* Sorted and unique, a complementary pair (2v, 2v+1) is adjacent. *)
+  let taut = ref false in
+  for i = 0 to n - 1 do
+    if (i + 1 < n && a.(i) lxor a.(i + 1) = 1) || value_lit s a.(i) = 1 then
+      taut := true
+  done;
+  if !taut then None
+  else begin
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if value_lit s a.(i) <> -1 then begin
+        a.(!k) <- a.(i);
+        incr k
+      end
+    done;
+    Some (if !k = Array.length a then a else Array.sub a 0 !k)
   end
+
+let add_clause s lits =
+  if s.ok then
+    match simplify s lits with
+    | None -> ()
+    | Some [||] -> s.ok <- false
+    | Some [| l |] ->
+        enqueue s l s.no_reason;
+        if not (Option.is_none (propagate s)) then s.ok <- false
+    | Some arr ->
+        let c =
+          { lits = arr; learnt = false; activity = 0.0; deleted = false }
+        in
+        Vec.push s.clauses c;
+        attach s c
 
 (* -- search ------------------------------------------------------------- *)
 
@@ -388,18 +421,19 @@ let luby y x =
 
 type search_result = Sat | Unsat | Restart
 
+(* The unassigned variable of highest activity, or -1 when none is left. *)
 let pick_branch s =
   let rec go () =
     match Heap.pop_max s.order with
-    | None -> None
-    | Some v -> if s.assign.(v) = 0 then Some v else go ()
+    | None -> -1
+    | Some v -> if s.assign.(v) = 0 then v else go ()
   in
   go ()
 
 let search s assumptions conflict_budget =
   let conflict_count = ref 0 in
   let result = ref None in
-  while !result = None do
+  while Option.is_none !result do
     match propagate s with
     | Some confl ->
         s.conflicts <- s.conflicts + 1;
@@ -426,8 +460,8 @@ let search s assumptions conflict_budget =
             > 4000 + (2 * Vec.size s.clauses)
           then reduce_db s;
           (* Assumption literals occupy the first decision levels. *)
-          if decision_level s < List.length assumptions then begin
-            let p = List.nth assumptions (decision_level s) in
+          if decision_level s < Array.length assumptions then begin
+            let p = assumptions.(decision_level s) in
             match value_lit s p with
             | 1 ->
                 (* Already true: open a dummy level to keep alignment. *)
@@ -435,16 +469,16 @@ let search s assumptions conflict_budget =
             | -1 -> result := Some Unsat
             | _ ->
                 Vec.push s.trail_lim (Vec.size s.trail);
-                enqueue s p None
+                enqueue s p s.no_reason
           end
           else begin
             match pick_branch s with
-            | None -> result := Some Sat
-            | Some v ->
+            | -1 -> result := Some Sat
+            | v ->
                 s.decisions <- s.decisions + 1;
                 Vec.push s.trail_lim (Vec.size s.trail);
                 let l = Lit.of_var ~neg:(not s.polarity.(v)) v in
-                enqueue s l None
+                enqueue s l s.no_reason
           end
         end
   done;
@@ -469,6 +503,7 @@ let solve_inner assumptions s =
   else begin
     cancel_until s 0;
     List.iter (fun l -> ensure_nvars s (Lit.var l + 1)) assumptions;
+    let assumptions = Array.of_list assumptions in
     let rec loop restarts =
       let budget = int_of_float (100.0 *. luby 2.0 restarts) in
       match search s assumptions budget with
@@ -480,10 +515,16 @@ let solve_inner assumptions s =
     in
     let sat = loop 0 in
     if sat then begin
-      s.last_model <- Array.init s.nvars (fun v -> s.assign.(v) = 1);
-      cancel_until s 0
-    end
-    else cancel_until s 0;
+      (* The model array is reused across solves and grows with the
+         variable arrays; [model_len] marks the current model's prefix. *)
+      if Array.length s.last_model < s.nvars then
+        s.last_model <- Array.make (Array.length s.assign) false;
+      for v = 0 to s.nvars - 1 do
+        s.last_model.(v) <- s.assign.(v) = 1
+      done;
+      s.model_len <- s.nvars
+    end;
+    cancel_until s 0;
     sat
   end
 
@@ -504,10 +545,10 @@ let solve ?(assumptions = []) s =
 
 let value s l =
   let v = Lit.var l in
-  let b = if v < Array.length s.last_model then s.last_model.(v) else false in
+  let b = v < s.model_len && s.last_model.(v) in
   if Lit.is_pos l then b else not b
 
-let model s = Array.copy s.last_model
+let model s = Array.sub s.last_model 0 s.model_len
 
 (* Defined last so the shared field names never shadow the solver's own
    mutable counters above. *)

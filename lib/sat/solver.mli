@@ -26,6 +26,14 @@ val add_clause : t -> Lit.t list -> unit
     clause that closes a top-level conflict, makes the solver permanently
     unsatisfiable. *)
 
+val simplify : t -> Lit.t list -> Lit.t array option
+(** The clause {!add_clause} stores for these literals, given the
+    top-level assignment (the solver is first backtracked to level 0):
+    sorted, duplicate-free, with false literals removed; [None] when the
+    clause is a tautology or already has a true literal.  {!add_clause}
+    turns an empty result into permanent unsatisfiability and a
+    singleton into a top-level unit. *)
+
 val solve : ?assumptions:Lit.t list -> t -> bool
 (** [solve s] is [true] iff the current clause set is satisfiable (under the
     given assumptions).  After [true], {!value} and {!model} read the
@@ -64,6 +72,4 @@ val reset_stats : t -> unit
 (** Zero the counters (clauses and assignments are untouched).  Do not
     call while a [solve] is in progress. *)
 
-val n_conflicts : t -> int
-val n_decisions : t -> int
 val n_propagations : t -> int

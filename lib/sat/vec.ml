@@ -2,8 +2,6 @@ type 'a t = { mutable data : 'a array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 
-let make n x = { data = Array.make (max n 1) x; size = n }
-
 let size v = v.size
 let is_empty v = v.size = 0
 

@@ -345,6 +345,81 @@ let prop_check_agrees_with_extensional op =
           Compact.Check.model_check op t p n = Result.model_check sem n)
         (Interp.subsets vars4))
 
+(* The CEGAR refinement clause against its definition.  A refinement is
+   a triple (M, N, N'): witness M refuted by the P-model N' against the
+   candidate N under the operator's closeness.  The generator builds
+   N' = M Δ S from a random S that is a strict subset of M Δ N
+   (inclusion) or smaller than it (cardinality), so every refinement
+   over n <= 6 letters is reachable.  All 2^n witnesses are then
+   enumerated: each one the clause excludes (agrees with N' on the
+   blocked letters) must be refuted by N', and M must be among them. *)
+let popcount x =
+  let rec go x c = if x = 0 then c else go (x land (x - 1)) (c + 1) in
+  go x 0
+
+let refutes_by op ~witness ~candidate ~refuter =
+  let near = witness lxor refuter and far = witness lxor candidate in
+  match op with
+  | Model_based.Forbus -> popcount near < popcount far
+  | _ -> near land lnot far = 0 && near <> far
+
+let arb_refinement op =
+  QCheck.make
+    ~print:(fun (n, m, c, r) ->
+      Printf.sprintf "n=%d M=%#x N=%#x N'=%#x" n m c r)
+    (fun st ->
+      let rec draw () =
+        let n = 1 + Random.State.int st 6 in
+        let full = (1 lsl n) - 1 in
+        let m = Random.State.int st (full + 1)
+        and c = Random.State.int st (full + 1) in
+        let far = m lxor c in
+        if far = 0 then draw ()
+        else
+          let rec shrink s =
+            let too_big =
+              match op with
+              | Model_based.Forbus -> popcount s >= popcount far
+              | _ -> s = far
+            in
+            if too_big then shrink (s land (s - 1)) else s
+          in
+          let s =
+            shrink
+              (match op with
+              | Model_based.Forbus -> Random.State.int st (full + 1)
+              | _ -> far land Random.State.int st (full + 1))
+          in
+          (n, m, c, m lxor s)
+      in
+      draw ())
+
+let prop_refinement_clause op =
+  qtest
+    (Printf.sprintf "CEGAR block clause %s refuted by N'" (Model_based.name op))
+    ~count:500 (arb_refinement op)
+    (fun (n, m, c, r) ->
+      let a =
+        Compact.Check.refutation_core (module Mask.Packed) ~witness:m
+          ~candidate:c ~refuter:r
+      in
+      let excluded m' = (m' lxor r) land a = 0 in
+      let alpha = Interp_packed.alphabet (letters n) in
+      let wide x = Mask.Wide.init alpha (fun i -> x land (1 lsl i) <> 0) in
+      let a_wide =
+        Compact.Check.refutation_core (module Mask.Wide) ~witness:(wide m)
+          ~candidate:(wide c) ~refuter:(wide r)
+      in
+      refutes_by op ~witness:m ~candidate:c ~refuter:r
+      && excluded m
+      && List.for_all
+           (fun m' ->
+             (not (excluded m')) || refutes_by op ~witness:m' ~candidate:c ~refuter:r)
+           (List.init (1 lsl n) Fun.id)
+      && List.for_all
+           (fun i -> Mask.Wide.test a_wide i = (a land (1 lsl i) <> 0))
+           (List.init n Fun.id))
+
 let test_check_scales () =
   (* An instance far beyond enumeration: 30 unit facts, P flips two. *)
   let letters = Gen.letters 30 in
@@ -581,6 +656,7 @@ let () =
         ] );
       ( "sat model checking",
         List.map prop_check_agrees_with_extensional Model_based.all
+        @ List.map prop_refinement_clause Model_based.[ Winslett; Forbus ]
         @ [
             Alcotest.test_case "scales past enumeration" `Quick
               test_check_scales;

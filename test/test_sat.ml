@@ -57,26 +57,110 @@ let test_vec_fold () =
 (* -- Heap --------------------------------------------------------------- *)
 
 let test_heap_order () =
-  let score = [| 5.0; 1.0; 9.0; 3.0; 7.0 |] in
-  let h = H.create (fun v -> score.(v)) in
+  let h = H.create (ref [| 5.0; 1.0; 9.0; 3.0; 7.0 |]) in
   List.iter (H.insert h) [ 0; 1; 2; 3; 4 ];
   let order = List.init 5 (fun _ -> Option.get (H.pop_max h)) in
   Alcotest.(check (list int)) "descending by score" [ 2; 4; 0; 3; 1 ] order;
   Helpers.check_bool "empty pop" true (H.pop_max h = None)
 
 let test_heap_update () =
-  let score = Array.make 4 0.0 in
-  let h = H.create (fun v -> score.(v)) in
+  let score = ref (Array.make 4 0.0) in
+  let h = H.create score in
   List.iter (H.insert h) [ 0; 1; 2; 3 ];
-  score.(3) <- 10.0;
+  (* The heap reads through the reference: a grown replacement array is
+     seen without re-creating the heap. *)
+  score := Array.append !score [| 0.0 |];
+  !score.(3) <- 10.0;
   H.update h 3;
   Helpers.check_int "bumped to top" 3 (Option.get (H.pop_max h))
 
 let test_heap_no_duplicates () =
-  let h = H.create (fun _ -> 0.0) in
+  let h = H.create (ref (Array.make 2 0.0)) in
   H.insert h 1;
   H.insert h 1;
   Helpers.check_int "size" 1 (H.size h)
+
+(* -- Search trace pinned ------------------------------------------------ *)
+
+(* The solver's decisions are a function of clause literal order and of
+   every heap comparison.  These counts and models were recorded from the
+   list-based [add_clause] and closure-scored heap; a change to the data
+   structures that keeps the search must reproduce them exactly.  PHP(9,8)
+   runs long enough for restarts and learnt-clause reduction. *)
+let php_stats n =
+  let s = S.create () in
+  let var p h = (p * n) + h in
+  for p = 0 to n do
+    S.add_clause s (List.init n (fun h -> L.of_var (var p h)))
+  done;
+  for h = 0 to n - 1 do
+    for p1 = 0 to n do
+      for p2 = p1 + 1 to n do
+        S.add_clause s
+          [ L.of_var ~neg:true (var p1 h); L.of_var ~neg:true (var p2 h) ]
+      done
+    done
+  done;
+  Helpers.check_bool "php unsat" false (S.solve s);
+  let st = S.stats s in
+  [ st.S.decisions; st.S.propagations; st.S.conflicts; st.S.learned; st.S.restarts ]
+
+(* Random 3-CNF near the threshold, eight incremental solves under
+   assumptions each; a model is read as the bits of its 50 variables. *)
+let incremental_stats () =
+  let st = Random.State.make [| 1995 |] in
+  List.concat_map
+    (fun _ ->
+      let nv = 50 in
+      let s = S.create () in
+      for _ = 1 to 213 do
+        S.add_clause s
+          (List.init 3 (fun _ ->
+               L.of_var ~neg:(Random.State.bool st) (Random.State.int st nv)))
+      done;
+      let models =
+        List.init 8 (fun i ->
+            let assumptions =
+              List.init (i mod 4) (fun j -> L.of_var ~neg:(j mod 2 = 0) (i + j))
+            in
+            if S.solve ~assumptions s then
+              List.fold_left
+                (fun acc v ->
+                  (acc lsl 1) lor Bool.to_int (S.value s (L.of_var v)))
+                1 (List.init nv Fun.id)
+            else 0)
+      in
+      let st = S.stats s in
+      models
+      @ [ st.S.decisions; st.S.propagations; st.S.conflicts; st.S.learned; st.S.restarts ])
+    (List.init 6 Fun.id)
+
+let test_search_pinned () =
+  Alcotest.(check (list int))
+    "php(8,7) and php(9,8)"
+    [ 4146; 39194; 3393; 3392; 16; 36084; 394630; 29638; 29637; 107 ]
+    (php_stats 7 @ php_stats 8);
+  Alcotest.(check (list int))
+    "incremental 3-CNF"
+    [
+      1223276120286504; 1223276120286504; 1223276120286504; 0;
+      1156828823848070; 1210309748229484; 2098457546098476; 0;
+      96; 849; 33; 33; 0;
+      0; 0; 0; 0; 0; 0; 0; 0;
+      97; 1111; 82; 81; 0;
+      0; 0; 0; 0; 0; 0; 0; 0;
+      31; 320; 26; 25; 0;
+      1285736049730772; 1285736049730772; 1215367305553012; 1874992670269676;
+      1874992670269676; 1874992670269676; 0; 0;
+      85; 586; 20; 20; 0;
+      1412479476259767; 0; 0; 0;
+      1412479476259767; 1412479476259767; 1412479476259767; 0;
+      69; 857; 47; 47; 0;
+      1593375265315312; 0; 0; 2156325222937072;
+      2156325222937072; 2156325222937072; 0; 0;
+      65; 531; 24; 24; 0;
+    ]
+    (incremental_stats ())
 
 (* -- Solver: brute-force cross-check ------------------------------------ *)
 
@@ -157,6 +241,62 @@ let test_tautological_clause_dropped () =
   let s = S.create () in
   S.add_clause s [ L.of_var 0; L.neg (L.of_var 0) ];
   Helpers.check_bool "taut only" true (S.solve s)
+
+(* [add_clause]'s array simplification against the list formulation it
+   replaced: polymorphic [sort_uniq], tautology by membership, literals
+   true at level 0 satisfy the clause, false ones are filtered out.  The
+   inputs mix duplicates, complementary pairs, literals on level-0 units
+   and on variables the solver has not allocated yet. *)
+let reference_simplify value lits =
+  let lits = List.sort_uniq compare lits in
+  if
+    List.exists (fun l -> List.mem (L.neg l) lits) lits
+    || List.exists (fun l -> value l = Some true) lits
+  then None
+  else Some (List.filter (fun l -> value l <> Some false) lits)
+
+let test_simplify_matches_list_reference () =
+  let st = Random.State.make [| 15 |] in
+  let show = function
+    | None -> "satisfied"
+    | Some ls -> String.concat " " (List.map (fun l -> string_of_int (L.to_int l)) ls)
+  in
+  for _ = 1 to 2000 do
+    let nv = 1 + Random.State.int st 6 in
+    let s = S.create () in
+    S.ensure_nvars s nv;
+    let fixed =
+      Array.init nv (fun _ ->
+          match Random.State.int st 3 with
+          | 0 -> Some true
+          | 1 -> Some false
+          | _ -> None)
+    in
+    Array.iteri
+      (fun v b ->
+        Option.iter (fun b -> S.add_clause s [ L.of_var ~neg:(not b) v ]) b)
+      fixed;
+    let value l =
+      if L.var l >= nv then None
+      else Option.map (fun b -> b = L.is_pos l) fixed.(L.var l)
+    in
+    let lits =
+      List.init (Random.State.int st 9) (fun _ ->
+          L.of_var ~neg:(Random.State.bool st) (Random.State.int st (nv + 2)))
+    in
+    let expected = reference_simplify value lits in
+    let got = Option.map Array.to_list (S.simplify s lits) in
+    if got <> expected then
+      Alcotest.failf "clause [%s]: array %s, list %s"
+        (show (Some lits)) (show got) (show expected);
+    S.add_clause s lits;
+    match expected with
+    | Some [] -> Helpers.check_bool "empty clause: unsat" false (S.ok s)
+    | Some [ l ] ->
+        Helpers.check_bool "unit clause: enqueued" true
+          (S.solve s && S.value s l)
+    | _ -> Helpers.check_bool "stored or dropped: still ok" true (S.ok s)
+  done
 
 let test_assumptions () =
   let s = S.create () in
@@ -402,9 +542,12 @@ let () =
           Alcotest.test_case "random cross-check" `Quick
             test_random_cross_check;
           Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole_unsat;
+          Alcotest.test_case "search trace pinned" `Quick test_search_pinned;
           Alcotest.test_case "empty and unit" `Quick test_empty_and_unit;
           Alcotest.test_case "tautology dropped" `Quick
             test_tautological_clause_dropped;
+          Alcotest.test_case "add_clause simplification = list reference"
+            `Quick test_simplify_matches_list_reference;
           Alcotest.test_case "assumptions" `Quick test_assumptions;
           Alcotest.test_case "conflicting assumptions" `Quick
             test_assumptions_conflicting;
