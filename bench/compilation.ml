@@ -343,22 +343,6 @@ let write_bdd_json serving sizes (sift_before, sift_after) =
   Printf.printf "  [%d serving + %d size rows -> %s]\n"
     (List.length serving) (List.length sizes) file
 
-(* The compiled read path is the latency-critical row: its absolute
-   wall time per 48-query batch goes to the observatory history. *)
-let append_history serving =
-  Revkb_obs.History.append
-    (Revkb_obs.History.default_path ())
-    (List.map
-       (fun r ->
-         {
-           Revkb_obs.History.r_bench = "serving/" ^ r.bench;
-           r_n = r.n;
-           r_jobs = 1;
-           r_wall_ms = r.bdd_ms;
-           r_ts = Unix.gettimeofday ();
-         })
-       serving)
-
 let bdd_gate serving (sift_before, sift_after) =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -421,7 +405,6 @@ let compiled_serving () =
        "  sifting the blocked-order interleaving: %d -> %d nodes" before
        after);
   write_bdd_json serving sizes sift;
-  append_history serving;
   bdd_gate serving sift
 
 let run () =

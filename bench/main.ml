@@ -5,13 +5,12 @@
      dune exec bench/main.exe -- SECTION…  # run selected sections
 
    Sections: examples figure1 explosion table1 table2 size_audit postulates
-   compilation timing parallel incremental boundary serve history
+   compilation
 
+   Performance is measured by revbench (revbench/README.md), not here.
    Observability: REVKB_PROFILE=FILE samples the whole run into
    collapsed stacks; REVKB_METRICS_OUT=FILE writes an OpenMetrics
-   snapshot at exit; the timing/parallel/incremental/compilation
-   sections append wall-time rows to BENCH_history.jsonl, which the
-   [history] section judges for regressions. *)
+   snapshot at exit. *)
 
 let sections =
   [
@@ -23,12 +22,6 @@ let sections =
     ("size_audit", Size_audit.run);
     ("postulates", Postulates_bench.run);
     ("compilation", Compilation.run);
-    ("timing", Timing.run);
-    ("parallel", Parallel_bench.run);
-    ("incremental", Incremental.run);
-    ("boundary", Boundary.run);
-    ("serve", Serve.run);
-    ("history", History.run);
   ]
 
 let () =

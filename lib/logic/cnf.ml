@@ -140,16 +140,3 @@ let to_dimacs cnf =
   in
   Printf.sprintf "p cnf %d %d\n%s\n" !next (List.length cnf)
     (String.concat "\n" body)
-
-let pp ppf cnf =
-  let pp_clause ppf c =
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
-         (fun ppf (s, x) ->
-           if s then Var.pp ppf x else Format.fprintf ppf "~%a" Var.pp x))
-      c
-  in
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ")
-    pp_clause ppf cnf

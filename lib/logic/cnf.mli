@@ -26,5 +26,3 @@ val tseitin : Formula.t -> t * Var.t list
 
 val to_dimacs : t -> string
 (** DIMACS text; variables are numbered by first occurrence. *)
-
-val pp : Format.formatter -> t -> unit

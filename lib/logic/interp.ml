@@ -1,8 +1,6 @@
 type t = Var.Set.t
 
-let empty = Var.Set.empty
 let of_list = Var.set_of_list
-let mem = Var.Set.mem
 let sat m f = Formula.eval (fun x -> Var.Set.mem x m) f
 
 let sym_diff m n =
@@ -55,9 +53,7 @@ let max_incl sets =
     sets
 
 let equal = Var.Set.equal
-let compare = Var.Set.compare
 let pp = Var.pp_set
-let to_env m x = Var.Set.mem x m
 
 let minterm alphabet m =
   Formula.and_

@@ -7,9 +7,7 @@
 
 type t = Var.Set.t
 
-val empty : t
 val of_list : Var.t list -> t
-val mem : Var.t -> t -> bool
 
 val sat : t -> Formula.t -> bool
 (** [sat m f]: does [m] satisfy [f]?  Letters absent from [m] are false. *)
@@ -38,11 +36,7 @@ val max_incl : Var.Set.t list -> Var.Set.t list
 (** [maxc S]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-
-val to_env : t -> Var.t -> bool
-(** View as an evaluation environment for {!Formula.eval}. *)
 
 val minterm : Var.t list -> t -> Formula.t
 (** The conjunction of literals that pins the interpretation down on the

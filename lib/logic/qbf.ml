@@ -42,20 +42,3 @@ let rec expand = function
       let body = expand t in
       Formula.or_
         (List.map (fun m -> Formula.assign_vars m body) (assignments xs))
-
-let rec pp ppf = function
-  | Prop f -> Formula.pp ppf f
-  | Forall (xs, t) ->
-      Format.fprintf ppf "forall %a. %a"
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space Var.pp)
-        xs pp t
-  | Exists (xs, t) ->
-      Format.fprintf ppf "exists %a. %a"
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space Var.pp)
-        xs pp t
-  | Conj ts ->
-      Format.fprintf ppf "(@[%a@])"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf " /\\@ ")
-           pp)
-        ts

@@ -27,5 +27,3 @@ val expand : t -> Formula.t
 (** Quantifier elimination by assignment expansion.  Exponential in each
     block's width — the paper only ever expands constant-width blocks
     ([|V(P)| <= k]).  Blocks wider than 20 raise [Invalid_argument]. *)
-
-val pp : Format.formatter -> t -> unit

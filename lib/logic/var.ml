@@ -2,7 +2,6 @@ type t = int
 
 let compare = Int.compare
 let equal = Int.equal
-let hash = Hashtbl.hash
 
 (* The intern table is process-global and interning happens inside pool
    tasks (compact constructions rename letters, EXA builds counters), so
@@ -70,8 +69,6 @@ let fresh ?(prefix = "_w") () =
 let name v = !(name_slot v)
 let copy_of ~suffix v = named (name v ^ suffix)
 let pp ppf v = Format.pp_print_string ppf (name v)
-let to_int v = v
-let count () = !next
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)

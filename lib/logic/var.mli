@@ -9,7 +9,6 @@ type t = private int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val named : string -> t
 (** Intern a name.  [named "a" = named "a"]. *)
@@ -24,9 +23,6 @@ val copy_of : suffix:string -> t -> t
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit
-val to_int : t -> int
-val count : unit -> int
-(** Number of variables interned so far (a global, monotone counter). *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -3,8 +3,7 @@
    object per row, greppable and appendable), and the Chrome
    trace_event JSON array that about://tracing and Perfetto open
    directly.  The JSON primitives live here so every emitter in the
-   repo (including bench/json_out.ml) escapes strings and rejects
-   non-finite floats the same way. *)
+   repo escapes strings and rejects non-finite floats the same way. *)
 
 (* -- JSON primitives -------------------------------------------------------- *)
 

@@ -2,7 +2,7 @@
 
     One process-global registry feeds every observability surface of the
     engine — the [revkb --stats] snapshot, the [revkb trace] Chrome
-    trace, and the bench JSON artifacts.  Three instruments:
+    trace, and the OpenMetrics exposition.  Three instruments:
 
     - {b counters} record with one [Atomic] add, {e unconditionally}:
       they double as semantic bookkeeping (the [Clausal] fast-path hit

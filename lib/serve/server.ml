@@ -594,18 +594,29 @@ let shutting_down_line =
          ("detail", Json.Str "server is draining; request not processed");
        ])
 
+(* Replies go out through [Unix.single_write], not an out_channel, so a
+   client that has hung up surfaces as [Unix_error (EPIPE, _, _)]. *)
+let send_line fd s =
+  let s = s ^ "\n" in
+  let rec go off =
+    if off < String.length s then
+      match Unix.single_write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0
+
 (* Drain: answer every complete request line that is already buffered
    or immediately readable with a shutting_down error, so clients that
    pipelined requests behind the one in flight see a definite refusal
    instead of a dropped connection. *)
-let drain_queued r out =
+let drain_queued r fd_out =
   let rec go () =
     match take_line r with
     | Some line ->
         if String.trim line <> "" then begin
           Obs.incr c_drained;
-          output_string out shutting_down_line;
-          output_char out '\n'
+          send_line fd_out shutting_down_line
         end;
         go ()
     | None ->
@@ -617,17 +628,16 @@ let drain_queued r out =
           if Buffer.length r.buf > 0 then go ()
         end
   in
-  go ();
-  flush out
+  go ()
 
 (* One connection: read a line, handle it busy-flagged, reply, then
    honour any signal deferred while we were busy.  The deferral
    predicate only defers while [busy] is set — a signal landing while
    the loop is parked in [read] takes the immediate flush-and-die
-   path, artifacts intact. *)
+   path, artifacts intact.  However the loop ends, [busy] is cleared:
+   a flag left set would defer every later signal for good. *)
 let serve_fd t fd_in fd_out =
   let r = reader fd_in in
-  let out = Unix.out_channel_of_descr fd_out in
   Obs.set_signal_deferral
     (Some
        (fun signum ->
@@ -637,34 +647,35 @@ let serve_fd t fd_in fd_out =
          end
          else false));
   Fun.protect
-    ~finally:(fun () -> Obs.set_signal_deferral None)
+    ~finally:(fun () ->
+      Atomic.set t.busy false;
+      Obs.set_signal_deferral None)
     (fun () ->
       let rec loop () =
         match read_line r with
-        | None -> flush out
+        | None -> ()
         | Some line when String.trim line = "" -> loop ()
         | Some line ->
             Atomic.set t.busy true;
-            let resp = handle_line t line in
-            output_string out resp;
-            output_char out '\n';
-            flush out;
+            send_line fd_out (handle_line t line);
             Atomic.set t.busy false;
             let signum = Atomic.exchange t.pending_signal 0 in
             if signum <> 0 then begin
-              drain_queued r out;
+              drain_queued r fd_out;
               Obs.flush_and_reraise signum
             end
-            else if t.stopping then flush out
-            else loop ()
+            else if not t.stopping then loop ()
       in
       loop ())
 
 (* Unix-socket front: one client at a time (request batching, not
    connection concurrency, is the parallelism story — the pool fans
-   within a request).  The listener stops once a [shutdown] verb has
-   been served. *)
+   within a request).  SIGPIPE is ignored, so a client that hangs up
+   costs only its own connection (EPIPE or ECONNRESET); a signal
+   deferred while its last request ran is honoured then.  The listener
+   stops once a [shutdown] verb has been served. *)
 let serve_socket t path =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (match Unix.lstat path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
   | _ -> ()
@@ -683,9 +694,16 @@ let serve_socket t path =
         if not t.stopping then begin
           match Unix.accept sock with
           | client, _ ->
-              Fun.protect
-                ~finally:(fun () -> Unix.close client)
-                (fun () -> serve_fd t client client);
+              (match
+                 Fun.protect
+                   ~finally:(fun () -> Unix.close client)
+                   (fun () -> serve_fd t client client)
+               with
+              | () -> ()
+              | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+                ->
+                  let signum = Atomic.exchange t.pending_signal 0 in
+                  if signum <> 0 then Obs.flush_and_reraise signum);
               accept_loop ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
         end

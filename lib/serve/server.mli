@@ -54,4 +54,7 @@ val serve_fd : t -> Unix.file_descr -> Unix.file_descr -> unit
 val serve_socket : t -> string -> unit
 (** Bind a Unix domain socket at the path (replacing a stale socket
     file), then accept and {!serve_fd} one client at a time until a
-    [shutdown] verb is served.  The socket file is removed on exit. *)
+    [shutdown] verb is served.  The socket file is removed on exit.
+    Ignores SIGPIPE for the process: a client that hangs up before its
+    replies are written (EPIPE, ECONNRESET) ends only its own
+    connection, and the loop goes back to [accept]. *)

@@ -29,19 +29,13 @@ type t = {
 }
 
 val make : Threesat.universe -> t
-val c_pi : t -> Threesat.instance -> Interp.t
 val alphabet : t -> Var.t list
 
-val c_pi_selected : Revision.Model_based.op -> t -> Threesat.instance -> bool
-(** [C_π |= T_n * P_n] by brute-force semantic revision (small universes
-    only). *)
-
 val reduction_holds : Revision.Model_based.op -> t -> Threesat.instance -> bool
-(** Agreement with [π]'s satisfiability, for [Dalal] or [Weber]. *)
-
-val c_pi_selected_sat :
-  Revision.Model_based.op -> t -> Threesat.instance -> bool
-(** Same check via {!Compact.Check} — scales past enumeration. *)
+(** Does [C_π |= T_n * P_n], by brute-force semantic revision (small
+    universes only), agree with [π]'s satisfiability?  For [Dalal] or
+    [Weber]. *)
 
 val reduction_holds_sat :
   Revision.Model_based.op -> t -> Threesat.instance -> bool
+(** The same check via {!Compact.Check} — scales past enumeration. *)

@@ -27,7 +27,6 @@ type t = {
 }
 
 val make : Threesat.universe -> t
-val m_pi : t -> Threesat.instance -> Interp.t
 val q_pi : t -> Threesat.instance -> Formula.t
 
 val alphabet : t -> Var.t list
@@ -40,8 +39,6 @@ val m_pi_selected : t -> Threesat.instance -> bool
 val reduction_holds : t -> Threesat.instance -> bool
 (** [m_pi_selected = not (is_satisfiable π)]? *)
 
-val m_pi_selected_sat : t -> Threesat.instance -> bool
-(** Same check via the SAT-based model checker ({!Compact.Check}) — no
-    model enumeration, so it scales to larger universes. *)
-
 val reduction_holds_sat : t -> Threesat.instance -> bool
+(** The same check via the SAT-based model checker ({!Compact.Check}) —
+    no model enumeration, so it scales to larger universes. *)

@@ -49,5 +49,4 @@ type bounded = { base : t; s : Var.t; t'_n : Theory.t; p' : Formula.t }
 val make_bounded : Threesat.universe -> bounded
 (** The Theorem 4.1 lift: [|P'| = 1]. *)
 
-val bounded_entails_q : bounded -> Threesat.instance -> bool
 val bounded_reduction_holds : bounded -> Threesat.instance -> bool

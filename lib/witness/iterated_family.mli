@@ -24,10 +24,8 @@ type t = {
 }
 
 val make : Threesat.universe -> t
-val c_pi : t -> Threesat.instance -> Interp.t
 val alphabet : t -> Var.t list
 
-val c_pi_selected : Revision.Model_based.op -> t -> Threesat.instance -> bool
 val reduction_holds : Revision.Model_based.op -> t -> Threesat.instance -> bool
 
 val operators_agree : t -> bool

@@ -32,8 +32,6 @@ type instance = { universe : universe; selected : int list }
 (** A 3-SAT instance [π ⊆] universe, as sorted clause indices. *)
 
 val instance : universe -> int list -> instance
-val instance_formulas : instance -> Formula.t list
-val instance_formula : instance -> Formula.t
 
 val is_satisfiable : instance -> bool
 (** Via the CDCL solver. *)

@@ -26,9 +26,6 @@ val letters : t -> Var.t list
 val expected_world_count : t -> int
 (** [2^m − 1], closed form (requires [m] small enough for an [int]). *)
 
-val expected_dalal_distance : int
-(** [k_{T,P} = 1] for every instance. *)
-
 val world_count : t -> int
 (** [Models.count] over the full alphabet: exercises the SAT tally past
     the cutover.  Equals {!expected_world_count}. *)

@@ -2,7 +2,7 @@
    and, for distances, a fresh [Hamming.exa k] build per probe.
    Semantically identical to the incremental-session paths of
    Hamming.min_distance_sat and Compact.Check, which the tests hold
-   against them; the incremental bench times both sides. *)
+   against them, answers and solver work both (test_session.ml). *)
 
 open Logic
 module MB = Revision.Model_based

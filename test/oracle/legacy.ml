@@ -2,8 +2,7 @@
    [Interp.subsets] sweep (capped at 25 letters), and the Section 2.2.2
    distances and operators read literally off their definitions.  Slow
    on purpose and independent of the mask engines, so differential
-   tests can hold those against them; the timing bench reports the
-   speedup over them. *)
+   tests can hold those against them. *)
 
 open Logic
 

@@ -14,6 +14,10 @@
    died-by-signal-with-complete-artifacts contract — now with the
    serve.* counters present in the OpenMetrics exposition.
 
+   A third case: a client of [revkb serve --socket] sends a load and
+   198 revise lines and hangs up unread; the daemon must not die by
+   SIGPIPE and must answer the next client's [stats].
+
    Usage: signal_kill.exe PATH-TO-REVKB *)
 
 let fail fmt =
@@ -135,4 +139,66 @@ let () =
   Sys.remove trace;
   Sys.remove metrics;
   print_endline
-    "signal_kill: SIGTERM on an idle serve daemon flushed complete artifacts"
+    "signal_kill: SIGTERM on an idle serve daemon flushed complete artifacts";
+
+  (* -- a client that hangs up on serve --socket ------------------------- *)
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "revkb_sigpipe_%d.sock" (Unix.getpid ()))
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process revkb [| revkb; "serve"; "--socket"; sock |] null null
+      null
+  in
+  Unix.close null;
+  let rec connect tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX sock) with
+    | () -> Some fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
+        Unix.close fd;
+        if tries = 0 then None else (Unix.sleepf 0.05; connect (tries - 1))
+  in
+  let send fd line =
+    let n = String.length line in
+    if Unix.write_substring fd line 0 n <> n then fail "sigpipe: short write"
+  in
+  let rude =
+    match connect 100 with
+    | Some fd -> fd
+    | None -> fail "sigpipe: no listener at %s" sock
+  in
+  let revise = {|{"verb":"revise","kb":"k","op":"dalal","p":"~b"}|} in
+  send rude
+    (String.concat "\n"
+       ({|{"verb":"load","kb":"k","theory":"a; a -> b; c | ~b"}|}
+       :: List.init 198 (fun _ -> revise))
+    ^ "\n");
+  Unix.close rude;
+  let died what status =
+    fail "sigpipe: %s; daemon %s" what
+      (match status with
+      | Unix.WSIGNALED s when s = Sys.sigpipe -> "died by SIGPIPE"
+      | Unix.WSIGNALED s -> Printf.sprintf "died by signal %d" s
+      | Unix.WEXITED c -> Printf.sprintf "exited %d" c
+      | Unix.WSTOPPED _ -> "stopped")
+  in
+  let polite =
+    match connect 0 with
+    | Some fd -> fd
+    | None -> died "connection refused" (snd (Unix.waitpid [] pid))
+  in
+  let ic = Unix.in_channel_of_descr polite in
+  send polite "{\"verb\":\"stats\"}\n";
+  (match input_line ic with
+  | reply when contains reply {|"ok":true|} -> ()
+  | reply -> fail "sigpipe: bad stats reply %S" reply
+  | exception (End_of_file | Sys_error _) ->
+      died "no stats reply" (snd (Unix.waitpid [] pid)));
+  send polite "{\"verb\":\"shutdown\"}\n";
+  close_in ic;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, status -> died "after shutdown" status);
+  print_endline "signal_kill: serve --socket survived a client that hung up"

@@ -8,7 +8,6 @@ module Obs = Revkb_obs.Obs
 module Export = Revkb_obs.Export
 module Profile = Revkb_obs.Profile
 module Gcstats = Revkb_obs.Gcstats
-module History = Revkb_obs.History
 module Pool = Revkb_parallel.Pool
 
 let check_bool = Helpers.check_bool
@@ -532,83 +531,6 @@ let test_flushers () =
   Obs.run_flushers ();
   check_int "flushers re-run on demand" 2 !hits
 
-(* -- history -------------------------------------------------------------- *)
-
-let test_history_stats () =
-  check_bool "median odd" true (History.median [ 3.; 1.; 2. ] = 2.);
-  check_bool "median even" true (History.median [ 4.; 1.; 2.; 3. ] = 2.5);
-  check_bool "mad" true (History.mad [ 1.; 1.; 2.; 2. ] = 0.5);
-  check_bool "9% growth ok" false
-    (History.wall_regressed ~baseline:100. ~current:109.);
-  check_bool "11% growth regressed" true
-    (History.wall_regressed ~baseline:100. ~current:111.)
-
-let test_history_judge () =
-  let history = [ 100.; 101.; 99.; 100.5 ] in
-  (match History.judge ~history ~current:200. with
-  | History.Regressed { v_median; _ } ->
-      check_bool "2x slowdown flagged, median kept" true (v_median = 100.25)
-  | _ -> Alcotest.fail "2x slowdown not flagged");
-  (match History.judge ~history ~current:100.2 with
-  | History.Accepted _ -> ()
-  | _ -> Alcotest.fail "unchanged row not accepted");
-  (* >3 MAD but <10%: near-zero-MAD keys must not trip on tiny
-     absolute growth. *)
-  (match History.judge ~history ~current:103. with
-  | History.Accepted _ -> ()
-  | _ -> Alcotest.fail "sub-10% growth flagged");
-  (* >10% but within 3 MAD: noisy keys must not trip either. *)
-  (match History.judge ~history:[ 100.; 150.; 50.; 120.; 80. ] ~current:115. with
-  | History.Accepted _ -> ()
-  | _ -> Alcotest.fail "noise-level growth flagged");
-  match History.judge ~history:[ 100. ] ~current:500. with
-  | History.Insufficient 1 -> ()
-  | _ -> Alcotest.fail "short history must yield Insufficient"
-
-let test_history_roundtrip_and_check () =
-  let row bench wall =
-    {
-      History.r_bench = bench;
-      r_n = 10;
-      r_jobs = 1;
-      r_wall_ms = wall;
-      r_ts = 12.25;
-    }
-  in
-  check_str "ndjson line golden"
-    "{\"bench\": \"t.key\", \"n\": 10, \"jobs\": 1, \"wall_ms\": 100.5, \
-     \"ts\": 12.250}"
-    (History.line_of_row (row "t.key" 100.5));
-  let path = Filename.temp_file "revkb_history" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      History.append path
-        (List.map (row "t.slow") [ 100.; 101.; 99. ]
-        @ List.map (row "t.stable") [ 50.; 51.; 49. ]
-        @ [ row "t.short" 10. ]);
-      (* A corrupted line costs one row, not the file. *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "{\"bench\": \"t.slow\", truncated garbage\n";
-      close_out oc;
-      History.append path [ row "t.slow" 250.; row "t.stable" 50.5 ];
-      let rows, skipped = History.load path in
-      check_int "malformed line skipped" 1 skipped;
-      check_int "rows loaded" 9 (List.length rows);
-      let reports = History.check rows in
-      let find b =
-        List.find (fun (p : History.report) -> p.History.p_bench = b) reports
-      in
-      (match (find "t.slow").History.p_verdict with
-      | History.Regressed _ -> ()
-      | _ -> Alcotest.fail "2.5x slowdown not flagged by check");
-      (match (find "t.stable").History.p_verdict with
-      | History.Accepted _ -> ()
-      | _ -> Alcotest.fail "stable key not accepted by check");
-      match (find "t.short").History.p_verdict with
-      | History.Insufficient 0 -> ()
-      | _ -> Alcotest.fail "single-run key must be Insufficient")
-
 (* -- disabled-path cost --------------------------------------------------- *)
 
 (* With recording off, the gated instruments must be a flag read: no
@@ -702,14 +624,6 @@ let () =
         ] );
       ( "flushers",
         [ Alcotest.test_case "run and skip failures" `Quick test_flushers ] );
-      ( "history",
-        [
-          Alcotest.test_case "median/mad/wall_regressed" `Quick
-            test_history_stats;
-          Alcotest.test_case "judge verdicts" `Quick test_history_judge;
-          Alcotest.test_case "roundtrip and check" `Quick
-            test_history_roundtrip_and_check;
-        ] );
       ( "overhead",
         [
           Alcotest.test_case "disabled path allocates nothing" `Quick

@@ -1,7 +1,7 @@
 (* The serve tier: protocol JSON, the LRU revision cache, the named-KB
    registry with epochs, and the request loop's semantics — epoch
-   invalidation, cache hit counters, batch-vs-sequential equality at
-   jobs 1 and 4, and structured errors for malformed input. *)
+   invalidation, zero-work cache hits, batch = sequential at jobs 1 and
+   4 with fewer solver builds, and structured errors for bad input. *)
 
 open Logic
 module Obs = Revkb_obs.Obs
@@ -128,6 +128,23 @@ let get_bool field v = Option.get (Json.bool_member field v)
 
 let error_code v = Option.get (Json.str_member "error" v)
 
+(* Counter deltas across [f ()]; counters record whether or not Obs is on. *)
+let deltas names f =
+  let before = List.map (fun c -> Obs.value (Obs.counter c)) names in
+  let r = f () in
+  (r, List.map2 (fun c b -> Obs.value (Obs.counter c) - b) names before)
+
+(* A 26-clause KB "w": clause i is v(i+1) | ~v(7i+4) | v(11i+6), so
+   all-true satisfies it. *)
+let kb26_load =
+  let clause i =
+    Printf.sprintf "v%d | ~v%d | v%d" (i + 1) ((7 * i) + 4) ((11 * i) + 6)
+  in
+  Printf.sprintf {|{"verb":"load","kb":"w","theory":"%s"}|}
+    (String.concat "; " (List.init 26 clause))
+
+let kb26_p i = Printf.sprintf "~v%d & ~v%d" (i + 1) (i + 2)
+
 (* -- registry ---------------------------------------------------------------- *)
 
 let test_registry_lifecycle () =
@@ -182,7 +199,22 @@ let test_epoch_invalidation () =
   check_bool "update reuses the cached revision" true (get_bool "cached" u);
   check_int "update bumps epoch" 1 (get_int "epoch" u);
   let r4 = send srv {|{"verb":"revise","kb":"k","op":"dalal","p":"~a | ~b"}|} in
-  check_bool "cache misses after epoch bump" true (not (get_bool "cached" r4))
+  check_bool "cache misses after epoch bump" true (not (get_bool "cached" r4));
+  (* A hit answers from the cache alone: no solve, no solver build, no
+     clause encoded, no CEGAR round — over 40 alternating hits. *)
+  ignore (send srv kb26_load);
+  let revise i =
+    sendf srv {|{"verb":"revise","kb":"w","op":"dalal","p":"%s"}|} (kb26_p i)
+  in
+  List.iter (fun i -> ignore (revise i)) [ 0; 1 ];
+  let cached, work =
+    deltas
+      [ "sat.solves"; "sem.env.builds"; "sem.encode.clauses";
+        "check.cegar_iters" ]
+      (fun () -> List.init 40 (fun i -> get_bool "cached" (revise (i mod 2))))
+  in
+  check_bool "40 hits" true (List.for_all Fun.id cached);
+  check_bool "hits do no solver work" true (work = [ 0; 0; 0; 0 ])
 
 (* -- pooled sessions and the bdd route --------------------------------------- *)
 
@@ -272,7 +304,47 @@ let test_batch_equality () =
   check_bool "c2 = pointwise" true
     (results_of (by_id "c2") = expect [ "b c"; "a b" ]);
   check_bool "grouped counter moved" true
-    (Obs.value (Obs.counter "serve.batch.groups") > 0)
+    (Obs.value (Obs.counter "serve.batch.groups") > 0);
+  (* One 24-member Dalal batch hoists the k_{T,P} / session setup out of
+     the per-candidate loop: fewer solver builds and encoded clauses
+     than 24 separate checks, at either job count. *)
+  let member i =
+    List.init 26 (fun j -> Printf.sprintf "v%d" (j + 1))
+    |> List.filteri (fun j _ -> j * (i + 3) mod 5 < 2)
+    |> String.concat " "
+    |> Printf.sprintf
+         {|{"verb":"check","kb":"w","op":"dalal","p":"%s","models":["%s"]}|}
+         (kb26_p 0)
+  in
+  let members = List.init 24 member in
+  let on_fresh_server f =
+    let srv = Server.create () in
+    ignore (send srv kb26_load);
+    deltas [ "sem.env.builds"; "sem.encode.clauses" ] (fun () -> f srv)
+  in
+  List.iter
+    (fun jobs ->
+      Pool.with_jobs jobs (fun () ->
+          let single, one_by_one =
+            on_fresh_server (fun srv ->
+                List.concat_map (fun m -> results_of (send srv m)) members)
+          in
+          let grouped, batched =
+            on_fresh_server (fun srv ->
+                sendf srv {|{"verb":"batch","requests":[%s]}|}
+                  (String.concat "," members)
+                |> Json.list_member "responses" |> Option.get
+                |> List.concat_map results_of)
+          in
+          let show l = String.concat "/" (List.map string_of_int l) in
+          check_bool (Printf.sprintf "jobs=%d: batch answers" jobs) true
+            (grouped = single);
+          check_bool
+            (Printf.sprintf "jobs=%d: builds/clauses %s < %s" jobs
+               (show batched) (show one_by_one))
+            true
+            (List.for_all2 ( < ) batched one_by_one)))
+    [ 1; 4 ]
 
 let test_batch_rejects_mutators () =
   let srv = Server.create () in

@@ -1,7 +1,7 @@
 (* Incremental SAT sessions: differential tests of the shared
-   cardinality ladder against the per-k EXA encodings, the session
-   retract (activation-literal) discipline, and determinism of the
-   session-backed checkers across job counts. *)
+   cardinality ladder against the per-k EXA encodings, the solver work
+   sessions save over fresh solvers, the retract (activation-literal)
+   discipline, and determinism of the checkers across job counts. *)
 
 open Logic
 open Helpers
@@ -11,6 +11,7 @@ module Ladder = Semantics.Ladder
 module Check = Compact.Check
 module MB = Revision.Model_based
 module Pool = Revkb_parallel.Pool
+module Obs = Revkb_obs.Obs
 
 (* Build the standard min-distance setup on one session: [t] renamed to
    fresh letters, [p] on the originals, one ladder over the pairs. *)
@@ -92,6 +93,95 @@ let prop_dist_prober_reusable =
       List.for_all
         (fun n -> Check.Dist.to_interp d n = Fresh.dist_to fm n x)
         (Interp.subsets x))
+
+(* -- fixed instances: same answers, less solver work ---------------------- *)
+
+(* Seeded instances on which the fresh-solver baselines pay most.  On
+   each, the session path must answer alike and encode fewer clauses;
+   on the Dalal sweeps and the CEGAR check it must also build at most a
+   third as many solvers.  Counters record whether or not Obs is on. *)
+let work f =
+  let count c = Obs.value (Obs.counter c) in
+  let b0 = count "sem.env.builds" and c0 = count "sem.encode.clauses" in
+  let r = f () in
+  (r, count "sem.env.builds" - b0, count "sem.encode.clauses" - c0)
+
+let less_work ?(builds_3x = true) name fresh session =
+  let fr, fb, fc = work fresh in
+  let se, sb, sc = work session in
+  check_bool (name ^ ": session = fresh") true (fr = se);
+  check_bool (Printf.sprintf "%s: clauses %d < %d" name sc fc) true (sc < fc);
+  if builds_3x then
+    check_bool (Printf.sprintf "%s: builds 3*%d <= %d" name sb fb) true
+      (3 * sb <= fb)
+
+let rec sat_formula st ~vars ~depth =
+  let fm = Gen.formula st ~vars ~depth in
+  if Semantics.is_sat fm then fm else sat_formula st ~vars ~depth
+
+let seeded () = Random.State.make [| 19951 |]
+let first k l = List.filteri (fun i _ -> i < k) l
+
+(* k_{T,P} sweeps: antipodal T and P probe all n+1 thresholds; n = 15
+   pins 6 letters apart under random structure on the rest. *)
+let test_dalal_work () =
+  List.iter
+    (fun n ->
+      let vars = letters n in
+      let pos = List.map Formula.var vars in
+      let neg = List.map Formula.not_ pos in
+      let t, p =
+        if n mod 2 = 0 then (pos, neg)
+        else
+          let st = seeded () and rest = List.filteri (fun i _ -> i >= 6) vars in
+          let t = sat_formula st ~vars:rest ~depth:3 :: first 6 pos in
+          (t, sat_formula st ~vars:rest ~depth:3 :: first 6 neg)
+      in
+      let t = Formula.and_ t and p = Formula.and_ p in
+      less_work (Printf.sprintf "min distance n=%d" n)
+        (fun () -> Fresh.min_distance_exa t p)
+        (fun () -> Hamming.min_distance_sat t p))
+    [ 12; 15; 20 ]
+
+(* 64 reference points against one formula, one reused prober. *)
+let test_dist_work () =
+  let vars = letters 14 in
+  let fm = sat_formula (seeded ()) ~vars ~depth:4 in
+  let refs =
+    List.init 64 (fun i ->
+        let m = i * 7919 land 0x3fff in
+        (* lint: shift-ok j < 14 *)
+        Var.set_of_list (List.filteri (fun j _ -> m land (1 lsl j) <> 0) vars))
+  in
+  less_work ~builds_3x:false "dist_to sweep n=14"
+    (fun () -> List.map (fun r -> Fresh.dist_to fm r vars) refs)
+    (fun () ->
+      List.map (Check.Dist.to_interp (Check.Dist.create fm vars)) refs)
+
+(* At-most-one-true T has n+1 models, none of them the weight-2
+   candidate, so Forbus CEGAR refutes every witness before answering. *)
+let test_cegar_work () =
+  List.iter
+    (fun n ->
+      let vars = letters n in
+      let nv x = Formula.not_ (Formula.var x) in
+      let rec pairs = function
+        | [] -> []
+        | x :: rest ->
+            List.map (fun y -> Formula.or_ [ nv x; nv y ]) rest @ pairs rest
+      in
+      let t = Formula.and_ (pairs vars) in
+      let cand = Var.set_of_list (first 2 vars) in
+      let st = seeded () in
+      let rec block () =
+        let b = sat_formula st ~vars ~depth:4 in
+        if Interp.sat cand b then b else block ()
+      in
+      let p = Formula.and_ (List.init 6 (fun _ -> block ())) in
+      less_work (Printf.sprintf "Forbus CEGAR n=%d" n)
+        (fun () -> Fresh.model_check MB.Forbus t p cand)
+        (fun () -> Check.model_check MB.Forbus t p cand))
+    [ 12; 16 ]
 
 (* -- session-backed checkers vs the fresh-solver oracle ------------------- *)
 
@@ -214,6 +304,12 @@ let () =
       ( "checkers",
         [ prop_model_check_matches_fresh; prop_measure_matches_formula_oracle ]
       );
+      ( "work",
+        [
+          Alcotest.test_case "Dalal sweeps" `Quick test_dalal_work;
+          Alcotest.test_case "dist_to sweep" `Quick test_dist_work;
+          Alcotest.test_case "Forbus CEGAR" `Quick test_cegar_work;
+        ] );
       ( "sessions",
         [
           Alcotest.test_case "retract SAT/UNSAT/SAT" `Quick

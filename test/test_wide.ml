@@ -2,7 +2,7 @@
 
    Three layers: (1) unit + property tests of the Interp_wide
    primitives against the Var.Set and one-word oracles; (2) boundary
-   differentials at n ∈ {61, 62, 63, 64, 65, 127, 128} — enumeration,
+   differentials at n ∈ {61, 62, 63, 64, 65, 100, 127, 128} — enumeration,
    all five distance measures and all six operators must agree across
    the one-word engine (where it still fits), the multi-word engine,
    and the legacy list oracle, at one and at four worker domains;
@@ -145,7 +145,7 @@ let prop_packed_eq_wide =
 
 (* -- boundary differentials ------------------------------------------------ *)
 
-let boundary_widths = [ 61; 62; 63; 64; 65; 127; 128 ]
+let boundary_widths = [ 61; 62; 63; 64; 65; 100; 127; 128 ]
 
 (* One Wide_family instance per width: |Mod(T)| = 1, |Mod(P)| = 7 —
    small enough that the legacy list oracle runs at any width (it only
@@ -198,6 +198,8 @@ let check_boundary_width n =
   check_int
     (Printf.sprintf "k_global at n=%d" n)
     (Legacy.Distance.k_global t_models p_models)
+    (Distance.k_global t_models p_models);
+  check_int (Printf.sprintf "Dalal distance 1 at n=%d" n) 1
     (Distance.k_global t_models p_models);
   check_bool
     (Printf.sprintf "omega at n=%d" n)
