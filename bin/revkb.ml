@@ -238,27 +238,16 @@ let compact_cmd =
     let t = Theory.conj theory in
     let p = parse_formula p in
     let ps = List.map parse_formula ps in
-    let mop =
-      match op with
-      | Revision.Operator.Winslett -> Revision.Model_based.Winslett
-      | Revision.Operator.Borgida -> Revision.Model_based.Borgida
-      | Revision.Operator.Forbus -> Revision.Model_based.Forbus
-      | Revision.Operator.Satoh -> Revision.Model_based.Satoh
-      | Revision.Operator.Dalal -> Revision.Model_based.Dalal
-      | Revision.Operator.Weber -> Revision.Model_based.Weber
-      | _ ->
-          Printf.eprintf
-            "compact representations exist for the model-based operators \
-             (and trivially for WIDTIO)\n";
-          exit 2
-    in
+    if not (Revision.Operator.is_model_based op) then begin
+      Printf.eprintf
+        "compact representations exist for the model-based operators \
+         (and trivially for WIDTIO)\n";
+      exit 2
+    end;
+    let mop = Revision.Operator.model_op op in
     let formula =
       match (ps, bounded) with
-      | [], false -> (
-          match mop with
-          | Revision.Model_based.Dalal -> Compact.Dalal_compact.revise t p
-          | Revision.Model_based.Weber -> Compact.Weber_compact.revise t p
-          | _ -> Compact.Iterated_bounded.for_op mop t [ p ])
+      | [], false -> Compact.Iterated_bounded.revise mop t p
       | [], true -> Compact.Bounded.for_op mop t p
       | ps, _ -> Compact.Iterated_bounded.for_op mop t (p :: ps)
     in
@@ -569,22 +558,13 @@ let check_cmd =
              (fun x -> Var.named (String.trim x))
              (String.split_on_char ',' m))
     in
-    let mop =
-      match op with
-      | Revision.Operator.Winslett -> Revision.Model_based.Winslett
-      | Revision.Operator.Borgida -> Revision.Model_based.Borgida
-      | Revision.Operator.Forbus -> Revision.Model_based.Forbus
-      | Revision.Operator.Satoh -> Revision.Model_based.Satoh
-      | Revision.Operator.Dalal -> Revision.Model_based.Dalal
-      | Revision.Operator.Weber -> Revision.Model_based.Weber
-      | _ ->
-          Printf.eprintf
-            "SAT-based model checking covers the model-based operators
-";
-          exit 2
-    in
+    if not (Revision.Operator.is_model_based op) then begin
+      Printf.eprintf
+        "SAT-based model checking covers the model-based operators\n";
+      exit 2
+    end;
     Format.printf "M |= T * P : %b@."
-      (Compact.Check.model_check mop t p interp);
+      (Compact.Check.model_check (Revision.Operator.model_op op) t p interp);
     0
   in
   Cmd.v

@@ -6,6 +6,8 @@ let vp_of p =
     invalid_arg "Compact.Bounded: |V(P)| > 14 — not a bounded instance";
   vp
 
+(* The guard of the constructions that measure nothing; the other three
+   take theirs from their {!Measure}. *)
 let require_sat t p =
   if not (Semantics.is_sat t) then invalid_arg "Compact.Bounded: T unsat";
   if not (Semantics.is_sat p) then invalid_arg "Compact.Bounded: P unsat"
@@ -55,30 +57,28 @@ let forbus t p =
             Formula.and_ (flip t s :: guards))
           subsets))
 
+(* Corollary 4.4. *)
 let borgida t p =
   require_sat t p;
   if Semantics.is_sat (Formula.conj2 t p) then Formula.conj2 t p
   else winslett t p
 
 let satoh t p =
-  require_sat t p;
   ignore (vp_of p);
-  let d = Measure.delta t p in
+  let d = Measure.delta (Measure.create t p) in
   Formula.conj2 p (Formula.or_ (List.map (flip t) d))
 
 let dalal t p =
-  require_sat t p;
   let vp = vp_of p in
-  let k = Measure.k_min t p in
+  let k = Measure.k (Measure.create t p) in
   let subsets =
     List.filter (fun s -> Var.Set.cardinal s = k) (Interp.subsets vp)
   in
   Formula.conj2 p (Formula.or_ (List.map (flip t) subsets))
 
 let weber t p =
-  require_sat t p;
   ignore (vp_of p);
-  let omega = Measure.omega t p in
+  let omega = Measure.omega (Measure.create t p) in
   let subsets = Interp.subsets (Var.Set.elements omega) in
   Formula.conj2 p (Formula.or_ (List.map (flip t) subsets))
 

@@ -27,9 +27,6 @@ val forbus : Formula.t -> Formula.t -> Formula.t
 (** Formula (6): as (5) with the guard ranging over [C ⊆ V(P)] with
     [|C Δ S| < |S|] (cardinality in place of containment). *)
 
-val borgida : Formula.t -> Formula.t -> Formula.t
-(** Corollary 4.4: [T ∧ P] when consistent, formula (5) otherwise. *)
-
 val satoh : Formula.t -> Formula.t -> Formula.t
 (** Formula (7): [P ∧ ∨_{S ∈ δ(T,P)} T[S/S̄]] with [δ] from
     {!Measure.delta}. *)
@@ -41,4 +38,5 @@ val weber : Formula.t -> Formula.t -> Formula.t
 (** Formula (9): [P ∧ ∨_{S ⊆ Ω} T[S/S̄]]. *)
 
 val for_op : Revision.Model_based.op -> Formula.t -> Formula.t -> Formula.t
-(** Dispatch over the six operators. *)
+(** Dispatch over the six operators; Borgida's construction is
+    Corollary 4.4: [T ∧ P] when consistent, formula (5) otherwise. *)

@@ -156,79 +156,37 @@ let forbus_in ctx s t p alphabet n =
 let ctx_for ~cap op alphabet =
   { cap; opname = MB.name op; nletters = List.length alphabet }
 
-let winslett_check ~cap t p alphabet n =
-  let s = Session.create ~vars:alphabet () in
-  winslett_in (ctx_for ~cap MB.Winslett alphabet) s t p alphabet n
-
-let forbus_check ~cap t p alphabet n =
-  let s = Session.create ~vars:alphabet () in
-  forbus_in (ctx_for ~cap MB.Forbus alphabet) s t p alphabet n
-
-let model_check_inner ~cegar_cap op t p n =
+(* The guard of the operators that measure nothing: one plain check per
+   formula.  Dalal, Weber and Satoh take theirs from their {!Measure}. *)
+let require_sat t p =
   if not (Semantics.is_sat t) then
     invalid_arg "Compact.Check: T unsatisfiable";
   if not (Semantics.is_sat p) then
-    invalid_arg "Compact.Check: P unsatisfiable";
-  let alphabet = joint t p in
-  let n = Interp.restrict (Var.set_of_list alphabet) n in
-  if not (Interp.sat n p) then false
-  else
-    match op with
-    | MB.Dalal -> (
-        match
-          (Hamming.min_distance_sat t p, dist_to t n alphabet)
-        with
-        | Some k, Some d -> d = k
-        | _ -> assert false (* both satisfiable *))
-    | MB.Weber ->
-        let omega = Measure.omega t p in
-        let pin =
-          Formula.and_
-            (List.filter_map
-               (fun x ->
-                 if Var.Set.mem x omega then None
-                 else Some (Formula.lit (Var.Set.mem x n) x))
-               alphabet)
-        in
-        Semantics.is_sat (Formula.conj2 t pin)
-    | MB.Satoh ->
-        let delta = Measure.delta t p in
-        List.exists (fun s -> Interp.sat (Interp.sym_diff n s) t) delta
-    | MB.Winslett -> winslett_check ~cap:cegar_cap t p alphabet n
-    | MB.Forbus -> forbus_check ~cap:cegar_cap t p alphabet n
-    | MB.Borgida ->
-        (* One session: the T /\ P satisfiability gate is its first
-           query, and the Winslett fallback inherits the warm solver. *)
-        let s = Session.create ~vars:alphabet () in
-        if Session.solve s [ t; p ] then Interp.sat n t
-        else winslett_in (ctx_for ~cap:cegar_cap MB.Borgida alphabet) s t p
-            alphabet n
+    invalid_arg "Compact.Check: P unsatisfiable"
 
-let model_check ?(cegar_cap = 50_000) op t p n =
-  Obs.with_span "check.model_check"
-    ~attrs:(fun () -> [ ("op", MB.name op) ])
-    (fun () -> model_check_inner ~cegar_cap op t p n)
+(* Membership of a batch of candidates: the per-(T, P) setup is hoisted
+   out of the per-candidate loop and shared.
 
-(* Batched membership: the per-(T, P) setup that [model_check] redoes
-   for every candidate is hoisted out of the loop and shared.
-
-   - Dalal: k_{T,P} ([Hamming.min_distance_sat], a full threshold
-     sweep) is computed once for the whole batch, and each pool chunk
+   - Dalal: k_{T,P} ([Measure.k], a ladder threshold sweep) is computed
+     once for the whole batch, and each pool chunk
      shares one [Dist] prober — T is Tseitin-encoded once per chunk
      instead of once per candidate, so a warm probe is a handful of
      assumption flips.
    - Weber: Ω(T, P) is computed once; each chunk holds one session
      with T asserted and pins the surviving letters per candidate.
-   - Satoh: Δ(T, P) is computed once; membership is then a pure
+   - Satoh: δ(T, P) is computed once; membership is then a pure
      evaluation over the difference sets, no solver at all.
    - Winslett / Forbus / Borgida: each chunk shares one CEGAR session,
      so T's encoding and the solver's learned clauses carry across
      candidates (witness blocking is scoped per candidate and cannot
      leak between them).
 
+   The first three take their T/P satisfiability guard from their
+   measure's session; the CEGAR operators run {!require_sat}.
+
    Answers are slotted in candidate order and depend only on (op, T,
    P, candidate) — never on chunk boundaries — so the result is
-   bit-identical to the one-at-a-time path at every job count. *)
+   bit-identical at every job count and for every batching. *)
 let model_check_batch ?(cegar_cap = 50_000) op t p ns =
   match ns with
   | [] -> []
@@ -237,10 +195,6 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
         ~attrs:(fun () ->
           [ ("op", MB.name op); ("candidates", string_of_int (List.length ns)) ])
         (fun () ->
-          if not (Semantics.is_sat t) then
-            invalid_arg "Compact.Check: T unsatisfiable";
-          if not (Semantics.is_sat p) then
-            invalid_arg "Compact.Check: P unsatisfiable";
           let alphabet = joint t p in
           let va = Var.set_of_list alphabet in
           let arr = Array.of_list (List.map (Interp.restrict va) ns) in
@@ -248,17 +202,13 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
           let answers =
             match op with
             | MB.Dalal ->
-                let k =
-                  match Hamming.min_distance_sat t p with
-                  | Some k -> k
-                  | None -> assert false (* T satisfiable *)
-                in
+                let k = Measure.k (Measure.create t p) in
                 Revkb_parallel.Pool.map_array_with pool
                   ~init:(fun () -> Dist.create t alphabet)
                   (fun d n -> Interp.sat n p && Dist.to_interp d n = Some k)
                   arr
             | MB.Weber ->
-                let omega = Measure.omega t p in
+                let omega = Measure.omega (Measure.create t p) in
                 let fixed =
                   List.filter (fun x -> not (Var.Set.mem x omega)) alphabet
                 in
@@ -278,7 +228,7 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
                          ])
                   arr
             | MB.Satoh ->
-                let delta = Measure.delta t p in
+                let delta = Measure.delta (Measure.create t p) in
                 Array.map
                   (fun n ->
                     Interp.sat n p
@@ -287,6 +237,7 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
                          delta)
                   arr
             | MB.Winslett | MB.Forbus | MB.Borgida ->
+                require_sat t p;
                 let ctx = ctx_for ~cap:cegar_cap op alphabet in
                 Revkb_parallel.Pool.map_array_with pool
                   ~init:(fun () -> Session.create ~vars:alphabet ())
@@ -303,16 +254,9 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
           in
           Array.to_list answers)
 
-let entails op t p q =
-  if not (Semantics.is_sat t) then
-    invalid_arg "Compact.Check.entails: T unsatisfiable";
-  if not (Semantics.is_sat p) then
-    invalid_arg "Compact.Check.entails: P unsatisfiable";
-  let compiled =
-    match op with
-    | MB.Dalal -> Dalal_compact.revise t p
-    | MB.Weber -> Weber_compact.revise t p
-    | MB.Winslett | MB.Borgida | MB.Forbus | MB.Satoh ->
-        Iterated_bounded.for_op op t [ p ]
-  in
-  Semantics.entails compiled q
+let model_check ?cegar_cap op t p n =
+  match model_check_batch ?cegar_cap op t p [ n ] with
+  | [ b ] -> b
+  | _ -> assert false (* one answer per candidate *)
+
+let entails op t p q = Semantics.entails (Iterated_bounded.revise op t p) q

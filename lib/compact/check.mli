@@ -40,19 +40,6 @@ exception
     [cegar_cap] times.  Carries the cap, the operator name, and the
     alphabet width the loop died on. *)
 
-val model_check :
-  ?cegar_cap:int ->
-  Revision.Model_based.op ->
-  Formula.t ->
-  Formula.t ->
-  Interp.t ->
-  bool
-(** [model_check op t p n]: does the interpretation [n] (over
-    [V(T) ∪ V(P)]; letters outside it are ignored) satisfy [T * P]?
-    Requires [t] and [p] satisfiable.  [cegar_cap] (default 50_000)
-    bounds the Winslett/Forbus witness loop; exceeding it raises
-    {!Cegar_cap_exceeded}. *)
-
 val model_check_batch :
   ?cegar_cap:int ->
   Revision.Model_based.op ->
@@ -60,15 +47,28 @@ val model_check_batch :
   Formula.t ->
   Interp.t list ->
   bool list
-(** {!model_check} over many candidate interpretations, with the
-    per-(T, P) setup hoisted out of the loop: Dalal computes k_{T,P}
-    once and shares one {!Dist} prober per pool chunk, Weber computes
-    Ω(T, P) once and shares a session with [T] asserted, Satoh reduces
-    to a pure evaluation over a once-computed Δ(T, P), and the CEGAR
-    operators share one session per chunk.  Chunks are fanned across
-    the {!Revkb_parallel.Pool.global} work pool.  Answers are returned
-    in candidate order, agree with the one-at-a-time {!model_check},
-    and are identical at every job count. *)
+(** [model_check_batch op t p ns]: does each interpretation of [ns]
+    (over [V(T) ∪ V(P)]; letters outside it are ignored) satisfy
+    [T * P]?  Requires [t] and [p] satisfiable (raises
+    [Invalid_argument] otherwise, unless [ns] is empty).  The per-(T, P)
+    setup runs once: Dalal computes k_{T,P} and shares one {!Dist}
+    prober per pool chunk, Weber computes Ω(T, P) and shares a session
+    with [T] asserted, Satoh reduces to a pure evaluation over δ(T, P) —
+    all three from one {!Measure} — and the CEGAR operators share one
+    session per chunk.  Chunks are fanned across the
+    {!Revkb_parallel.Pool.global} work pool.  Answers are returned in
+    candidate order and are identical at every job count.
+    [cegar_cap] (default 50_000) bounds the Winslett/Forbus witness
+    loop; exceeding it raises {!Cegar_cap_exceeded}. *)
+
+val model_check :
+  ?cegar_cap:int ->
+  Revision.Model_based.op ->
+  Formula.t ->
+  Formula.t ->
+  Interp.t ->
+  bool
+(** {!model_check_batch} on one candidate. *)
 
 val refutation_core :
   (module Mask.S with type t = 'm) ->
@@ -111,5 +111,7 @@ val entails :
     the original alphabet and [T'] is query-equivalent.  The pointwise
     operators route through their Section 6 constructions and are
     therefore subject to the bounded-|V(P)| limit; Satoh uses the
-    corrected δ-guard step.  Raises [Invalid_argument] on unsatisfiable
-    [t]/[p] or on an over-wide [p] for the pointwise operators. *)
+    corrected δ-guard step.  The construction is
+    {!Iterated_bounded.revise}, and its guard is the only one: raises
+    [Invalid_argument] on unsatisfiable [t]/[p] or on an over-wide [p]
+    for the pointwise operators. *)

@@ -9,23 +9,15 @@ type info = {
 }
 
 let revise_info t p =
-  if not (Semantics.is_sat t) then
-    invalid_arg "Dalal_compact.revise: T is unsatisfiable";
-  if not (Semantics.is_sat p) then
-    invalid_arg "Dalal_compact.revise: P is unsatisfiable";
+  (* k_{T,P} by the measure's ladder (one solver, assumption flips);
+     EXA is then Tseitin'd exactly once, for the output formula rather
+     than for the search. *)
+  let k = Measure.k (Measure.create t p) in
   let x =
     Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
   in
   let y = Names.copy ~suffix:"'" x in
   let t_y = Formula.rename (List.combine x y) t in
-  (* k_{T,P} by the incremental session sweep (one solver, assumption
-     flips on a shared ladder); EXA is then Tseitin'd exactly once, for
-     the output formula rather than for the search. *)
-  let k =
-    match Hamming.min_distance_sat t p with
-    | Some k -> k
-    | None -> assert false (* both satisfiable *)
-  in
   let exa_k, aux = Hamming.exa k x y in
   { formula = Formula.and_ [ t_y; p; exa_k ]; k; x; y; aux }
 

@@ -4,10 +4,10 @@
 
     [X] is the joint alphabet of [T] and [P], [Y] a fresh copy of it, and
     [EXA] the Hamming-counting formula of {!Logic.Hamming}.  The minimum
-    distance [k] is found by SAT probes on [T[X/Y] ∧ P ∧ EXA(k, ...)] for
-    [k = 0, 1, ...] — each probe is one (NP) solver call, matching the
-    paper's observation that the "measure of minimal distance" is the only
-    hard part of the two-step query-answering scheme.
+    distance [k] is {!Measure.k}: ladder probes for [k = 0, 1, ...], each
+    one (NP) solver call on one session, matching the paper's observation
+    that the "measure of minimal distance" is the only hard part of the
+    two-step query-answering scheme.
 
     The result is query-equivalent to [T *_D P] (criterion (1)) but not
     logically equivalent: it constrains the fresh letters [Y ∪ W], which
@@ -26,8 +26,9 @@ type info = {
 
 val revise_info : Formula.t -> Formula.t -> info
 (** Both formulas must be satisfiable (the paper's standing assumption;
-    raises [Invalid_argument] otherwise — the degenerate cases are
-    compactable trivially and carry no content here). *)
+    {!Measure.create} raises [Invalid_argument] otherwise — the
+    degenerate cases are compactable trivially and carry no content
+    here). *)
 
 val revise : Formula.t -> Formula.t -> Formula.t
 (** [(revise_info t p).formula]. *)

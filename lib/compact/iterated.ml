@@ -9,23 +9,15 @@ let joint_alphabet t ps =
        (Formula.vars t) ps)
 
 let dalal t ps =
-  if not (Semantics.is_sat t) then
-    invalid_arg "Iterated.dalal: T unsatisfiable";
   let x = joint_alphabet t ps in
   let avoid = ref (Var.set_of_list x) in
   let step i phi p =
-    if not (Semantics.is_sat p) then
-      invalid_arg "Iterated.dalal: revising formula unsatisfiable";
+    (* the step's measure decides [phi] and [p]; EXA is built once at
+       the answer, not once per probed threshold *)
+    let k = Measure.k (Measure.create phi p) in
     let y = Names.copy ~avoid:!avoid ~suffix:(Printf.sprintf "_y%d" i) x in
     avoid := Var.Set.union !avoid (Var.set_of_list y);
     let phi_ren = Formula.rename (List.combine x y) phi in
-    (* minimum distance by the session sweep; EXA built once at the
-       answer, not once per probed threshold *)
-    let k =
-      match Hamming.min_distance_sat phi p with
-      | Some k -> k
-      | None -> invalid_arg "Iterated.dalal: prefix revision unsatisfiable"
-    in
     let exa_k, _aux = Hamming.exa k y x in
     let formula = Formula.and_ [ phi_ren; p; exa_k ] in
     { formula; measure = k; size = Formula.size formula }
@@ -40,12 +32,10 @@ let dalal t ps =
   List.rev steps
 
 let weber t ps =
-  if not (Semantics.is_sat t) then
-    invalid_arg "Iterated.weber: T unsatisfiable";
   let x = joint_alphabet t ps in
   let avoid = ref (Var.set_of_list x) in
   let step i psi p =
-    let omega = Measure.omega psi p in
+    let omega = Measure.omega (Measure.create psi p) in
     let letters = Var.Set.elements omega in
     let z = Names.copy ~avoid:!avoid ~suffix:(Printf.sprintf "_z%d" i) letters in
     avoid := Var.Set.union !avoid (Var.set_of_list z);

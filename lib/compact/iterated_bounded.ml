@@ -1,9 +1,14 @@
 open Logic
 
-let check_bounded p =
+let bounded_letters p =
   let vp = Var.Set.elements (Formula.vars p) in
   if List.length vp > 8 then
     invalid_arg "Iterated_bounded: |V(P)| > 8 — not a bounded instance";
+  vp
+
+(* The guard of a step that measures nothing: one plain check of [p]. *)
+let check_bounded p =
+  let vp = bounded_letters p in
   if not (Semantics.is_sat p) then
     invalid_arg "Iterated_bounded: revising formula unsatisfiable";
   vp
@@ -79,19 +84,20 @@ let winslett_step t p =
    P = ~x1: formula (13) admits the non-Satoh model {x2}).  We instead
    compute [δ(T, P)] offline with [2^{|V(P)|}] SAT probes
    ({!Measure.delta} — polynomial in [|T|] for bounded [P], i.e. the same
-   "measure first, compact guard second" scheme as Theorems 3.4/5.1) and
-   pin the candidate's difference to lie in [δ]:
+   "measure first, compact guard second" scheme as Theorems 3.4/5.1; the
+   measure also decides that [t] and [p] are satisfiable) and pin the
+   candidate's difference to lie in [δ]:
 
    [T[V(P)/Y] ∧ P ∧ ∨_{S ∈ δ(T,P)} (Δ(V(P), Y) = S)].
 
    This is query-equivalent to [T *_S P] and its size grows additively
    under iteration, preserving Theorem 6.2's statement. *)
 let satoh_step t p =
-  let vp = check_bounded p in
+  let vp = bounded_letters p in
+  let delta = Measure.delta (Measure.create t p) in
   let avoid = Var.Set.union (Formula.vars t) (Formula.vars p) in
   let y = copy avoid "_sy" vp in
   let t_y = Formula.rename (List.combine vp y) t in
-  let delta = Measure.delta t p in
   let diff_is s =
     Formula.and_
       (List.map2
@@ -122,24 +128,20 @@ let borgida_step t p =
   if Semantics.is_sat (Formula.conj2 t p) then Formula.conj2 t p
   else winslett_step t p
 
+(* The pointwise steps measure nothing, so T gets one plain check up
+   front; Satoh's step measures, and its measure decides T itself. *)
 let check_t t =
   if not (Semantics.is_sat t) then
     invalid_arg "Iterated_bounded: T unsatisfiable"
-
-let single step t p =
-  check_t t;
-  step t p
 
 let iter step t ps =
   check_t t;
   List.fold_left step t ps
 
-let winslett t p = single winslett_step t p
-let satoh t p = single satoh_step t p
-let forbus t p = single forbus_step t p
-let borgida t p = single borgida_step t p
+let winslett t p = iter winslett_step t [ p ]
+let satoh t p = satoh_step t p
 let winslett_iter t ps = iter winslett_step t ps
-let satoh_iter t ps = iter satoh_step t ps
+let satoh_iter t ps = List.fold_left satoh_step t ps
 let forbus_iter t ps = iter forbus_step t ps
 let borgida_iter t ps = iter borgida_step t ps
 
@@ -153,3 +155,11 @@ let for_op (op : Revision.Model_based.op) t ps =
   | Revision.Model_based.Satoh -> satoh_iter t ps
   | Revision.Model_based.Dalal -> Iterated.final (Iterated.dalal t ps)
   | Revision.Model_based.Weber -> Iterated.final (Iterated.weber t ps)
+
+let revise (op : Revision.Model_based.op) t p =
+  match op with
+  | Revision.Model_based.Dalal -> Dalal_compact.revise t p
+  | Revision.Model_based.Weber -> Weber_compact.revise t p
+  | Revision.Model_based.Winslett | Revision.Model_based.Borgida
+  | Revision.Model_based.Forbus | Revision.Model_based.Satoh ->
+      for_op op t [ p ]

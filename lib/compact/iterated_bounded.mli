@@ -14,7 +14,9 @@
 
     Preconditions: every revising formula must be satisfiable and have at
     most 8 letters (the quantifier expansion is exponential in that
-    width); [T] must be satisfiable. *)
+    width); [T] must be satisfiable.  Each is decided once: Satoh's
+    {!Measure} decides [T] and [Pⁱ] with its first query, the other
+    operators run one plain check per formula. *)
 
 open Logic
 
@@ -23,13 +25,6 @@ val winslett : Formula.t -> Formula.t -> Formula.t
 
 val satoh : Formula.t -> Formula.t -> Formula.t
 (** Formula (13), expanded (two blocks: [Z] and [W]). *)
-
-val forbus : Formula.t -> Formula.t -> Formula.t
-(** Formula (14), expanded, with the [DIST < DIST] comparison realized by
-    {!Logic.Hamming.dist_lt_direct}. *)
-
-val borgida : Formula.t -> Formula.t -> Formula.t
-(** [T ∧ P] when consistent, formula (12) otherwise. *)
 
 val winslett_iter : Formula.t -> Formula.t list -> Formula.t
 (** Formulas (15)/(16): the [WIN_m] representation of
@@ -42,6 +37,12 @@ val borgida_iter : Formula.t -> Formula.t list -> Formula.t
 val for_op : Revision.Model_based.op -> Formula.t -> Formula.t list -> Formula.t
 (** Iterated dispatch; [Dalal] and [Weber] route to {!Iterated} (their
     general-case constructions already cover the bounded case). *)
+
+val revise : Revision.Model_based.op -> Formula.t -> Formula.t -> Formula.t
+(** One revision [T * P], as every query-answering route builds it:
+    Theorem 3.4 ({!Dalal_compact}) for Dalal, Theorem 3.5
+    ({!Weber_compact}) for Weber — neither bounds [|V(P)|] — and the
+    single step of {!for_op} for the pointwise operators. *)
 
 (** {1 Unexpanded QBF views}
 

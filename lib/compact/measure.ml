@@ -1,77 +1,80 @@
 open Logic
+module Session = Semantics.Session
+module Ladder = Semantics.Ladder
 
-(* One session for the whole 2^{|V(P)|} sweep: [t[X/Y] /\ p] is asserted
-   permanently, each movable letter gets one xor ("difference") literal,
-   and a candidate difference set is a polarity choice on those literals
-   — pure assumptions, no re-encoding per subset. *)
-let realizable_diffs t p =
-  if not (Semantics.is_sat t) then
-    invalid_arg "Measure: T is unsatisfiable";
-  if not (Semantics.is_sat p) then
-    invalid_arg "Measure: P is unsatisfiable";
-  let vp_set = Formula.vars p in
-  let vp = Var.Set.elements vp_set in
-  if List.length vp > 16 then
-    invalid_arg "Measure.realizable_diffs: |V(P)| > 16";
-  let x =
-    Var.Set.elements (Var.Set.union (Formula.vars t) vp_set)
-  in
-  let y = Names.copy ~suffix:"_m" x in
-  let pairs = List.combine x y in
-  let t_y = Formula.rename pairs t in
-  let s = Semantics.Session.create ~vars:x () in
-  Semantics.Session.assert_always s t_y;
-  Semantics.Session.assert_always s p;
-  let env = Semantics.Session.env s in
-  let movable =
-    List.filter_map
-      (fun (xv, yv) ->
-        if Var.Set.mem xv vp_set then
-          Some
-            ( xv,
-              Semantics.Ladder.diff_lit env
-                (Semantics.lit_of_var env xv, Semantics.lit_of_var env yv) )
-        else begin
-          (* letters outside V(P) can never move *)
-          Semantics.Session.assert_always s
-            (Formula.iff (Formula.var xv) (Formula.var yv));
-          None
-        end)
-      pairs
-  in
-  List.filter
-    (fun sub ->
-      let assume =
-        List.map
-          (fun (xv, d) ->
-            if Var.Set.mem xv sub then d else Satsolver.Lit.neg d)
-          movable
-      in
-      Semantics.Session.solve s ~extra:assume [])
-    (Interp.subsets vp)
-
-exception No_realizable_diff
-
-type measures = {
-  diffs : Var.Set.t list;
-  delta : Var.Set.t list;
-  k_min : int;
-  omega : Var.Set.t;
+(* One session for every measure of the pair: [t[V(P)/Y] /\ p] is
+   asserted once, each letter of V(P) gets one xor ("difference")
+   literal, and letters outside V(P) are shared by the two sides, so
+   they can never move (Proposition 2.1 puts every minimal difference
+   inside V(P)).  A candidate difference set is a polarity choice on the
+   difference literals and a distance threshold is one ladder literal:
+   pure assumptions, no re-encoding per query. *)
+type t = {
+  k : int Lazy.t;
+  diffs : Var.Set.t list Lazy.t;
+  delta : Var.Set.t list Lazy.t;
+  omega : Var.Set.t Lazy.t;
 }
 
-let of_diffs diffs =
-  if diffs = [] then raise No_realizable_diff;
-  let delta = Interp.min_incl diffs in
+let k_of s ds =
+  let lad = Ladder.of_lits (Session.env s) ds in
+  let rec probe j = if Session.within s [] lad j then j else probe (j + 1) in
+  probe 0
+
+let sweep s movable =
+  if List.length movable > 16 then invalid_arg "Measure.diffs: |V(P)| > 16";
+  let diffs =
+    List.filter
+      (fun sub ->
+        Session.solve s []
+          ~extra:
+            (List.map
+               (fun (x, d) ->
+                 if Var.Set.mem x sub then d else Satsolver.Lit.neg d)
+               movable))
+      (Interp.subsets (List.map fst movable))
+  in
+  (* The session's first query found a model pair, and its difference
+     is one of the subsets: an empty sweep is a solver fault, never
+     an answer. *)
+  assert (diffs <> []);
+  diffs
+
+let create t p =
+  let vp_set = Formula.vars p in
+  let vp = Var.Set.elements vp_set in
+  let y =
+    Names.copy ~avoid:(Var.Set.union (Formula.vars t) vp_set) ~suffix:"_m" vp
+  in
+  let t_y = Formula.rename (List.combine vp y) t in
+  (* [t_y] and [p] share no letter, so their conjunction is satisfiable
+     iff both are: the session's first query is the pair's guard. *)
+  let s = Session.create ~vars:vp () in
+  if not (Session.solve s [ t_y; p ]) then
+    invalid_arg
+      (if Session.solve s [ t_y ] then "Measure: P is unsatisfiable"
+       else "Measure: T is unsatisfiable");
+  Session.assert_always s t_y;
+  Session.assert_always s p;
+  let env = Session.env s in
+  let movable =
+    List.map2
+      (fun xv yv ->
+        ( xv,
+          Ladder.diff_lit env
+            (Semantics.lit_of_var env xv, Semantics.lit_of_var env yv) ))
+      vp y
+  in
+  let diffs = lazy (sweep s movable) in
+  let delta = lazy (Interp.min_incl (Lazy.force diffs)) in
   {
+    k = lazy (k_of s (List.map snd movable));
     diffs;
     delta;
-    k_min =
-      List.fold_left (fun acc s -> min acc (Var.Set.cardinal s)) max_int diffs;
-    omega = List.fold_left Var.Set.union Var.Set.empty delta;
+    omega = lazy (List.fold_left Var.Set.union Var.Set.empty (Lazy.force delta));
   }
 
-let compute t p = of_diffs (realizable_diffs t p)
-
-let delta t p = (compute t p).delta
-let k_min t p = (compute t p).k_min
-let omega t p = (compute t p).omega
+let k m = Lazy.force m.k
+let diffs m = Lazy.force m.diffs
+let delta m = Lazy.force m.delta
+let omega m = Lazy.force m.omega

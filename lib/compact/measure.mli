@@ -4,55 +4,43 @@
 
     By Proposition 2.1 every inclusion- or cardinality-minimal difference
     between a model of [T] and a model of [P] is contained in [V(P)], so
-    all three measures are determined by which subsets [S ⊆ V(P)] are
-    {e realizable} as exact differences — decidable with one SAT call per
-    subset on [T[X/Y] ∧ P ∧ (X Δ Y = S)].  The cost is [2^{|V(P)|}] solver
-    calls: polynomial in [|T|] for bounded [P], exponential in the general
-    case, exactly the asymmetry Table 1 turns on.
+    one session holding [T[V(P)/Y] ∧ P] (the letters outside [V(P)]
+    shared by both sides) with one difference literal per letter of
+    [V(P)] answers all three:
 
-    The sweep is the expensive part, so it is shared: {!compute} runs it
-    once and derives all three measures; the per-measure functions are
-    wrappers for callers needing just one.  A caller that needs two or
-    more measures of the same [(T, P)] pair should call {!compute} (or
-    {!of_diffs} on a sweep it already holds) — three separate wrapper
-    calls pay for three identical sweeps. *)
+    - [k_{T,P}] is the least threshold of a cardinality ladder over the
+      difference literals: [k + 1] assumption flips, at any [|V(P)|];
+    - [δ(T,P)] and [Ω] come from the realizable differences, one SAT
+      call per subset [S ⊆ V(P)] — [2^{|V(P)|}] calls, polynomial in
+      [|T|] for bounded [P] and exponential in general, exactly the
+      asymmetry Table 1 turns on.
+
+    A value of {!t} is the one owner of its [(T, P)] pair: building it
+    decides that [T] and [P] are satisfiable (the session's first
+    query), and each measure is computed at most once, on first use.
+    A construction or checker that needs a measure builds one value and
+    takes its guard from it. *)
 
 open Logic
 
-exception No_realizable_diff
-(** No subset of [V(P)] is realizable as an exact difference — the
-    models of [T] and [P] disagree outside [V(P)] however they are
-    chosen.  (Unreachable for satisfiable [T], [P] by Proposition 2.1;
-    raised rather than silently yielding [max_int]/empty measures so a
-    regression in the sweep can never masquerade as an answer.) *)
+type t
 
-type measures = {
-  diffs : Var.Set.t list;  (** every realizable [S ⊆ V(P)] *)
-  delta : Var.Set.t list;  (** [δ(T, P)]: the inclusion-minimal ones *)
-  k_min : int;  (** [k_{T,P}]: minimum cardinality over [diffs] *)
-  omega : Var.Set.t;  (** [Ω = ∪ δ(T, P)] *)
-}
+val create : Formula.t -> Formula.t -> t
+(** [create t p]: encode the pair once and decide satisfiability.
+    Raises [Invalid_argument] when [t] or [p] is unsatisfiable (the
+    paper's standing assumption; [T] is named when both are). *)
 
-val compute : Formula.t -> Formula.t -> measures
-(** One realizability sweep, all measures.  Both formulas must be
-    satisfiable; raises [Invalid_argument] otherwise or when
-    [|V(P)| > 16], and {!No_realizable_diff} on an empty sweep. *)
+val k : t -> int
+(** [k_{T,P}]: the minimum Hamming distance between a model of [T] and
+    a model of [P] over their joint alphabet. *)
 
-val of_diffs : Var.Set.t list -> measures
-(** Derive the measures from an already-computed sweep (must be the
-    full list of realizable differences, not just [δ]).  Raises
-    {!No_realizable_diff} on the empty list. *)
+val diffs : t -> Var.Set.t list
+(** Every [S ⊆ V(P)] such that some model of [T] and some model of [P]
+    differ exactly by [S].  Raises [Invalid_argument] when
+    [|V(P)| > 16]; so do {!delta} and {!omega}, which derive from it. *)
 
-val realizable_diffs : Formula.t -> Formula.t -> Var.Set.t list
-(** All [S ⊆ V(P)] such that some model of [T] and some model of [P]
-    differ exactly by [S].  Both formulas must be satisfiable.  Raises
-    [Invalid_argument] when [|V(P)| > 16]. *)
+val delta : t -> Var.Set.t list
+(** [δ(T, P)]: the inclusion-minimal realizable differences. *)
 
-val delta : Formula.t -> Formula.t -> Var.Set.t list
-(** [δ(T, P)]: inclusion-minimal realizable differences. *)
-
-val k_min : Formula.t -> Formula.t -> int
-(** [k_{T,P}]: minimum cardinality of a realizable difference. *)
-
-val omega : Formula.t -> Formula.t -> Var.Set.t
+val omega : t -> Var.Set.t
 (** [Ω = ∪ δ(T, P)]. *)

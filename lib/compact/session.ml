@@ -50,15 +50,6 @@ let result s =
 let ask s q = Revision.Result.entails (result s) q
 let model_check s m = Revision.Result.model_check (result s) m
 
-let mop = function
-  | Op.Winslett -> Revision.Model_based.Winslett
-  | Op.Borgida -> Revision.Model_based.Borgida
-  | Op.Forbus -> Revision.Model_based.Forbus
-  | Op.Satoh -> Revision.Model_based.Satoh
-  | Op.Dalal -> Revision.Model_based.Dalal
-  | Op.Weber -> Revision.Model_based.Weber
-  | Op.Gfuv | Op.Nebel _ | Op.Widtio -> invalid_arg "Session.mop"
-
 let compile s =
   let t = Theory.conj s.base in
   let ps = log s in
@@ -73,4 +64,4 @@ let compile s =
   | Op.Weber -> (
       match ps with [] -> t | ps -> Iterated.final (Iterated.weber t ps))
   | (Op.Winslett | Op.Borgida | Op.Forbus | Op.Satoh) as o -> (
-      match ps with [] -> t | ps -> Iterated_bounded.for_op (mop o) t ps)
+      match ps with [] -> t | ps -> Iterated_bounded.for_op (Op.model_op o) t ps)

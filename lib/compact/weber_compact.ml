@@ -2,14 +2,12 @@ open Logic
 
 type info = { formula : Formula.t; omega : Var.Set.t; z : Var.t list }
 
-let omega = Measure.omega
-
-let revise_info ?omega:om t p =
-  let omega_set = match om with Some o -> o | None -> omega t p in
-  let letters = Var.Set.elements omega_set in
+let revise_info t p =
+  let omega = Measure.omega (Measure.create t p) in
+  let letters = Var.Set.elements omega in
   let avoid = Var.Set.union (Formula.vars t) (Formula.vars p) in
   let z = Names.copy ~avoid ~suffix:"_z" letters in
   let t_z = Formula.rename (List.combine letters z) t in
-  { formula = Formula.conj2 t_z p; omega = omega_set; z }
+  { formula = Formula.conj2 t_z p; omega; z }
 
-let revise ?omega t p = (revise_info ?omega t p).formula
+let revise t p = (revise_info t p).formula

@@ -8,10 +8,8 @@
     contrast at the end of Section 3.1).
 
     Computing [Ω] itself is the hard part (it is the "measure of minimal
-    distance" of this operator).  [omega] computes it extensionally from
-    the enumerated model sets; [revise] accepts a precomputed [Ω] so
-    benchmarks can separate measure computation from representation
-    size. *)
+    distance" of this operator): {!Measure.omega}, [2^{|V(P)|}] SAT probes
+    on one session.  By Proposition 2.1, [Ω ⊆ V(P)]. *)
 
 open Logic
 
@@ -21,11 +19,8 @@ type info = {
   z : Var.t list;  (** fresh copy of [Ω], in [Var.Set.elements] order *)
 }
 
-val omega : Formula.t -> Formula.t -> Var.Set.t
-(** [Ω], via {!Measure.omega} ([2^{|V(P)|}] SAT probes).  By
-    Proposition 2.1, [Ω ⊆ V(P)]. *)
+val revise_info : Formula.t -> Formula.t -> info
+(** Raises [Invalid_argument] when either formula is unsatisfiable or
+    [|V(P)| > 16]. *)
 
-val revise_info : ?omega:Var.Set.t -> Formula.t -> Formula.t -> info
-(** Raises [Invalid_argument] when either formula is unsatisfiable. *)
-
-val revise : ?omega:Var.Set.t -> Formula.t -> Formula.t -> Formula.t
+val revise : Formula.t -> Formula.t -> Formula.t

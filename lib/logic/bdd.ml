@@ -56,9 +56,6 @@ type manager = {
   (* External roots. *)
   mutable roots : node Weak.t;
   mutable nroots : int;
-  (* Reordering. *)
-  mutable reorder_threshold : int;
-  mutable reordering : bool;
   (* Cumulative per-manager stats, with flushed watermarks so obs
      counters receive deltas at public-op boundaries. *)
   mutable s_uhit : int;
@@ -94,7 +91,7 @@ type stats = {
 let initial_cache_bits = 8
 let max_cache_bits = 20
 
-let manager ?(reorder_threshold = 0) order =
+let manager order =
   let vars = Array.of_list order in
   let n = Array.length vars in
   let var_ids =
@@ -131,8 +128,6 @@ let manager ?(reorder_threshold = 0) order =
       cmask = csz - 1;
       roots = Weak.create 64;
       nroots = 0;
-      reorder_threshold;
-      reordering = false;
       s_uhit = 0;
       s_umiss = 0;
       s_chit = 0;
@@ -154,7 +149,6 @@ let manager ?(reorder_threshold = 0) order =
 
 let order mgr = List.init mgr.nvars (fun l -> mgr.vars.(mgr.var_at.(l)))
 let live_nodes mgr = mgr.live
-let set_reorder_threshold mgr t = mgr.reorder_threshold <- t
 
 let stats mgr =
   {
@@ -690,7 +684,6 @@ let flush_stats mgr =
    argmin can never leave a variable worse than it began:
    true(best) <= true(start). *)
 let sift_internal mgr =
-  mgr.reordering <- true;
   gc mgr;
   let n = mgr.nvars in
   if n > 1 then begin
@@ -728,28 +721,16 @@ let sift_internal mgr =
           gc mgr
         end)
       by_size
-  end;
-  mgr.reordering <- false
+  end
 
 let sift mgr =
   Obs.with_span "bdd.sift" (fun () ->
       sift_internal mgr;
       flush_stats mgr)
 
-let maybe_reorder mgr =
-  if
-    mgr.reorder_threshold > 0
-    && (not mgr.reordering)
-    && mgr.live > mgr.reorder_threshold
-  then begin
-    sift mgr;
-    mgr.reorder_threshold <- max mgr.reorder_threshold (2 * mgr.live)
-  end
-
 let finish mgr raw =
   let b = box mgr raw in
   flush_stats mgr;
-  maybe_reorder mgr;
   b
 
 (* ------------------------------------------------------------------ *)

@@ -20,11 +20,9 @@
 type manager
 type node
 
-val manager : ?reorder_threshold:int -> Var.t list -> manager
+val manager : Var.t list -> manager
 (** Create a manager with the given variable order (first = topmost).
-    [reorder_threshold] (default 0 = disabled) arms automatic Rudell
-    sifting: once the live node count exceeds the threshold at a public
-    operation boundary, the manager sifts and doubles the threshold. *)
+    The order changes only by an explicit {!sift}. *)
 
 val order : manager -> Var.t list
 (** Current variable order; reflects any reordering. *)
@@ -95,9 +93,6 @@ val node_count : node -> int
 
 val live_nodes : manager -> int
 (** Live nodes across the whole manager (the sifting size metric). *)
-
-val set_reorder_threshold : manager -> int -> unit
-(** Re-arm or disable (0) automatic sifting after creation. *)
 
 val sat_count : manager -> node -> int
 (** Number of satisfying assignments over the manager's alphabet. *)

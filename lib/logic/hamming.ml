@@ -115,118 +115,28 @@ let pointwise_diff_subset s1 s2 s3 s4 =
   in
   Formula.and_ (go s1 s2 s3 s4)
 
-(* One incremental session for the whole distance sweep: [t[X/Y]] and
-   [p] are var-disjoint, so the first (threshold-free) query of
-   [Session.min_distance] is satisfiable iff both are — the former
-   per-formula pre-checks folded into the session — and each threshold
-   after that is one assumption flip on the shared cardinality ladder
-   instead of a fresh [exa k] solver build. *)
-let min_distance_sat t p =
-  let alphabet =
-    Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
-  in
-  let ys = List.map (Var.copy_of ~suffix:"__y") alphabet in
-  let t_y = Formula.rename (List.combine alphabet ys) t in
-  let s = Semantics.Session.create ~vars:alphabet () in
-  let env = Semantics.Session.env s in
-  let pairs =
-    List.map2
-      (fun x y -> (Semantics.lit_of_var env x, Semantics.lit_of_var env y))
-      alphabet ys
-  in
-  let lad = Semantics.Ladder.of_pairs env pairs in
-  Semantics.Session.min_distance s [ t_y; p ] lad
+(* "At least [j]" from a sorted unary count vector; [j = 0] is true. *)
+let at_least v j =
+  if j = 0 then Formula.top
+  else if j > List.length v then Formula.bot
+  else List.nth v (j - 1)
 
 (* Totalizer: recursively merge unary ("sorted") count vectors.  A leaf
    is the single difference bit [d_i]; merging two sorted vectors [a]
    (length la) and [b] (length lb) yields [r] of length la + lb with
    r_j <-> OR_{p+q=j, p<=la, q<=lb} (a_p /\ b_q), where a_0 = true.
-   All r_j get fresh defining letters, so the result is a conjunction of
-   biconditional definitions exactly like [exa]. *)
-let exa_totalizer k xs ys =
-  check_same_length xs ys;
-  let n = List.length xs in
-  if k < 0 || k > n then (Formula.bot, [])
-  else if n = 0 then (Formula.top, [])
-  else begin
-    let aux = ref [] in
-    let defs = ref [] in
-    let fresh () =
-      let w = Var.fresh ~prefix:"_tot" () in
-      aux := w :: !aux;
-      w
-    in
-    let define rhs =
-      let s = fresh () in
-      defs := Formula.iff (Formula.var s) rhs :: !defs;
-      Formula.var s
-    in
-    (* diff bits *)
-    let leaves =
-      List.map2 (fun x y -> [ define (diff_lit x y) ]) xs ys
-    in
-    (* [nth_count v j]: "at least j" from sorted vector v; j = 0 is true *)
-    let at_least v j =
-      if j = 0 then Formula.top
-      else if j > List.length v then Formula.bot
-      else List.nth v (j - 1)
-    in
-    let merge a b =
-      let la = List.length a and lb = List.length b in
-      List.init (la + lb) (fun j0 ->
-          let j = j0 + 1 in
-          let cases = ref [] in
-          for p = 0 to min j la do
-            let q = j - p in
-            if q >= 0 && q <= lb then
-              cases :=
-                Formula.conj2 (at_least a p) (at_least b q) :: !cases
-          done;
-          define (Formula.or_ !cases))
-    in
-    let rec build = function
-      | [] -> []
-      | [ v ] -> v
-      | vs ->
-          let rec pair = function
-            | a :: b :: rest -> merge a b :: pair rest
-            | [ a ] -> [ a ]
-            | [] -> []
-          in
-          build (pair vs)
-    in
-    let sorted = build leaves in
-    let exactly =
-      Formula.conj2 (at_least sorted k)
-        (Formula.not_ (at_least sorted (k + 1)))
-    in
-    (Formula.and_ (List.rev (exactly :: !defs)), List.rev !aux)
-  end
-
-(* Polynomial comparison via two unary counters: count1 < count2 iff the
-   sorted vectors witness some threshold reached by the second but not
-   the first.  We re-derive the totalizer vectors with shared helper
-   code by instantiating [exa_totalizer]'s machinery inline. *)
-let unary_counter xs ys =
-  (* returns (defs, sorted at-least vector) with fresh letters *)
+   Every r_j gets a fresh defining letter named from [prefix]; returns
+   the biconditional definitions, the sorted vector and those letters. *)
+let unary_counter ~prefix xs ys =
   let aux = ref [] in
   let defs = ref [] in
-  let fresh () =
-    let w = Var.fresh ~prefix:"_cnt" () in
-    aux := w :: !aux;
-    w
-  in
   let define rhs =
-    let s = fresh () in
+    let s = Var.fresh ~prefix () in
+    aux := s :: !aux;
     defs := Formula.iff (Formula.var s) rhs :: !defs;
     Formula.var s
   in
   let leaves = List.map2 (fun x y -> [ define (diff_lit x y) ]) xs ys in
-  let at_least v j =
-    if j = 0 then Formula.top
-    else if j > List.length v then Formula.bot
-    else List.nth v (j - 1)
-  in
   let merge a b =
     let la = List.length a and lb = List.length b in
     List.init (la + lb) (fun j0 ->
@@ -253,18 +163,31 @@ let unary_counter xs ys =
   let sorted = build leaves in
   (List.rev !defs, sorted, List.rev !aux)
 
+(* "Exactly k" is [s_k /\ ~s_{k+1}] on the totalizer's sorted output. *)
+let exa_totalizer k xs ys =
+  check_same_length xs ys;
+  let n = List.length xs in
+  if k < 0 || k > n then (Formula.bot, [])
+  else if n = 0 then (Formula.top, [])
+  else begin
+    let defs, sorted, aux = unary_counter ~prefix:"_tot" xs ys in
+    let exactly =
+      Formula.conj2 (at_least sorted k)
+        (Formula.not_ (at_least sorted (k + 1)))
+    in
+    (Formula.and_ (defs @ [ exactly ]), aux)
+  end
+
+(* Polynomial comparison via two unary counters: count1 < count2 iff the
+   sorted vectors witness some threshold reached by the second but not
+   the first. *)
 let dist_lt (a, b) (c, d) =
   check_same_length a b;
   check_same_length c d;
   if a = [] && c = [] then (Formula.bot, [])
   else begin
-    let defs1, v1, aux1 = unary_counter a b in
-    let defs2, v2, aux2 = unary_counter c d in
-    let at_least v j =
-      if j = 0 then Formula.top
-      else if j > List.length v then Formula.bot
-      else List.nth v (j - 1)
-    in
+    let defs1, v1, aux1 = unary_counter ~prefix:"_cnt" a b in
+    let defs2, v2, aux2 = unary_counter ~prefix:"_cnt" c d in
     let width = max (List.length v1) (List.length v2) in
     let lt =
       Formula.or_

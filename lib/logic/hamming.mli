@@ -42,14 +42,6 @@ val pointwise_diff_subset :
     the positions where [S1] and [S2] differ are a subset of those where
     [S3] and [S4] differ (Section 6). *)
 
-val min_distance_sat : Formula.t -> Formula.t -> int option
-(** [min_distance_sat t p] is the paper's [k_{T,P}]: the minimum Hamming
-    distance between a model of [t] and a model of [p] over their joint
-    alphabet, or [None] when either formula is unsatisfiable.  One
-    incremental {!Semantics.Session}: [t[X/Y] /\ p] and a shared
-    cardinality ladder are encoded once, and each threshold is an
-    assumption flip. *)
-
 val exa_totalizer : int -> Var.t list -> Var.t list -> Formula.t * Var.t list
 (** Alternative [EXA] built from a totalizer (balanced-tree unary
     counter): the definitions compute a sorted unary output

@@ -495,18 +495,17 @@ module Compiled = struct
     base_letters : int; (* alphabet size at compile time *)
   }
 
-  let compile ?order ?(sift = false) ?(reorder_threshold = 0) f =
+  let compile ?order f =
     let letters =
       match order with
       | Some o -> o
       | None -> Bdd.force_order f
     in
-    let mgr = Bdd.manager ~reorder_threshold letters in
+    let mgr = Bdd.manager letters in
     (* A caller-supplied order may omit letters of [f]; appending them
        at the bottom keeps the given prefix intact. *)
     Bdd.extend mgr (Var.Set.elements (Formula.vars f));
     let root = Bdd.of_formula mgr f in
-    if sift then Bdd.sift mgr;
     { mgr; root; base_letters = List.length (Bdd.order mgr) }
 
   let manager t = t.mgr

@@ -285,13 +285,11 @@ val query_equivalent : Var.t list -> Formula.t -> Formula.t -> bool
 module Compiled : sig
   type t
 
-  val compile :
-    ?order:Var.t list -> ?sift:bool -> ?reorder_threshold:int -> Formula.t -> t
+  val compile : ?order:Var.t list -> Formula.t -> t
   (** Compile a KB.  [order] fixes the variable-order prefix (letters of
       the formula missing from it are appended at the bottom); without it
       the FORCE heuristic ({!Bdd.force_order}) picks a structural order.
-      [sift] runs one Rudell sifting pass after compilation;
-      [reorder_threshold] arms automatic sifting during and after it. *)
+      A Rudell sifting pass is an explicit {!Bdd.sift} on {!manager}. *)
 
   val manager : t -> Bdd.manager
   val root : t -> Bdd.node

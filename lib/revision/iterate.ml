@@ -11,17 +11,7 @@ let revise_seq_on op alphabet t ps =
       let t' = widtio_seq t ps in
       Result.make alphabet (Models.enumerate alphabet (Theory.conj t'))
   | op ->
-      let mop =
-        match op with
-        | Operator.Winslett -> Model_based.Winslett
-        | Operator.Borgida -> Model_based.Borgida
-        | Operator.Forbus -> Model_based.Forbus
-        | Operator.Satoh -> Model_based.Satoh
-        | Operator.Dalal -> Model_based.Dalal
-        | Operator.Weber -> Model_based.Weber
-        | Operator.Gfuv | Operator.Nebel _ | Operator.Widtio ->
-            assert false
-      in
+      let mop = Operator.model_op op in
       let init = Models.enumerate alphabet (Theory.conj t) in
       let final =
         List.fold_left

@@ -26,6 +26,10 @@ val name : t -> string
 val of_name : string -> t option
 val is_model_based : t -> bool
 
+val model_op : t -> Model_based.op
+(** The model-based operator of the six; raises [Invalid_argument] on
+    GFUV, Nebel and WIDTIO (test with {!is_model_based}). *)
+
 val partition : int list -> 'a list -> 'a list list
 (** Split a list by consecutive class sizes; a final open class absorbs
     the remainder.  Raises [Invalid_argument] if the sizes overrun. *)

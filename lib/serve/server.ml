@@ -74,9 +74,7 @@ let id_fields id = match id with None -> [] | Some v -> [ ("id", v) ]
 
 let ok id fields = Json.Obj (id_fields id @ (("ok", Json.Bool true) :: fields))
 
-let error t id code detail =
-  t.errors <- t.errors + 1;
-  Obs.incr c_errors;
+let error id code detail =
   Json.Obj
     (id_fields id
     @ [
@@ -87,37 +85,37 @@ let error t id code detail =
 
 exception Reply of Json.t
 
-let failf t id code fmt =
-  Printf.ksprintf (fun detail -> raise (Reply (error t id code detail))) fmt
+let failf id code fmt =
+  Printf.ksprintf (fun detail -> raise (Reply (error id code detail))) fmt
 
 (* -- request parsing ------------------------------------------------------- *)
 
-let need_str t id req field =
+let need_str id req field =
   match Json.str_member field req with
   | Some s -> s
-  | None -> failf t id "missing_field" "string field %S is required" field
+  | None -> failf id "missing_field" "string field %S is required" field
 
 let entry_of t id req =
-  let name = need_str t id req "kb" in
+  let name = need_str id req "kb" in
   match Registry.find t.registry name with
   | Some e -> e
-  | None -> failf t id "unknown_kb" "no KB named %S is loaded" name
+  | None -> failf id "unknown_kb" "no KB named %S is loaded" name
 
-let op_of t id req =
-  let s = need_str t id req "op" in
+let op_of id req =
+  let s = need_str id req "op" in
   match MB.of_name s with
   | Some op -> op
   | None ->
-      failf t id "unknown_op"
+      failf id "unknown_op"
         "%S is not a model-based operator (expected one of %s)" s
         (String.concat ", " (List.map MB.name MB.all))
 
-let formula_of t id req field =
-  let s = need_str t id req field in
+let formula_of id req field =
+  let s = need_str id req field in
   match Parser.formula_of_string s with
   | f -> f
   | exception Parser.Syntax_error d ->
-      failf t id "syntax_error" "field %S: %s" field d
+      failf id "syntax_error" "field %S: %s" field d
 
 (* A candidate model: the space-separated letters assigned true. *)
 let interp_of_string s =
@@ -127,13 +125,6 @@ let interp_of_string s =
        (String.split_on_char ' ' s))
 
 (* -- the revision cache ---------------------------------------------------- *)
-
-let compact_revise op tf pf =
-  match op with
-  | MB.Dalal -> Compact.Dalal_compact.revise tf pf
-  | MB.Weber -> Compact.Weber_compact.revise tf pf
-  | MB.Winslett | MB.Borgida | MB.Forbus | MB.Satoh ->
-      Compact.Iterated_bounded.for_op op tf [ pf ]
 
 let cache_key (e : Registry.entry) op pf =
   Printf.sprintf "%s@%d|%s|%s" e.name e.epoch (MB.name op)
@@ -155,7 +146,7 @@ let revised t (e : Registry.entry) op pf =
       let rf =
         Obs.with_span "serve.revise"
           ~attrs:(fun () -> [ ("op", MB.name op) ])
-          (fun () -> compact_revise op e.formula pf)
+          (fun () -> Compact.Iterated_bounded.revise op e.formula pf)
       in
       let c = { rf; rsession = None } in
       Lru.add t.cache key c;
@@ -175,13 +166,13 @@ let cached_session c =
 (* -- verbs ----------------------------------------------------------------- *)
 
 let do_load t id req =
-  let name = need_str t id req "kb" in
+  let name = need_str id req "kb" in
   let theory =
-    let s = need_str t id req "theory" in
+    let s = need_str id req "theory" in
     match Parser.theory_of_string s with
     | th -> th
     | exception Parser.Syntax_error d ->
-        failf t id "syntax_error" "field \"theory\": %s" d
+        failf id "syntax_error" "field \"theory\": %s" d
   in
   let e = Registry.load t.registry name theory in
   ok id
@@ -194,8 +185,8 @@ let do_load t id req =
 
 let do_update t id req =
   let e = entry_of t id req in
-  let op = op_of t id req in
-  let pf = formula_of t id req "p" in
+  let op = op_of id req in
+  let pf = formula_of id req "p" in
   let c, cached = revised t e op pf in
   Registry.commit e [ c.rf ];
   ok id
@@ -208,8 +199,8 @@ let do_update t id req =
 
 let do_revise t id req =
   let e = entry_of t id req in
-  let op = op_of t id req in
-  let pf = formula_of t id req "p" in
+  let op = op_of id req in
+  let pf = formula_of id req "p" in
   let c, cached = revised t e op pf in
   let base =
     [
@@ -229,7 +220,7 @@ let do_revise t id req =
 
 let do_query t id req =
   let e = entry_of t id req in
-  let q = formula_of t id req "q" in
+  let q = formula_of id req "q" in
   match Json.str_member "op" req with
   | None -> (
       (* Entailment by the raw KB: ROBDD route when compiled, pooled
@@ -252,8 +243,8 @@ let do_query t id req =
             ])
   | Some _ ->
       (* Entailment by the revised KB: T * P |= q through the cache. *)
-      let op = op_of t id req in
-      let pf = formula_of t id req "p" in
+      let op = op_of id req in
+      let pf = formula_of id req "p" in
       let c, cached = revised t e op pf in
       let s = cached_session c in
       ok id
@@ -265,27 +256,31 @@ let do_query t id req =
           ("cached", Json.Bool cached);
         ]
 
-let do_check t id req =
-  let e = entry_of t id req in
-  let op = op_of t id req in
-  let pf = formula_of t id req "p" in
-  let models =
-    match Json.list_member "models" req with
-    | None -> failf t id "missing_field" "list field \"models\" is required"
-    | Some l ->
-        List.map
-          (function
-            | Json.Str s -> interp_of_string s
-            | _ -> failf t id "bad_request" "\"models\" must hold strings")
-          l
-  in
-  let answers = Check.model_check_batch op e.formula pf models in
+(* The candidates of a check request.  It only reads [req], so the
+   batch path can parse a member and still hand it back whole. *)
+let models_of id req =
+  match Json.list_member "models" req with
+  | None -> failf id "missing_field" "list field \"models\" is required"
+  | Some l ->
+      List.map
+        (function
+          | Json.Str s -> interp_of_string s
+          | _ -> failf id "bad_request" "\"models\" must hold strings")
+        l
+
+let check_reply id (e : Registry.entry) op answers =
   ok id
     [
       ("kb", Json.Str e.name);
       ("op", Json.Str (MB.name op));
       ("results", Json.List (List.map (fun b -> Json.Bool b) answers));
     ]
+
+let do_check t id req =
+  let e = entry_of t id req in
+  let op = op_of id req in
+  let pf = formula_of id req "p" in
+  check_reply id e op (Check.model_check_batch op e.formula pf (models_of id req))
 
 let do_count t id req =
   let e = entry_of t id req in
@@ -352,16 +347,16 @@ let span_of_verb = function
 
 (* Engine-level failures surfaced as structured protocol errors: the
    daemon must answer, not die, when a request is semantically bad. *)
-let guarded t id f =
+let guarded id f =
   match f () with
   | resp -> resp
   | exception Reply resp -> resp
-  | exception Invalid_argument d -> error t id "invalid" d
+  | exception Invalid_argument d -> error id "invalid" d
   | exception Semantics.Enumeration_cap_exceeded { enumerator; cap } ->
-      error t id "cap_exceeded"
+      error id "cap_exceeded"
         (Printf.sprintf "%s exceeded its cap of %d models" enumerator cap)
   | exception Check.Cegar_cap_exceeded { cap; opname; nletters } ->
-      error t id "cap_exceeded"
+      error id "cap_exceeded"
         (Printf.sprintf
            "CEGAR cap %d exceeded (op=%s, %d-letter alphabet)" cap opname
            nletters)
@@ -376,7 +371,7 @@ let batchable = function
    slices are dealt back to the member responses in request order. *)
 let do_batch t handle_one id req =
   match Json.list_member "requests" req with
-  | None -> failf t id "missing_field" "list field \"requests\" is required"
+  | None -> failf id "missing_field" "list field \"requests\" is required"
   | Some members ->
       let arr = Array.of_list members in
       let responses = Array.make (Array.length arr) Json.Null in
@@ -415,26 +410,13 @@ let do_batch t handle_one id req =
                 let _, m0 = List.hd members in
                 let id0 = Json.member "id" m0 in
                 let e = entry_of t id0 m0 in
-                let op = op_of t id0 m0 in
-                let pf = formula_of t id0 m0 "p" in
+                let op = op_of id0 m0 in
+                let pf = formula_of id0 m0 "p" in
                 let parts =
                   List.map
                     (fun (i, m) ->
                       let mid = Json.member "id" m in
-                      match Json.list_member "models" m with
-                      | None ->
-                          failf t mid "missing_field"
-                            "list field \"models\" is required"
-                      | Some l ->
-                          ( i,
-                            mid,
-                            List.map
-                              (function
-                                | Json.Str s -> interp_of_string s
-                                | _ ->
-                                    failf t mid "bad_request"
-                                      "\"models\" must hold strings")
-                              l ))
+                      (i, mid, models_of mid m))
                     members
                 in
                 let all = List.concat_map (fun (_, _, ms) -> ms) parts in
@@ -447,15 +429,7 @@ let do_batch t handle_one id req =
                     let k = List.length ms in
                     let mine = List.filteri (fun j _ -> j < k) !rest in
                     rest := List.filteri (fun j _ -> j >= k) !rest;
-                    responses.(i) <-
-                      ok mid
-                        [
-                          ("kb", Json.Str e.name);
-                          ("op", Json.Str (MB.name op));
-                          ( "results",
-                            Json.List
-                              (List.map (fun b -> Json.Bool b) mine) );
-                        ];
+                    responses.(i) <- check_reply mid e op mine;
                     Hashtbl.replace grouped i ())
                   parts
               in
@@ -478,26 +452,26 @@ let do_batch t handle_one id req =
               match Json.str_member "verb" m with
               | Some v when batchable v -> handle_one t m
               | Some v ->
-                  error t mid "not_batchable"
+                  error mid "not_batchable"
                     (Printf.sprintf "verb %S cannot appear inside a batch" v)
-              | None -> error t mid "missing_field" "field \"verb\" required"
+              | None -> error mid "missing_field" "field \"verb\" required"
             in
             responses.(i) <- resp
           end)
         arr;
       ok id [ ("responses", Json.List (Array.to_list responses)) ]
 
-let rec handle t req =
+let rec dispatch t req =
   t.requests <- t.requests + 1;
   Obs.incr c_requests;
   let id = Json.member "id" req in
   match req with
   | Json.Obj _ -> (
       match Json.str_member "verb" req with
-      | None -> error t id "missing_field" "field \"verb\" is required"
+      | None -> error id "missing_field" "field \"verb\" is required"
       | Some verb ->
           Obs.with_span (span_of_verb verb) (fun () ->
-              guarded t id (fun () ->
+              guarded id (fun () ->
                   match verb with
                   | "load" -> do_load t id req
                   | "update" -> do_update t id req
@@ -509,13 +483,30 @@ let rec handle t req =
                   | "stats" -> do_stats t id req
                   | "batch" -> do_batch t handle_in_batch id req
                   | "shutdown" -> do_shutdown t id req
-                  | v -> error t id "unknown_verb" (Printf.sprintf "%S" v))))
-  | _ -> error t id "bad_request" "a request must be a JSON object"
+                  | v -> error id "unknown_verb" (Printf.sprintf "%S" v))))
+  | _ -> error id "bad_request" "a request must be a JSON object"
 
 (* Batch members reuse the normal dispatcher (so they are counted and
    span-timed like top-level requests) but have already been screened
    for batchability. *)
-and handle_in_batch t m = handle t m
+and handle_in_batch t m = dispatch t m
+
+(* Errors are counted from the reply that is sent, batch members
+   included, so a member answered after its shared group rolled back
+   counts once. *)
+let rec errors_in v =
+  match (Json.bool_member "ok" v, Json.list_member "responses" v) with
+  | Some false, _ -> 1
+  | _, Some rs -> List.fold_left (fun n r -> n + errors_in r) 0 rs
+  | _ -> 0
+
+let sent t resp =
+  let n = errors_in resp in
+  t.errors <- t.errors + n;
+  Obs.add c_errors n;
+  resp
+
+let handle t req = sent t (dispatch t req)
 
 let handle_line t line =
   match Json.parse line with
@@ -523,7 +514,7 @@ let handle_line t line =
   | exception Json.Parse_error d ->
       t.requests <- t.requests + 1;
       Obs.incr c_requests;
-      Json.render (error t None "bad_json" d)
+      Json.render (sent t (error None "bad_json" d))
 
 let stopping t = t.stopping
 

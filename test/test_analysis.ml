@@ -267,14 +267,6 @@ let test_report_methods () =
   check_bool "general formulas route to cdcl" true
     (meth "(a | b) & (~a | ~b) & (a == c | b)" = "cdcl")
 
-(* -- measure error path ---------------------------------------------------- *)
-
-let test_measure_empty_diffs () =
-  check_bool "of_diffs [] raises" true
-    (match Compact.Measure.of_diffs [] with
-    | exception Compact.Measure.No_realizable_diff -> true
-    | _ -> false)
-
 let () =
   Alcotest.run "analysis"
     [
@@ -311,10 +303,5 @@ let () =
         [
           prop_decide_sat_routing;
           Alcotest.test_case "routing labels" `Quick test_report_methods;
-        ] );
-      ( "measure",
-        [
-          Alcotest.test_case "empty diffs is a named error" `Quick
-            test_measure_empty_diffs;
         ] );
     ]

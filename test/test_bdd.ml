@@ -210,7 +210,7 @@ let sift_blocked_order () =
   check_bool "strictly smaller" true (Bdd.node_count node < before);
   check_bool "optimal interleaving found" true (Bdd.node_count node = 2 * k)
 
-let auto_reorder () =
+let sift_stats () =
   let k = 6 in
   let xs = letters ~prefix:"ax" k and ys = letters ~prefix:"ay" k in
   let f =
@@ -220,10 +220,9 @@ let auto_reorder () =
          xs ys)
   in
   let mgr = Bdd.manager (xs @ ys) in
-  Bdd.set_reorder_threshold mgr 8;
   let node = Bdd.of_formula mgr f in
+  Bdd.sift mgr;
   let st = Bdd.stats mgr in
-  check_bool "auto-sift ran" true (st.Bdd.swaps > 0);
   check_bool "answers intact" true
     (Bdd.sat_count mgr node = Models.count (xs @ ys) f);
   check_bool "live metric agrees" true (Bdd.live_nodes mgr > 0);
@@ -302,7 +301,8 @@ let compiled_ask =
 
 let compiled_shape () =
   let t = Formula.conj2 (Formula.v "a") (Formula.v "b") in
-  let c = Semantics.Compiled.compile ~sift:true t in
+  let c = Semantics.Compiled.compile t in
+  Bdd.sift (Semantics.Compiled.manager c);
   check_bool "sat" true (Semantics.Compiled.sat c);
   check_bool "size" true (Semantics.Compiled.size c = 2);
   check_bool "order covers vars" true
@@ -374,7 +374,8 @@ let () =
         [
           sift_preserves;
           Alcotest.test_case "blocked order" `Quick sift_blocked_order;
-          Alcotest.test_case "auto reorder" `Quick auto_reorder;
+          Alcotest.test_case "answers and stats after sift" `Quick
+            sift_stats;
         ] );
       ( "limits",
         [

@@ -180,11 +180,13 @@ let test_encode_memoized () =
 (* -- Hamming / EXA (SAT-level sanity; exhaustive check in structures) ------- *)
 
 let test_min_distance () =
-  check_bool "distance 2" true
-    (Hamming.min_distance_sat (f "a & b & c") (f "~a & ~b") = Some 2);
-  check_bool "distance 0 when consistent" true
-    (Hamming.min_distance_sat (f "a | b") (f "a") = Some 0);
-  check_bool "unsat P" true (Hamming.min_distance_sat (f "a") (f "b & ~b") = None)
+  let k t p = Compact.Measure.k (Compact.Measure.create (f t) (f p)) in
+  check_bool "distance 2" true (k "a & b & c" "~a & ~b" = 2);
+  check_bool "distance 0 when consistent" true (k "a | b" "a" = 0);
+  check_bool "unsat P" true
+    (match k "a" "b & ~b" with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let () =
   Alcotest.run "semantics"
@@ -229,7 +231,7 @@ let () =
           Alcotest.test_case "encode memoized" `Quick test_encode_memoized;
         ] );
       ( "distance",
-        [ Alcotest.test_case "min_distance_sat" `Quick test_min_distance ] );
+        [ Alcotest.test_case "min distance" `Quick test_min_distance ] );
     ]
 
 (* keep vars5 referenced to avoid warnings if unused in some configs *)

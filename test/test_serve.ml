@@ -405,6 +405,30 @@ let test_stats_shape () =
   check_int "no cache traffic yet" 0 (get_int "cache_hits" v);
   check_int "cache empty" 0 (get_int "cache_entries" v)
 
+(* A grouped check member that fails rolls its group back to one-by-one
+   handling; the error reply it then gets is counted once, exactly as
+   when the members never group. *)
+let test_batch_error_counted_once () =
+  let errors_after members =
+    let srv = Server.create () in
+    ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
+    let v = sendf srv {|{"verb":"batch","requests":[%s]}|} members in
+    let codes =
+      List.filter_map
+        (fun r -> Json.str_member "error" r)
+        (Option.get (Json.list_member "responses" v))
+    in
+    check_bool "one member error" true (codes = [ "missing_field" ]);
+    get_int "errors" (send srv {|{"verb":"stats"}|})
+  in
+  let ok_member = {|{"verb":"check","kb":"k","op":"dalal","p":"~a","models":["b"]}|} in
+  check_int "grouped members" 1
+    (errors_after
+       (ok_member ^ {|,{"verb":"check","kb":"k","op":"dalal","p":"~a"}|}));
+  check_int "ungrouped members" 1
+    (errors_after
+       (ok_member ^ {|,{"verb":"check","kb":"k","op":"weber","p":"~a"}|}))
+
 (* Cached and recomputed answers must be bit-identical: drive the same
    query on a cache-cap-1 server (forced recompute) and a roomy one. *)
 let test_cached_equals_recomputed () =
@@ -472,5 +496,7 @@ let () =
           Alcotest.test_case "structured" `Quick test_errors;
           Alcotest.test_case "shutdown verb" `Quick test_shutdown_verb;
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
+          Alcotest.test_case "batch error counted once" `Quick
+            test_batch_error_counted_once;
         ] );
     ]

@@ -69,12 +69,18 @@ let prop_within_monotone =
            (fun (ok, prev) b -> (ok && ((not prev) || b), b))
            (true, false) probes))
 
+(* k_{T,P} from the measure's ladder; an unsatisfiable side is the
+   measure's guard, where the oracle answers [None]. *)
+let measure_k t p =
+  match Compact.Measure.create t p with
+  | m -> Some (Compact.Measure.k m)
+  | exception Invalid_argument _ -> None
+
 let prop_min_distance_matches_exa =
   let x = letters 6 in
-  qtest "min_distance_sat = min_distance_exa" ~count:150
+  qtest "Measure.k = min_distance_exa" ~count:150
     (arb_pair (arb_formula x) (arb_formula x))
-    (fun (t, p) ->
-      Hamming.min_distance_sat t p = Fresh.min_distance_exa t p)
+    (fun (t, p) -> measure_k t p = Fresh.min_distance_exa t p)
 
 let prop_dist_to_matches_fresh =
   let x = letters 6 in
@@ -140,7 +146,7 @@ let test_dalal_work () =
       let t = Formula.and_ t and p = Formula.and_ p in
       less_work (Printf.sprintf "min distance n=%d" n)
         (fun () -> Fresh.min_distance_exa t p)
-        (fun () -> Hamming.min_distance_sat t p))
+        (fun () -> measure_k t p))
     [ 12; 15; 20 ]
 
 (* 64 reference points against one formula, one reused prober. *)
@@ -183,6 +189,39 @@ let test_cegar_work () =
         (fun () -> Check.model_check MB.Forbus t p cand))
     [ 12; 16 ]
 
+(* Each public entry point decides T and P once: the measuring
+   operators take the guard from their Measure session, the others run
+   one plain check per formula.  A 3-CNF T goes past the clausal fast
+   path to the solver; a Horn P does not.  So one batch check builds at
+   most two solvers, and so does one entailment, except that Borgida's
+   also decides T ∧ P. *)
+let test_guard_builds () =
+  let t =
+    f
+      "(x1 | x2 | ~x3) & (~x1 | ~x2 | x3) & (x2 | x3 | ~x4) & (~x2 | ~x3 | \
+       x4) & (x1 | x4 | x5) & (~x1 | ~x4 | ~x5)"
+  in
+  let p = f "x1 & (~x1 | ~x2) & (~x3 | x4) & ~x5" in
+  let q = f "x3 -> x4" in
+  let ns = Interp.subsets (letters 5) in
+  Pool.with_jobs 1 (fun () ->
+      List.iter
+        (fun op ->
+          let name = MB.name op in
+          let answers, builds, _ =
+            work (fun () -> Check.model_check_batch op t p ns)
+          in
+          check_bool (name ^ ": batch = fresh") true
+            (answers = List.map (Fresh.model_check op t p) ns);
+          check_bool (Printf.sprintf "%s: batch builds %d <= 2" name builds)
+            true (builds <= 2);
+          let _, builds, _ = work (fun () -> Check.entails op t p q) in
+          let cap = if op = MB.Borgida then 3 else 2 in
+          check_bool
+            (Printf.sprintf "%s: entails builds %d <= %d" name builds cap)
+            true (builds <= cap))
+        MB.all)
+
 (* -- session-backed checkers vs the fresh-solver oracle ------------------- *)
 
 let prop_model_check_matches_fresh =
@@ -195,14 +234,14 @@ let prop_model_check_matches_fresh =
           Check.model_check op t p n = Fresh.model_check op t p n)
         MB.all)
 
-(* The sessionized diff sweep in Measure agrees with the formula-level
-   per-subset oracle it replaced. *)
+(* The measure's realizable-difference sweep agrees with the
+   formula-level per-subset oracle. *)
 let prop_measure_matches_formula_oracle =
   let x = letters 4 in
   qtest "realizable_diffs = per-subset formula oracle" ~count:80
     (arb_pair (arb_sat_formula x) (arb_sat_formula x))
     (fun (t, p) ->
-      let diffs = Compact.Measure.realizable_diffs t p in
+      let diffs = Compact.Measure.diffs (Compact.Measure.create t p) in
       let vp = Var.Set.elements (Formula.vars p) in
       let xs =
         Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
@@ -309,6 +348,8 @@ let () =
           Alcotest.test_case "Dalal sweeps" `Quick test_dalal_work;
           Alcotest.test_case "dist_to sweep" `Quick test_dist_work;
           Alcotest.test_case "Forbus CEGAR" `Quick test_cegar_work;
+          Alcotest.test_case "one guard per entry point" `Quick
+            test_guard_builds;
         ] );
       ( "sessions",
         [

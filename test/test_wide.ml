@@ -261,9 +261,8 @@ let test_acceptance_100 () =
   let p_models = Models.enumerate vars p in
   check_int "15 models at n=100" 15 (List.length p_models);
   (* Dalal minimum distance via the session + ladder. *)
-  (match Hamming.min_distance_sat t p with
-  | Some k -> check_int "k_{T,P} = 1 at n=100" 1 k
-  | None -> Alcotest.fail "min_distance_sat: both formulas satisfiable");
+  check_int "k_{T,P} = 1 at n=100" 1
+    (Compact.Measure.k (Compact.Measure.create t p));
   (* Full Dalal revision through the multi-word operators. *)
   let result = Model_based.revise_on Model_based.Dalal vars t p in
   check_int "Dalal keeps the 4 one-flip models" 4

@@ -190,8 +190,9 @@ let test_thm36_kmin_is_n () =
   let u = Witness.Threesat.sub_universe 3 [ 0; 5 ] in
   let fam = Witness.Dalal_family.make u in
   check_int "k = n" 3
-    (Compact.Measure.k_min fam.Witness.Dalal_family.t_n
-       fam.Witness.Dalal_family.p_n)
+    (Compact.Measure.k
+       (Compact.Measure.create fam.Witness.Dalal_family.t_n
+          fam.Witness.Dalal_family.p_n))
 
 (* -- Theorem 6.5 -------------------------------------------------------------------- *)
 
