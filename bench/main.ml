@@ -62,4 +62,9 @@ let () =
   (* Under REVKB_STATS=1 the accumulated instrumentation snapshot goes
      to stderr, after every section: one registry, whole-run totals. *)
   if Revkb_obs.Obs.enabled () then
-    prerr_string (Revkb_obs.Export.table (Revkb_obs.Obs.snapshot ()))
+    prerr_string (Revkb_obs.Export.table (Revkb_obs.Obs.snapshot ()));
+  match Atomic.get Report.failed_checks with
+  | 0 -> ()
+  | n ->
+      Printf.eprintf "%d paper self-check(s) failed\n" n;
+      exit 1

@@ -33,7 +33,16 @@ let table ?(indent = 2) headers rows =
   List.iter render_row rows
 
 let verdict b = if b then "YES" else "NO"
-let check b = if b then "ok" else "FAIL"
+(* Every paper self-check row of the run; [bench/main.exe] exits 1
+   after its sections when any of them failed. *)
+let failed_checks = Atomic.make 0
+
+let check b =
+  if b then "ok"
+  else begin
+    Atomic.incr failed_checks;
+    "FAIL"
+  end
 
 (* Growth classification for a size sequence paired with a parameter
    sequence: compares last-step growth ratios of value vs parameter.  A

@@ -86,16 +86,23 @@ let dalal_sweep () =
   let rows =
     Revkb_parallel.Pool.map_list pool
       (fun (n, t, p) ->
-        let info = Compact.Dalal_compact.revise_info t p in
+        let s = List.hd (Compact.Construct.iterate Model_based.Dalal t [ p ]) in
         let input = Formula.size t + Formula.size p in
+        (* EXA's letters W: the new letters besides the copy Y of X *)
+        let x = Formula.vars (Formula.conj2 t p) in
+        let w =
+          Var.Set.cardinal
+            (Var.Set.diff (Formula.vars s.Compact.Construct.formula) x)
+          - Var.Set.cardinal x
+        in
         ( input,
-          Formula.size info.Compact.Dalal_compact.formula,
+          s.Compact.Construct.size,
           [
             string_of_int n;
             string_of_int input;
-            string_of_int info.Compact.Dalal_compact.k;
-            string_of_int (Formula.size info.Compact.Dalal_compact.formula);
-            string_of_int (List.length info.Compact.Dalal_compact.aux);
+            string_of_int s.Compact.Construct.measure;
+            string_of_int s.Compact.Construct.size;
+            string_of_int w;
           ] ))
       instances
     |> List.map (fun (input, value, row) ->
@@ -121,11 +128,11 @@ let weber_sweep () =
             (List.map Formula.var (Gen.letters n) @ [ Parser.formula_of_string "x1 | x2" ])
         in
         let p = Parser.formula_of_string "~x1 | ~x2" in
-        let w = Compact.Weber_compact.revise_info t p in
+        let w = List.hd (Compact.Construct.iterate Model_based.Weber t [ p ]) in
         [
           string_of_int (Formula.size t + Formula.size p);
-          string_of_int (Var.Set.cardinal w.Compact.Weber_compact.omega);
-          string_of_int (Formula.size w.Compact.Weber_compact.formula);
+          string_of_int w.Compact.Construct.measure;
+          string_of_int w.Compact.Construct.size;
         ])
       [ 5; 10; 20; 40; 80; 160 ]
   in
@@ -323,7 +330,8 @@ let incompressibility_sweep () =
         in
         let query_rep =
           Formula.size
-            (Compact.Dalal_compact.revise fam.Witness.Dalal_family.t_n
+            (Compact.Construct.revise Model_based.Dalal
+               fam.Witness.Dalal_family.t_n
                fam.Witness.Dalal_family.p_n)
         in
         [

@@ -62,8 +62,7 @@ let iterated_general_sweep () =
     List.map
       (fun m ->
         let ps = ps m in
-        let d = Compact.Iterated.dalal t ps in
-        let w = Compact.Iterated.weber t ps in
+        let final op = Compact.Construct.(final t (iterate op t ps)) in
         let input =
           Formula.size t
           + List.fold_left (fun acc p -> acc + Formula.size p) 0 ps
@@ -71,8 +70,8 @@ let iterated_general_sweep () =
         [
           string_of_int m;
           string_of_int input;
-          string_of_int (Formula.size (Compact.Iterated.final d));
-          string_of_int (Formula.size (Compact.Iterated.final w));
+          string_of_int (Formula.size (final Model_based.Dalal));
+          string_of_int (Formula.size (final Model_based.Weber));
         ])
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
@@ -95,18 +94,22 @@ let iterated_bounded_sweep () =
   let ps m = List.init m (fun i -> cycle.(i mod Array.length cycle)) in
   let specs =
     [
-      ("winslett (16)", Compact.Iterated_bounded.winslett_iter);
-      ("borgida", Compact.Iterated_bounded.borgida_iter);
-      ("forbus (14)", Compact.Iterated_bounded.forbus_iter);
-      ("satoh (13*)", Compact.Iterated_bounded.satoh_iter);
+      ("winslett (16)", Model_based.Winslett);
+      ("borgida", Model_based.Borgida);
+      ("forbus (14)", Model_based.Forbus);
+      ("satoh (13*)", Model_based.Satoh);
     ]
   in
   let ms = [ 1; 2; 4; 8; 12 ] in
   let rows =
     List.map
-      (fun (name, build) ->
+      (fun (name, op) ->
         name
-        :: List.map (fun m -> string_of_int (Formula.size (build t (ps m)))) ms)
+        :: List.map
+             (fun m ->
+               string_of_int
+                 (Formula.size Compact.Construct.(final t (iterate op t (ps m)))))
+             ms)
       specs
   in
   Report.table
@@ -128,15 +131,12 @@ let iterated_bounded_sweep () =
     List.for_all Fun.id
       (Revkb_parallel.Pool.map_list
          (Revkb_parallel.Pool.global ())
-         (fun (op, build) ->
+         (fun op ->
            let sem = Iterate.revise_seq_on op vars [ t2 ] ps2 in
-           Compact.Verify.query_equivalent sem (build t2 ps2))
-         [
-           (Operator.Winslett, Compact.Iterated_bounded.winslett_iter);
-           (Operator.Borgida, Compact.Iterated_bounded.borgida_iter);
-           (Operator.Forbus, Compact.Iterated_bounded.forbus_iter);
-           (Operator.Satoh, Compact.Iterated_bounded.satoh_iter);
-         ])
+           Compact.Verify.query_equivalent sem
+             Compact.Construct.(
+               final t2 (iterate (Operator.model_op op) t2 ps2)))
+         Operator.[ Winslett; Borgida; Forbus; Satoh ])
   in
   Report.para
     (Printf.sprintf "  query-equivalence spot-check at m=4: %s"
@@ -220,9 +220,9 @@ let thm65_sweep () =
         in
         (* the query-equivalent Phi_m stays small on the same sequence *)
         let phi =
-          Compact.Iterated.final
-            (Compact.Iterated.dalal fam.Witness.Iterated_family.t_n
-               fam.Witness.Iterated_family.ps)
+          let t = fam.Witness.Iterated_family.t_n in
+          Compact.Construct.(
+            final t (iterate Model_based.Dalal t fam.Witness.Iterated_family.ps))
         in
         [
           string_of_int m;
@@ -273,8 +273,8 @@ let exponential_entry_point () =
           Formula.or_
             (List.map (fun v -> Formula.not_ (Formula.var v)) pvars)
         in
-        let win_q = Compact.Iterated_bounded.winslett_qbf t p in
-        let for_q = Compact.Iterated_bounded.forbus_qbf t p in
+        let win_q = Compact.Construct.winslett_qbf t p in
+        let for_q = Compact.Construct.forbus_qbf t p in
         let expanded =
           if k <= 6 then
             string_of_int (Formula.size (Qbf.expand win_q))

@@ -90,15 +90,15 @@ let run () =
       [ "semantic models"; show_models (Result.models sem) ];
       [ "matches paper"; Report.check (agrees (Result.models sem) expected5) ];
     ];
-  let steps = Compact.Iterated.weber t5 ps in
+  let steps = Compact.Construct.iterate Model_based.Weber t5 ps in
   List.iteri
     (fun i s ->
       Report.para
         (Format.asprintf "  Psi_%d (|Omega_%d| = %d, size %d): %a" (i + 1)
-           (i + 1) s.Compact.Iterated.measure s.Compact.Iterated.size
-           Formula.pp s.Compact.Iterated.formula))
+           (i + 1) s.Compact.Construct.measure s.Compact.Construct.size
+           Formula.pp s.Compact.Construct.formula))
     steps;
-  let final = Compact.Iterated.final steps in
+  let final = Compact.Construct.final t5 steps in
   Report.para
     (Printf.sprintf "  formula (10) query-equivalent to the semantics: %s"
        (Report.check (Compact.Verify.query_equivalent sem final)));
@@ -115,7 +115,7 @@ let run () =
         Report.check (agrees (Result.models sem6) [ "x2,x3,x4,x5" ]);
       ];
     ];
-  let win = Compact.Iterated_bounded.winslett t5 p6 in
+  let win = Compact.Construct.revise Model_based.Winslett t5 p6 in
   Report.para
     (Printf.sprintf
        "  formula (12) expanded: size %d; query-equivalent: %s"

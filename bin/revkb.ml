@@ -154,12 +154,6 @@ let op_arg =
     & opt (conv (parse, print)) Revision.Operator.Dalal
     & info [ "o"; "operator" ] ~docv:"OP" ~doc)
 
-let parse_formula s =
-  try Parser.formula_of_string s
-  with Parser.Syntax_error msg ->
-    Printf.eprintf "syntax error in %S: %s\n" s msg;
-    exit 2
-
 (* -- revise ----------------------------------------------------------------- *)
 
 let revise_cmd =
@@ -182,8 +176,8 @@ let revise_cmd =
           ~doc:"Decide T * P |= Q and print the answer.")
   in
   let run () theory op p ps models_flag dnf_flag min_flag query =
-    let p = parse_formula p in
-    let ps = List.map parse_formula ps in
+    let p = Parser.formula_of_string p in
+    let ps = List.map Parser.formula_of_string ps in
     let result =
       match ps with
       | [] -> Revision.Operator.revise op theory p
@@ -199,7 +193,7 @@ let revise_cmd =
         (Revision.Result.to_minimized_dnf result);
     (match query with
     | Some q ->
-        let q = parse_formula q in
+        let q = Parser.formula_of_string q in
         Format.printf "T * P |= %a : %b@." Formula.pp q
           (Revision.Result.entails result q)
     | None -> ());
@@ -223,7 +217,8 @@ let compact_cmd =
       & info [ "bounded" ]
           ~doc:
             "Use the bounded-|P| constructions of Section 4 (formulas \
-             (5)-(9); logically equivalent, no new letters).")
+             (5)-(9); logically equivalent, no new letters).  A single \
+             revision: not with $(b,--then).")
   in
   let verify_flag =
     Arg.(
@@ -236,20 +231,22 @@ let compact_cmd =
   in
   let run () theory op p ps bounded verify =
     let t = Theory.conj theory in
-    let p = parse_formula p in
-    let ps = List.map parse_formula ps in
+    let p = Parser.formula_of_string p in
+    let ps = List.map Parser.formula_of_string ps in
     if not (Revision.Operator.is_model_based op) then begin
       Printf.eprintf
         "compact representations exist for the model-based operators \
          (and trivially for WIDTIO)\n";
       exit 2
     end;
+    if bounded && ps <> [] then begin
+      Printf.eprintf "--bounded builds a single revision: drop --then\n";
+      exit 2
+    end;
     let mop = Revision.Operator.model_op op in
     let formula =
-      match (ps, bounded) with
-      | [], false -> Compact.Iterated_bounded.revise mop t p
-      | [], true -> Compact.Bounded.for_op mop t p
-      | ps, _ -> Compact.Iterated_bounded.for_op mop t (p :: ps)
+      if bounded then Compact.Bounded.for_op mop t p
+      else Compact.Construct.(final t (iterate mop t (p :: ps)))
     in
     Format.printf "%a@." Formula.pp formula;
     Format.printf "# size %d (input %d)@." (Formula.size formula)
@@ -357,7 +354,7 @@ let compile_cmd =
                   "diagram revision covers the model-based operators\n";
                 exit 2
           in
-          let steps = List.map parse_formula (p :: ps) in
+          let steps = List.map Parser.formula_of_string (p :: ps) in
           List.iter
             (fun q -> Bdd.extend mgr (Var.Set.elements (Formula.vars q)))
             steps;
@@ -377,7 +374,7 @@ let compile_cmd =
     in
     List.iter
       (fun q ->
-        let qf = parse_formula q in
+        let qf = Parser.formula_of_string q in
         Bdd.extend mgr (Var.Set.elements (Formula.vars qf));
         let qn = Bdd.of_formula mgr qf in
         Format.printf "|= %a : %b@." Formula.pp qf
@@ -403,7 +400,7 @@ let compile_cmd =
 
 let worlds_cmd =
   let run () theory p =
-    let p = parse_formula p in
+    let p = Parser.formula_of_string p in
     let ws = Revision.Formula_based.worlds theory p in
     Format.printf "%d possible world(s):@." (List.length ws);
     List.iter (fun w -> Format.printf "  %a@." Theory.pp w) ws;
@@ -549,7 +546,7 @@ let check_cmd =
   in
   let run () theory op p m =
     let t = Theory.conj theory in
-    let p = parse_formula p in
+    let p = Parser.formula_of_string p in
     let interp =
       if String.trim m = "" then Var.Set.empty
       else
@@ -602,13 +599,7 @@ let analyze_cmd =
           Printf.eprintf "use only one of FILE / -f\n";
           exit 2
     in
-    let theory =
-      try Parser.theory_of_string src
-      with Parser.Syntax_error msg ->
-        Printf.eprintf "syntax error: %s\n" msg;
-        exit 2
-    in
-    let f = Theory.conj theory in
+    let f = Theory.conj (Parser.theory_of_string src) in
     Format.printf "%a@." Revkb_analysis.Report.pp
       (Revkb_analysis.Report.analyze f);
     0
@@ -1022,20 +1013,40 @@ let () =
     let argv' = profile_prescan (trace_prescan argv) in
     if argv' == argv then argv else prescan argv'
   in
+  let cmd =
+    Cmd.group ~default info
+      [
+        revise_cmd;
+        compact_cmd;
+        compile_cmd;
+        worlds_cmd;
+        sat_cmd;
+        family_cmd;
+        check_cmd;
+        analyze_cmd;
+        repl_cmd;
+        serve_cmd;
+        trace_cmd;
+        profile_cmd;
+      ]
+  in
+  (* The one error boundary: bad input and exhausted caps end the run
+     with one line on stderr; anything else is still an internal error,
+     with cmdliner's exit code. *)
+  let fail code msg =
+    Printf.eprintf "revkb: %s\n" msg;
+    code
+  in
+  let argv = prescan (metrics_prescan Sys.argv) in
   exit
-    (Cmd.eval' ~argv:(prescan (metrics_prescan Sys.argv))
-       (Cmd.group ~default info
-          [
-            revise_cmd;
-            compact_cmd;
-            compile_cmd;
-            worlds_cmd;
-            sat_cmd;
-            family_cmd;
-            check_cmd;
-            analyze_cmd;
-            repl_cmd;
-            serve_cmd;
-            trace_cmd;
-            profile_cmd;
-          ]))
+    (match Cmd.eval' ~catch:false ~argv cmd with
+    | code -> code
+    | exception Parser.Syntax_error msg -> fail 2 ("syntax error " ^ msg)
+    | exception Invalid_argument msg -> fail 1 msg
+    | exception
+        (( Semantics.Enumeration_cap_exceeded _
+         | Compact.Check.Cegar_cap_exceeded _ ) as e) ->
+        fail 1 (Printexc.to_string e)
+    | exception e ->
+        fail Cmd.Exit.internal_error
+          ("internal error, uncaught exception: " ^ Printexc.to_string e))

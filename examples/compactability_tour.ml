@@ -64,18 +64,17 @@ let () =
   rule "4. Dalal's asymmetry: query-compact, not logically compact";
   let t = Parser.formula_of_string "a & b & c & d" in
   let p = Parser.formula_of_string "~a & ~b" in
-  let info = Compact.Dalal_compact.revise_info t p in
+  let t' = Compact.Construct.revise Revision.Model_based.Dalal t p in
   let sem = Revision.Model_based.revise Revision.Model_based.Dalal t p in
   Format.printf "  T = %a,  P = %a@." Formula.pp t Formula.pp p;
   Format.printf "  Theorem 3.4 representation (size %d, %d new letters):@."
-    (Formula.size info.Compact.Dalal_compact.formula)
-    (List.length info.Compact.Dalal_compact.y
-    + List.length info.Compact.Dalal_compact.aux);
+    (Formula.size t')
+    (Var.Set.cardinal
+       (Var.Set.diff (Formula.vars t') (Formula.vars (Formula.conj2 t p))));
   Format.printf "    query-equivalent to T *D P? %b@."
-    (Compact.Verify.query_equivalent sem info.Compact.Dalal_compact.formula);
+    (Compact.Verify.query_equivalent sem t');
   Format.printf "    logically equivalent?      %b  (new letters are constrained)@."
-    (Compact.Verify.logically_equivalent sem
-       info.Compact.Dalal_compact.formula);
+    (Compact.Verify.logically_equivalent sem t');
   Format.printf
     "  Theorem 3.6: a poly-size *logically* equivalent form would decide@.";
   Format.printf

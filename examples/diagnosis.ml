@@ -66,6 +66,9 @@ let () =
   (* Representation sizes: the naive per-step DNF vs the compact iterated
      constructions. *)
   Format.printf "@.Representation sizes along the sequence:@.";
+  let compact op prefix =
+    Compact.Construct.(final t (iterate op t prefix))
+  in
   Format.printf "  %-6s %-12s %-18s %-18s@." "step" "naive DNF"
     "WIN_i (formula 16)" "Phi_i (Thm 5.1)";
   List.iteri
@@ -73,8 +76,8 @@ let () =
       let prefix = List.filteri (fun j _ -> j <= i) ps in
       let sem = Iterate.revise_seq_on Operator.Winslett alphabet [ t ] prefix in
       let naive = Formula.size (Result.to_dnf sem) in
-      let win = Compact.Iterated_bounded.winslett_iter t prefix in
-      let phi = Compact.Iterated.final (Compact.Iterated.dalal t prefix) in
+      let win = compact Model_based.Winslett prefix in
+      let phi = compact Model_based.Dalal prefix in
       Format.printf "  %-6d %-12d %-18d %-18d@." (i + 1) naive
         (Formula.size win) (Formula.size phi))
     ps;
@@ -82,7 +85,7 @@ let () =
     "@.The compact forms stay query-equivalent to the semantics: %b / %b@."
     (Compact.Verify.query_equivalent
        (Iterate.revise_seq_on Operator.Winslett alphabet [ t ] ps)
-       (Compact.Iterated_bounded.winslett_iter t ps))
+       (compact Model_based.Winslett ps))
     (Compact.Verify.query_equivalent
        (Iterate.revise_seq_on Operator.Dalal alphabet [ t ] ps)
-       (Compact.Iterated.final (Compact.Iterated.dalal t ps)))
+       (compact Model_based.Dalal ps))

@@ -30,17 +30,18 @@ let () =
     Formula.pp p;
 
   let t0 = Unix.gettimeofday () in
-  let info = Compact.Dalal_compact.revise_info t p in
+  let t' =
+    List.hd (Compact.Construct.iterate Revision.Model_based.Dalal t [ p ])
+  in
   Format.printf
     "Theorem 3.4 compilation: k = %d, |T'| = %d, %.1f ms@."
-    info.Compact.Dalal_compact.k
-    (Formula.size info.Compact.Dalal_compact.formula)
+    t'.Compact.Construct.measure t'.Compact.Construct.size
     (1000. *. (Unix.gettimeofday () -. t0));
 
   let ask q =
     let q = Parser.formula_of_string q in
     let t1 = Unix.gettimeofday () in
-    let answer = Semantics.entails info.Compact.Dalal_compact.formula q in
+    let answer = Semantics.entails t'.Compact.Construct.formula q in
     Format.printf "  T *D P |= %-18s %-5b (%.1f ms)@."
       (Formula.to_string q) answer
       (1000. *. (Unix.gettimeofday () -. t1))

@@ -44,9 +44,8 @@ let () =
 
   print_newline ();
   print_endline "Compact representations (query-equivalent, new letters allowed):";
-  let info = Compact.Dalal_compact.revise_info t p in
+  let d = List.hd (Compact.Construct.iterate Model_based.Dalal t [ p ]) in
   Format.printf "  Theorem 3.4 for Dalal (k = %d): %a@."
-    info.Compact.Dalal_compact.k Formula.pp
-    info.Compact.Dalal_compact.formula;
-  let w = Compact.Weber_compact.revise t p in
+    d.Compact.Construct.measure Formula.pp d.Compact.Construct.formula;
+  let w = Compact.Construct.revise Model_based.Weber t p in
   Format.printf "  Theorem 3.5 for Weber:          %a@." Formula.pp w

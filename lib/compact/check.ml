@@ -259,4 +259,4 @@ let model_check ?cegar_cap op t p n =
   | [ b ] -> b
   | _ -> assert false (* one answer per candidate *)
 
-let entails op t p q = Semantics.entails (Iterated_bounded.revise op t p) q
+let entails op t p q = Semantics.entails (Construct.revise op t p) q

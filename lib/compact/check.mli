@@ -105,13 +105,8 @@ end
 val entails :
   Revision.Model_based.op -> Formula.t -> Formula.t -> Formula.t -> bool
 (** [entails op t p q]: decide [T * P |= Q] {e without} model
-    enumeration, for the query-compactable operators: Dalal and Weber
-    compile their Theorem 3.4/3.5 representation and ask one SAT query
-    ([T' ∧ ¬Q] unsatisfiable?), which is sound because [q] ranges over
-    the original alphabet and [T'] is query-equivalent.  The pointwise
-    operators route through their Section 6 constructions and are
-    therefore subject to the bounded-|V(P)| limit; Satoh uses the
-    corrected δ-guard step.  The construction is
-    {!Iterated_bounded.revise}, and its guard is the only one: raises
-    [Invalid_argument] on unsatisfiable [t]/[p] or on an over-wide [p]
-    for the pointwise operators. *)
+    enumeration: build the query-equivalent [T' = ]{!Construct.revise}
+    [op t p] and ask one SAT query ([T' ∧ ¬Q] unsatisfiable?), which is
+    sound because [q] ranges over the original alphabet.  The
+    construction's guard is the only one: raises [Invalid_argument] on
+    unsatisfiable [t]/[p] or on an over-wide [p]. *)

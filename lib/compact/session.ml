@@ -10,7 +10,6 @@ type t = {
 
 let create ~op base = { op; base; log = []; cached = None }
 let op s = s.op
-let base s = s.base
 let log s = List.rev s.log
 
 let is_set_valued = function
@@ -59,9 +58,4 @@ let compile s =
         "Session.compile: GFUV/Nebel admit no compact representation \
          (Theorem 3.1)"
   | Op.Widtio -> Theory.conj (Revision.Iterate.widtio_seq s.base ps)
-  | Op.Dalal -> (
-      match ps with [] -> t | ps -> Iterated.final (Iterated.dalal t ps))
-  | Op.Weber -> (
-      match ps with [] -> t | ps -> Iterated.final (Iterated.weber t ps))
-  | (Op.Winslett | Op.Borgida | Op.Forbus | Op.Satoh) as o -> (
-      match ps with [] -> t | ps -> Iterated_bounded.for_op (Op.model_op o) t ps)
+  | o -> Construct.final t (Construct.iterate (Op.model_op o) t ps)

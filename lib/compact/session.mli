@@ -7,11 +7,10 @@
     guaranteed while all the formulas are available.
 
     A session therefore stores the base theory and the full revision log;
-    queries incorporate lazily, and {!compile} produces the appropriate
+    queries incorporate lazily, and {!compile} produces the
     query-equivalent compact representation for the session's operator
-    (Theorem 5.1 for Dalal, formula (10) for Weber, formulas (12)-(16)
-    for the pointwise operators when every logged formula is bounded,
-    the revised theory itself for WIDTIO). *)
+    ({!Construct.iterate} for the model-based operators, the revised
+    theory itself for WIDTIO). *)
 
 open Logic
 
@@ -23,16 +22,12 @@ val create : op:Revision.Operator.t -> Theory.t -> t
     {!revise} on such a session raises [Invalid_argument]. *)
 
 val op : t -> Revision.Operator.t
-val base : t -> Theory.t
 
 val revise : t -> Formula.t -> unit
 (** Log a revision.  Nothing is computed — incorporation is delayed. *)
 
 val log : t -> Formula.t list
 (** The revision log, oldest first. *)
-
-val alphabet : t -> Var.t list
-(** Joint alphabet of the base and every logged formula. *)
 
 val result : t -> Revision.Result.t
 (** Incorporate now: the model-set denotation of [T * P¹ * ... * Pᵐ].

@@ -211,8 +211,8 @@ module Ladder = struct
     { ge = Array.init n (fun j -> prev.(j + 1)); width = n; tl }
 
   let of_pairs env pairs = of_lits env (List.map (diff_lit env) pairs)
-  let width t = t.width
 
+  (* True iff at least [k] difference bits are set. *)
   let at_least t k =
     if k <= 0 then t.tl
     else if k > t.width then L.neg t.tl

@@ -73,15 +73,9 @@ module Ladder : sig
       Assuming it forces disagreement, assuming its negation forces
       agreement — the building block for sweeps over difference sets. *)
 
-  val width : t -> int
-
-  val at_least : t -> int -> Satsolver.Lit.t
-  (** Literal true iff at least [k] difference bits are set.  [k <= 0]
-      is the true literal, [k > width] the false one. *)
-
-  val at_most : t -> int -> Satsolver.Lit.t
   val exactly : t -> int -> Satsolver.Lit.t list
-  (** Assumption pair [at_least k; at_most k]. *)
+  (** Assumption pair: at least [k] and at most [k] difference bits
+      set. *)
 
   (** A pinnable comparison vector: the Y side of the distance is a row
       of otherwise-unconstrained literals, so one ladder measures the
@@ -118,20 +112,15 @@ module Session : sig
 
   val create : ?vars:Var.t list -> unit -> t
   (** A new session: one solver, one memo table, for many queries.
-      [vars] pre-allocates letter literals (as {!declare}). *)
+      [vars] pre-allocates letter literals. *)
 
   val env : t -> env
   (** The underlying incremental environment. *)
 
   val stats : t -> stats
-  val declare : t -> Var.t list -> unit
 
   val assert_always : t -> Formula.t -> unit
   (** Permanent assertion: constrains every later query. *)
-
-  val premise : t -> Formula.t -> Satsolver.Lit.t list
-  (** Assumption literals activating the formula for one query: one per
-      top-level conjunct, encoded once (memoized). *)
 
   val solve :
     ?scopes:scope list ->
@@ -140,16 +129,15 @@ module Session : sig
     Formula.t list ->
     bool
   (** Satisfiability of the permanent assertions, the given formulas
-      (each activated via {!premise}), any [extra] assumption literals,
-      and the clause groups of the activated [scopes]. *)
+      (each activated by assumption literals, one per top-level
+      conjunct, encoded once), any [extra] assumption literals, and the
+      clause groups of the activated [scopes]. *)
 
   val entails : ?premises:Formula.t list -> t -> Formula.t -> bool
   (** [entails s ~premises q]: do the permanent assertions plus
       [premises] entail [q]?  One {!solve} on [premises @ [not q]], so
       repeated entailment queries against one asserted KB hit the
       Tseitin memo and the accumulated learned clauses. *)
-
-  val model_on : t -> Var.t list -> Interp.t
 
   val mask_on :
     (module Mask.S with type t = 'm) -> t -> Interp_packed.alphabet -> 'm
@@ -177,10 +165,6 @@ module Session : sig
   val retire : t -> scope -> unit
   (** Permanently deactivate the scope (unit clause on the negated
       selector): its clauses can never constrain a query again. *)
-
-  val with_retractable : t -> (scope -> 'a) -> 'a
-  (** Run with a fresh scope, retiring it afterwards (also on
-      exceptions): push/pop for clause groups. *)
 
   val within :
     ?assume:Satsolver.Lit.t list -> t -> Formula.t list -> Ladder.t -> int -> bool

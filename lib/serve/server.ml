@@ -146,7 +146,7 @@ let revised t (e : Registry.entry) op pf =
       let rf =
         Obs.with_span "serve.revise"
           ~attrs:(fun () -> [ ("op", MB.name op) ])
-          (fun () -> Compact.Iterated_bounded.revise op e.formula pf)
+          (fun () -> Compact.Construct.revise op e.formula pf)
       in
       let c = { rf; rsession = None } in
       Lru.add t.cache key c;

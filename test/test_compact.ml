@@ -56,34 +56,36 @@ let test_measure_guards () =
 
 (* -- Theorem 3.4 (Dalal) ---------------------------------------------------- *)
 
+(* The single step of Theorem 3.4 (Dalal), with its measure. *)
+let dalal_step t p =
+  List.hd (Compact.Construct.iterate Model_based.Dalal t [ p ])
+
 let prop_dalal_compact_query_equivalent =
   qtest "thm 3.4: query equivalence" ~count:150 arb_tp (fun (t, p) ->
-      let info = Compact.Dalal_compact.revise_info t p in
       let sem = Model_based.revise_on Model_based.Dalal vars4 t p in
-      Compact.Verify.query_equivalent sem info.Compact.Dalal_compact.formula)
+      Compact.Verify.query_equivalent sem
+        (Compact.Construct.revise Model_based.Dalal t p))
 
 let prop_dalal_compact_k_correct =
   qtest "thm 3.4: k = k_{T,P}" ~count:150 arb_tp (fun (t, p) ->
-      let info = Compact.Dalal_compact.revise_info t p in
       let tm = Models.enumerate vars4 t and pm = Models.enumerate vars4 p in
-      info.Compact.Dalal_compact.k = Distance.k_global tm pm)
+      (dalal_step t p).Compact.Construct.measure = Distance.k_global tm pm)
 
 let test_dalal_compact_not_logically_equivalent () =
   (* The representation constrains new letters, so it is *not* logically
      equivalent in general (Theorem 3.6's asymmetry). *)
   let t = f "a & b" and p = f "~a" in
-  let info = Compact.Dalal_compact.revise_info t p in
   check_bool "uses new letters" true
     (not
        (Var.Set.subset
-          (Formula.vars info.Compact.Dalal_compact.formula)
+          (Formula.vars (Compact.Construct.revise Model_based.Dalal t p))
           (Formula.vars (Formula.conj2 t p))))
 
 let test_dalal_compact_rejects_unsat () =
-  (match Compact.Dalal_compact.revise (f "a & ~a") (f "b") with
+  (match Compact.Construct.revise Model_based.Dalal (f "a & ~a") (f "b") with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unsat T rejected");
-  match Compact.Dalal_compact.revise (f "a") (f "b & ~b") with
+  match Compact.Construct.revise Model_based.Dalal (f "a") (f "b & ~b") with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unsat P rejected"
 
@@ -91,13 +93,13 @@ let test_dalal_compact_rejects_unsat () =
 
 let prop_weber_compact_query_equivalent =
   qtest "thm 3.5: query equivalence" ~count:150 arb_tp (fun (t, p) ->
-      let w = Compact.Weber_compact.revise t p in
+      let w = Compact.Construct.revise Model_based.Weber t p in
       let sem = Model_based.revise_on Model_based.Weber vars4 t p in
       Compact.Verify.query_equivalent sem w)
 
 let prop_weber_compact_size_linear =
   qtest "thm 3.5: size <= |T| + |P|" ~count:150 arb_tp (fun (t, p) ->
-      Formula.size (Compact.Weber_compact.revise t p)
+      Formula.size (Compact.Construct.revise Model_based.Weber t p)
       <= Formula.size t + Formula.size p)
 
 let test_weber_omega_in_vp () =
@@ -108,7 +110,9 @@ let test_weber_omega_in_vp () =
     let p = Gen.formula st ~vars:vars4 ~depth:3 in
     if Semantics.is_sat t && Semantics.is_sat p then
       check_bool "Ω ⊆ V(P)" true
-        (Var.Set.subset (Compact.Weber_compact.revise_info t p).omega (Formula.vars p))
+        (Var.Set.subset
+           (Compact.Measure.omega (Compact.Measure.create t p))
+           (Formula.vars p))
   done
 
 (* -- bounded case: formulas (5)-(9) ------------------------------------------- *)
@@ -182,7 +186,8 @@ let test_bounded_winslett_paper_example () =
   check_bool "formula (5) agrees" true
     (Compact.Verify.logically_equivalent sem (Compact.Bounded.winslett t p));
   check_bool "formula (12) query-equivalent" true
-    (Compact.Verify.query_equivalent sem (Compact.Iterated_bounded.winslett t p))
+    (Compact.Verify.query_equivalent sem
+       (Compact.Construct.revise Model_based.Winslett t p))
 
 (* -- iterated general case (Section 5) ------------------------------------------ *)
 
@@ -198,26 +203,37 @@ let arb_tps m =
       in
       (sat_f 3, List.init (1 + Random.State.int st m) (fun _ -> sat_f 2)))
 
+(* Step i of [Construct.iterate] is query-equivalent to the semantic
+   revision by the first i formulas, for every i, not just the last. *)
+let iterated_qe name op vars arb ~count =
+  qtest name ~count arb (fun (t, ps) ->
+      let steps = Compact.Construct.iterate (Operator.model_op op) t ps in
+      List.length steps = List.length ps
+      && List.for_all Fun.id
+           (List.mapi
+              (fun i s ->
+                let prefix = List.filteri (fun j _ -> j <= i) ps in
+                Compact.Verify.query_equivalent
+                  (Iterate.revise_seq_on op vars [ t ] prefix)
+                  s.Compact.Construct.formula)
+              steps))
+
 let prop_iterated_dalal =
-  qtest "thm 5.1: iterated Dalal query-equivalent" ~count:60 (arb_tps 3)
-    (fun (t, ps) ->
-      let sem = Iterate.revise_seq_on Operator.Dalal vars4 [ t ] ps in
-      let com = Compact.Iterated.final (Compact.Iterated.dalal t ps) in
-      Compact.Verify.query_equivalent sem com)
+  iterated_qe "thm 5.1: iterated Dalal query-equivalent" Operator.Dalal vars4
+    (arb_tps 3) ~count:60
 
 let prop_iterated_weber =
-  qtest "formula (10): iterated Weber query-equivalent" ~count:60 (arb_tps 3)
-    (fun (t, ps) ->
-      let sem = Iterate.revise_seq_on Operator.Weber vars4 [ t ] ps in
-      let com = Compact.Iterated.final (Compact.Iterated.weber t ps) in
-      Compact.Verify.query_equivalent sem com)
+  iterated_qe "formula (10): iterated Weber query-equivalent" Operator.Weber
+    vars4 (arb_tps 3) ~count:60
 
 let test_iterated_dalal_size_additive () =
   (* Each step adds O(|X|^2 + |P^i|): total linear in m. *)
   let t = Formula.and_ (List.map Formula.var vars4) in
   let p = f "~x1 | ~x2" in
-  let steps = Compact.Iterated.dalal t (List.init 6 (fun _ -> p)) in
-  let sizes = List.map (fun s -> s.Compact.Iterated.size) steps in
+  let steps =
+    Compact.Construct.iterate Model_based.Dalal t (List.init 6 (fun _ -> p))
+  in
+  let sizes = List.map (fun s -> s.Compact.Construct.size) steps in
   let diffs =
     List.map2 ( - ) (List.tl sizes) (List.filteri (fun i _ -> i < 5) sizes)
   in
@@ -241,13 +257,11 @@ let arb_bounded_tps =
       ( sat_f vars5 3,
         List.init (1 + Random.State.int st 3) (fun _ -> sat_f pvars 2) ))
 
-let iterated_bounded_qe name op compactf =
-  qtest
-    (Printf.sprintf "%s iterated bounded query-equivalent" name)
-    ~count:50 arb_bounded_tps
-    (fun (t, ps) ->
-      let sem = Iterate.revise_seq_on op vars5 [ t ] ps in
-      Compact.Verify.query_equivalent sem (compactf t ps))
+let iterated_bounded_qe op =
+  iterated_qe
+    (Printf.sprintf "%s iterated bounded query-equivalent"
+       (Operator.name op))
+    op vars5 arb_bounded_tps ~count:50
 
 let test_satoh_formula13_erratum () =
   (* The minimal counterexample to the paper's formula (13); our corrected
@@ -257,14 +271,16 @@ let test_satoh_formula13_erratum () =
   let sem = Model_based.revise_on Model_based.Satoh alpha t p in
   check_result_models "semantic Satoh" sem [ "" ];
   check_bool "corrected construction agrees" true
-    (Compact.Verify.query_equivalent sem (Compact.Iterated_bounded.satoh t p))
+    (Compact.Verify.query_equivalent sem
+       (Compact.Construct.revise Model_based.Satoh t p))
 
 let test_iterated_bounded_size_additive () =
   let t = Formula.and_ (List.map Formula.var vars5) in
   let p = f "~x1 | ~x2" in
   let size m =
     Formula.size
-      (Compact.Iterated_bounded.winslett_iter t (List.init m (fun _ -> p)))
+      Compact.Construct.(
+        final t (iterate Model_based.Winslett t (List.init m (fun _ -> p))))
   in
   let s2 = size 2 and s4 = size 4 and s8 = size 8 in
   check_bool "additive growth" true (s8 - s4 < 2 * (s4 - s2) + 32)
@@ -303,9 +319,9 @@ let prop_qbf_views_query_equivalent =
       let sem_w = Model_based.revise_on Model_based.Winslett vars5 t p in
       let sem_f = Model_based.revise_on Model_based.Forbus vars5 t p in
       Compact.Verify.query_equivalent sem_w
-        (Qbf.expand (Compact.Iterated_bounded.winslett_qbf t p))
+        (Qbf.expand (Compact.Construct.winslett_qbf t p))
       && Compact.Verify.query_equivalent sem_f
-           (Qbf.expand (Compact.Iterated_bounded.forbus_qbf t p)))
+           (Qbf.expand (Compact.Construct.forbus_qbf t p)))
 
 let test_qbf_matrix_polynomial () =
   (* the matrix stays polynomial as |V(P)| grows; only expansion does not *)
@@ -324,7 +340,7 @@ let test_qbf_matrix_polynomial () =
           | Qbf.Forall (_, q) | Qbf.Exists (_, q) -> qbf_size q
           | Qbf.Conj qs -> List.fold_left (fun a q -> a + qbf_size q) 0 qs
         in
-        qbf_size (Compact.Iterated_bounded.forbus_qbf t p))
+        qbf_size (Compact.Construct.forbus_qbf t p))
       [ 2; 4; 8 ]
   in
   match sizes with
@@ -554,8 +570,7 @@ let test_dalal_compact_consistent_case () =
   (* T ∧ P consistent: k = 0 and the representation is query-equivalent
      to T ∧ P. *)
   let t = f "a | b" and p = f "a" in
-  let info = Compact.Dalal_compact.revise_info t p in
-  check_int "k = 0" 0 info.Compact.Dalal_compact.k;
+  check_int "k = 0" 0 (dalal_step t p).Compact.Construct.measure;
   let sem = Model_based.revise Model_based.Dalal t p in
   check_bool "equals T∧P" true
     (Compact.Verify.query_equivalent sem (Formula.conj2 t p))
@@ -584,6 +599,36 @@ let test_names_avoid_capture () =
       check_bool "fresh" false (List.mem y xs || Var.Set.mem y avoid))
     ys;
   check_int "same length" 2 (List.length ys)
+
+(* A later formula may use the very names an earlier step's copy would
+   take ([a'], [a_z], [a_wy], ...): the copy must avoid them too, or the
+   later step would read a fresh letter as one of its own. *)
+let test_iterate_avoids_later_letters () =
+  let t = f "a" in
+  let wrong =
+    List.filter
+      (fun (op, copies) ->
+        let later = f ("a | ~(" ^ copies ^ ")") in
+        let ps = [ f "~a"; later ] in
+        not
+          (Compact.Verify.query_equivalent
+             (Iterate.revise_seq_on op
+                (Var.Set.elements (Formula.vars later))
+                [ t ] ps)
+             Compact.Construct.(final t (iterate (Operator.model_op op) t ps))))
+      Operator.
+        [
+          (Winslett, "a_wy & a_wz");
+          (Borgida, "a_wy & a_wz");
+          (Forbus, "a_fy & a_fz");
+          (Satoh, "a_sy");
+          (Dalal, "a'");
+          (Weber, "a_z");
+        ]
+  in
+  Alcotest.(check (list string))
+    "operators answering wrong" []
+    (List.map (fun (op, _) -> Operator.name op) wrong)
 
 let () =
   Alcotest.run "compact"
@@ -629,14 +674,10 @@ let () =
         ] );
       ( "iterated bounded (section 6)",
         [
-          iterated_bounded_qe "winslett" Operator.Winslett
-            Compact.Iterated_bounded.winslett_iter;
-          iterated_bounded_qe "borgida" Operator.Borgida
-            Compact.Iterated_bounded.borgida_iter;
-          iterated_bounded_qe "forbus" Operator.Forbus
-            Compact.Iterated_bounded.forbus_iter;
-          iterated_bounded_qe "satoh" Operator.Satoh
-            Compact.Iterated_bounded.satoh_iter;
+          iterated_bounded_qe Operator.Winslett;
+          iterated_bounded_qe Operator.Borgida;
+          iterated_bounded_qe Operator.Forbus;
+          iterated_bounded_qe Operator.Satoh;
           Alcotest.test_case "formula (13) erratum" `Quick
             test_satoh_formula13_erratum;
           Alcotest.test_case "additive size growth" `Quick
@@ -647,6 +688,8 @@ let () =
           entails_agrees Model_based.Dalal;
           entails_agrees Model_based.Weber;
           entails_agrees Model_based.Winslett;
+          entails_agrees Model_based.Borgida;
+          entails_agrees Model_based.Forbus;
           entails_agrees Model_based.Satoh;
           Alcotest.test_case "scales past enumeration" `Quick
             test_entails_scales;
@@ -691,6 +734,10 @@ let () =
             test_check_rejects_non_p_model;
         ] );
       ( "names",
-        [ Alcotest.test_case "capture avoidance" `Quick test_names_avoid_capture ]
+        [
+          Alcotest.test_case "capture avoidance" `Quick test_names_avoid_capture;
+          Alcotest.test_case "iterate avoids later letters" `Quick
+            test_iterate_avoids_later_letters;
+        ]
       );
     ]
