@@ -88,12 +88,11 @@ let dalal_sweep () =
       (fun (n, t, p) ->
         let s = List.hd (Compact.Construct.iterate Model_based.Dalal t [ p ]) in
         let input = Formula.size t + Formula.size p in
-        (* EXA's letters W: the new letters besides the copy Y of X *)
+        (* The new letters V(T') \ X: the copy Y of X and EXA's W *)
         let x = Formula.vars (Formula.conj2 t p) in
-        let w =
+        let fresh =
           Var.Set.cardinal
             (Var.Set.diff (Formula.vars s.Compact.Construct.formula) x)
-          - Var.Set.cardinal x
         in
         ( input,
           s.Compact.Construct.size,
@@ -102,7 +101,7 @@ let dalal_sweep () =
             string_of_int input;
             string_of_int s.Compact.Construct.measure;
             string_of_int s.Compact.Construct.size;
-            string_of_int w;
+            string_of_int fresh;
           ] ))
       instances
     |> List.map (fun (input, value, row) ->

@@ -27,6 +27,11 @@ module Dist = struct
   let to_interp d n =
     Session.min_distance d.s ~assume:(Ladder.pin d.pv n) d.fs
       (Ladder.ladder d.pv)
+
+  (* Is [n] within distance [k] of a model of [f]?  One ladder probe;
+     [f] must be satisfiable for a [false] to mean "farther than k". *)
+  let within d n k =
+    Session.within d.s ~assume:(Ladder.pin d.pv n) d.fs (Ladder.ladder d.pv) k
 end
 
 let dist_to f n alphabet = Dist.to_interp (Dist.create f alphabet) n
@@ -105,53 +110,54 @@ let refuter (type m) (module M : Mask.S with type t = m) s alpha sat =
   if sat then Some (Session.mask_on (module M) s alpha : m) else None
 
 (* A model of [p] strictly closer (inclusion-wise) to [m] than [n] is,
-   if there is one.  One query on the shared session: the agreement pin
-   is pure assumption literals (premise of a literal conjunction), the
-   strict part one memoized disjunction.  The difference is one mask [diff],
-   and the pin/strict formulas read bits instead of set membership. *)
+   if there is one, with d = M Δ N.  One query on the shared session:
+   the agreement pin off d is pure assumption literals (premise of a
+   literal conjunction), and the strict part, "disagree with N somewhere
+   on d", is one blocking clause in a scope retired after the solve, so
+   a probe leaves no Tseitin node and no live clause behind. *)
 let closer_by_inclusion_in (type m) (module M : Mask.S with type t = m) s p
     alpha (m : m) n =
   let d = M.diff m n in
   if M.is_zero d then None
   else begin
-    let bits = List.mapi (fun i x -> (i, x)) (Interp_packed.letters alpha) in
-    let lits inside =
-      List.filter_map
-        (fun (i, x) ->
-          if M.test d i = inside then Some (Formula.lit (M.test m i) x)
-          else None)
-        bits
+    let agree =
+      List.filter_map Fun.id
+        (List.mapi
+           (fun i x ->
+             if M.test d i then None else Some (Formula.lit (M.test n i) x))
+           (Interp_packed.letters alpha))
     in
-    refuter (module M) s alpha
-      (Session.solve s
-         [ p; Formula.and_ (lits false); Formula.or_ (lits true) ])
+    Session.with_retractable s (fun strict ->
+        Session.block_mask (module M) ~on:d s strict alpha n;
+        refuter (module M) s alpha
+          (Session.solve s ~scopes:[ strict ] [ p; Formula.and_ agree ]))
   end
 
-(* The pointwise checks.  Each builds one session carrying: [t]'s
-   witness enumeration (scoped blocking), [p]'s refutation probes, and
-   for Forbus the shared pinnable cardinality ladder over [p].  The
-   witness masks take the representation {!Mask.engine} picks. *)
+(* The pointwise checks, on the chunk's session: [t]'s witness
+   enumeration and [p]'s refutation probes, and for Forbus the chunk's
+   one pinnable cardinality ladder [pv] over the alphabet (pins are
+   assumptions, so candidates share it).  The witness blocking scope is
+   the candidate's own and is retired when its loop ends, however it
+   ends.  The witness masks take the representation {!Mask.engine}
+   picks. *)
 
-let winslett_in ctx s t p alphabet n =
-  let alpha = Interp_packed.alphabet alphabet in
+let winslett_in ctx s t p alpha n =
   let (module M) = Mask.engine alpha in
-  let scope = Session.new_scope s in
   let nm = M.pack alpha n in
-  witness_loop (module M) ctx s t scope alpha nm ~refutes:(fun m ->
-      closer_by_inclusion_in (module M) s p alpha m nm)
+  Session.with_retractable s (fun scope ->
+      witness_loop (module M) ctx s t scope alpha nm ~refutes:(fun m ->
+          closer_by_inclusion_in (module M) s p alpha m nm))
 
-let forbus_in ctx s t p alphabet n =
-  let alpha = Interp_packed.alphabet alphabet in
+let forbus_in ctx s pv t p alpha n =
   let (module M) = Mask.engine alpha in
-  let scope = Session.new_scope s in
-  let pv = Ladder.against (Session.env s) (Interp_packed.letters alpha) in
   let lad = Ladder.ladder pv in
   let nm = M.pack alpha n in
-  witness_loop (module M) ctx s t scope alpha nm ~refutes:(fun m ->
-      refuter (module M) s alpha
-        (Session.closer_than s
-           ~assume:(Ladder.pin_mask (module M) pv m)
-           [ p ] lad (M.hamming m nm)))
+  Session.with_retractable s (fun scope ->
+      witness_loop (module M) ctx s t scope alpha nm ~refutes:(fun m ->
+          refuter (module M) s alpha
+            (Session.closer_than s
+               ~assume:(Ladder.pin_mask (module M) pv m)
+               [ p ] lad (M.hamming m nm))))
 
 let ctx_for ~cap op alphabet =
   { cap; opname = MB.name op; nletters = List.length alphabet }
@@ -168,18 +174,20 @@ let require_sat t p =
    out of the per-candidate loop and shared.
 
    - Dalal: k_{T,P} ([Measure.k], a ladder threshold sweep) is computed
-     once for the whole batch, and each pool chunk
-     shares one [Dist] prober — T is Tseitin-encoded once per chunk
-     instead of once per candidate, so a warm probe is a handful of
-     assumption flips.
+     once for the whole batch, and each pool chunk shares one [Dist]
+     prober with T encoded once.  A candidate N |= P is then one probe,
+     dist(N, T) <= k: no model of P lies closer than k to T, so for
+     such N "at most k" is "exactly k", which is membership.
    - Weber: Ω(T, P) is computed once; each chunk holds one session
      with T asserted and pins the surviving letters per candidate.
    - Satoh: δ(T, P) is computed once; membership is then a pure
      evaluation over the difference sets, no solver at all.
    - Winslett / Forbus / Borgida: each chunk shares one CEGAR session,
      so T's encoding and the solver's learned clauses carry across
-     candidates (witness blocking is scoped per candidate and cannot
-     leak between them).
+     candidates.  The chunk also builds Forbus's one pinnable ladder
+     and decides Borgida's T ∧ P once.  Each candidate's witness
+     blocking and each inclusion probe's strict clause live in scopes
+     retired when they end, so no candidate constrains the next.
 
    The first three take their T/P satisfiability guard from their
    measure's session; the CEGAR operators run {!require_sat}.
@@ -205,7 +213,7 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
                 let k = Measure.k (Measure.create t p) in
                 Revkb_parallel.Pool.map_array_with pool
                   ~init:(fun () -> Dist.create t alphabet)
-                  (fun d n -> Interp.sat n p && Dist.to_interp d n = Some k)
+                  (fun d n -> Interp.sat n p && Dist.within d n k)
                   arr
             | MB.Weber ->
                 let omega = Measure.omega (Measure.create t p) in
@@ -239,17 +247,29 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
             | MB.Winslett | MB.Forbus | MB.Borgida ->
                 require_sat t p;
                 let ctx = ctx_for ~cap:cegar_cap op alphabet in
-                Revkb_parallel.Pool.map_array_with pool
-                  ~init:(fun () -> Session.create ~vars:alphabet ())
-                  (fun s n ->
-                    Interp.sat n p
-                    &&
-                    match op with
-                    | MB.Winslett -> winslett_in ctx s t p alphabet n
-                    | MB.Forbus -> forbus_in ctx s t p alphabet n
-                    | _ ->
-                        if Session.solve s [ t; p ] then Interp.sat n t
-                        else winslett_in ctx s t p alphabet n)
+                let alpha = Interp_packed.alphabet alphabet in
+                (* One session per chunk, and the chunk's checker: what
+                   depends only on (T, P, alphabet) is built at most once
+                   per chunk, when the first P-model candidate needs it. *)
+                let chunk () =
+                  let s = Session.create ~vars:alphabet () in
+                  match op with
+                  | MB.Forbus ->
+                      let pv =
+                        lazy
+                          (Ladder.against (Session.env s)
+                             (Interp_packed.letters alpha))
+                      in
+                      fun n -> forbus_in ctx s (Lazy.force pv) t p alpha n
+                  | MB.Borgida ->
+                      let consistent = lazy (Session.solve s [ t; p ]) in
+                      fun n ->
+                        if Lazy.force consistent then Interp.sat n t
+                        else winslett_in ctx s t p alpha n
+                  | _ -> winslett_in ctx s t p alpha
+                in
+                Revkb_parallel.Pool.map_array_with pool ~init:chunk
+                  (fun check n -> Interp.sat n p && check n)
                   arr
           in
           Array.to_list answers)

@@ -4,9 +4,11 @@
     The paper points at Liberatore-Schaerf for the complexity of this
     problem; the implementations here mirror those upper bounds:
 
-    - {b Dalal}: [N |= P] and [dist(N, T) = k_{T,P}] — a logarithmic-ish
-      number of NP probes (we probe linearly; the binary-search variant
-      only changes the constant), matching Δ₂[O(log n)].
+    - {b Dalal}: [N |= P] and [dist(N, T) = k_{T,P}].  Computing [k] is
+      a logarithmic-ish number of NP probes (we probe linearly; the
+      binary-search variant only changes the constant), matching
+      Δ₂[O(log n)]; the candidate is then one more, [dist(N, T) <= k],
+      because [dist(N, T) >= k] for every [N |= P].
     - {b Weber}: one probe [T ∧ (x = N(x) for x ∉ Ω)] after computing
       [Ω].
     - {b Satoh}: [δ(T, P)] has at most [2^{|V(P)|}] members, each [⊆ V(P)],
@@ -51,11 +53,15 @@ val model_check_batch :
     (over [V(T) ∪ V(P)]; letters outside it are ignored) satisfy
     [T * P]?  Requires [t] and [p] satisfiable (raises
     [Invalid_argument] otherwise, unless [ns] is empty).  The per-(T, P)
-    setup runs once: Dalal computes k_{T,P} and shares one {!Dist}
-    prober per pool chunk, Weber computes Ω(T, P) and shares a session
-    with [T] asserted, Satoh reduces to a pure evaluation over δ(T, P) —
-    all three from one {!Measure} — and the CEGAR operators share one
-    session per chunk.  Chunks are fanned across the
+    setup runs once and each candidate pays only for itself: Dalal
+    computes k_{T,P} and asks one [dist(N, T) <= k] probe per candidate
+    [N |= P] on one {!Dist} prober per pool chunk, Weber computes
+    Ω(T, P) and shares a session with [T] asserted, Satoh reduces to a
+    pure evaluation over δ(T, P) — all three from one {!Measure} — and
+    the CEGAR operators share one session per chunk, with Forbus's one
+    pinnable ladder and Borgida's one T ∧ P decision.  Every clause a
+    candidate adds sits in a scope retired when it ends.  Chunks are
+    fanned across the
     {!Revkb_parallel.Pool.global} work pool.  Answers are returned in
     candidate order and are identical at every job count.
     [cegar_cap] (default 50_000) bounds the Winslett/Forbus witness

@@ -166,6 +166,11 @@ module Session : sig
   (** Permanently deactivate the scope (unit clause on the negated
       selector): its clauses can never constrain a query again. *)
 
+  val with_retractable : t -> (scope -> 'a) -> 'a
+  (** [with_retractable s k]: run [k] on a {!new_scope} and {!retire}
+      it when [k] returns or raises, so nothing [k] adds under the scope
+      stays live in the session. *)
+
   val within :
     ?assume:Satsolver.Lit.t list -> t -> Formula.t list -> Ladder.t -> int -> bool
   (** [within s fs lad k]: satisfiable with at most [k] ladder diff bits

@@ -164,19 +164,23 @@ let test_dist_work () =
     (fun () ->
       List.map (Check.Dist.to_interp (Check.Dist.create fm vars)) refs)
 
+(* At most one of the letters is true: n+1 models. *)
+let at_most_one vars =
+  let nv x = Formula.not_ (Formula.var x) in
+  let rec pairs = function
+    | [] -> []
+    | x :: rest ->
+        List.map (fun y -> Formula.or_ [ nv x; nv y ]) rest @ pairs rest
+  in
+  Formula.and_ (pairs vars)
+
 (* At-most-one-true T has n+1 models, none of them the weight-2
    candidate, so Forbus CEGAR refutes every witness before answering. *)
 let test_cegar_work () =
   List.iter
     (fun n ->
       let vars = letters n in
-      let nv x = Formula.not_ (Formula.var x) in
-      let rec pairs = function
-        | [] -> []
-        | x :: rest ->
-            List.map (fun y -> Formula.or_ [ nv x; nv y ]) rest @ pairs rest
-      in
-      let t = Formula.and_ (pairs vars) in
+      let t = at_most_one vars in
       let cand = Var.set_of_list (first 2 vars) in
       let st = seeded () in
       let rec block () =
@@ -222,6 +226,59 @@ let test_guard_builds () =
             true (builds <= cap))
         MB.all)
 
+(* The per-candidate step of a batch pays only for the candidate.  A
+   Dalal batch makes the measure's k + 1 threshold probes, then one
+   probe per P-model candidate (none for the others), farther ones
+   included.  A Forbus candidate costs its refinements and its scope,
+   never a cardinality ladder of its own: the chunk builds one. *)
+let test_per_candidate_work () =
+  let count c = Obs.value (Obs.counter c) in
+  Pool.with_jobs 1 (fun () ->
+      let x = letters 5 in
+      let t = f "x1 & x2 & x3" and p = f "~x1 | (~x2 & ~x3)" in
+      let ns = Interp.subsets x in
+      let k = Compact.Measure.k (Compact.Measure.create t p) in
+      let on_p = List.filter (fun n -> Interp.sat n p) ns in
+      check_bool "some P-model lies farther than k" true
+        (List.exists (fun n -> Fresh.dist_to t n x > Some k) on_p);
+      let p0 = count "sem.ladder.probes" in
+      let answers = Check.model_check_batch MB.Dalal t p ns in
+      let probes = count "sem.ladder.probes" - p0 in
+      check_bool "Dalal batch = fresh" true
+        (answers = List.map (Fresh.model_check MB.Dalal t p) ns);
+      check_int
+        (Printf.sprintf "Dalal probes = %d P-models + k + 1 (k = %d)"
+           (List.length on_p) k)
+        (List.length on_p + k + 1)
+        probes;
+      let vars = letters 12 in
+      let t = at_most_one vars and p = f "x1 | x2" in
+      let ladder =
+        let s = Session.create ~vars () in
+        let c0 = count "sem.encode.clauses" in
+        ignore (Ladder.against (Session.env s) vars);
+        count "sem.encode.clauses" - c0
+      in
+      let x1 = List.hd vars in
+      let ns =
+        List.map
+          (fun j -> Var.set_of_list [ x1; List.nth vars j ])
+          [ 1; 2; 5; 9 ]
+      in
+      let clauses j =
+        let c0 = count "sem.encode.clauses" in
+        ignore (Check.model_check_batch MB.Forbus t p (first j ns));
+        count "sem.encode.clauses" - c0
+      in
+      List.iter
+        (fun j ->
+          let extra = clauses (j + 1) - clauses j in
+          check_bool
+            (Printf.sprintf "Forbus candidate %d adds %d clauses < %d (a ladder)"
+               (j + 1) extra ladder)
+            true (extra < ladder))
+        [ 1; 2; 3 ])
+
 (* -- session-backed checkers vs the fresh-solver oracle ------------------- *)
 
 let prop_model_check_matches_fresh =
@@ -233,6 +290,23 @@ let prop_model_check_matches_fresh =
         (fun op ->
           Check.model_check op t p n = Fresh.model_check op t p n)
         MB.all)
+
+(* One batch over every candidate of the alphabet runs in one session,
+   so the state a chunk shares (Forbus's ladder, Borgida's consistency
+   bit, the retired witness and probe scopes) must never carry from one
+   candidate to the next: each answer is the fresh solver's. *)
+let prop_batch_matches_fresh =
+  let x = letters 5 in
+  let ns = Interp.subsets x in
+  qtest "model_check_batch over 2^5 = Fresh.model_check (all ops)" ~count:40
+    (arb_pair (arb_sat_formula x) (arb_sat_formula x))
+    (fun (t, p) ->
+      Pool.with_jobs 1 (fun () ->
+          List.for_all
+            (fun op ->
+              Check.model_check_batch op t p ns
+              = List.map (Fresh.model_check op t p) ns)
+            MB.all))
 
 (* The measure's realizable-difference sweep agrees with the
    formula-level per-subset oracle. *)
@@ -341,8 +415,11 @@ let () =
       ( "probers",
         [ prop_dist_to_matches_fresh; prop_dist_prober_reusable ] );
       ( "checkers",
-        [ prop_model_check_matches_fresh; prop_measure_matches_formula_oracle ]
-      );
+        [
+          prop_model_check_matches_fresh;
+          prop_batch_matches_fresh;
+          prop_measure_matches_formula_oracle;
+        ] );
       ( "work",
         [
           Alcotest.test_case "Dalal sweeps" `Quick test_dalal_work;
@@ -350,6 +427,8 @@ let () =
           Alcotest.test_case "Forbus CEGAR" `Quick test_cegar_work;
           Alcotest.test_case "one guard per entry point" `Quick
             test_guard_builds;
+          Alcotest.test_case "per-candidate batch work" `Quick
+            test_per_candidate_work;
         ] );
       ( "sessions",
         [
