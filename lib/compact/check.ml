@@ -12,6 +12,11 @@ let c_cegar = Obs.counter "check.cegar_iters"
 let joint t p =
   Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
 
+(* x = N(x) for each letter of [xs]: a literal conjunction, so as a
+   query premise it is pure assumption literals and encodes nothing. *)
+let agree_on xs n =
+  Formula.and_ (List.map (fun x -> Formula.lit (Var.Set.mem x n) x) xs)
+
 (* Minimum Hamming distance between a fixed interpretation and a model
    of [f]: one session holding [f] and a pinnable cardinality ladder,
    so the satisfiability pre-check, every threshold probe, and — when
@@ -28,10 +33,13 @@ module Dist = struct
     Session.min_distance d.s ~assume:(Ladder.pin d.pv n) d.fs
       (Ladder.ladder d.pv)
 
-  (* Is [n] within distance [k] of a model of [f]?  One ladder probe;
+  (* Is [n] within distance [k], counted on the ladder's letters, of a
+     model of [f] that agrees with [n] on [fixed]?  One ladder probe;
      [f] must be satisfiable for a [false] to mean "farther than k". *)
-  let within d n k =
-    Session.within d.s ~assume:(Ladder.pin d.pv n) d.fs (Ladder.ladder d.pv) k
+  let within d ~fixed n k =
+    Session.within d.s ~assume:(Ladder.pin d.pv n)
+      (agree_on fixed n :: d.fs)
+      (Ladder.ladder d.pv) k
 end
 
 let dist_to f n alphabet = Dist.to_interp (Dist.create f alphabet) n
@@ -78,18 +86,19 @@ let refutation_core (type m) (module M : Mask.S with type t = m) ~witness
   M.diff (M.union d e) e
 
 (* CEGAR for the pointwise operators, all on ONE session per call site:
-   witnesses are models of [t] under a retractable blocking scope, and
+   witnesses are models of the premises [ws] ([t], pinned to the
+   candidate outside V(P)) under a retractable blocking scope, and
    [refutes m] asks its own queries on the same solver (the blocking
    scope is not activated for those, so blocked witnesses never
    constrain a refutation probe).  It returns the refuting P-model N',
    read right after its own satisfiable query, exactly when the witness
    does NOT select [n]; the round then blocks every witness that N'
    refutes ({!refutation_core}), not just [m]. *)
-let witness_loop (type m) (module M : Mask.S with type t = m) ctx s t scope
+let witness_loop (type m) (module M : Mask.S with type t = m) ctx s ws scope
     alpha (nm : m) ~refutes =
   let rec loop i =
     if i > ctx.cap then cegar_fail ctx
-    else if not (Session.solve s ~scopes:[ scope ] [ t ]) then false
+    else if not (Session.solve s ~scopes:[ scope ] ws) then false
     else begin
       let m = Session.mask_on (module M) s alpha in
       match refutes m with
@@ -133,27 +142,39 @@ let closer_by_inclusion_in (type m) (module M : Mask.S with type t = m) s p
           (Session.solve s ~scopes:[ strict ] [ p; Formula.and_ agree ]))
   end
 
-(* The pointwise checks, on the chunk's session: [t]'s witness
-   enumeration and [p]'s refutation probes, and for Forbus the chunk's
-   one pinnable cardinality ladder [pv] over the alphabet (pins are
-   assumptions, so candidates share it).  The witness blocking scope is
-   the candidate's own and is retired when its loop ends, however it
-   ends.  The witness masks take the representation {!Mask.engine}
-   picks. *)
+(* The pointwise checks, on the chunk's session, local to V(P) by
+   Proposition 2.1: a T-model M that selects N agrees with N outside
+   V(P), for flipping such a letter of N to M's value keeps P true and
+   moves N strictly closer to M, by inclusion and by cardinality alike.
+   So each witness query pins the [outside] letters to N, the witnesses
+   are masks over [alpha] = V(P) alone, and a candidate runs at most
+   2^|V(P)| refinements (each blocks its witness) with no new clause for
+   the pins.  A refuting P-model may take M's values outside V(P), where
+   P does not look, so the refutation probes ask [p] over V(P) only, and
+   Forbus's one pinnable cardinality ladder [pv] per chunk spans V(P)
+   (pins are assumptions, so candidates share it).  The witness blocking
+   scope is the candidate's own and is retired when its loop ends,
+   however it ends.  The witness masks take the representation
+   {!Mask.engine} picks. *)
 
-let winslett_in ctx s t p alpha n =
+let winslett_in ctx s t p alpha outside n =
   let (module M) = Mask.engine alpha in
   let nm = M.pack alpha n in
   Session.with_retractable s (fun scope ->
-      witness_loop (module M) ctx s t scope alpha nm ~refutes:(fun m ->
-          closer_by_inclusion_in (module M) s p alpha m nm))
+      witness_loop (module M) ctx s
+        [ t; agree_on outside n ]
+        scope alpha nm
+        ~refutes:(fun m -> closer_by_inclusion_in (module M) s p alpha m nm))
 
-let forbus_in ctx s pv t p alpha n =
+let forbus_in ctx s pv t p alpha outside n =
   let (module M) = Mask.engine alpha in
   let lad = Ladder.ladder pv in
   let nm = M.pack alpha n in
   Session.with_retractable s (fun scope ->
-      witness_loop (module M) ctx s t scope alpha nm ~refutes:(fun m ->
+      witness_loop (module M) ctx s
+        [ t; agree_on outside n ]
+        scope alpha nm
+        ~refutes:(fun m ->
           refuter (module M) s alpha
             (Session.closer_than s
                ~assume:(Ladder.pin_mask (module M) pv m)
@@ -175,17 +196,21 @@ let require_sat t p =
 
    - Dalal: k_{T,P} ([Measure.k], a ladder threshold sweep) is computed
      once for the whole batch, and each pool chunk shares one [Dist]
-     prober with T encoded once.  A candidate N |= P is then one probe,
-     dist(N, T) <= k: no model of P lies closer than k to T, so for
-     such N "at most k" is "exactly k", which is membership.
+     prober with T encoded once and its ladder over V(P).  A candidate
+     N |= P is then one probe: is some model X of T that agrees with N
+     outside V(P) within k of N?  No model of P lies closer than k to T,
+     so for such N "at most k" is "exactly k", which is membership; and
+     a nearest X agrees with N outside V(P), for flipping a letter
+     z ∉ V(P) of N to X(z) keeps P true at distance k − 1.
    - Weber: Ω(T, P) is computed once; each chunk holds one session
      with T asserted and pins the surviving letters per candidate.
    - Satoh: δ(T, P) is computed once; membership is then a pure
      evaluation over the difference sets, no solver at all.
    - Winslett / Forbus / Borgida: each chunk shares one CEGAR session,
      so T's encoding and the solver's learned clauses carry across
-     candidates.  The chunk also builds Forbus's one pinnable ladder
-     and decides Borgida's T ∧ P once.  Each candidate's witness
+     candidates, and each candidate's search is local to V(P).  The
+     chunk also builds Forbus's one pinnable ladder over V(P) and
+     decides Borgida's T ∧ P once.  Each candidate's witness
      blocking and each inclusion probe's strict clause live in scopes
      retired when they end, so no candidate constrains the next.
 
@@ -206,14 +231,19 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
           let alphabet = joint t p in
           let va = Var.set_of_list alphabet in
           let arr = Array.of_list (List.map (Interp.restrict va) ns) in
+          let vp = Var.Set.elements (Formula.vars p) in
+          let outside =
+            Var.Set.elements (Var.Set.diff (Formula.vars t) (Formula.vars p))
+          in
           let pool = Revkb_parallel.Pool.global () in
           let answers =
             match op with
             | MB.Dalal ->
                 let k = Measure.k (Measure.create t p) in
                 Revkb_parallel.Pool.map_array_with pool
-                  ~init:(fun () -> Dist.create t alphabet)
-                  (fun d n -> Interp.sat n p && Dist.within d n k)
+                  ~init:(fun () -> Dist.create t vp)
+                  (fun d n ->
+                    Interp.sat n p && Dist.within d ~fixed:outside n k)
                   arr
             | MB.Weber ->
                 let omega = Measure.omega (Measure.create t p) in
@@ -227,13 +257,7 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
                     s)
                   (fun s n ->
                     Interp.sat n p
-                    && Session.solve s
-                         [
-                           Formula.and_
-                             (List.map
-                                (fun x -> Formula.lit (Var.Set.mem x n) x)
-                                fixed);
-                         ])
+                    && Session.solve s [ agree_on fixed n ])
                   arr
             | MB.Satoh ->
                 let delta = Measure.delta (Measure.create t p) in
@@ -247,7 +271,7 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
             | MB.Winslett | MB.Forbus | MB.Borgida ->
                 require_sat t p;
                 let ctx = ctx_for ~cap:cegar_cap op alphabet in
-                let alpha = Interp_packed.alphabet alphabet in
+                let alpha = Interp_packed.alphabet vp in
                 (* One session per chunk, and the chunk's checker: what
                    depends only on (T, P, alphabet) is built at most once
                    per chunk, when the first P-model candidate needs it. *)
@@ -255,18 +279,15 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
                   let s = Session.create ~vars:alphabet () in
                   match op with
                   | MB.Forbus ->
-                      let pv =
-                        lazy
-                          (Ladder.against (Session.env s)
-                             (Interp_packed.letters alpha))
-                      in
-                      fun n -> forbus_in ctx s (Lazy.force pv) t p alpha n
+                      let pv = lazy (Ladder.against (Session.env s) vp) in
+                      fun n ->
+                        forbus_in ctx s (Lazy.force pv) t p alpha outside n
                   | MB.Borgida ->
                       let consistent = lazy (Session.solve s [ t; p ]) in
                       fun n ->
                         if Lazy.force consistent then Interp.sat n t
-                        else winslett_in ctx s t p alpha n
-                  | _ -> winslett_in ctx s t p alpha
+                        else winslett_in ctx s t p alpha outside n
+                  | _ -> winslett_in ctx s t p alpha outside
                 in
                 Revkb_parallel.Pool.map_array_with pool ~init:chunk
                   (fun check n -> Interp.sat n p && check n)

@@ -8,7 +8,11 @@
       a logarithmic-ish number of NP probes (we probe linearly; the
       binary-search variant only changes the constant), matching
       Δ₂[O(log n)]; the candidate is then one more, [dist(N, T) <= k],
-      because [dist(N, T) >= k] for every [N |= P].
+      because [dist(N, T) >= k] for every [N |= P].  That probe pins
+      its model [X] of [T] to [N] outside [V(P)] and counts [V(P)]
+      only: flipping a letter [z ∉ V(P)] of [N] to [X(z)] would keep
+      [P] true at distance [k - 1 < k_{T,P}], so a nearest [X] agrees
+      with [N] there.
     - {b Weber}: one probe [T ∧ (x = N(x) for x ∉ Ω)] after computing
       [Ω].
     - {b Satoh}: [δ(T, P)] has at most [2^{|V(P)|}] members, each [⊆ V(P)],
@@ -16,7 +20,14 @@
       member of δ.
     - {b Winslett / Forbus}: genuinely Σ₂-flavoured; a CEGAR loop guesses
       a witness [M |= T] and refutes the minimality of [N Δ M] with a
-      P-model [N'] closer to [M].  Each refutation blocks every witness
+      P-model [N'] closer to [M].  By Proposition 2.1 a witness that
+      selects [N] agrees with [N] outside [V(P)] (flipping such a letter
+      of [N] keeps [P] and moves [N] strictly closer to [M]), so the
+      witnesses are pinned to [N] there, and [N'] takes [M]'s values
+      there; the witnesses, refuters and Forbus's cardinality ladder
+      span [V(P)] only.  A candidate therefore costs at most
+      [2^{|V(P)|}] refinements, a constant for bounded [P] however
+      large [T] is.  Each refutation blocks every witness
       that agrees with [N'] on [A = (N' Δ N) \ (M Δ N')]
       ({!refutation_core}): under inclusion [A] is all of [N' Δ N] and
       such an [M'] has [M' Δ N' = (M' Δ N) \ A ⊊ M' Δ N]; under
@@ -24,7 +35,7 @@
       [D = N' Δ N], so [|M' Δ N'| - |M' Δ N| <= |D \ A| - |A| < 0].
       The loop is capped; hitting the cap raises rather than guessing.
     - {b Borgida}: evaluation when [T ∧ P] is satisfiable, Winslett
-      otherwise.
+      (local to [V(P)] as above) otherwise.
 
     All checkers agree with the extensional
     {!Revision.Result.model_check} (property-tested); their point is
@@ -55,13 +66,13 @@ val model_check_batch :
     [Invalid_argument] otherwise, unless [ns] is empty).  The per-(T, P)
     setup runs once and each candidate pays only for itself: Dalal
     computes k_{T,P} and asks one [dist(N, T) <= k] probe per candidate
-    [N |= P] on one {!Dist} prober per pool chunk, Weber computes
-    Ω(T, P) and shares a session with [T] asserted, Satoh reduces to a
-    pure evaluation over δ(T, P) — all three from one {!Measure} — and
-    the CEGAR operators share one session per chunk, with Forbus's one
-    pinnable ladder and Borgida's one T ∧ P decision.  Every clause a
-    candidate adds sits in a scope retired when it ends.  Chunks are
-    fanned across the
+    [N |= P] on one {!Dist} prober per pool chunk (its ladder over
+    [V(P)]), Weber computes Ω(T, P) and shares a session with [T]
+    asserted, Satoh reduces to a pure evaluation over δ(T, P) — all
+    three from one {!Measure} — and the CEGAR operators share one
+    session per chunk, with Forbus's one pinnable ladder over [V(P)]
+    and Borgida's one T ∧ P decision.  Every clause a candidate adds
+    sits in a scope retired when it ends.  Chunks are fanned across the
     {!Revkb_parallel.Pool.global} work pool.  Answers are returned in
     candidate order and are identical at every job count.
     [cegar_cap] (default 50_000) bounds the Winslett/Forbus witness
@@ -94,7 +105,9 @@ val dist_to : Formula.t -> Interp.t -> Var.t list -> int option
     between [n] and a model of [f] ([None] if [f] is unsatisfiable).
     One {!Logic.Semantics.Session} holds [f] and a pinnable cardinality
     ladder; the satisfiability pre-check is the sweep's first query and
-    each threshold is an assumption flip.  Exposed for the benches. *)
+    each threshold is an assumption flip.  The batch checkers measure
+    over [V(P)] instead; this alphabet-wide distance is what the tests
+    check the prober against. *)
 
 (** A reusable distance prober: [f] and the ladder are encoded once,
     and every reference point is a set of pin assumptions on the same

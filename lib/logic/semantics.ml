@@ -285,7 +285,10 @@ module Session = struct
   let env s = s.env
   let stats s = { queries = s.queries; scopes_retired = s.scopes_retired }
   let declare s xs = List.iter (fun x -> ignore (lit_of_var s.env x)) xs
-  let assert_always s f = assert_formula s.env f
+  (* Encoding a large asserted KB (a constructed revision) is a cost of
+     its own, apart from the queries that follow: its own span. *)
+  let assert_always s f =
+    Obs.with_span "sem.assert" (fun () -> assert_formula s.env f)
 
   (* Assumption literals activating [f]: one per top-level conjunct, so
      unit facts stay unit assumptions and no root auxiliary is built for

@@ -18,7 +18,8 @@
     constructions, [sem.encode.clauses] encoded clauses,
     [sem.encode.cache_hit] memo hits, [sem.session.reuse] queries that
     reused a live session solver, [sem.ladder.probes] cardinality-ladder
-    threshold probes; every session query runs in a [sem.query] span. *)
+    threshold probes; every session query runs in a [sem.query] span,
+    every permanent assertion in a [sem.assert] span. *)
 
 type env
 
@@ -120,7 +121,8 @@ module Session : sig
   val stats : t -> stats
 
   val assert_always : t -> Formula.t -> unit
-  (** Permanent assertion: constrains every later query. *)
+  (** Permanent assertion: constrains every later query.  Encoded in a
+      [sem.assert] span. *)
 
   val solve :
     ?scopes:scope list ->

@@ -279,6 +279,76 @@ let test_per_candidate_work () =
             true (extra < ladder))
         [ 1; 2; 3 ])
 
+(* Proposition 2.1 bounds each CEGAR candidate's search to V(P): on a
+   satisfiable 20-letter 3-CNF T and a P over three letters, a Winslett
+   or Forbus check refines at most 2^3 times per candidate, and a
+   Forbus batch, guard included, encodes fewer clauses than one
+   cardinality ladder over the whole alphabet. *)
+let test_local_work () =
+  let count c = Obs.value (Obs.counter c) in
+  let vars = letters 20 in
+  let st = seeded () in
+  let rec sat_cnf () =
+    let t = Gen.cnf3 st ~vars ~nclauses:60 in
+    if Semantics.is_sat t then t else sat_cnf ()
+  in
+  let t = sat_cnf () and p = f "~x1 | (x2 & ~x3)" in
+  (* Candidates near T: eight sampled T-models, each with V(P) rewritten
+     to every P-model over it, so members and non-members both occur. *)
+  let rec t_model () =
+    let m = Gen.interp st ~vars in
+    if Interp.sat m t then m else t_model ()
+  in
+  let vp = Formula.vars p in
+  let ns =
+    List.concat_map
+      (fun m ->
+        List.filter_map
+          (fun a ->
+            let n = Var.Set.union (Var.Set.diff m vp) a in
+            if Interp.sat n p then Some n else None)
+          (Interp.subsets (Var.Set.elements vp)))
+      (List.init 8 (fun _ -> t_model ()))
+  in
+  let ladder =
+    let s = Session.create ~vars () in
+    let c0 = count "sem.encode.clauses" in
+    ignore (Ladder.against (Session.env s) vars);
+    count "sem.encode.clauses" - c0
+  in
+  Pool.with_jobs 1 (fun () ->
+      List.iter
+        (fun op ->
+          let name = MB.name op in
+          let one n =
+            let i0 = count "check.cegar_iters" in
+            let b = Check.model_check op t p n in
+            (b, count "check.cegar_iters" - i0)
+          in
+          let each = List.map one ns in
+          let members = List.length (List.filter fst each) in
+          let worst = List.fold_left (fun w (_, i) -> max w i) 0 each in
+          check_bool
+            (Printf.sprintf "%s: %d of %d candidates are members" name members
+               (List.length ns))
+            true
+            (members > 0 && members < List.length ns);
+          check_bool
+            (Printf.sprintf "%s: at most %d refinements per candidate <= 2^3"
+               name worst)
+            true (worst <= 8);
+          let c0 = count "sem.encode.clauses" in
+          let answers = Check.model_check_batch op t p ns in
+          let clauses = count "sem.encode.clauses" - c0 in
+          check_bool (name ^ ": batch = one by one") true
+            (answers = List.map fst each);
+          if op = MB.Forbus then
+            check_bool
+              (Printf.sprintf "Forbus batch encodes %d clauses < %d (a ladder)"
+                 clauses ladder)
+              true (clauses < ladder))
+        [ MB.Winslett; MB.Forbus ])
+
 (* -- session-backed checkers vs the fresh-solver oracle ------------------- *)
 
 let prop_model_check_matches_fresh =
@@ -307,6 +377,27 @@ let prop_batch_matches_fresh =
               Check.model_check_batch op t p ns
               = List.map (Fresh.model_check op t p) ns)
             MB.all))
+
+(* Proposition 2.1's locality on the alphabet's edges: P names a letter
+   outside V(T) and leaves some of V(T) out, and the candidates carry a
+   letter outside both.  Every operator's batch answers as the
+   enumeration route does, at one and at four worker domains. *)
+let prop_batch_local_matches_enumeration =
+  let tv = letters 4 and pv = List.filteri (fun i _ -> i >= 2) (letters 5) in
+  let ns = Interp.subsets (letters 6) in
+  qtest "model_check_batch = enumeration, P partly outside V(T)" ~count:30
+    (arb_pair (arb_sat_formula tv) (arb_sat_formula pv))
+    (fun (t, p) ->
+      List.for_all
+        (fun op ->
+          let r = MB.revise op t p in
+          let expected = List.map (Revision.Result.model_check r) ns in
+          List.for_all
+            (fun jobs ->
+              Pool.with_jobs jobs (fun () ->
+                  Check.model_check_batch op t p ns = expected))
+            [ 1; 4 ])
+        MB.all)
 
 (* The measure's realizable-difference sweep agrees with the
    formula-level per-subset oracle. *)
@@ -418,6 +509,7 @@ let () =
         [
           prop_model_check_matches_fresh;
           prop_batch_matches_fresh;
+          prop_batch_local_matches_enumeration;
           prop_measure_matches_formula_oracle;
         ] );
       ( "work",
@@ -429,6 +521,7 @@ let () =
             test_guard_builds;
           Alcotest.test_case "per-candidate batch work" `Quick
             test_per_candidate_work;
+          Alcotest.test_case "CEGAR local to V(P)" `Quick test_local_work;
         ] );
       ( "sessions",
         [
