@@ -83,7 +83,8 @@ let offline_online () =
         in
         (* off-line: Theorem 3.4 compile + one SAT call per query *)
         let (compiled, t_compile) =
-          time (fun () -> Compact.Construct.revise Model_based.Dalal t p)
+          time (fun () ->
+              Compact.Construct.revise Model_based.Dalal (Kb.make t) p)
         in
         let _, t_sat_q =
           time (fun () ->

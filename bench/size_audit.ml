@@ -72,7 +72,7 @@ let dalal_thm34 () =
           (List.filteri (fun i _ -> i < n / 2) (letters n)
           |> List.map Formula.not_)
       in
-      Compact.Construct.revise Revision.Model_based.Dalal t p)
+      Compact.Construct.revise Revision.Model_based.Dalal (Kb.make t) p)
 
 (* Theorem 3.5 (Weber): T[Omega/Z] AND P — a renaming plus a conjunction,
    never larger than the input. *)
@@ -82,7 +82,7 @@ let weber_thm35 () =
     (fun n ->
       let t = Formula.and_ (letters n @ [ Parser.formula_of_string "x1 | x2" ]) in
       let p = Parser.formula_of_string "~x1 | ~x2" in
-      Compact.Construct.revise Revision.Model_based.Weber t p)
+      Compact.Construct.revise Revision.Model_based.Weber (Kb.make t) p)
 
 (* Formula (5) (Winslett, bounded |P|): linear in |T| with a 2^O(|V(P)|)
    constant, here |V(P)| = 2. *)
@@ -103,7 +103,7 @@ let iterated_ps m =
 
 let iterated op m =
   let t = Formula.and_ (letters 4) in
-  Compact.Construct.(final t (iterate op t (iterated_ps m)))
+  Compact.Construct.(final t (iterate op (Kb.make t) (iterated_ps m)))
 
 (* Theorem 5.1 (iterated Dalal): each step renames the alphabet and adds
    O(|X|^2 + |P^i|). *)

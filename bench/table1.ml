@@ -86,7 +86,9 @@ let dalal_sweep () =
   let rows =
     Revkb_parallel.Pool.map_list pool
       (fun (n, t, p) ->
-        let s = List.hd (Compact.Construct.iterate Model_based.Dalal t [ p ]) in
+        let s =
+          List.hd (Compact.Construct.iterate Model_based.Dalal (Kb.make t) [ p ])
+        in
         let input = Formula.size t + Formula.size p in
         (* The new letters V(T') \ X: the copy Y of X and EXA's W *)
         let x = Formula.vars (Formula.conj2 t p) in
@@ -127,7 +129,9 @@ let weber_sweep () =
             (List.map Formula.var (Gen.letters n) @ [ Parser.formula_of_string "x1 | x2" ])
         in
         let p = Parser.formula_of_string "~x1 | ~x2" in
-        let w = List.hd (Compact.Construct.iterate Model_based.Weber t [ p ]) in
+        let w =
+          List.hd (Compact.Construct.iterate Model_based.Weber (Kb.make t) [ p ])
+        in
         [
           string_of_int (Formula.size t + Formula.size p);
           string_of_int w.Compact.Construct.measure;
@@ -330,7 +334,7 @@ let incompressibility_sweep () =
         let query_rep =
           Formula.size
             (Compact.Construct.revise Model_based.Dalal
-               fam.Witness.Dalal_family.t_n
+               (Kb.make fam.Witness.Dalal_family.t_n)
                fam.Witness.Dalal_family.p_n)
         in
         [

@@ -62,7 +62,9 @@ let iterated_general_sweep () =
     List.map
       (fun m ->
         let ps = ps m in
-        let final op = Compact.Construct.(final t (iterate op t ps)) in
+        let final op =
+          Compact.Construct.(final t (iterate op (Kb.make t) ps))
+        in
         let input =
           Formula.size t
           + List.fold_left (fun acc p -> acc + Formula.size p) 0 ps
@@ -108,7 +110,9 @@ let iterated_bounded_sweep () =
         :: List.map
              (fun m ->
                string_of_int
-                 (Formula.size Compact.Construct.(final t (iterate op t (ps m)))))
+                 (Formula.size
+                    Compact.Construct.(
+                      final t (iterate op (Kb.make t) (ps m)))))
              ms)
       specs
   in
@@ -135,7 +139,7 @@ let iterated_bounded_sweep () =
            let sem = Iterate.revise_seq_on op vars [ t2 ] ps2 in
            Compact.Verify.query_equivalent sem
              Compact.Construct.(
-               final t2 (iterate (Operator.model_op op) t2 ps2)))
+               final t2 (iterate (Operator.model_op op) (Kb.make t2) ps2)))
          Operator.[ Winslett; Borgida; Forbus; Satoh ])
   in
   Report.para
@@ -221,8 +225,8 @@ let thm65_sweep () =
         (* the query-equivalent Phi_m stays small on the same sequence *)
         let phi =
           let t = fam.Witness.Iterated_family.t_n in
-          Compact.Construct.(
-            final t (iterate Model_based.Dalal t fam.Witness.Iterated_family.ps))
+          let ps = fam.Witness.Iterated_family.ps in
+          Compact.Construct.(final t (iterate Model_based.Dalal (Kb.make t) ps))
         in
         [
           string_of_int m;

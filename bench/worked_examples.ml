@@ -90,7 +90,7 @@ let run () =
       [ "semantic models"; show_models (Result.models sem) ];
       [ "matches paper"; Report.check (agrees (Result.models sem) expected5) ];
     ];
-  let steps = Compact.Construct.iterate Model_based.Weber t5 ps in
+  let steps = Compact.Construct.iterate Model_based.Weber (Kb.make t5) ps in
   List.iteri
     (fun i s ->
       Report.para
@@ -115,7 +115,7 @@ let run () =
         Report.check (agrees (Result.models sem6) [ "x2,x3,x4,x5" ]);
       ];
     ];
-  let win = Compact.Construct.revise Model_based.Winslett t5 p6 in
+  let win = Compact.Construct.revise Model_based.Winslett (Kb.make t5) p6 in
   Report.para
     (Printf.sprintf
        "  formula (12) expanded: size %d; query-equivalent: %s"

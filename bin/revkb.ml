@@ -246,7 +246,7 @@ let compact_cmd =
     let mop = Revision.Operator.model_op op in
     let formula =
       if bounded then Compact.Bounded.for_op mop t p
-      else Compact.Construct.(final t (iterate mop t (p :: ps)))
+      else Compact.Construct.(final t (iterate mop (Kb.make t) (p :: ps)))
     in
     Format.printf "%a@." Formula.pp formula;
     Format.printf "# size %d (input %d)@." (Formula.size formula)

@@ -64,7 +64,7 @@ let () =
   rule "4. Dalal's asymmetry: query-compact, not logically compact";
   let t = Parser.formula_of_string "a & b & c & d" in
   let p = Parser.formula_of_string "~a & ~b" in
-  let t' = Compact.Construct.revise Revision.Model_based.Dalal t p in
+  let t' = Compact.Construct.revise Revision.Model_based.Dalal (Kb.make t) p in
   let sem = Revision.Model_based.revise Revision.Model_based.Dalal t p in
   Format.printf "  T = %a,  P = %a@." Formula.pp t Formula.pp p;
   Format.printf "  Theorem 3.4 representation (size %d, %d new letters):@."

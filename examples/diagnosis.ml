@@ -67,7 +67,7 @@ let () =
      constructions. *)
   Format.printf "@.Representation sizes along the sequence:@.";
   let compact op prefix =
-    Compact.Construct.(final t (iterate op t prefix))
+    Compact.Construct.(final t (iterate op (Kb.make t) prefix))
   in
   Format.printf "  %-6s %-12s %-18s %-18s@." "step" "naive DNF"
     "WIN_i (formula 16)" "Phi_i (Thm 5.1)";

@@ -31,7 +31,8 @@ let () =
 
   let t0 = Unix.gettimeofday () in
   let t' =
-    List.hd (Compact.Construct.iterate Revision.Model_based.Dalal t [ p ])
+    List.hd
+      (Compact.Construct.iterate Revision.Model_based.Dalal (Kb.make t) [ p ])
   in
   Format.printf
     "Theorem 3.4 compilation: k = %d, |T'| = %d, %.1f ms@."

@@ -44,8 +44,10 @@ let () =
 
   print_newline ();
   print_endline "Compact representations (query-equivalent, new letters allowed):";
-  let d = List.hd (Compact.Construct.iterate Model_based.Dalal t [ p ]) in
+  let d =
+    List.hd (Compact.Construct.iterate Model_based.Dalal (Kb.make t) [ p ])
+  in
   Format.printf "  Theorem 3.4 for Dalal (k = %d): %a@."
     d.Compact.Construct.measure Formula.pp d.Compact.Construct.formula;
-  let w = Compact.Construct.revise Model_based.Weber t p in
+  let w = Compact.Construct.revise Model_based.Weber (Kb.make t) p in
   Format.printf "  Theorem 3.5 for Weber:          %a@." Formula.pp w

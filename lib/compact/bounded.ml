@@ -65,12 +65,12 @@ let borgida t p =
 
 let satoh t p =
   ignore (vp_of p);
-  let d = Measure.delta (Measure.create t p) in
+  let d = Measure.delta (Measure.create (Kb.make t) p) in
   Formula.conj2 p (Formula.or_ (List.map (flip t) d))
 
 let dalal t p =
   let vp = vp_of p in
-  let k = Measure.k (Measure.create t p) in
+  let k = Measure.k (Measure.create (Kb.make t) p) in
   let subsets =
     List.filter (fun s -> Var.Set.cardinal s = k) (Interp.subsets vp)
   in
@@ -78,7 +78,7 @@ let dalal t p =
 
 let weber t p =
   ignore (vp_of p);
-  let omega = Measure.omega (Measure.create t p) in
+  let omega = Measure.omega (Measure.create (Kb.make t) p) in
   let subsets = Interp.subsets (Var.Set.elements omega) in
   Formula.conj2 p (Formula.or_ (List.map (flip t) subsets))
 

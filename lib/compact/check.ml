@@ -9,9 +9,6 @@ module Ladder = Semantics.Ladder
    on how hard the Σ₂ checks are working. *)
 let c_cegar = Obs.counter "check.cegar_iters"
 
-let joint t p =
-  Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
-
 (* x = N(x) for each letter of [xs]: a literal conjunction, so as a
    query premise it is pure assumption literals and encodes nothing. *)
 let agree_on xs n =
@@ -183,11 +180,11 @@ let forbus_in ctx s pv t p alpha outside n =
 let ctx_for ~cap op alphabet =
   { cap; opname = MB.name op; nletters = List.length alphabet }
 
-(* The guard of the operators that measure nothing: one plain check per
-   formula.  Dalal, Weber and Satoh take theirs from their {!Measure}. *)
-let require_sat t p =
-  if not (Semantics.is_sat t) then
-    invalid_arg "Compact.Check: T unsatisfiable";
+(* The guard of the operators that measure nothing: T's handle holds
+   its decision, and P gets one plain check.  Dalal, Weber and Satoh
+   take theirs from their {!Measure}. *)
+let require_sat kb p =
+  if not (Kb.is_sat kb) then invalid_arg "Compact.Check: T unsatisfiable";
   if not (Semantics.is_sat p) then
     invalid_arg "Compact.Check: P unsatisfiable"
 
@@ -215,12 +212,14 @@ let require_sat t p =
      retired when they end, so no candidate constrains the next.
 
    The first three take their T/P satisfiability guard from their
-   measure's session; the CEGAR operators run {!require_sat}.
+   measure's session; the CEGAR operators run {!require_sat}.  Either
+   way T's decision is taken here, on the calling domain, before any
+   chunk runs.
 
    Answers are slotted in candidate order and depend only on (op, T,
    P, candidate) — never on chunk boundaries — so the result is
    bit-identical at every job count and for every batching. *)
-let model_check_batch ?(cegar_cap = 50_000) op t p ns =
+let model_check_batch ?(cegar_cap = 50_000) op kb p ns =
   match ns with
   | [] -> []
   | _ ->
@@ -228,25 +227,24 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
         ~attrs:(fun () ->
           [ ("op", MB.name op); ("candidates", string_of_int (List.length ns)) ])
         (fun () ->
-          let alphabet = joint t p in
-          let va = Var.set_of_list alphabet in
+          let t = Kb.formula kb and vp_set = Formula.vars p in
+          let va = Var.Set.union (Kb.vars kb) vp_set in
+          let alphabet = Var.Set.elements va in
           let arr = Array.of_list (List.map (Interp.restrict va) ns) in
-          let vp = Var.Set.elements (Formula.vars p) in
-          let outside =
-            Var.Set.elements (Var.Set.diff (Formula.vars t) (Formula.vars p))
-          in
+          let vp = Var.Set.elements vp_set in
+          let outside = Var.Set.elements (Var.Set.diff (Kb.vars kb) vp_set) in
           let pool = Revkb_parallel.Pool.global () in
           let answers =
             match op with
             | MB.Dalal ->
-                let k = Measure.k (Measure.create t p) in
+                let k = Measure.k (Measure.create kb p) in
                 Revkb_parallel.Pool.map_array_with pool
                   ~init:(fun () -> Dist.create t vp)
                   (fun d n ->
                     Interp.sat n p && Dist.within d ~fixed:outside n k)
                   arr
             | MB.Weber ->
-                let omega = Measure.omega (Measure.create t p) in
+                let omega = Measure.omega (Measure.create kb p) in
                 let fixed =
                   List.filter (fun x -> not (Var.Set.mem x omega)) alphabet
                 in
@@ -260,7 +258,7 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
                     && Session.solve s [ agree_on fixed n ])
                   arr
             | MB.Satoh ->
-                let delta = Measure.delta (Measure.create t p) in
+                let delta = Measure.delta (Measure.create kb p) in
                 Array.map
                   (fun n ->
                     Interp.sat n p
@@ -269,7 +267,7 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
                          delta)
                   arr
             | MB.Winslett | MB.Forbus | MB.Borgida ->
-                require_sat t p;
+                require_sat kb p;
                 let ctx = ctx_for ~cap:cegar_cap op alphabet in
                 let alpha = Interp_packed.alphabet vp in
                 (* One session per chunk, and the chunk's checker: what
@@ -296,8 +294,8 @@ let model_check_batch ?(cegar_cap = 50_000) op t p ns =
           Array.to_list answers)
 
 let model_check ?cegar_cap op t p n =
-  match model_check_batch ?cegar_cap op t p [ n ] with
+  match model_check_batch ?cegar_cap op (Kb.make t) p [ n ] with
   | [ b ] -> b
   | _ -> assert false (* one answer per candidate *)
 
-let entails op t p q = Semantics.entails (Construct.revise op t p) q
+let entails op t p q = Semantics.entails (Construct.revise op (Kb.make t) p) q

@@ -56,14 +56,15 @@ exception
 val model_check_batch :
   ?cegar_cap:int ->
   Revision.Model_based.op ->
-  Formula.t ->
+  Kb.t ->
   Formula.t ->
   Interp.t list ->
   bool list
-(** [model_check_batch op t p ns]: does each interpretation of [ns]
+(** [model_check_batch op kb p ns]: does each interpretation of [ns]
     (over [V(T) ∪ V(P)]; letters outside it are ignored) satisfy
-    [T * P]?  Requires [t] and [p] satisfiable (raises
-    [Invalid_argument] otherwise, unless [ns] is empty).  The per-(T, P)
+    [T * P]?  Requires [T] and [p] satisfiable (raises
+    [Invalid_argument] otherwise, unless [ns] is empty); [T]'s
+    decision is the handle's, taken before the pool fans out.  The per-(T, P)
     setup runs once and each candidate pays only for itself: Dalal
     computes k_{T,P} and asks one [dist(N, T) <= k] probe per candidate
     [N |= P] on one {!Dist} prober per pool chunk (its ladder over
@@ -85,7 +86,8 @@ val model_check :
   Formula.t ->
   Interp.t ->
   bool
-(** {!model_check_batch} on one candidate. *)
+(** {!model_check_batch} on one candidate, with a handle built on the
+    spot for [T]. *)
 
 val refutation_core :
   (module Mask.S with type t = 'm) ->

@@ -33,10 +33,12 @@
     (Table 2's general YES entries); the pointwise steps by
     [O(2^{|V(Pⁱ)|} + |Pⁱ|)], polynomial for bounded [Pⁱ] (Corollary 6.4).
 
-    Guards: Dalal, Weber and Satoh decide [φ] and [P] with their
-    {!Measure}'s first query.  Winslett, Forbus and Borgida measure
-    nothing: [T] gets one plain check, and each [P] one check (Borgida's
-    fallback to Winslett checks it again).  Every failure raises
+    Guards: [T] comes as a {!Logic.Kb} handle, whose satisfiability is
+    decided at most once however many revisions read it.  Dalal, Weber
+    and Satoh take [φ]'s decision through their {!Measure} and decide
+    [P] with its one solve.  Winslett, Forbus and Borgida measure
+    nothing: they consult [T]'s handle, and give each [P] one check
+    (Borgida's fallback to Winslett checks it again).  Every failure raises
     [Invalid_argument], as does a [P] with more than 8 letters for the
     four pointwise operators (the expansion and δ are exponential in
     [|V(P)|]) and a Weber [P] with more than 16 ({!Measure.diffs}). *)
@@ -51,15 +53,15 @@ type step = {
   size : int;  (** [Formula.size formula] *)
 }
 
-val iterate : Revision.Model_based.op -> Formula.t -> Formula.t list -> step list
-(** [iterate op t ps]: the step for each prefix of [ps], in order.
+val iterate : Revision.Model_based.op -> Kb.t -> Formula.t list -> step list
+(** [iterate op kb ps]: the step for each prefix of [ps], in order.
     Empty, and nothing is checked, when [ps] is. *)
 
 val final : Formula.t -> step list -> Formula.t
 (** [final t steps]: the last step's formula, [t] when there is none. *)
 
-val revise : Revision.Model_based.op -> Formula.t -> Formula.t -> Formula.t
-(** [T * P]: [final t (iterate op t [p])]. *)
+val revise : Revision.Model_based.op -> Kb.t -> Formula.t -> Formula.t
+(** [T * P]: [final (Kb.formula kb) (iterate op kb [p])]. *)
 
 (** {1 Unexpanded QBF views}
 

@@ -40,22 +40,23 @@ let sweep s movable =
   assert (diffs <> []);
   diffs
 
-let create t p =
+let unsat side = invalid_arg ("Measure: " ^ side ^ " is unsatisfiable")
+
+let create kb p =
+  if Kb.known kb = Some false then unsat "T";
   let vp_set = Formula.vars p in
   let vp = Var.Set.elements vp_set in
   let y =
-    Names.copy ~avoid:(Var.Set.union (Formula.vars t) vp_set) ~suffix:"_m" vp
+    Names.copy ~avoid:(Var.Set.union (Kb.vars kb) vp_set) ~suffix:"_m" vp
   in
-  let t_y = Formula.rename (List.combine vp y) t in
-  (* [t_y] and [p] share no letter, so their conjunction is satisfiable
-     iff both are: the session's first query is the pair's guard. *)
+  (* [T[V(P)/Y]] and [p] share no letter, so each is decided by a solve
+     on what is asserted so far: [T]'s only when its handle holds no
+     decision yet, then [p]'s. *)
   let s = Session.create ~vars:vp () in
-  if not (Session.solve s [ t_y; p ]) then
-    invalid_arg
-      (if Session.solve s [ t_y ] then "Measure: P is unsatisfiable"
-       else "Measure: T is unsatisfiable");
-  Session.assert_always s t_y;
+  Session.assert_always s (Formula.rename (List.combine vp y) (Kb.formula kb));
+  if not (Kb.decide kb ~by:(fun () -> Session.solve s [])) then unsat "T";
   Session.assert_always s p;
+  if not (Session.solve s []) then unsat "P";
   let env = Session.env s in
   let movable =
     List.map2

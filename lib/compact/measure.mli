@@ -16,8 +16,9 @@
       asymmetry Table 1 turns on.
 
     A value of {!t} is the one owner of its [(T, P)] pair: building it
-    decides that [T] and [P] are satisfiable (the session's first
-    query), and each measure is computed at most once, on first use.
+    decides that [P] is satisfiable (the session's one solve) and takes
+    [T]'s decision from its {!Logic.Kb} handle, and each measure is
+    computed at most once, on first use.
     A construction or checker that needs a measure builds one value and
     takes its guard from it. *)
 
@@ -25,10 +26,13 @@ open Logic
 
 type t
 
-val create : Formula.t -> Formula.t -> t
-(** [create t p]: encode the pair once and decide satisfiability.
-    Raises [Invalid_argument] when [t] or [p] is unsatisfiable (the
-    paper's standing assumption; [T] is named when both are). *)
+val create : Kb.t -> Formula.t -> t
+(** [create kb p]: assert the pair once and decide [p] with one solve.
+    [T] takes the handle's decision, or this session's first solve when
+    the handle holds none, and an unsatisfiable [T] known beforehand
+    raises before anything is built.  Raises [Invalid_argument] when
+    [T] or [p] is unsatisfiable (the paper's standing assumption; [T]
+    is named when both are). *)
 
 val k : t -> int
 (** [k_{T,P}]: the minimum Hamming distance between a model of [T] and

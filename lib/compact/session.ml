@@ -58,4 +58,4 @@ let compile s =
         "Session.compile: GFUV/Nebel admit no compact representation \
          (Theorem 3.1)"
   | Op.Widtio -> Theory.conj (Revision.Iterate.widtio_seq s.base ps)
-  | o -> Construct.final t (Construct.iterate (Op.model_op o) t ps)
+  | o -> Construct.final t (Construct.iterate (Op.model_op o) (Kb.make t) ps)

@@ -68,7 +68,6 @@ val substitute : (Var.t -> t option) -> t -> t
 (** Simultaneous substitution: every occurrence of a letter [x] with
     [f x = Some F] is replaced by [F].  This is the paper's [P[X/Y]]. *)
 
-val subst_map : t Var.Map.t -> t -> t
 val rename : (Var.t * Var.t) list -> t -> t
 (** Variable-for-variable substitution. *)
 

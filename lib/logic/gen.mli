@@ -11,10 +11,6 @@ val formula : Random.State.t -> vars:Var.t list -> depth:int -> Formula.t
 val theory :
   Random.State.t -> vars:Var.t list -> members:int -> depth:int -> Theory.t
 
-val clause3 : Random.State.t -> vars:Var.t list -> Formula.t
-(** A random 3-literal clause over distinct letters ([vars] must have at
-    least 3 elements). *)
-
 val cnf3 : Random.State.t -> vars:Var.t list -> nclauses:int -> Formula.t
 (** Random 3-CNF. *)
 

@@ -22,10 +22,6 @@ val is_horn : Cnf.t -> bool
 
 val closed_under_intersection : Interp.t list -> bool
 
-val intersection_closure : Interp.t list -> Interp.t list
-(** Least superset closed under pairwise intersection (sorted,
-    deduplicated). *)
-
 val lub_models : Var.t list -> Formula.t -> Interp.t list
 (** Models of the Horn LUB of the formula over the given alphabet. *)
 

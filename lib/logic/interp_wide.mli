@@ -49,10 +49,6 @@ val subset : t -> t -> bool
 val is_zero : t -> bool
 val equal : t -> t -> bool
 
-val compare_masks : t -> t -> int
-(** Masks-as-integers order: most significant word first.  Agrees with
-    [Int.compare] on one-word masks. *)
-
 (** {1 Model sets: sorted duplicate-free arrays of wide masks} *)
 
 type set = t array

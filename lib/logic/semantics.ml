@@ -111,12 +111,21 @@ and encode_node env (f : Formula.t) =
       add env [ x; la; L.neg lb ];
       x
 
+let is_literal : Formula.t -> bool = function
+  | Var _ | Not (Var _) -> true
+  | _ -> false
+
 let assert_formula env (f : Formula.t) =
   (* Assert top-level conjuncts directly: fewer auxiliaries, and unit
-     facts reach the solver as unit clauses. *)
+     facts reach the solver as unit clauses.  A conjunct that is a
+     clause already (a disjunction of literals) is added as that clause,
+     with no auxiliary; the solver drops duplicate literals and
+     tautologies. *)
   let rec go (f : Formula.t) =
     match f with
     | And gs -> List.iter go gs
+    | Or gs when List.for_all is_literal gs ->
+        add env (List.map (encode env) gs)
     | f -> add env [ encode env f ]
   in
   go f
@@ -399,7 +408,7 @@ module Session = struct
      is retained, so counting costs one blocking clause per model and
      O(words) transient memory.  Raises [Invalid_argument] past the cap
      with the count so far, so the caller knows the scale it hit. *)
-  let count_masks ?(cap = 1_000_000) s alpha f =
+  let count_masks ?(cap = 1_000_000) s alpha fs =
     declare s (Interp_packed.letters alpha);
     with_retractable s (fun scope ->
         let rec go n =
@@ -409,7 +418,7 @@ module Session = struct
                  "Semantics.count_sat: more than %d models over %d letters \
                   (raise ~cap if walking a model set this size is intended)"
                  cap (Interp_packed.size alpha))
-          else if solve s ~scopes:[ scope ] [ f ] then begin
+          else if solve s ~scopes:[ scope ] fs then begin
             block_mask (module Mask.Wide) s scope alpha
               (mask_on (module Mask.Wide) s alpha);
             go (n + 1)
@@ -425,7 +434,7 @@ let masks_sat m ?cap alpha f =
 
 let count_sat ?cap alpha f =
   let s = Session.create ~vars:(Interp_packed.letters alpha) () in
-  Session.count_masks ?cap s alpha f
+  Session.count_masks ?cap s alpha [ f ]
 
 let is_sat_cdcl f =
   let env = create () in

@@ -38,7 +38,9 @@ val encode : env -> Formula.t -> Satsolver.Lit.t
 (** Literal equivalent to the formula (Tseitin, with memoization). *)
 
 val assert_formula : env -> Formula.t -> unit
-(** Constrain the formula to be true. *)
+(** Constrain the formula to be true.  Each top-level conjunct that is a
+    clause (an [Or] of literals) becomes one solver clause with no
+    auxiliary variable, so it is not memoized for later queries. *)
 
 val solve : ?assumptions:Satsolver.Lit.t list -> env -> bool
 
@@ -207,8 +209,11 @@ module Session : sig
       not fit it ({!Mask.S.fits}: one-word masks past
       {!Interp_packed.max_letters} letters). *)
 
-  val count_masks : ?cap:int -> t -> Interp_packed.alphabet -> Formula.t -> int
-  (** Model count by the blocking walk, tallying instead of storing.
+  val count_masks :
+    ?cap:int -> t -> Interp_packed.alphabet -> Formula.t list -> int
+  (** Model count of the permanent assertions and the given premises
+      (none, on a session that asserts its KB) by the blocking walk,
+      tallying instead of storing.
       Raises [Invalid_argument] past [cap] (default 1_000_000) with an
       actionable message — truncation is never silent. *)
 end

@@ -104,56 +104,3 @@ let enable () =
   Obs.set_span_exit_hook (Some boundary)
 
 let disable () = Obs.set_span_exit_hook None
-
-(* -- allocation budgets ------------------------------------------------------ *)
-
-exception
-  Budget_exceeded of { site : string; budget_bytes : int; allocated_bytes : int }
-
-let () =
-  Printexc.register_printer (function
-    | Budget_exceeded { site; budget_bytes; allocated_bytes } ->
-        Some
-          (Printf.sprintf
-             "Gcstats.Budget_exceeded { site = %S; budget_bytes = %d; \
-              allocated_bytes = %d }"
-             site budget_bytes allocated_bytes)
-    | _ -> None)
-
-let violations_c = Obs.counter "gc.budget_violations"
-
-let assert_flag =
-  Atomic.make
-    (match Sys.getenv_opt "REVKB_ALLOC_ASSERT" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "1" | "true" | "yes" | "on" -> true
-        | _ -> false)
-    | None -> false)
-
-let set_assert_budgets b = Atomic.set assert_flag b
-let assert_budgets () = Atomic.get assert_flag
-
-(* [Gc.allocated_bytes] itself allocates its boxed float result; the
-   measured window sees the opening call's box.  Calibrate that cost
-   once so a genuinely zero-alloc [f] reports zero. *)
-let probe_overhead_bytes =
-  let a = Gc.allocated_bytes () in
-  let b = Gc.allocated_bytes () in
-  int_of_float (b -. a)
-
-let with_alloc_budget ~site ~budget_bytes f =
-  let b0 = Gc.allocated_bytes () in
-  let v = f () in
-  let allocated =
-    int_of_float (Gc.allocated_bytes () -. b0) - probe_overhead_bytes
-  in
-  if allocated > budget_bytes then begin
-    Obs.incr violations_c;
-    if Atomic.get assert_flag then
-      raise
-        (Budget_exceeded { site; budget_bytes; allocated_bytes = allocated })
-  end;
-  v
-
-let violations () = Obs.value violations_c

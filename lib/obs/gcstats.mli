@@ -22,26 +22,3 @@ val enable : unit -> unit
 
 val disable : unit -> unit
 (** Remove the span-boundary sampler. *)
-
-(** {1 Allocation budgets}
-
-    A [Gc.Memprof]-free assertion mode for the zero-allocation promises
-    the hot paths make (the BDD op-cache probe, the packed distance
-    Frontier): wrap the region, give it a byte budget, and overruns
-    bump [gc.budget_violations] — or raise, when assertions are on
-    ([REVKB_ALLOC_ASSERT=1] or {!set_assert_budgets}). *)
-
-exception
-  Budget_exceeded of { site : string; budget_bytes : int; allocated_bytes : int }
-
-val with_alloc_budget : site:string -> budget_bytes:int -> (unit -> 'a) -> 'a
-(** Run [f], measuring this domain's allocation via
-    [Gc.allocated_bytes] (probe cost calibrated out).  Over budget:
-    bump [gc.budget_violations], and raise {!Budget_exceeded} when
-    assertions are on.  Exceptions from [f] pass through unmeasured. *)
-
-val set_assert_budgets : bool -> unit
-val assert_budgets : unit -> bool
-
-val violations : unit -> int
-(** Current value of the [gc.budget_violations] counter. *)

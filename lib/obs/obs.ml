@@ -96,7 +96,6 @@ let bucket_of v =
 let bucket_lo b = if b = 0 then 0 else 1 lsl (b - 1)
 
 type hist = {
-  h_name : string;
   h_count : int Atomic.t;
   h_sum : int Atomic.t;
   h_min : int Atomic.t; (* max_int when empty *)
@@ -115,7 +114,6 @@ let hist name =
       | None ->
           let h =
             {
-              h_name = name;
               h_count = Atomic.make 0;
               h_sum = Atomic.make 0;
               h_min = Atomic.make max_int;
@@ -125,8 +123,6 @@ let hist name =
           in
           Hashtbl.add hists name h;
           h)
-
-let hist_name h = h.h_name
 
 let rec atomic_min cell v =
   let cur = Atomic.get cell in

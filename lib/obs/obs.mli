@@ -66,8 +66,6 @@ val hist : string -> hist
 (** The registry histogram of that name: atomic count/sum/min/max plus
     power-of-two buckets (bucket [b] spans [[2^(b-1), 2^b)]). *)
 
-val hist_name : hist -> string
-
 val observe : hist -> int -> unit
 (** Record a sample iff {!enabled}; one flag read otherwise. *)
 

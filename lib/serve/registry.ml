@@ -1,13 +1,15 @@
 (* The named-KB registry behind [revkb serve].
 
-   An entry owns the KB's presentation, its conjunction, a monotonic
-   epoch, and two lazily built acceleration structures: a pooled
-   incremental SAT session with the KB asserted (so every query after
-   the first hits the Tseitin memo and the solver's learned clauses)
+   An entry owns the KB's presentation, its handle (the conjunction, its
+   letters, and a satisfiability decided at most once per epoch), a
+   monotonic epoch, and two lazily built acceleration structures: a
+   pooled incremental SAT session with the KB asserted once (so every
+   query after the first reuses it and the solver's learned clauses)
    and an optional compiled ROBDD for entail/count-heavy traffic.
-   Any content change bumps the epoch and drops both structures; the
-   epoch is part of every serve-cache key, so a bump invalidates all
-   cached revisions of the entry at once without touching the cache. *)
+   Any content change bumps the epoch, builds a new handle and drops
+   both structures; the epoch is part of every serve-cache key, so a
+   bump invalidates all cached revisions of the entry at once without
+   touching the cache. *)
 
 open Logic
 module Obs = Revkb_obs.Obs
@@ -20,8 +22,7 @@ let c_epoch_bumps = Obs.counter "serve.epoch.bumps"
 type entry = {
   name : string;
   mutable theory : Theory.t;
-  mutable formula : Formula.t;
-  mutable alphabet : Var.t list;
+  mutable kb : Kb.t;
   mutable epoch : int;
   mutable session : Session.t option;
   mutable compiled : Semantics.Compiled.t option;
@@ -40,8 +41,7 @@ let size (t : t) = Hashtbl.length t
 
 let set_content e theory =
   e.theory <- theory;
-  e.formula <- Theory.conj theory;
-  e.alphabet <- Var.Set.elements (Theory.vars theory);
+  e.kb <- Kb.of_theory theory;
   e.session <- None;
   e.compiled <- None
 
@@ -56,15 +56,13 @@ let load (t : t) name theory =
       let e =
         {
           name;
-          theory = [];
-          formula = Formula.top;
-          alphabet = [];
+          theory;
+          kb = Kb.of_theory theory;
           epoch = 0;
           session = None;
           compiled = None;
         }
       in
-      set_content e theory;
       Hashtbl.replace t name e;
       e
 
@@ -80,8 +78,8 @@ let session e =
       s
   | None ->
       Obs.incr c_session_builds;
-      let s = Session.create ~vars:e.alphabet () in
-      Session.assert_always s e.formula;
+      let s = Session.create ~vars:(Var.Set.elements (Kb.vars e.kb)) () in
+      Session.assert_always s (Kb.formula e.kb);
       e.session <- Some s;
       s
 
@@ -93,7 +91,7 @@ let compile e =
   | None ->
       let c =
         Obs.with_span "serve.compile" (fun () ->
-            Semantics.Compiled.compile e.formula)
+            Semantics.Compiled.compile (Kb.formula e.kb))
       in
       e.compiled <- Some c;
       c

@@ -1,8 +1,11 @@
 (** The named-KB registry behind [revkb serve].
 
     Entries carry a monotonic {e epoch}: any content change ({!load}
-    over an existing name, {!commit}) bumps it and drops the entry's
-    pooled session and compiled diagram.  Serve-cache keys embed the
+    over an existing name, {!commit}) bumps it, builds a new {!Logic.Kb}
+    handle and drops the entry's pooled session and compiled diagram.
+    The handle is the epoch's one satisfiability decision: [load]
+    decides nothing, and the first request that needs [T] decided
+    takes the decision for every later one.  Serve-cache keys embed the
     epoch, so a bump invalidates every cached revision of the entry
     without touching the cache itself. *)
 
@@ -11,8 +14,7 @@ open Logic
 type entry = {
   name : string;
   mutable theory : Theory.t;
-  mutable formula : Formula.t; (* [Theory.conj theory] *)
-  mutable alphabet : Var.t list; (* its letters, sorted *)
+  mutable kb : Kb.t; (* [Kb.of_theory theory], one per epoch *)
   mutable epoch : int;
   mutable session : Semantics.Session.t option;
   mutable compiled : Semantics.Compiled.t option;

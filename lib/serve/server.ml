@@ -2,8 +2,11 @@
    response line per request out.
 
    Performance architecture (the point of the tier):
-   - plain queries run on the entry's pooled session (encode-once
-     Tseitin memo, accumulated learned clauses) or, when the KB has
+   - each KB holds one [Kb.t] handle per epoch: T's satisfiability is
+     decided once, by the first request that needs it, and read by
+     every construction, check and measure after it;
+   - plain queries and counts run on the entry's pooled session (T
+     asserted once, accumulated learned clauses) or, when the KB has
      been compiled, on its ROBDD in diagram time;
    - revisions are answered from a bounded LRU keyed on
      (KB name, epoch, operator, normalized P) — an epoch bump on
@@ -37,8 +40,8 @@ let c_batch_groups = Obs.counter "serve.batch.groups"
 let c_drained = Obs.counter "serve.drained.lines"
 
 (* A cached revision: the compact formula for T * P plus a lazily
-   built session with it asserted, so repeated queries against one
-   cached revision also hit the encode-once path. *)
+   built session that asserts it once (clause conjuncts as clauses),
+   so a repeated query against it encodes only the query. *)
 type cached = { rf : Formula.t; mutable rsession : Session.t option }
 
 type t = {
@@ -146,7 +149,7 @@ let revised t (e : Registry.entry) op pf =
       let rf =
         Obs.with_span "serve.revise"
           ~attrs:(fun () -> [ ("op", MB.name op) ])
-          (fun () -> Compact.Construct.revise op e.formula pf)
+          (fun () -> Compact.Construct.revise op e.kb pf)
       in
       let c = { rf; rsession = None } in
       Lru.add t.cache key c;
@@ -179,7 +182,7 @@ let do_load t id req =
     [
       ("kb", Json.Str name);
       ("epoch", Json.Int e.epoch);
-      ("letters", Json.Int (List.length e.alphabet));
+      ("letters", Json.Int (Var.Set.cardinal (Kb.vars e.kb)));
       ("members", Json.Int (List.length e.theory));
     ]
 
@@ -280,7 +283,7 @@ let do_check t id req =
   let e = entry_of t id req in
   let op = op_of id req in
   let pf = formula_of id req "p" in
-  check_reply id e op (Check.model_check_batch op e.formula pf (models_of id req))
+  check_reply id e op (Check.model_check_batch op e.kb pf (models_of id req))
 
 let do_count t id req =
   let e = entry_of t id req in
@@ -293,9 +296,10 @@ let do_count t id req =
           ("route", Json.Str "bdd");
         ]
   | None ->
+      (* The pooled session already asserts T: count under no premise. *)
       let s = Registry.session e in
-      let alpha = Interp_packed.alphabet e.alphabet in
-      let n = Session.count_masks s alpha e.formula in
+      let alpha = Interp_packed.alphabet (Var.Set.elements (Kb.vars e.kb)) in
+      let n = Session.count_masks s alpha [] in
       ok id
         [
           ("kb", Json.Str e.name);
@@ -421,7 +425,7 @@ let do_batch t handle_one id req =
                 in
                 let all = List.concat_map (fun (_, _, ms) -> ms) parts in
                 let answers =
-                  Check.model_check_batch op e.formula pf all
+                  Check.model_check_batch op e.kb pf all
                 in
                 let rest = ref answers in
                 List.iter

@@ -118,7 +118,7 @@ let model_check ?(cegar_cap = 50_000) op t p n =
         | Some k, Some d -> d = k
         | _ -> assert false (* both satisfiable *))
     | MB.Weber ->
-        let omega = Measure.omega (Measure.create t p) in
+        let omega = Measure.omega (Measure.create (Kb.make t) p) in
         let pin =
           Formula.and_
             (List.filter_map
@@ -129,7 +129,7 @@ let model_check ?(cegar_cap = 50_000) op t p n =
         in
         Semantics.is_sat (Formula.conj2 t pin)
     | MB.Satoh ->
-        let delta = Measure.delta (Measure.create t p) in
+        let delta = Measure.delta (Measure.create (Kb.make t) p) in
         List.exists (fun s -> Interp.sat (Interp.sym_diff n s) t) delta
     | MB.Winslett -> winslett_check ~cap:cegar_cap MB.Winslett t p alphabet n
     | MB.Forbus ->

@@ -337,7 +337,7 @@ let verify_agrees =
        (arb_formula vars5))
     (fun (t, p, g) ->
       let result = MB.revise MB.Dalal t p in
-      let compact = Compact.Construct.revise MB.Dalal t p in
+      let compact = Compact.Construct.revise MB.Dalal (Kb.make t) p in
       Compact.Verify.bdd_equivalent result g
       = Compact.Verify.query_equivalent result g
       && Compact.Verify.bdd_equivalent result (Result.to_dnf result)

@@ -41,30 +41,42 @@ let prop_measure_matches_extensional =
       let tm = Models.enumerate vars4 t and pm = Models.enumerate vars4 p in
       let d_ext = Distance.delta tm pm in
       (* one session, all three measures *)
-      let m = Compact.Measure.create t p in
+      let m = Compact.Measure.create (Kb.make t) p in
       same_models d_ext (Compact.Measure.delta m)
       && Compact.Measure.k m = Distance.k_global tm pm
       && Var.Set.equal (Compact.Measure.omega m) (Distance.omega tm pm))
 
 let test_measure_guards () =
-  (match Compact.Measure.create (f "a & ~a") (f "b") with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unsat T should be rejected");
-  match Compact.Measure.create (f "a") (f "b & ~b") with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unsat P should be rejected"
+  let refused what kb p expected =
+    match Compact.Measure.create kb p with
+    | exception Invalid_argument d -> Alcotest.(check string) what expected d
+    | _ -> Alcotest.failf "%s should be rejected" what
+  in
+  let t_unsat = "Measure: T is unsatisfiable" in
+  refused "unsat T" (Kb.make (f "a & ~a")) (f "b") t_unsat;
+  refused "unsat P" (Kb.make (f "a")) (f "b & ~b")
+    "Measure: P is unsatisfiable";
+  refused "both unsat: T named" (Kb.make (f "a & ~a")) (f "b & ~b") t_unsat;
+  (* A handle that already knows T is unsatisfiable refuses before any
+     solver is built. *)
+  let kb = Kb.make (f "(a | b) & ~a & ~b") in
+  check_bool "decided" false (Kb.is_sat kb);
+  let builds = Revkb_obs.Obs.counter "sem.env.builds" in
+  let b0 = Revkb_obs.Obs.value builds in
+  refused "known unsat T" kb (f "c") t_unsat;
+  check_int "no solver built" b0 (Revkb_obs.Obs.value builds)
 
 (* -- Theorem 3.4 (Dalal) ---------------------------------------------------- *)
 
 (* The single step of Theorem 3.4 (Dalal), with its measure. *)
 let dalal_step t p =
-  List.hd (Compact.Construct.iterate Model_based.Dalal t [ p ])
+  List.hd (Compact.Construct.iterate Model_based.Dalal (Kb.make t) [ p ])
 
 let prop_dalal_compact_query_equivalent =
   qtest "thm 3.4: query equivalence" ~count:150 arb_tp (fun (t, p) ->
       let sem = Model_based.revise_on Model_based.Dalal vars4 t p in
       Compact.Verify.query_equivalent sem
-        (Compact.Construct.revise Model_based.Dalal t p))
+        (Compact.Construct.revise Model_based.Dalal (Kb.make t) p))
 
 let prop_dalal_compact_k_correct =
   qtest "thm 3.4: k = k_{T,P}" ~count:150 arb_tp (fun (t, p) ->
@@ -78,14 +90,18 @@ let test_dalal_compact_not_logically_equivalent () =
   check_bool "uses new letters" true
     (not
        (Var.Set.subset
-          (Formula.vars (Compact.Construct.revise Model_based.Dalal t p))
+          (Formula.vars
+             (Compact.Construct.revise Model_based.Dalal (Kb.make t) p))
           (Formula.vars (Formula.conj2 t p))))
 
 let test_dalal_compact_rejects_unsat () =
-  (match Compact.Construct.revise Model_based.Dalal (f "a & ~a") (f "b") with
+  let dalal t p =
+    Compact.Construct.revise Model_based.Dalal (Kb.make (f t)) p
+  in
+  (match dalal "a & ~a" (f "b") with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unsat T rejected");
-  match Compact.Construct.revise Model_based.Dalal (f "a") (f "b & ~b") with
+  match dalal "a" (f "b & ~b") with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unsat P rejected"
 
@@ -93,13 +109,13 @@ let test_dalal_compact_rejects_unsat () =
 
 let prop_weber_compact_query_equivalent =
   qtest "thm 3.5: query equivalence" ~count:150 arb_tp (fun (t, p) ->
-      let w = Compact.Construct.revise Model_based.Weber t p in
+      let w = Compact.Construct.revise Model_based.Weber (Kb.make t) p in
       let sem = Model_based.revise_on Model_based.Weber vars4 t p in
       Compact.Verify.query_equivalent sem w)
 
 let prop_weber_compact_size_linear =
   qtest "thm 3.5: size <= |T| + |P|" ~count:150 arb_tp (fun (t, p) ->
-      Formula.size (Compact.Construct.revise Model_based.Weber t p)
+      Formula.size (Compact.Construct.revise Model_based.Weber (Kb.make t) p)
       <= Formula.size t + Formula.size p)
 
 let test_weber_omega_in_vp () =
@@ -111,7 +127,7 @@ let test_weber_omega_in_vp () =
     if Semantics.is_sat t && Semantics.is_sat p then
       check_bool "Ω ⊆ V(P)" true
         (Var.Set.subset
-           (Compact.Measure.omega (Compact.Measure.create t p))
+           (Compact.Measure.omega (Compact.Measure.create (Kb.make t) p))
            (Formula.vars p))
   done
 
@@ -187,7 +203,7 @@ let test_bounded_winslett_paper_example () =
     (Compact.Verify.logically_equivalent sem (Compact.Bounded.winslett t p));
   check_bool "formula (12) query-equivalent" true
     (Compact.Verify.query_equivalent sem
-       (Compact.Construct.revise Model_based.Winslett t p))
+       (Compact.Construct.revise Model_based.Winslett (Kb.make t) p))
 
 (* -- iterated general case (Section 5) ------------------------------------------ *)
 
@@ -207,7 +223,9 @@ let arb_tps m =
    revision by the first i formulas, for every i, not just the last. *)
 let iterated_qe name op vars arb ~count =
   qtest name ~count arb (fun (t, ps) ->
-      let steps = Compact.Construct.iterate (Operator.model_op op) t ps in
+      let steps =
+        Compact.Construct.iterate (Operator.model_op op) (Kb.make t) ps
+      in
       List.length steps = List.length ps
       && List.for_all Fun.id
            (List.mapi
@@ -231,7 +249,8 @@ let test_iterated_dalal_size_additive () =
   let t = Formula.and_ (List.map Formula.var vars4) in
   let p = f "~x1 | ~x2" in
   let steps =
-    Compact.Construct.iterate Model_based.Dalal t (List.init 6 (fun _ -> p))
+    Compact.Construct.iterate Model_based.Dalal (Kb.make t)
+      (List.init 6 (fun _ -> p))
   in
   let sizes = List.map (fun s -> s.Compact.Construct.size) steps in
   let diffs =
@@ -272,7 +291,7 @@ let test_satoh_formula13_erratum () =
   check_result_models "semantic Satoh" sem [ "" ];
   check_bool "corrected construction agrees" true
     (Compact.Verify.query_equivalent sem
-       (Compact.Construct.revise Model_based.Satoh t p))
+       (Compact.Construct.revise Model_based.Satoh (Kb.make t) p))
 
 let test_iterated_bounded_size_additive () =
   let t = Formula.and_ (List.map Formula.var vars5) in
@@ -280,7 +299,8 @@ let test_iterated_bounded_size_additive () =
   let size m =
     Formula.size
       Compact.Construct.(
-        final t (iterate Model_based.Winslett t (List.init m (fun _ -> p))))
+        final t
+          (iterate Model_based.Winslett (Kb.make t) (List.init m (fun _ -> p))))
   in
   let s2 = size 2 and s4 = size 4 and s8 = size 8 in
   check_bool "additive growth" true (s8 - s4 < 2 * (s4 - s2) + 32)
@@ -560,7 +580,7 @@ let test_session_cache_invalidation () =
 
 let test_measure_trivial_p () =
   (* V(P) = {} : the only realizable difference is the empty one. *)
-  let m = Compact.Measure.create (f "a | b") Formula.top in
+  let m = Compact.Measure.create (Kb.make (f "a | b")) Formula.top in
   let d = Compact.Measure.delta m in
   check_int "delta = {{}}" 1 (List.length d);
   check_bool "empty diff" true (Var.Set.is_empty (List.hd d));
@@ -615,7 +635,8 @@ let test_iterate_avoids_later_letters () =
              (Iterate.revise_seq_on op
                 (Var.Set.elements (Formula.vars later))
                 [ t ] ps)
-             Compact.Construct.(final t (iterate (Operator.model_op op) t ps))))
+             Compact.Construct.(
+               final t (iterate (Operator.model_op op) (Kb.make t) ps))))
       Operator.
         [
           (Winslett, "a_wy & a_wz");

@@ -487,39 +487,6 @@ let test_gcstats_span_hook () =
             ((List.assoc "gc.heap_words" (Obs.snapshot ()).Obs.hists).Obs.count
             > heap0)))
 
-let test_alloc_budget () =
-  Gcstats.set_assert_budgets false;
-  let v0 = Gcstats.violations () in
-  check_int "value passes through" 17
-    (Gcstats.with_alloc_budget ~site:"t.ok" ~budget_bytes:1_000_000 (fun () ->
-         17));
-  check_int "within budget: no violation" v0 (Gcstats.violations ());
-  ignore
-    (Gcstats.with_alloc_budget ~site:"t.over" ~budget_bytes:0 (fun () ->
-         Sys.opaque_identity (Array.make 4096 0.)));
-  check_bool "overrun counted" true (Gcstats.violations () > v0);
-  (match
-     Gcstats.with_alloc_budget ~site:"t.exn" ~budget_bytes:0 (fun () ->
-         failwith "budget boom")
-   with
-  | exception Failure msg -> check_str "exception passes through" "budget boom" msg
-  | _ -> Alcotest.fail "exception swallowed");
-  Gcstats.set_assert_budgets true;
-  check_bool "assert flag readable" true (Gcstats.assert_budgets ());
-  Fun.protect
-    ~finally:(fun () -> Gcstats.set_assert_budgets false)
-    (fun () ->
-      match
-        Gcstats.with_alloc_budget ~site:"t.raise" ~budget_bytes:0 (fun () ->
-            Sys.opaque_identity (Array.make 4096 0.))
-      with
-      | exception Gcstats.Budget_exceeded { site; budget_bytes; allocated_bytes }
-        ->
-          check_str "site" "t.raise" site;
-          check_int "budget" 0 budget_bytes;
-          check_bool "allocated positive" true (allocated_bytes > 0)
-      | _ -> Alcotest.fail "budget overrun did not raise under assert mode")
-
 (* -- flushers ------------------------------------------------------------- *)
 
 let test_flushers () =
@@ -620,7 +587,6 @@ let () =
           Alcotest.test_case "sample deltas" `Quick test_gcstats_sample;
           Alcotest.test_case "span-boundary tick" `Quick
             test_gcstats_span_hook;
-          Alcotest.test_case "alloc budgets" `Quick test_alloc_budget;
         ] );
       ( "flushers",
         [ Alcotest.test_case "run and skip failures" `Quick test_flushers ] );

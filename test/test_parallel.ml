@@ -186,7 +186,8 @@ let test_model_check_batch () =
   List.iter
     (fun op ->
       let a, b =
-        both (fun () -> Compact.Check.model_check_batch op t p candidates)
+        both (fun () ->
+            Compact.Check.model_check_batch op (Kb.make t) p candidates)
       in
       check_bool "batch jobs=1 = jobs=4" true (a = b);
       check_bool "batch = pointwise" true

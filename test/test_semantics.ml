@@ -177,10 +177,54 @@ let test_encode_memoized () =
   let l2 = Semantics.encode env g in
   check_bool "memoized" true (l1 = l2)
 
+(* -- clause-shaped conjuncts ----------------------------------------------- *)
+
+(* Conjunctions mixing clauses with arbitrary members.  Clause letters
+   are drawn with replacement, so duplicate literals and [x | ~x]
+   tautologies occur, and a single literal is its own clause
+   ([Formula.t] is private: no one-literal [Or] can be built). *)
+let arb_mixed_cnf vars =
+  let gen st =
+    let letter () = List.nth vars (Random.State.int st (List.length vars)) in
+    let lit () = Formula.lit (Random.State.bool st) (letter ()) in
+    let member () =
+      match Random.State.int st 4 with
+      | 0 -> lit ()
+      | 1 ->
+          let x = Formula.var (letter ()) in
+          Formula.or_ [ x; lit (); Formula.not_ x ]
+      | 2 ->
+          Formula.or_ (List.init (2 + Random.State.int st 4) (fun _ -> lit ()))
+      | _ -> Gen.formula st ~vars ~depth:2
+    in
+    Formula.and_ (List.init (1 + Random.State.int st 6) (fun _ -> member ()))
+  in
+  QCheck.make ~print:Formula.to_string gen
+
+let prop_clause_conjuncts =
+  qtest "asserted clause conjuncts = enumeration" ~count:400
+    (arb_pair (arb_mixed_cnf vars4) (arb_formula vars4))
+    (fun (fm, q) ->
+      let s = Semantics.Session.create () in
+      Semantics.Session.assert_always s fm;
+      Semantics.Session.solve s [] = (Models.enumerate vars4 fm <> [])
+      && Semantics.Session.entails s q = Models.entails_on vars4 fm q)
+
+let test_clause_is_one_clause () =
+  let clauses = Revkb_obs.Obs.counter "sem.encode.clauses" in
+  let env = Semantics.create () in
+  let c0 = Revkb_obs.Obs.value clauses in
+  Semantics.assert_formula env (f "(a | ~b | a) & (c | ~c)");
+  check_int "one solver clause per clause, no auxiliary" 2
+    (Revkb_obs.Obs.value clauses - c0);
+  check_bool "still satisfiable" true (Semantics.solve env)
+
 (* -- Hamming / EXA (SAT-level sanity; exhaustive check in structures) ------- *)
 
 let test_min_distance () =
-  let k t p = Compact.Measure.k (Compact.Measure.create (f t) (f p)) in
+  let k t p =
+    Compact.Measure.k (Compact.Measure.create (Kb.make (f t)) (f p))
+  in
   check_bool "distance 2" true (k "a & b & c" "~a & ~b" = 2);
   check_bool "distance 0 when consistent" true (k "a | b" "a" = 0);
   check_bool "unsat P" true
@@ -229,6 +273,9 @@ let () =
           Alcotest.test_case "constants" `Quick test_constants_and_empty;
           Alcotest.test_case "env with constants" `Quick test_env_constants;
           Alcotest.test_case "encode memoized" `Quick test_encode_memoized;
+          prop_clause_conjuncts;
+          Alcotest.test_case "a clause is one clause" `Quick
+            test_clause_is_one_clause;
         ] );
       ( "distance",
         [ Alcotest.test_case "min distance" `Quick test_min_distance ] );

@@ -251,6 +251,104 @@ let test_count_session_route () =
   check_int "count via session" 3 (get_int "models" n);
   check_str "route" "session" (Option.get (Json.str_member "route" n))
 
+(* The pooled session asserts T once; a count on it adds only its
+   blocking walk (one clause per model, one to retire the walk's
+   scope), never a second encoding of T. *)
+let test_count_reuses_assertion () =
+  let srv = Server.create () in
+  ignore
+    (send srv
+       {|{"verb":"load","kb":"k","theory":"a | b | ~c; ~a | c; b | c | d"}|});
+  ignore (send srv {|{"verb":"query","kb":"k","q":"b | c"}|});
+  let n, clauses =
+    deltas [ "sem.encode.clauses" ] (fun () ->
+        get_int "models" (send srv {|{"verb":"count","kb":"k"}|}))
+  in
+  check_int "models" 9 n;
+  check_bool
+    (Printf.sprintf "count adds %d clauses = %d models + 1" (List.hd clauses) n)
+    true
+    (clauses = [ n + 1 ])
+
+(* The registry's handle decides T once per epoch: k cold Winslett
+   revisions ask it once, and a new epoch asks again. *)
+let test_one_decision_per_epoch () =
+  let srv = Server.create () in
+  ignore
+    (send srv
+       {|{"verb":"load","kb":"k","theory":"(a & b) | (c & d); e | ~a"}|});
+  let revise p =
+    sendf srv {|{"verb":"revise","kb":"k","op":"winslett","p":"%s"}|} p
+  in
+  let ps = [ "~a"; "~b"; "~c | ~d"; "~e"; "a & ~b" ] in
+  let cold, decisions =
+    deltas [ "sem.kb.decisions" ] (fun () ->
+        List.map (fun p -> not (get_bool "cached" (revise p))) ps)
+  in
+  check_bool "every revision cold" true (List.for_all Fun.id cold);
+  check_bool "T decided once for 5 revisions" true (decisions = [ 1 ]);
+  ignore (send srv {|{"verb":"update","kb":"k","op":"winslett","p":"~a"}|});
+  let _, decisions = deltas [ "sem.kb.decisions" ] (fun () -> revise "~b") in
+  check_bool "a new epoch decides again" true (decisions = [ 1 ])
+
+(* An unsatisfiable KB is refused by every revising verb, under the
+   measuring and the non-measuring operators alike, with the detail the
+   engine raises; the decision is taken once.  Reloading the name with
+   a satisfiable theory starts a new epoch that answers, and [update]
+   then [query] sees the updated KB. *)
+let test_unsat_kb_epochs () =
+  let srv = Server.create () in
+  let load theory =
+    sendf srv {|{"verb":"load","kb":"k","theory":"%s"}|} theory
+  in
+  ignore (load "a | b; ~a; ~b");
+  let detail v = Option.get (Json.str_member "detail" v) in
+  let refused what line expected =
+    let v = send srv line in
+    check_str (what ^ ": code") "invalid" (error_code v);
+    check_str (what ^ ": detail") expected (detail v)
+  in
+  let _, decisions =
+    deltas [ "sem.kb.decisions" ] (fun () ->
+        List.iter
+          (fun (op, measured) ->
+            let t_detail =
+              if measured then "Measure: T is unsatisfiable"
+              else "Construct: T unsatisfiable"
+            in
+            refused (op ^ " revise")
+              (Printf.sprintf
+                 {|{"verb":"revise","kb":"k","op":"%s","p":"c"}|} op)
+              t_detail;
+            refused (op ^ " query")
+              (Printf.sprintf
+                 {|{"verb":"query","kb":"k","op":"%s","p":"c","q":"c"}|} op)
+              t_detail;
+            refused (op ^ " check")
+              (Printf.sprintf
+                 {|{"verb":"check","kb":"k","op":"%s","p":"c","models":["c"]}|}
+                 op)
+              (if measured then "Measure: T is unsatisfiable"
+               else "Compact.Check: T unsatisfiable"))
+          [ ("winslett", false); ("dalal", true) ])
+  in
+  check_bool "one decision for six refusals" true (decisions = [ 1 ]);
+  check_int "reload bumps the epoch" 1 (get_int "epoch" (load "a & b"));
+  let q =
+    send srv {|{"verb":"query","kb":"k","op":"dalal","p":"~a","q":"b & ~a"}|}
+  in
+  check_bool "new epoch answers" true (get_bool "entails" q);
+  let w =
+    send srv
+      {|{"verb":"check","kb":"k","op":"winslett","p":"~a","models":["b","a b"]}|}
+  in
+  check_bool "new epoch checks" true
+    (Json.list_member "results" w = Some [ Json.Bool true; Json.Bool false ]);
+  let u = send srv {|{"verb":"update","kb":"k","op":"dalal","p":"~a"}|} in
+  check_int "update bumps the epoch" 2 (get_int "epoch" u);
+  check_bool "query sees the update" true
+    (get_bool "entails" (send srv {|{"verb":"query","kb":"k","q":"~a & b"}|}))
+
 (* -- batch semantics ---------------------------------------------------------- *)
 
 let batch_line =
@@ -483,6 +581,12 @@ let () =
           Alcotest.test_case "session and bdd" `Quick test_query_routes;
           Alcotest.test_case "count via session" `Quick
             test_count_session_route;
+          Alcotest.test_case "count reuses the assertion" `Quick
+            test_count_reuses_assertion;
+          Alcotest.test_case "one decision per epoch" `Quick
+            test_one_decision_per_epoch;
+          Alcotest.test_case "unsatisfiable KB across epochs" `Quick
+            test_unsat_kb_epochs;
         ] );
       ( "batch",
         [

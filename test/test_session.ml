@@ -72,7 +72,7 @@ let prop_within_monotone =
 (* k_{T,P} from the measure's ladder; an unsatisfiable side is the
    measure's guard, where the oracle answers [None]. *)
 let measure_k t p =
-  match Compact.Measure.create t p with
+  match Compact.Measure.create (Kb.make t) p with
   | m -> Some (Compact.Measure.k m)
   | exception Invalid_argument _ -> None
 
@@ -213,7 +213,7 @@ let test_guard_builds () =
         (fun op ->
           let name = MB.name op in
           let answers, builds, _ =
-            work (fun () -> Check.model_check_batch op t p ns)
+            work (fun () -> Check.model_check_batch op (Kb.make t) p ns)
           in
           check_bool (name ^ ": batch = fresh") true
             (answers = List.map (Fresh.model_check op t p) ns);
@@ -237,12 +237,12 @@ let test_per_candidate_work () =
       let x = letters 5 in
       let t = f "x1 & x2 & x3" and p = f "~x1 | (~x2 & ~x3)" in
       let ns = Interp.subsets x in
-      let k = Compact.Measure.k (Compact.Measure.create t p) in
+      let k = Compact.Measure.k (Compact.Measure.create (Kb.make t) p) in
       let on_p = List.filter (fun n -> Interp.sat n p) ns in
       check_bool "some P-model lies farther than k" true
         (List.exists (fun n -> Fresh.dist_to t n x > Some k) on_p);
       let p0 = count "sem.ladder.probes" in
-      let answers = Check.model_check_batch MB.Dalal t p ns in
+      let answers = Check.model_check_batch MB.Dalal (Kb.make t) p ns in
       let probes = count "sem.ladder.probes" - p0 in
       check_bool "Dalal batch = fresh" true
         (answers = List.map (Fresh.model_check MB.Dalal t p) ns);
@@ -267,7 +267,7 @@ let test_per_candidate_work () =
       in
       let clauses j =
         let c0 = count "sem.encode.clauses" in
-        ignore (Check.model_check_batch MB.Forbus t p (first j ns));
+        ignore (Check.model_check_batch MB.Forbus (Kb.make t) p (first j ns));
         count "sem.encode.clauses" - c0
       in
       List.iter
@@ -338,7 +338,7 @@ let test_local_work () =
                name worst)
             true (worst <= 8);
           let c0 = count "sem.encode.clauses" in
-          let answers = Check.model_check_batch op t p ns in
+          let answers = Check.model_check_batch op (Kb.make t) p ns in
           let clauses = count "sem.encode.clauses" - c0 in
           check_bool (name ^ ": batch = one by one") true
             (answers = List.map fst each);
@@ -374,7 +374,7 @@ let prop_batch_matches_fresh =
       Pool.with_jobs 1 (fun () ->
           List.for_all
             (fun op ->
-              Check.model_check_batch op t p ns
+              Check.model_check_batch op (Kb.make t) p ns
               = List.map (Fresh.model_check op t p) ns)
             MB.all))
 
@@ -395,7 +395,7 @@ let prop_batch_local_matches_enumeration =
           List.for_all
             (fun jobs ->
               Pool.with_jobs jobs (fun () ->
-                  Check.model_check_batch op t p ns = expected))
+                  Check.model_check_batch op (Kb.make t) p ns = expected))
             [ 1; 4 ])
         MB.all)
 
@@ -406,7 +406,9 @@ let prop_measure_matches_formula_oracle =
   qtest "realizable_diffs = per-subset formula oracle" ~count:80
     (arb_pair (arb_sat_formula x) (arb_sat_formula x))
     (fun (t, p) ->
-      let diffs = Compact.Measure.diffs (Compact.Measure.create t p) in
+      let diffs =
+        Compact.Measure.diffs (Compact.Measure.create (Kb.make t) p)
+      in
       let vp = Var.Set.elements (Formula.vars p) in
       let xs =
         Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
@@ -492,8 +494,11 @@ let test_jobs_deterministic () =
   let ns = Interp.subsets (letters 5) in
   List.iter
     (fun op ->
-      let r1 = Pool.with_jobs 1 (fun () -> Check.model_check_batch op t p ns) in
-      let r4 = Pool.with_jobs 4 (fun () -> Check.model_check_batch op t p ns) in
+      let batch jobs =
+        Pool.with_jobs jobs (fun () ->
+            Check.model_check_batch op (Kb.make t) p ns)
+      in
+      let r1 = batch 1 and r4 = batch 4 in
       check_bool (MB.name op ^ ": jobs=1 equals jobs=4") true (r1 = r4))
     MB.all
 

@@ -262,7 +262,7 @@ let test_acceptance_100 () =
   check_int "15 models at n=100" 15 (List.length p_models);
   (* Dalal minimum distance via the session + ladder. *)
   check_int "k_{T,P} = 1 at n=100" 1
-    (Compact.Measure.k (Compact.Measure.create t p));
+    (Compact.Measure.k (Compact.Measure.create (Kb.make t) p));
   (* Full Dalal revision through the multi-word operators. *)
   let result = Model_based.revise_on Model_based.Dalal vars t p in
   check_int "Dalal keeps the 4 one-flip models" 4

@@ -191,7 +191,7 @@ let test_thm36_kmin_is_n () =
   let fam = Witness.Dalal_family.make u in
   check_int "k = n" 3
     (Compact.Measure.k
-       (Compact.Measure.create fam.Witness.Dalal_family.t_n
+       (Compact.Measure.create (Kb.make fam.Witness.Dalal_family.t_n)
           fam.Witness.Dalal_family.p_n))
 
 (* -- Theorem 6.5 -------------------------------------------------------------------- *)
