@@ -804,41 +804,36 @@ let serve_cmd =
           telemetry writers run.")
     Term.(const run $ jobs_term $ socket $ cache_cap)
 
-(* -- trace -------------------------------------------------------------------- *)
+(* -- trace and profile ---------------------------------------------------------- *)
 
-(* [revkb trace [-o FILE] SUBCMD ARGS...] is handled by a pre-scan of
-   argv, not a cmdliner subcommand: the wrapped subcommand's own options
-   (including its [-o OPERATOR]) must pass through untouched, which
-   [pos_all] cannot deliver.  Only [-o]/[--output] before the first
-   non-option token belong to trace; everything from the subcommand name
-   on is re-evaluated against the normal command group.  The writer runs
-   from [at_exit] so traces survive subcommands that [exit] directly. *)
-let trace_prescan argv =
-  let n = Array.length argv in
-  if n < 2 || argv.(1) <> "trace" then argv
-  else begin
-    let out = ref "trace.json" in
-    let rec scan i =
-      if i >= n then []
-      else
-        match argv.(i) with
-        | "-o" | "--output" ->
-            if i + 1 >= n then begin
-              prerr_endline "revkb trace: -o requires a file argument";
-              exit 2
-            end;
-            out := argv.(i + 1);
-            scan (i + 2)
-        | _ -> Array.to_list (Array.sub argv i (n - i))
-    in
-    match scan 2 with
-    | [] ->
-        prerr_endline
-          "revkb trace: missing a subcommand to trace\n\
-           usage: revkb trace [-o FILE] SUBCMD ARGS...";
-        exit 2
-    | sub ->
-        let path = !out in
+(* [revkb trace [-o FILE] SUBCMD ARGS...] and [revkb profile [-o FILE]
+   [--hz N] SUBCMD ARGS...] wrap a subcommand each.  They are handled by
+   a pre-scan of argv, not cmdliner subcommands: the wrapped
+   subcommand's own options (including its [-o OPERATOR]) must pass
+   through untouched, which [pos_all] cannot deliver.  Only the
+   wrapper's options before the first non-option token belong to it;
+   everything from the subcommand name on is re-evaluated against the
+   normal command group.  Writers run from [at_exit] so artifacts
+   survive subcommands that [exit] directly. *)
+type wrapper = {
+  name : string;
+  usage : string;  (** the options part of the usage line *)
+  default_out : string;
+  options : (string * string * (string -> unit)) list;
+      (** besides [-o]: flag, what its argument is, and a check run as
+          the flag is scanned (exits 2 on a bad value) *)
+  start : out:string -> (string -> string option) -> unit;
+      (** arm the wrapper: its output path and its options' values *)
+}
+
+let trace_wrapper =
+  {
+    name = "trace";
+    usage = "[-o FILE]";
+    default_out = "trace.json";
+    options = [];
+    start =
+      (fun ~out:path _ ->
         Obs.set_tracing true;
         enable_stats ();
         register_writer (fun () ->
@@ -851,59 +846,28 @@ let trace_prescan argv =
               (List.length events)
               (if dropped > 0 then Printf.sprintf ", %d dropped" dropped
                else "")
-              path);
-        Array.of_list (argv.(0) :: sub)
-  end
+              path));
+  }
 
-(* -- profile ------------------------------------------------------------------ *)
+let profile_hz v =
+  match int_of_string_opt v with
+  | Some v when v >= 1 && v <= 1000 -> v
+  | _ ->
+      Printf.eprintf "revkb profile: invalid --hz %S (range 1..1000)\n" v;
+      exit 2
 
-(* [revkb profile [-o FILE] [--hz N] SUBCMD ARGS...] — the same
-   pre-scan shape as [trace]: profiler options must precede the wrapped
-   subcommand, which is then re-evaluated against the normal command
-   group with its own arguments untouched. *)
-let profile_prescan argv =
-  let n = Array.length argv in
-  if n < 2 || argv.(1) <> "profile" then argv
-  else begin
-    let out = ref "profile.folded" in
-    let hz = ref 99 in
-    let rec scan i =
-      if i >= n then []
-      else
-        match argv.(i) with
-        | "-o" | "--output" ->
-            if i + 1 >= n then begin
-              prerr_endline "revkb profile: -o requires a file argument";
-              exit 2
-            end;
-            out := argv.(i + 1);
-            scan (i + 2)
-        | "--hz" ->
-            if i + 1 >= n then begin
-              prerr_endline "revkb profile: --hz requires an integer argument";
-              exit 2
-            end;
-            (match int_of_string_opt argv.(i + 1) with
-            | Some v when v >= 1 && v <= 1000 -> hz := v
-            | _ ->
-                Printf.eprintf
-                  "revkb profile: invalid --hz %S (range 1..1000)\n"
-                  argv.(i + 1);
-                exit 2);
-            scan (i + 2)
-        | _ -> Array.to_list (Array.sub argv i (n - i))
-    in
-    match scan 2 with
-    | [] ->
-        prerr_endline
-          "revkb profile: missing a subcommand to profile\n\
-           usage: revkb profile [-o FILE] [--hz N] SUBCMD ARGS...";
-        exit 2
-    | sub ->
-        let path = !out in
+let profile_wrapper =
+  {
+    name = "profile";
+    usage = "[-o FILE] [--hz N]";
+    default_out = "profile.folded";
+    options = [ ("--hz", "an integer argument", fun v -> ignore (profile_hz v)) ];
+    start =
+      (fun ~out:path get ->
+        let hz = Option.fold ~none:99 ~some:profile_hz (get "--hz") in
         (* Spans feed sample attribution, so recording goes on. *)
         enable_stats ();
-        Profile.start ~hz:!hz ();
+        Profile.start ~hz ();
         register_writer (fun () ->
             Profile.stop ();
             let stacks = Profile.write path in
@@ -911,7 +875,53 @@ let profile_prescan argv =
               (Profile.sample_count ()) (List.length stacks)
               (let d = Profile.dropped () in
                if d > 0 then Printf.sprintf ", %d dropped" d else "")
-              path);
+              path));
+  }
+
+let wrappers = [ trace_wrapper; profile_wrapper ]
+
+(* Strip one wrapper and its options from the front of argv and arm it;
+   argv itself (physically) when the wrapper is not the subcommand. *)
+let unwrap w argv =
+  let n = Array.length argv in
+  if n < 2 || argv.(1) <> w.name then argv
+  else begin
+    let values = ref [] in
+    let rec scan i =
+      if i >= n then []
+      else
+        let flag = argv.(i) in
+        let option =
+          if flag = "-o" || flag = "--output" then
+            Some ("-o", "a file argument", ignore)
+          else
+            List.find_map
+              (fun ((f, _, _) as o) -> if f = flag then Some o else None)
+              w.options
+        in
+        match option with
+        | None -> Array.to_list (Array.sub argv i (n - i))
+        | Some (name, arg, check) ->
+            if i + 1 >= n then begin
+              prerr_endline
+                (Printf.sprintf "revkb %s: %s requires %s" w.name name arg);
+              exit 2
+            end;
+            check argv.(i + 1);
+            values := (name, argv.(i + 1)) :: !values;
+            scan (i + 2)
+    in
+    match scan 2 with
+    | [] ->
+        prerr_endline
+          (Printf.sprintf
+             "revkb %s: missing a subcommand to %s\nusage: revkb %s %s \
+              SUBCMD ARGS..."
+             w.name w.name w.name w.usage);
+        exit 2
+    | sub ->
+        let get name = List.assoc_opt name !values in
+        w.start ~out:(Option.value ~default:w.default_out (get "-o")) get;
         Array.of_list (argv.(0) :: sub)
   end
 
@@ -1010,7 +1020,7 @@ let () =
      fixpoint lets them compose in either order ([revkb trace profile
      SUBCMD ...] profiles inside a trace and vice versa). *)
   let rec prescan argv =
-    let argv' = profile_prescan (trace_prescan argv) in
+    let argv' = List.fold_left (fun a w -> unwrap w a) argv wrappers in
     if argv' == argv then argv else prescan argv'
   in
   let cmd =

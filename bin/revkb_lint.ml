@@ -4,7 +4,8 @@
                      [--update-baseline] [--usage DIR]... [ROOT]...
 
    Default roots are lib, bin and bench; test, examples and revbench
-   feed the usage index (R5 reachability) without being linted.  Exit status: 0
+   feed the usage index (R5 reachability) without being linted, and a
+   value only test/ reaches is test-only API.  Exit status: 0
    when every finding is baselined (or there are none), 1 on new
    findings, 2 on usage errors. *)
 

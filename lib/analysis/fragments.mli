@@ -25,10 +25,6 @@ type t = {
 
 val classify : Formula.t -> t
 
-val names : t -> string list
-(** The fragments the formula belongs to, as lowercase labels in a fixed
-    order ([["cnf"; "horn"; ...]]); empty when none apply. *)
-
 val pp : Format.formatter -> t -> unit
 (** Comma-separated {!names}, or ["(none)"]. *)
 

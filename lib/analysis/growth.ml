@@ -27,7 +27,7 @@ let least_squares pts =
     (slope, r2)
 
 let fit pts =
-  if List.length pts < 3 then invalid_arg "Growth.fit: need >= 3 points";
+  if List.length pts < 3 then invalid_arg "Growth.classify_points: need >= 3 points";
   let logv v = log (max 1. v) in
   let poly_degree, poly_r2 =
     least_squares (List.map (fun (n, v) -> (log (max 1e-9 n), logv v)) pts)
@@ -58,7 +58,3 @@ let pp_verdict ppf = function
   | Polynomial d -> Format.fprintf ppf "polynomial (deg %.1f)" d
   | Superpolynomial r ->
       Format.fprintf ppf "superpolynomial (x%.1f per step)" (exp r)
-
-let verdict_name = function
-  | Polynomial _ -> "polynomial"
-  | Superpolynomial _ -> "superpolynomial"

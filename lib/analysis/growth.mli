@@ -11,28 +11,14 @@
     polynomial family misclassified as exponential fails the audit just
     as loudly as the converse. *)
 
-type fit = {
-  poly_degree : float;  (** slope of [log v] vs [log n] *)
-  poly_r2 : float;
-  exp_rate : float;  (** slope of [log v] vs [n] (nats per unit of n) *)
-  exp_r2 : float;
-}
-
 type verdict =
   | Polynomial of float  (** fitted degree *)
   | Superpolynomial of float  (** fitted rate: size × e^rate per +1 of n *)
 
-val fit : (float * float) list -> fit
-(** [(n, v)] points; needs ≥ 3 points, [n > 0]; values are clamped to
-    ≥ 1 before taking logs.  Raises [Invalid_argument] on fewer
-    points. *)
-
-val classify : fit -> verdict
-
 val classify_points : (float * float) list -> verdict
+(** Verdict on [(n, v)] points; needs ≥ 3 points, [n > 0]; values are
+    clamped to ≥ 1 before taking logs.  Raises [Invalid_argument] on
+    fewer points. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 (** ["polynomial (deg 1.9)"] / ["superpolynomial (x2.1 per step)"]. *)
-
-val verdict_name : verdict -> string
-(** Just ["polynomial"] / ["superpolynomial"] — table-cell form. *)

@@ -32,16 +32,6 @@ let occurrences f =
   go true f;
   !acc
 
-let pure_positive f =
-  Var.Map.fold
-    (fun x o acc -> if o.pos && not o.neg then Var.Set.add x acc else acc)
-    (occurrences f) Var.Set.empty
-
-let pure_negative f =
-  Var.Map.fold
-    (fun x o acc -> if o.neg && not o.pos then Var.Set.add x acc else acc)
-    (occurrences f) Var.Set.empty
-
 let is_monotone f = Var.Map.for_all (fun _ o -> not o.neg) (occurrences f)
 let is_antitone f = Var.Map.for_all (fun _ o -> not o.pos) (occurrences f)
 

@@ -12,17 +12,6 @@
 
 open Logic
 
-type occ = { pos : bool; neg : bool }
-
-val occurrences : Formula.t -> occ Var.Map.t
-(** Polarities of every letter of the formula (letters not in the map do
-    not occur). *)
-
-val pure_positive : Formula.t -> Var.Set.t
-(** Letters occurring only positively. *)
-
-val pure_negative : Formula.t -> Var.Set.t
-
 val is_monotone : Formula.t -> bool
 (** Every occurrence of every letter is positive. *)
 

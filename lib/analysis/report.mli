@@ -19,6 +19,7 @@ type t = {
           ["antitone endpoint"] or ["cdcl"] *)
 }
 
+(* lint: iface-ok test_analysis checks the routing against CDCL *)
 val decide_sat : Formula.t -> bool * string
 (** The routing alone: linear deciders for Horn/dual-Horn/Krom CNF,
     Gaussian elimination for affine systems, endpoint evaluation for

@@ -150,18 +150,3 @@ let fixpoint step f =
 
 let simplify =
   fixpoint (fun f -> subsume (unit_propagate (contract (constant_fold f))))
-
-let pure_literal =
-  fixpoint (fun f ->
-      let assign =
-        Var.Set.fold
-          (fun x m -> Var.Map.add x true m)
-          (Polarity.pure_positive f)
-          (Var.Set.fold
-             (fun x m -> Var.Map.add x false m)
-             (Polarity.pure_negative f) Var.Map.empty)
-      in
-      if Var.Map.is_empty assign then f
-      else constant_fold (Formula.assign_vars assign f))
-
-let presat = fixpoint (fun f -> pure_literal (simplify f))

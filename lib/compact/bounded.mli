@@ -23,10 +23,12 @@ val winslett : Formula.t -> Formula.t -> Formula.t
 (** Formula (5):
     [P ∧ ∨_{S ⊆ V(P)} (T[S/S̄] ∧ ∧_{∅≠C⊆S} ¬P[C/C̄])]. *)
 
+(* lint: iface-ok test_compact's §4.1 example; for_op runs it *)
 val forbus : Formula.t -> Formula.t -> Formula.t
 (** Formula (6): as (5) with the guard ranging over [C ⊆ V(P)] with
     [|C Δ S| < |S|] (cardinality in place of containment). *)
 
+(* lint: iface-ok test_compact's §4.2 example; for_op runs it *)
 val satoh : Formula.t -> Formula.t -> Formula.t
 (** Formula (7): [P ∧ ∨_{S ∈ δ(T,P)} T[S/S̄]] with [δ] from
     {!Measure.delta}. *)
@@ -34,6 +36,7 @@ val satoh : Formula.t -> Formula.t -> Formula.t
 val dalal : Formula.t -> Formula.t -> Formula.t
 (** Formula (8): [P ∧ ∨_{S ⊆ V(P), |S| = k_{T,P}} T[S/S̄]]. *)
 
+(* lint: iface-ok test_compact's §4.2 example; for_op runs it *)
 val weber : Formula.t -> Formula.t -> Formula.t
 (** Formula (9): [P ∧ ∨_{S ⊆ Ω} T[S/S̄]]. *)
 

@@ -14,21 +14,16 @@ let c_cegar = Obs.counter "check.cegar_iters"
 let agree_on xs n =
   Formula.and_ (List.map (fun x -> Formula.lit (Var.Set.mem x n) x) xs)
 
-(* Minimum Hamming distance between a fixed interpretation and a model
-   of [f]: one session holding [f] and a pinnable cardinality ladder,
-   so the satisfiability pre-check, every threshold probe, and — when
-   the prober is reused — every further reference point all run on the
-   same solver with [f] encoded exactly once. *)
+(* Distance probes from a fixed interpretation to the models of [f]:
+   one session holding [f] and a pinnable cardinality ladder, so every
+   probe and every further reference point run on the same solver with
+   [f] encoded exactly once. *)
 module Dist = struct
   type t = { s : Session.t; fs : Formula.t list; pv : Ladder.pinned }
 
   let create f alphabet =
     let s = Session.create ~vars:alphabet () in
     { s; fs = [ f ]; pv = Ladder.against (Session.env s) alphabet }
-
-  let to_interp d n =
-    Session.min_distance d.s ~assume:(Ladder.pin d.pv n) d.fs
-      (Ladder.ladder d.pv)
 
   (* Is [n] within distance [k], counted on the ladder's letters, of a
      model of [f] that agrees with [n] on [fixed]?  One ladder probe;
@@ -38,8 +33,6 @@ module Dist = struct
       (agree_on fixed n :: d.fs)
       (Ladder.ladder d.pv) k
 end
-
-let dist_to f n alphabet = Dist.to_interp (Dist.create f alphabet) n
 
 (* Context threaded through the CEGAR loops so a cap failure names the
    operator, the cap, and the alphabet width it died on. *)
@@ -297,5 +290,3 @@ let model_check ?cegar_cap op t p n =
   match model_check_batch ?cegar_cap op (Kb.make t) p [ n ] with
   | [ b ] -> b
   | _ -> assert false (* one answer per candidate *)
-
-let entails op t p q = Semantics.entails (Construct.revise op (Kb.make t) p) q

@@ -89,6 +89,7 @@ val model_check :
 (** {!model_check_batch} on one candidate, with a handle built on the
     spot for [T]. *)
 
+(* lint: iface-ok test_compact checks it against the CEGAR refutation *)
 val refutation_core :
   (module Mask.S with type t = 'm) ->
   witness:'m ->
@@ -102,32 +103,4 @@ val refutation_core :
     inclusion when [M Δ N' ⊊ M Δ N], by cardinality when
     [|M Δ N'| < |M Δ N|]), and [m] is one of them. *)
 
-val dist_to : Formula.t -> Interp.t -> Var.t list -> int option
-(** [dist_to f n alphabet]: minimum Hamming distance over the alphabet
-    between [n] and a model of [f] ([None] if [f] is unsatisfiable).
-    One {!Logic.Semantics.Session} holds [f] and a pinnable cardinality
-    ladder; the satisfiability pre-check is the sweep's first query and
-    each threshold is an assumption flip.  The batch checkers measure
-    over [V(P)] instead; this alphabet-wide distance is what the tests
-    check the prober against. *)
 
-(** A reusable distance prober: [f] and the ladder are encoded once,
-    and every reference point is a set of pin assumptions on the same
-    live solver.  [dist_to] is [Dist.to_interp (Dist.create f
-    alphabet)]; keep the prober when sweeping many reference points
-    against one formula. *)
-module Dist : sig
-  type t
-
-  val create : Formula.t -> Var.t list -> t
-  val to_interp : t -> Interp.t -> int option
-end
-
-val entails :
-  Revision.Model_based.op -> Formula.t -> Formula.t -> Formula.t -> bool
-(** [entails op t p q]: decide [T * P |= Q] {e without} model
-    enumeration: build the query-equivalent [T' = ]{!Construct.revise}
-    [op t p] and ask one SAT query ([T' ∧ ¬Q] unsatisfiable?), which is
-    sound because [q] ranges over the original alphabet.  The
-    construction's guard is the only one: raises [Invalid_argument] on
-    unsatisfiable [t]/[p] or on an over-wide [p]. *)

@@ -38,6 +38,7 @@ val k : t -> int
 (** [k_{T,P}]: the minimum Hamming distance between a model of [T] and
     a model of [P] over their joint alphabet. *)
 
+(* lint: iface-ok test_session holds it against a formula per subset *)
 val diffs : t -> Var.Set.t list
 (** Every [S ⊆ V(P)] such that some model of [T] and some model of [P]
     differ exactly by [S].  Raises [Invalid_argument] when

@@ -47,7 +47,6 @@ let result s =
       r
 
 let ask s q = Revision.Result.entails (result s) q
-let model_check s m = Revision.Result.model_check (result s) m
 
 let compile s =
   let t = Theory.conj s.base in

@@ -36,8 +36,6 @@ val result : t -> Revision.Result.t
 val ask : t -> Formula.t -> bool
 (** [T * P¹ * ... * Pᵐ |= Q]. *)
 
-val model_check : t -> Interp.t -> bool
-
 val compile : t -> Formula.t
 (** A query-equivalent propositional representation of the session's
     current knowledge, built by the constructions of Sections 4-6.

@@ -18,6 +18,7 @@ val query_equivalent : Revision.Result.t -> Formula.t -> bool
     the result's model set (SAT-based enumeration with blocking
     clauses). *)
 
+(* lint: iface-ok test_bdd holds it against query_equivalent; report runs it *)
 val bdd_equivalent : Revision.Result.t -> Formula.t -> bool
 (** The compiled oracle: the reference model set and the candidate are
     compiled into one BDD manager and compared by root — canonicity

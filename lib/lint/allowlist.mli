@@ -7,11 +7,12 @@
     where [<tag>] is one of [domain-safe] (R1), [shift-ok] (R2),
     [obs-ok] (R3), [exn-ok] (R4), [iface-ok] (R5).  The comment
     suppresses findings of the tagged rule on its own line and on the
-    next {!window} lines, so it can sit either at the end of the
+    next two lines, so it can sit either at the end of the
     offending line or directly above the offending item.  A [lint:]
     comment with an unknown tag or an empty reason never suppresses
     anything and is itself reported (rule R0): an exemption with no
-    justification is a finding, not an escape hatch. *)
+    justification is a finding, not an escape hatch.  So is one that
+    suppresses no finding ([stale:<tag>], also R0). *)
 
 type entry = {
   tag : string;
@@ -20,9 +21,6 @@ type entry = {
   line : int;  (** line the comment ends on, 1-based *)
   mutable used : bool;
 }
-
-val window : int
-(** Lines after the comment still covered by it (2). *)
 
 val scan : string -> entry list
 (** All [lint:] comments of a source text, in order.  The scanner

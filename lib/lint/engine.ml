@@ -14,12 +14,12 @@ let analyze ?(usage = []) inputs =
   let lint = load_inputs inputs in
   let usage = load_inputs usage in
   let g = Rules.prepare ~lint ~usage in
-  let findings =
-    List.concat_map Rules.parse_findings lint
-    @ List.concat_map (Rules.check_file g) lint
-    @ Rules.check_global g
-  in
-  List.sort_uniq Finding.compare findings
+  let parsed = List.concat_map Rules.parse_findings lint in
+  let per_file = List.concat_map (Rules.check_file g) lint in
+  let global = Rules.check_global g in
+  (* Last: the passes above mark the exemptions they used. *)
+  let stale = List.concat_map Rules.stale_findings lint in
+  List.sort_uniq Finding.compare (parsed @ per_file @ global @ stale)
 
 (* -- tree walking ----------------------------------------------------------- *)
 

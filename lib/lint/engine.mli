@@ -16,6 +16,7 @@ type result = {
   baselined : Finding.t list;
 }
 
+(* lint: iface-ok test_lint's rule fixtures run through it; run wraps it *)
 val analyze : ?usage:input list -> input list -> Finding.t list
 (** Pure core: lint the given sources (paths are labels only).  [usage]
     sources feed the constant table and the R5 usage index without
@@ -30,12 +31,11 @@ val collect_tree :
     and dot-directories are skipped.  Raises [Sys_error] on unreadable
     roots. *)
 
-val load_baseline : string -> (string * string * string) list
-(** Parsed [rule, file, key] triples; tolerates comments and blank
-    lines.  An unreadable file is an empty baseline. *)
-
 val baseline_line : Finding.t -> string
 val run : ?usage:input list -> ?baseline:string -> input list -> result
+(** {!analyze}, then split the findings against the baseline file's
+    [rule, file, key] triples (comments and blank lines tolerated; an
+    unreadable file is an empty baseline). *)
 
 val render_table : result -> string
 (** Human report: one row per finding (baselined rows marked), then a

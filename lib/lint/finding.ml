@@ -27,15 +27,6 @@ let rule_name = function
   | R4 -> "exception-hygiene"
   | R5 -> "interface-completeness"
 
-let rule_of_id = function
-  | "R0" -> Some R0
-  | "R1" -> Some R1
-  | "R2" -> Some R2
-  | "R3" -> Some R3
-  | "R4" -> Some R4
-  | "R5" -> Some R5
-  | _ -> None
-
 let severity_name = function Error -> "error" | Warning -> "warning"
 
 let compare a b =

@@ -29,16 +29,12 @@ type t = {
 val rule_id : rule -> string
 (** ["R0"] .. ["R5"]. *)
 
-val rule_name : rule -> string
-(** Short kebab-case rule name, e.g. ["shift-overflow"]. *)
-
-val rule_of_id : string -> rule option
-
 val compare : t -> t -> int
 (** Order by file, line, column, rule, key: the rendering order. *)
 
 val to_json : ?baselined:bool -> t -> string
-(** One JSON object (no trailing newline), escaped via
+(** One JSON object (no trailing newline), naming the rule by id and
+    by its kebab-case name (e.g. ["shift-overflow"]), escaped via
     {!Revkb_obs.Export} so every emitter in the repo escapes
     identically. *)
 

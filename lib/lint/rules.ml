@@ -1012,13 +1012,23 @@ let sig_values sg =
   go_sig [] sg;
   List.rev !out
 
-let used_outside g ~self_paths key =
+(* Files under test/ feed the usage index but are not real callers: a
+   value only they reach is test-only API. *)
+let is_test_path p = String.starts_with ~prefix:"test/" p
+
+(* Where [key] is referenced from outside [self_paths]: [`Real] when
+   some non-test file names it, [`Tests] when only test/ files do. *)
+let reach g ~self_paths key =
   match Hashtbl.find_opt g.g_usage key with
-  | None -> false
+  | None -> `None
   | Some files ->
       Hashtbl.fold
-        (fun f () acc -> acc || not (List.mem f self_paths))
-        files false
+        (fun f () acc ->
+          if List.mem f self_paths then acc
+          else if not (is_test_path f) then `Real
+          else if acc = `None then `Tests
+          else acc)
+        files `None
 
 let check_r5 g out_by_file =
   let mls, mlis =
@@ -1056,14 +1066,24 @@ let check_r5 g out_by_file =
                       dotted ((f.modname :: sub) @ [ name ]);
                     ]
               in
-              if not (List.exists (used_outside g ~self_paths) keys) then
+              let reached = List.map (reach g ~self_paths) keys in
+              let qualified = dotted ((f.modname :: subpath) @ [ name ]) in
+              let report kind message =
                 finding f out_by_file F.R5 F.Warning ~line ~col:0
-                  ~key:("unreachable:" ^ dotted (subpath @ [ name ]))
-                  (Printf.sprintf
-                     "val %s is declared here but never referenced outside \
-                      its module anywhere in the scanned tree (incl. tests); \
-                      dead API or missing test coverage"
-                     (dotted ((f.modname :: subpath) @ [ name ]))))
+                  ~key:(kind ^ ":" ^ dotted (subpath @ [ name ]))
+                  (Printf.sprintf message qualified)
+              in
+              if List.mem `Real reached then ()
+              else if List.mem `Tests reached then
+                report "test-only"
+                  "val %s is referenced only from test/: delete it with its \
+                   tests, move it to test/oracle, hide it, or name the test \
+                   that needs it with (* lint: iface-ok <reason> *)"
+              else
+                report "unreachable"
+                  "val %s is declared here but never referenced outside its \
+                   module anywhere in the scanned tree (incl. tests); dead \
+                   API or missing test coverage")
             (sig_values sg))
     mlis
 
@@ -1074,6 +1094,30 @@ let check_global g =
   List.rev !out
 
 (* -- R0: lint hygiene ------------------------------------------------------- *)
+
+(* Exemptions that suppressed nothing.  Only meaningful once every other
+   pass over [file] has run, since suppression is what marks an entry
+   used. *)
+let stale_findings file =
+  List.filter_map
+    (fun (e : Allowlist.entry) ->
+      if e.rule = None || e.reason = "" || e.used then None
+      else
+        Some
+          {
+            F.rule = F.R0;
+            severity = F.Warning;
+            file = file.path;
+            line = e.line;
+            col = 0;
+            key = "stale:" ^ e.tag;
+            message =
+              Printf.sprintf
+                "allowlist comment 'lint: %s' suppresses no finding; remove \
+                 it"
+                e.tag;
+          })
+    file.allow
 
 let parse_findings file =
   let out = ref [] in

@@ -23,8 +23,9 @@
       be declared exceptions carrying context fields.
     - {b R5 interface completeness}: every [lib/**/*.ml] has an [.mli],
       and every value an [.mli] declares is referenced from outside its
-      own module somewhere in the scanned tree (tests and examples count
-      as usage sites). *)
+      own module: [unreachable:] when nothing in the scanned tree names
+      it, [test-only:] when only files under [test/] do ([bin/],
+      [bench/], [examples/] and [revbench/] are real callers). *)
 
 type file = {
   path : string;  (** as given, forward slashes *)
@@ -58,3 +59,8 @@ val check_global : global -> Finding.t list
 
 val parse_findings : file -> Finding.t list
 (** R0 findings: unparseable file, malformed [lint:] comments. *)
+
+val stale_findings : file -> Finding.t list
+(** R0 [stale:<tag>] findings: well-formed exemptions that suppressed
+    nothing.  Run it after {!check_file} and {!check_global}, whose
+    suppressions mark the entries used. *)

@@ -148,7 +148,6 @@ let manager order =
   mgr
 
 let order mgr = List.init mgr.nvars (fun l -> mgr.vars.(mgr.var_at.(l)))
-let live_nodes mgr = mgr.live
 
 let stats mgr =
   {
@@ -313,9 +312,7 @@ let mk mgr v lo hi =
 
 let tag_ite = 1
 let tag_exists = 2
-let tag_relprod = 3
-let tag_restrict = 4
-let tag_flip = 5
+let tag_flip = 3
 
 let cache_find mgr k1 k2 k3 =
   let h = hash3 k1 k2 k3 land mgr.cmask in
@@ -412,75 +409,6 @@ let rec exists_rec mgr f cube =
               (exists_rec mgr f1 cube)
         in
         cache_store mgr f cube tag_exists r;
-        r
-      end
-    end
-  end
-
-let forall_rec mgr f cube = not_rec mgr (exists_rec mgr (not_rec mgr f) cube)
-
-let rec relprod_rec mgr f g cube =
-  if f = 0 || g = 0 then 0
-  else if f = 1 && g = 1 then 1
-  else if f = 1 then exists_rec mgr g cube
-  else if g = 1 then exists_rec mgr f cube
-  else if f = g then exists_rec mgr f cube
-  else begin
-    let f, g = if f <= g then (f, g) else (g, f) in
-    let lf = level mgr f and lg = level mgr g in
-    let m = min lf lg in
-    let cube = skip_cube mgr cube m in
-    if cube = 1 then and_rec mgr f g
-    else begin
-      let k3 = (cube lsl 3) lor tag_relprod in
-      let r = cache_find mgr f g k3 in
-      if r >= 0 then r
-      else begin
-        let f0 = if lf = m then mgr.nlo.(f) else f in
-        let f1 = if lf = m then mgr.nhi.(f) else f in
-        let g0 = if lg = m then mgr.nlo.(g) else g in
-        let g1 = if lg = m then mgr.nhi.(g) else g in
-        let r =
-          if level mgr cube = m then begin
-            let cube' = mgr.nhi.(cube) in
-            or_rec mgr (relprod_rec mgr f0 g0 cube')
-              (relprod_rec mgr f1 g1 cube')
-          end
-          else
-            mk mgr mgr.var_at.(m) (relprod_rec mgr f0 g0 cube)
-              (relprod_rec mgr f1 g1 cube)
-        in
-        cache_store mgr f g k3 r;
-        r
-      end
-    end
-  end
-
-(* Restrict cubes: positive literal [mk v bot rest], negative literal
-   [mk v rest bot]. *)
-let restrict_next mgr cube =
-  if mgr.nlo.(cube) = 0 then mgr.nhi.(cube) else mgr.nlo.(cube)
-
-let rec restrict_rec mgr f cube =
-  if f < 2 || cube = 1 then f
-  else begin
-    let lf = level mgr f and lc = level mgr cube in
-    if lc < lf then restrict_rec mgr f (restrict_next mgr cube)
-    else begin
-      let r = cache_find mgr f cube tag_restrict in
-      if r >= 0 then r
-      else begin
-        let r =
-          if lc = lf then
-            if mgr.nlo.(cube) = 0 then
-              restrict_rec mgr mgr.nhi.(f) mgr.nhi.(cube)
-            else restrict_rec mgr mgr.nlo.(f) mgr.nlo.(cube)
-          else
-            mk mgr mgr.nvar.(f)
-              (restrict_rec mgr mgr.nlo.(f) cube)
-              (restrict_rec mgr mgr.nhi.(f) cube)
-        in
-        cache_store mgr f cube tag_restrict r;
         r
       end
     end
@@ -745,14 +673,8 @@ let check2 name a b =
     invalid_arg (Printf.sprintf "Bdd.%s: nodes from different managers" name);
   a.mgr
 
-let bot mgr = box mgr 0
-let top mgr = box mgr 1
-let is_true n = n.idx = 1
 let is_false n = n.idx = 0
 let equal a b = a.mgr == b.mgr && a.idx = b.idx
-
-let var_node mgr x =
-  Obs.with_span "bdd.apply" (fun () -> finish mgr (raw_var mgr x))
 
 let of_formula mgr f =
   Obs.with_span "bdd.compile" (fun () -> finish mgr (build mgr f))
@@ -787,9 +709,6 @@ let apply2 name op a b =
 
 let and_ a b = apply2 "and_" and_rec a b
 let or_ a b = apply2 "or_" or_rec a b
-let xor_ a b = apply2 "xor_" xor_rec a b
-let imp_ a b = apply2 "imp_" imp_rec a b
-let iff_ a b = apply2 "iff_" iff_rec a b
 
 let not_ a =
   Obs.with_span "bdd.apply" (fun () -> finish a.mgr (not_rec a.mgr a.idx))
@@ -801,49 +720,6 @@ let exists vs a =
   let mgr = a.mgr in
   Obs.with_span "bdd.apply" (fun () ->
       finish mgr (exists_rec mgr a.idx (cube_of_set mgr vs)))
-
-let forall vs a =
-  let mgr = a.mgr in
-  Obs.with_span "bdd.apply" (fun () ->
-      finish mgr (forall_rec mgr a.idx (cube_of_set mgr vs)))
-
-let and_exists vs a b =
-  let mgr = check2 "and_exists" a b in
-  Obs.with_span "bdd.apply" (fun () ->
-      finish mgr (relprod_rec mgr a.idx b.idx (cube_of_set mgr vs)))
-
-let cube_of_lits mgr lits =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (x, b) ->
-      let v = varid_of mgr x in
-      match Hashtbl.find_opt tbl v with
-      | Some b' when b' <> b ->
-          invalid_arg
-            (Format.asprintf "Bdd.restrict: conflicting literals for %a" Var.pp
-               x)
-      | _ -> Hashtbl.replace tbl v b)
-    lits;
-  let sorted =
-    Hashtbl.fold (fun v b acc -> (v, b) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) ->
-           compare mgr.level_of.(b) mgr.level_of.(a))
-  in
-  List.fold_left
-    (fun acc (v, b) -> if b then mk mgr v 0 acc else mk mgr v acc 0)
-    1 sorted
-
-let restrict lits a =
-  let mgr = a.mgr in
-  Obs.with_span "bdd.apply" (fun () ->
-      finish mgr (restrict_rec mgr a.idx (cube_of_lits mgr lits)))
-
-let compose x g f =
-  let mgr = check2 "compose" g f in
-  Obs.with_span "bdd.apply" (fun () ->
-      let f1 = restrict_rec mgr f.idx (cube_of_lits mgr [ (x, true) ]) in
-      let f0 = restrict_rec mgr f.idx (cube_of_lits mgr [ (x, false) ]) in
-      finish mgr (ite_rec mgr g.idx f1 f0))
 
 let flip x a =
   let mgr = a.mgr in
@@ -931,29 +807,6 @@ let eval mgr node m =
     if i < 2 then i = 1
     else if Var.Set.mem mgr.vars.(mgr.nvar.(i)) m then go mgr.nhi.(i)
     else go mgr.nlo.(i)
-  in
-  go node.idx
-
-let to_formula mgr node =
-  check_mgr "to_formula" mgr node;
-  let memo = Hashtbl.create 64 in
-  let rec go i =
-    if i = 1 then Formula.top
-    else if i = 0 then Formula.bot
-    else
-      match Hashtbl.find_opt memo i with
-      | Some f -> f
-      | None ->
-          let x = Formula.var mgr.vars.(mgr.nvar.(i)) in
-          let f =
-            Formula.or_
-              [
-                Formula.conj2 x (go mgr.nhi.(i));
-                Formula.conj2 (Formula.not_ x) (go mgr.nlo.(i));
-              ]
-          in
-          Hashtbl.add memo i f;
-          f
   in
   go node.idx
 

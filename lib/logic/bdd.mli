@@ -43,37 +43,21 @@ val of_formula : manager -> Formula.t -> node
 val of_models : manager -> Interp.t list -> node
 (** BDD of a model set over the manager's full alphabet. *)
 
-val bot : manager -> node
-val top : manager -> node
-val var_node : manager -> Var.t -> node
-
+(* lint: iface-ok test_bdd checks it against and_/or_/not_ *)
 val ite : node -> node -> node -> node
 (** [ite f g h] is "if f then g else h" — the shared-cache core every
     boolean connective routes through. *)
 
 val and_ : node -> node -> node
+
+(* lint: iface-ok test_bdd checks it against of_formula *)
 val or_ : node -> node -> node
 val not_ : node -> node
-val xor_ : node -> node -> node
-val imp_ : node -> node -> node
-val iff_ : node -> node -> node
 
 val exists : Var.Set.t -> node -> node
 (** Existentially quantify a set of letters. *)
 
-val forall : Var.Set.t -> node -> node
-(** Universally quantify a set of letters (dual of {!exists}). *)
-
-val and_exists : Var.Set.t -> node -> node -> node
-(** [and_exists xs f g] is [exists xs (and_ f g)] computed in one
-    relprod-style pass with early quantification. *)
-
-val restrict : (Var.t * bool) list -> node -> node
-(** Cofactor by a consistent set of literals. *)
-
-val compose : Var.t -> node -> node -> node
-(** [compose x g f] substitutes [g] for [x] in [f]. *)
-
+(* lint: iface-ok test_bdd checks the dilation step Revise runs *)
 val flip : Var.t -> node -> node
 (** [flip x f] is [f] with the polarity of [x] inverted — the
     Hamming-dilation primitive used by {!Revise}. *)
@@ -84,15 +68,11 @@ val sift : manager -> unit
     collect garbage at placement boundaries.  Never changes the meaning
     of any outstanding node. *)
 
-val is_true : node -> bool
 val is_false : node -> bool
 
 val node_count : node -> int
 (** Number of distinct internal (decision) nodes reachable from the root —
     the standard BDD size measure. *)
-
-val live_nodes : manager -> int
-(** Live nodes across the whole manager (the sifting size metric). *)
 
 val sat_count : manager -> node -> int
 (** Number of satisfying assignments over the manager's alphabet. *)
@@ -106,11 +86,9 @@ val models : ?cap:int -> manager -> node -> Interp.t list
 val equal : node -> node -> bool
 (** Constant-time: ROBDDs are canonical per manager. *)
 
+(* lint: iface-ok test/oracle/structure.ml's BDD ASK (Definition 7.1) *)
 val eval : manager -> node -> Interp.t -> bool
 (** One root-to-leaf walk — the poly-time [ASK] of a BDD. *)
-
-val to_formula : manager -> node -> Formula.t
-(** An if-then-else formula denoting the node (linear in node count). *)
 
 type stats = {
   unique_hits : int;
@@ -122,6 +100,7 @@ type stats = {
   freed : int;
 }
 
+(* lint: iface-ok test_bdd reads the per-manager counters *)
 val stats : manager -> stats
 (** Cumulative per-manager counters (also flushed to the [bdd.*] obs
     namespace at public operation boundaries). *)

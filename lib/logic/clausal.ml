@@ -248,34 +248,14 @@ let decide_sat f =
       else if is_krom cnf then Some (krom_sat cnf, Krom)
       else None
 
-type stats = { horn : int; dual_horn : int; krom : int }
-
-(* The hit counters live on the Obs registry (still Atomic-backed:
-   is_sat runs inside pool tasks, and a plain ref would drop increments
-   under concurrent fast-path hits).  [stats]/[reset_stats] stay as the
-   historical API over the same cells, so a --stats snapshot and the
-   analyzer read one source of truth. *)
+(* The hit counters live on the Obs registry (Atomic-backed: is_sat
+   runs inside pool tasks, and a plain ref would drop increments under
+   concurrent fast-path hits). *)
 let horn_hits = Revkb_obs.Obs.counter "sat.route.horn"
 let dual_horn_hits = Revkb_obs.Obs.counter "sat.route.dual_horn"
 let krom_hits = Revkb_obs.Obs.counter "sat.route.krom"
-
-let stats () =
-  {
-    horn = Revkb_obs.Obs.value horn_hits;
-    dual_horn = Revkb_obs.Obs.value dual_horn_hits;
-    krom = Revkb_obs.Obs.value krom_hits;
-  }
-
-let fast_path_hits () =
-  let s = stats () in
-  s.horn + s.dual_horn + s.krom
 
 let record_hit = function
   | Horn -> Revkb_obs.Obs.incr horn_hits
   | Dual_horn -> Revkb_obs.Obs.incr dual_horn_hits
   | Krom -> Revkb_obs.Obs.incr krom_hits
-
-let reset_stats () =
-  Revkb_obs.Obs.reset_counter horn_hits;
-  Revkb_obs.Obs.reset_counter dual_horn_hits;
-  Revkb_obs.Obs.reset_counter krom_hits

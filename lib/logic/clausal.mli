@@ -38,15 +38,19 @@ val is_dual_horn : Cnf.t -> bool
 val is_krom : Cnf.t -> bool
 (** ≤ 2 literals per clause (2-CNF). *)
 
+(* lint: iface-ok test_analysis holds the three deciders decide_sat runs
+   against CDCL *)
 val horn_sat : Cnf.t -> bool
 (** Unit-propagation decision for Horn CNF.  Requires [is_horn];
     raises [Invalid_argument] otherwise.  Linear in the number of
     literal occurrences. *)
 
+(* lint: iface-ok test_analysis, as horn_sat *)
 val dual_horn_sat : Cnf.t -> bool
 (** Horn decision on the sign-mirrored CNF ([f] is satisfiable iff its
     variable-wise negation is).  Requires [is_dual_horn]. *)
 
+(* lint: iface-ok test_analysis, as horn_sat *)
 val krom_sat : Cnf.t -> bool
 (** 2-SAT via implication-graph SCCs.  Requires [is_krom]. *)
 
@@ -61,22 +65,11 @@ val decide_sat : Formula.t -> (bool * route) option
 
 (** {1 Fast-path instrumentation}
 
-    {!Semantics.is_sat} consults {!decide_sat} first; these counters
-    record how often the linear deciders answered.  Global and monotone,
-    like {!Var.count}; [reset_stats] is for tests that need a clean
-    window.  The cells themselves live on the [Revkb_obs] registry (as
-    [sat.route.horn] / [sat.route.dual_horn] / [sat.route.krom]), so a
-    [--stats] snapshot reports the same numbers this API reads; this
-    module remains the compatibility surface. *)
-
-type stats = { horn : int; dual_horn : int; krom : int }
-
-val stats : unit -> stats
-val fast_path_hits : unit -> int
-(** Total queries settled without the CDCL solver. *)
+    {!Semantics.is_sat} consults {!decide_sat} first; the [Revkb_obs]
+    counters [sat.route.horn] / [sat.route.dual_horn] / [sat.route.krom]
+    record how often the linear deciders answered, so a [--stats]
+    snapshot reports them. *)
 
 val record_hit : route -> unit
 (** Bump the counter for a route ({!Semantics.is_sat} calls this; it is
     exposed so alternative entry points can keep the books honest). *)
-
-val reset_stats : unit -> unit

@@ -200,28 +200,3 @@ let rec simplify f =
       let a = simplify a and b = simplify b in
       if equal a b then False else xor a b
 
-let rec nnf_pos = function
-  | (True | False | Var _) as f -> f
-  | Not f -> nnf_neg f
-  | And fs -> and_ (List.map nnf_pos fs)
-  | Or fs -> or_ (List.map nnf_pos fs)
-  | Imp (a, b) -> or_ [ nnf_neg a; nnf_pos b ]
-  | Iff (a, b) ->
-      or_ [ and_ [ nnf_pos a; nnf_pos b ]; and_ [ nnf_neg a; nnf_neg b ] ]
-  | Xor (a, b) ->
-      or_ [ and_ [ nnf_pos a; nnf_neg b ]; and_ [ nnf_neg a; nnf_pos b ] ]
-
-and nnf_neg = function
-  | True -> False
-  | False -> True
-  | Var x -> Not (Var x)
-  | Not f -> nnf_pos f
-  | And fs -> or_ (List.map nnf_neg fs)
-  | Or fs -> and_ (List.map nnf_neg fs)
-  | Imp (a, b) -> and_ [ nnf_pos a; nnf_neg b ]
-  | Iff (a, b) ->
-      or_ [ and_ [ nnf_pos a; nnf_neg b ]; and_ [ nnf_neg a; nnf_pos b ] ]
-  | Xor (a, b) ->
-      or_ [ and_ [ nnf_pos a; nnf_pos b ]; and_ [ nnf_neg a; nnf_neg b ] ]
-
-let nnf = nnf_pos

@@ -64,6 +64,7 @@ val node_count : t -> int
 
 (** {1 Substitution (Section 2 notation)} *)
 
+(* lint: iface-ok test_formula runs the paper's x1 ∧ (x2 ∨ ¬x3) example *)
 val substitute : (Var.t -> t option) -> t -> t
 (** Simultaneous substitution: every occurrence of a letter [x] with
     [f x = Some F] is replaced by [F].  This is the paper's [P[X/Y]]. *)
@@ -93,6 +94,3 @@ val simplify : t -> t
     constant laws).  Preserves logical equivalence; used for display, never
     implicitly. *)
 
-val nnf : t -> t
-(** Negation normal form: [Imp]/[Iff]/[Xor] expanded, negations pushed to
-    the literals. *)

@@ -40,7 +40,3 @@ let cnf3 st ~vars ~nclauses =
 let letters ?(prefix = "x") n =
   List.init n (fun i -> Var.named (Printf.sprintf "%s%d" prefix (i + 1)))
 
-let interp st ~vars =
-  List.fold_left
-    (fun acc x -> if Random.State.bool st then Var.Set.add x acc else acc)
-    Var.Set.empty vars

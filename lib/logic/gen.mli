@@ -17,4 +17,3 @@ val cnf3 : Random.State.t -> vars:Var.t list -> nclauses:int -> Formula.t
 val letters : ?prefix:string -> int -> Var.t list
 (** [letters n] is the alphabet [x1 ... xn] (or [prefix1 ...]). *)
 
-val interp : Random.State.t -> vars:Var.t list -> Interp.t

@@ -84,11 +84,6 @@ let exa_direct k xs ys =
                 indexed))
          subsets)
 
-let dist_le_direct k xs ys =
-  check_same_length xs ys;
-  let n = List.length xs in
-  Formula.or_ (List.init (min k n + 1) (fun j -> exa_direct j xs ys))
-
 let dist_lt_direct (a, b) (c, d) =
   check_same_length a b;
   check_same_length c d;

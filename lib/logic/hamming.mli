@@ -21,12 +21,10 @@ val exa : int -> Var.t list -> Var.t list -> Formula.t * Var.t list
     biconditionals), so conjoining [EXA] never changes the projection of a
     model set onto the original letters. *)
 
+(* lint: iface-ok test_session and test_structures check exa against it *)
 val exa_direct : int -> Var.t list -> Var.t list -> Formula.t
 (** Same language, no auxiliaries: a disjunction over all [C(n,k)] choices
     of differing positions. *)
-
-val dist_le_direct : int -> Var.t list -> Var.t list -> Formula.t
-(** Distance at most [k], auxiliary-free. *)
 
 val dist_lt_direct :
   Var.t list * Var.t list -> Var.t list * Var.t list -> Formula.t

@@ -1,18 +1,3 @@
-let is_horn_clause clause =
-  List.length (List.filter (fun (sign, _) -> sign) clause) <= 1
-
-let is_horn cnf = List.for_all is_horn_clause cnf
-
-let closed_under_intersection models =
-  List.for_all
-    (fun a ->
-      List.for_all
-        (fun b ->
-          let i = Var.Set.inter a b in
-          List.exists (Var.Set.equal i) models)
-        models)
-    models
-
 let intersection_closure models =
   let module S = Set.Make (struct
     type t = Var.Set.t

@@ -15,16 +15,10 @@
     model sets over small alphabets), which is all the benchmarks
     need. *)
 
-val is_horn_clause : Cnf.clause -> bool
-(** At most one positive literal. *)
-
-val is_horn : Cnf.t -> bool
-
-val closed_under_intersection : Interp.t list -> bool
-
 val lub_models : Var.t list -> Formula.t -> Interp.t list
 (** Models of the Horn LUB of the formula over the given alphabet. *)
 
+(* lint: iface-ok test_structures checks the clauses lub_size counts *)
 val lub : Var.t list -> Formula.t -> Cnf.t
 (** A Horn CNF whose model set is exactly [lub_models].  Built
     counterexample-by-counterexample: for every non-model [m] of the

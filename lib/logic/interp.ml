@@ -6,7 +6,6 @@ let sat m f = Formula.eval (fun x -> Var.Set.mem x m) f
 let sym_diff m n =
   Var.Set.union (Var.Set.diff m n) (Var.Set.diff n m)
 
-let hamming m n = Var.Set.cardinal (sym_diff m n)
 let restrict alphabet m = Var.Set.inter m alphabet
 
 let subsets alphabet =
@@ -39,16 +38,6 @@ let min_incl sets =
       not
         (List.exists
            (fun s' -> (not (Var.Set.equal s s')) && Var.Set.subset s' s)
-           sets))
-    sets
-
-let max_incl sets =
-  let sets = dedup sets in
-  List.filter
-    (fun s ->
-      not
-        (List.exists
-           (fun s' -> (not (Var.Set.equal s s')) && Var.Set.subset s s')
            sets))
     sets
 

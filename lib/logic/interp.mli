@@ -15,9 +15,6 @@ val sat : t -> Formula.t -> bool
 val sym_diff : t -> t -> Var.Set.t
 (** The paper's [M Δ N]. *)
 
-val hamming : t -> t -> int
-(** [|M Δ N|]. *)
-
 val restrict : Var.Set.t -> t -> t
 (** Projection onto an alphabet. *)
 
@@ -31,9 +28,6 @@ val subsets : Var.t list -> t list
 val min_incl : Var.Set.t list -> Var.Set.t list
 (** The paper's [minc S]: keep only the subset-minimal sets (duplicates
     collapsed). *)
-
-val max_incl : Var.Set.t list -> Var.Set.t list
-(** [maxc S]. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -28,6 +28,7 @@ val max_letters : int
 (** Largest alphabet a mask can hold: [Sys.int_size - 1] (62 on 64-bit),
     keeping masks non-negative. *)
 
+(* lint: iface-ok test_wide checks the sweep bound and its error *)
 val max_sweep_letters : int
 (** Largest alphabet {!sweep} accepts: [Sys.int_size - 2] (61 on
     64-bit).  One less than {!max_letters} because the sweep needs the
@@ -56,7 +57,7 @@ val pack : alphabet -> Interp.t -> t
 (** Letters of the interpretation outside the alphabet are dropped
     (projection, like {!Interp.restrict}). *)
 
-val unpack : alphabet -> t -> Interp.t
+val unpack : alphabet -> t -> Interp.t (* lint: iface-ok test_packed *)
 val popcount : t -> int
 
 val hamming : t -> t -> int
@@ -101,6 +102,7 @@ val min_incl : t array -> set
     letters there is a single block and only its low [2^n] bits are
     codes. *)
 
+(* lint: iface-ok test_packed checks each kernel bit; sweep runs it *)
 val compile : alphabet -> Formula.t -> int -> int
 (** [compile alpha f] is [f]'s block kernel: applied to a block index
     [b], its 32 low bits are [f]'s truth values on the codes of block

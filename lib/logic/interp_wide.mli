@@ -19,9 +19,7 @@ type alphabet = Interp_packed.alphabet
 (** Shared with the one-word engine: same letter order, same bit
     indices. *)
 
-val bits_per_word : int
-(** Payload bits per word: {!Interp_packed.max_letters} (62). *)
-
+(* lint: iface-ok test_wide pins the word layout *)
 val words : alphabet -> int
 (** Word count of every mask over this alphabet (at least 1). *)
 
@@ -36,18 +34,19 @@ val zero : alphabet -> t
 val test : t -> int -> bool
 val set_bit : t -> int -> unit
 val pack : alphabet -> Interp.t -> t
-val unpack : alphabet -> t -> Interp.t
+val unpack : alphabet -> t -> Interp.t (* lint: iface-ok test_wide *)
 
+(* lint: iface-ok test_wide holds the widened one-word engine to it *)
 val of_mask : alphabet -> Interp_packed.t -> t
 (** Widen a one-word mask (meaningful when the alphabet fits one
     word). *)
 
-val popcount : t -> int
+val popcount : t -> int (* lint: iface-ok test_wide *)
 val lxor_ : t -> t -> t
 val hamming : t -> t -> int
 val subset : t -> t -> bool
 val is_zero : t -> bool
-val equal : t -> t -> bool
+val equal : t -> t -> bool (* lint: iface-ok test_wide *)
 
 (** {1 Model sets: sorted duplicate-free arrays of wide masks} *)
 

@@ -46,8 +46,6 @@ module Packed = struct
   let init alpha f =
     let m = ref 0 in
     for i = 0 to Interp_packed.size alpha - 1 do
-      (* lint: shift-ok i < Interp_packed.size alpha <= max_letters: one-
-         word masks are only built over alphabets that fit *)
       if f i then m := !m lor (1 lsl i)
     done;
     !m

@@ -87,20 +87,8 @@ let count ?cap alphabet f =
        unsatisfiable case free. *)
     Semantics.count_sat ?cap (Interp_packed.alphabet alphabet) f
 
-(* Below the cutover both checks look for a counter-model block by
-   block: [a] and [b] differ where [a xor b] holds, and [a] fails to
-   entail [b] where [a & ~b] does. *)
-let equivalent_on alphabet a b =
-  if List.length alphabet <= sat_cutover then
-    not
-      (Interp_packed.satisfiable
-         (Interp_packed.alphabet alphabet)
-         (Formula.xor a b))
-  else
-    Semantics.equiv
-      (assign_false_outside alphabet a)
-      (assign_false_outside alphabet b)
-
+(* Below the cutover the check looks for a counter-model block by
+   block: [a] fails to entail [b] where [a & ~b] holds. *)
 let entails_on alphabet a b =
   if List.length alphabet <= sat_cutover then
     not
@@ -111,9 +99,6 @@ let entails_on alphabet a b =
     Semantics.entails
       (assign_false_outside alphabet a)
       (assign_false_outside alphabet b)
-
-let project sub models =
-  List.sort_uniq Var.Set.compare (List.map (Interp.restrict sub) models)
 
 let dnf_of_models alphabet models =
   Formula.or_ (List.map (Interp.minterm alphabet) models)

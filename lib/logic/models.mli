@@ -5,7 +5,7 @@
     sets.  Two engines sit behind the one API, selected automatically by
     alphabet size:
 
-    - at most {!sat_cutover} letters: a packed truth-table sweep — the
+    - at most 20 letters (the cutover): a packed truth-table sweep — the
       formula is compiled to a bit-sliced block kernel
       ({!Interp_packed.compile}) that decides 32 masks per word
       operation, and all [2^n] masks are swept;
@@ -24,15 +24,13 @@
 val alphabet_of : Formula.t list -> Var.t list
 (** Sorted joint alphabet of a list of formulas. *)
 
-val sat_cutover : int
-(** Alphabet size above which enumeration switches from the packed
-    [2^n] sweep to SAT-backed model walking (currently 20). *)
-
 val enumerate : Var.t list -> Formula.t -> Interp.t list
 (** All models of the formula over the given alphabet (which must contain
-    the formula's own letters).  Beyond {!sat_cutover} letters the result
-    order is [Var.Set.compare]-sorted rather than counter order, and the
-    SAT walk's 1M-model cap applies ({!Semantics.models_sat}). *)
+    the formula's own letters).  Beyond the cutover (20 letters), where
+    enumeration switches from the packed [2^n] sweep to SAT-backed model
+    walking, the result order is [Var.Set.compare]-sorted rather than
+    counter order, and the SAT walk's 1M-model cap applies
+    ({!Semantics.masks_sat}). *)
 
 val enumerate_masks :
   (module Mask.S with type t = 'm) ->
@@ -57,7 +55,7 @@ val enumerate_wide :
 
 val count : ?cap:int -> Var.t list -> Formula.t -> int
 (** Model count over the alphabet without materializing the model set: at
-    most {!sat_cutover} letters, a popcount per 32-assignment block of
+    most 20 letters, a popcount per 32-assignment block of
     the bit-sliced sweep ({!Interp_packed.count}: chunked across the
     pool, no model unpacked).
     Above the cutover one SAT call settles the zero case; otherwise the
@@ -66,20 +64,11 @@ val count : ?cap:int -> Var.t list -> Formula.t -> int
     past the cap it raises an actionable [Invalid_argument] instead of
     walking an astronomical model set to completion. *)
 
-val equivalent_on : Var.t list -> Formula.t -> Formula.t -> bool
-(** Logical equivalence over the alphabet: below the cutover a packed
-    sweep of [a xor b] that stops at the first block where they differ,
-    SAT equivalence above it.  Letters outside the alphabet read false
-    in both formulas. *)
-
 val entails_on : Var.t list -> Formula.t -> Formula.t -> bool
 (** Entailment over the alphabet: below the cutover a packed sweep of
     [a & ~b] that stops at the first counter-model block, SAT
-    entailment above it. *)
-
-val project : Var.Set.t -> Interp.t list -> Interp.t list
-(** Project a model list onto a sub-alphabet, deduplicating — the model-set
-    image used by query-equivalence checks. *)
+    entailment above it.  Letters outside the alphabet read false in
+    both formulas. *)
 
 val dnf_of_models : Var.t list -> Interp.t list -> Formula.t
 (** The naive representation: disjunction of minterms.  This is the

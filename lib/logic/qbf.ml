@@ -6,8 +6,6 @@ type t =
 
 let prop f = Prop f
 let forall xs t = if xs = [] then t else Forall (xs, t)
-let exists xs t = if xs = [] then t else Exists (xs, t)
-
 let conj ts =
   match ts with [] -> Prop Formula.top | [ t ] -> t | ts -> Conj ts
 

@@ -18,9 +18,9 @@ val prop : Formula.t -> t
 val forall : Var.t list -> t -> t
 (** [forall [] t = t]. *)
 
-val exists : Var.t list -> t -> t
 val conj : t list -> t
 
+(* lint: iface-ok test_semantics checks the letters expand leaves free *)
 val free_vars : t -> Var.Set.t
 
 val expand : t -> Formula.t

@@ -133,51 +133,32 @@ let cube_to_formula alphabet cube =
   in
   Formula.and_ lits
 
-let minimize alphabet models =
-  let n = List.length alphabet in
-  if n > 20 then invalid_arg "Qmc.minimize: alphabet too large";
-  match models with
+(* A minimized DNF of sorted, duplicate-free minterm codes. *)
+let dnf_of_codes alphabet minterms =
+  match minterms with
   | [] -> Formula.bot
+  | _ when List.length minterms = bit (List.length alphabet) -> Formula.top
   | _ ->
-      let minterms = List.sort_uniq compare (List.map (to_mask alphabet) models) in
-      if List.length minterms = 1 lsl n then Formula.top
-      else begin
-        let primes = prime_implicants n minterms in
-        let cover = select_cover n primes minterms in
-        Formula.or_ (List.map (cube_to_formula alphabet) cover)
-      end
+      let n = List.length alphabet in
+      let primes = prime_implicants n minterms in
+      let cover = select_cover n primes minterms in
+      Formula.or_ (List.map (cube_to_formula alphabet) cover)
+
+let minimize alphabet models =
+  if List.length alphabet > 20 then invalid_arg "Qmc.minimize: alphabet too large";
+  dnf_of_codes alphabet (List.sort_uniq compare (List.map (to_mask alphabet) models))
 
 let minimized_size alphabet models = Formula.size (minimize alphabet models)
 
-let minimize_cnf alphabet models =
-  let n = List.length alphabet in
-  if n > 20 then invalid_arg "Qmc.minimize_cnf: alphabet too large";
-  let is_model =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun m -> Hashtbl.replace tbl (to_mask alphabet m) ()) models;
-    fun mask -> Hashtbl.mem tbl mask
-  in
-  let complement =
-    List.filter (fun mask -> not (is_model mask)) (List.init (1 lsl n) Fun.id)
-  in
-  match complement with
-  | [] -> Formula.top
-  | _ when models = [] -> Formula.bot
-  | _ ->
-      let primes = prime_implicants n complement in
-      let cover = select_cover n primes complement in
-      (* each cube of the complement becomes a clause: the negation of
-         its literals *)
-      let clause cube =
-        Formula.or_
-          (List.mapi
-             (fun i x ->
-               if cube.mask land bit i <> 0 then None
-               else Some (Formula.lit (cube.value land bit i = 0) x))
-             alphabet
-          |> List.filter_map Fun.id)
-      in
-      Formula.and_ (List.map clause cover)
-
+(* The minimized CNF of a model set is the negation of the minimized DNF
+   of its complement, one clause per cube over the same letter
+   occurrences, so its size is that DNF's size. *)
 let minimized_cnf_size alphabet models =
-  Formula.size (minimize_cnf alphabet models)
+  let n = List.length alphabet in
+  if n > 20 then invalid_arg "Qmc.minimized_cnf_size: alphabet too large";
+  let codes = Hashtbl.create 64 in
+  List.iter (fun m -> Hashtbl.replace codes (to_mask alphabet m) ()) models;
+  let complement =
+    List.filter (fun c -> not (Hashtbl.mem codes c)) (List.init (1 lsl n) Fun.id)
+  in
+  Formula.size (dnf_of_codes alphabet complement)

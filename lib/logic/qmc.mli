@@ -17,12 +17,10 @@ val minimize : Var.t list -> Interp.t list -> Formula.t
 val minimized_size : Var.t list -> Interp.t list -> int
 (** [Formula.size (minimize alphabet models)]. *)
 
-val minimize_cnf : Var.t list -> Interp.t list -> Formula.t
-(** Dual form: a minimized CNF over [alphabet] whose model set is exactly
-    [models], obtained by minimizing the complement and negating the
-    resulting cubes (each prime implicant of the complement becomes a
-    prime implicate).  Together with {!minimize} and the BDD node count
-    this completes the representation-size triad the explosion benches
-    track. *)
-
 val minimized_cnf_size : Var.t list -> Interp.t list -> int
+(** Size of the dual form: a minimized CNF over [alphabet] whose model
+    set is exactly [models], obtained by minimizing the complement and
+    negating the resulting cubes (each prime implicant of the complement
+    becomes a prime implicate).  Together with {!minimize} and the BDD
+    node count this completes the representation-size triad the
+    explosion benches track. *)

@@ -219,7 +219,6 @@ module Ladder = struct
     done;
     { ge = Array.init n (fun j -> prev.(j + 1)); width = n; tl }
 
-  let of_pairs env pairs = of_lits env (List.map (diff_lit env) pairs)
 
   (* True iff at least [k] difference bits are set. *)
   let at_least t k =
@@ -228,7 +227,6 @@ module Ladder = struct
     else t.ge.(k - 1)
 
   let at_most t k = L.neg (at_least t (k + 1))
-  let exactly t k = [ at_least t k; at_most t k ]
 
   (* A pinnable comparison vector: the Y side of the distance is a row
      of otherwise-unconstrained selector literals, so one ladder serves
@@ -276,15 +274,9 @@ end
 module Session = struct
   type scope = L.t
 
-  type stats = { queries : int; scopes_retired : int }
+  type t = { env : env; mutable queries : int }
 
-  type t = {
-    env : env;
-    mutable queries : int;
-    mutable scopes_retired : int;
-  }
-
-  let make env = { env; queries = 0; scopes_retired = 0 }
+  let make env = { env; queries = 0 }
 
   let create ?(vars = []) () =
     let env = create () in
@@ -292,7 +284,6 @@ module Session = struct
     make env
 
   let env s = s.env
-  let stats s = { queries = s.queries; scopes_retired = s.scopes_retired }
   let declare s xs = List.iter (fun x -> ignore (lit_of_var s.env x)) xs
   (* Encoding a large asserted KB (a constructed revision) is a cost of
      its own, apart from the queries that follow: its own span. *)
@@ -324,20 +315,14 @@ module Session = struct
   let entails ?(premises = []) s q =
     not (solve s (premises @ [ Formula.not_ q ]))
 
-  let model_on s alphabet = model_on s.env alphabet
   let mask_on m s alpha = mask_on m s.env alpha
   let new_scope s = fresh_lit s.env
   let scoped_clause s sel c = add s.env (L.neg sel :: c)
 
-  let block s sel alphabet m =
-    scoped_clause s sel (blocking_clause s.env alphabet m)
-
   let block_mask m ?on s sel alpha mask =
     scoped_clause s sel (blocking_clause_mask m ?on s.env alpha mask)
 
-  let retire s sel =
-    s.scopes_retired <- s.scopes_retired + 1;
-    add s.env [ L.neg sel ]
+  let retire s sel = add s.env [ L.neg sel ]
 
   let with_retractable s k =
     let sel = new_scope s in
@@ -349,18 +334,6 @@ module Session = struct
     Obs.incr c_probes;
     solve s ~extra:(Ladder.at_most lad k :: assume) fs
 
-  let min_distance ?(assume = []) s fs lad =
-    (* The unconstrained solve doubles as the satisfiability pre-check:
-       [fs] is encoded exactly once, and when it is satisfiable the
-       upward sweep below must terminate at or before the ladder
-       width. *)
-    if not (solve s ~extra:assume fs) then None
-    else
-      let rec probe k =
-        if within ~assume s fs lad k then Some k else probe (k + 1)
-      in
-      probe 0
-
   let closer_than ?(assume = []) s fs lad d =
     d > 0 && within ~assume s fs lad (d - 1)
 
@@ -368,20 +341,6 @@ module Session = struct
      selector and retired afterwards, so one session can enumerate
      several formulas in turn without the blocking clauses of one
      poisoning the next. *)
-  let models ?(cap = 1_000_000) s alphabet f =
-    declare s alphabet;
-    with_retractable s (fun scope ->
-        let rec go acc n =
-          if n > cap then cap_exceeded "models_sat" cap
-          else if solve s ~scopes:[ scope ] [ f ] then begin
-            let m = model_on s alphabet in
-            block s scope alphabet m;
-            go (m :: acc) (n + 1)
-          end
-          else List.rev acc
-        in
-        go [] 0)
-
   let masks (type m) (module M : Mask.S with type t = m) ?(cap = 1_000_000) s
       alpha f =
     if not (M.fits alpha) then
@@ -458,44 +417,18 @@ let is_sat f =
       Obs.incr route_cdcl;
       is_sat_cdcl f
 
-let is_valid f = not (is_sat (Formula.not_ f))
-
-(* Entailment and equivalence route each direction through the clausal
-   fast path first (an entailment query can still be a Horn CNF), and
-   fall back to a session that both CDCL directions of [equiv] share:
-   [a] and [b] are Tseitin-encoded once and the second direction is two
-   assumption literals on the same solver. *)
-let entails_in s a b =
-  not (Session.solve s ~extra:[ L.neg (encode (Session.env s) b) ] [ a ])
-
-let direction session a b =
+(* Entailment goes through the clausal fast path first (an entailment
+   query can still be a Horn CNF), and falls back to activating [a] and
+   [~b] by assumption on a fresh session. *)
+let entails a b =
   match Clausal.decide_sat (Formula.conj2 a (Formula.not_ b)) with
   | Some (answer, route) ->
       Clausal.record_hit route;
       not answer
   | None ->
       Obs.incr route_cdcl;
-      entails_in (Lazy.force session) a b
-
-let entails a b = direction (lazy (Session.make (create ()))) a b
-
-let equiv a b =
-  let session = lazy (Session.make (create ())) in
-  direction session a b && direction session b a
-
-let models_sat ?cap alphabet f =
-  let s = Session.create ~vars:alphabet () in
-  Session.models ?cap s alphabet f
-
-let query_equivalent alphabet a b =
-  (* One session for both enumerations: shared letter literals, shared
-     subterm encodings, and each enumeration's blocking clauses retired
-     before the next starts. *)
-  let s = Session.create ~vars:alphabet () in
-  let ma = Session.models s alphabet a and mb = Session.models s alphabet b in
-  let norm = List.sort_uniq Var.Set.compare in
-  let la = norm ma and lb = norm mb in
-  List.length la = List.length lb && List.for_all2 Var.Set.equal la lb
+      let s = Session.make (create ()) in
+      not (Session.solve s ~extra:[ L.neg (encode (Session.env s) b) ] [ a ])
 
 (* Compile-once query route: build the KB's ROBDD one time, then answer
    entailment/equivalence queries in time linear in the diagrams.  The
@@ -524,7 +457,6 @@ module Compiled = struct
   let root t = t.root
   let size t = Bdd.node_count t.root
   let order t = Bdd.order t.mgr
-  let sat t = not (Bdd.is_false t.root)
 
   (* Queries may use letters outside the compiled alphabet; appending
      them at the bottom of the order leaves the KB's diagram intact. *)
@@ -536,8 +468,6 @@ module Compiled = struct
     let qn = import t q in
     Bdd.is_false (Bdd.and_ t.root (Bdd.not_ qn))
 
-  let equivalent t q = Bdd.equal t.root (import t q)
-  let ask t m = Bdd.eval t.mgr t.root m
 
   let count t =
     let c = Bdd.sat_count t.mgr t.root in

@@ -24,9 +24,8 @@
 type env
 
 exception Enumeration_cap_exceeded of { enumerator : string; cap : int }
-(** A model-enumeration walk ([models_sat], [masks_sat] or their
-    {!Session} forms) produced more than [cap]
-    models.  Raised instead of truncating, so a silent partial model set
+(** A model-enumeration walk ([masks_sat] or {!Session.masks})
+    produced more than [cap] models.  Raised instead of truncating, so a silent partial model set
     can never flow into a revision. *)
 
 val create : unit -> env
@@ -34,6 +33,7 @@ val create : unit -> env
 val lit_of_var : env -> Var.t -> Satsolver.Lit.t
 (** Solver literal for a formula letter (allocated on first use). *)
 
+(* lint: iface-ok test_semantics pins the memo (one literal per subterm) *)
 val encode : env -> Formula.t -> Satsolver.Lit.t
 (** Literal equivalent to the formula (Tseitin, with memoization). *)
 
@@ -44,9 +44,11 @@ val assert_formula : env -> Formula.t -> unit
 
 val solve : ?assumptions:Satsolver.Lit.t list -> env -> bool
 
+(* lint: iface-ok test/oracle/fresh.ml's own model walk, apart from masks *)
 val model_on : env -> Var.t list -> Interp.t
 (** Projection of the last model onto the given letters. *)
 
+(* lint: iface-ok test/oracle/fresh.ml's own model walk, apart from masks *)
 val block : env -> Var.t list -> Interp.t -> unit
 (** Forbid every assignment whose projection on the letters equals the
     interpretation: the blocking clause of projected model
@@ -68,17 +70,10 @@ module Ladder : sig
   val of_lits : env -> Satsolver.Lit.t list -> t
   (** Counter over the given "difference bit" literals directly. *)
 
-  val of_pairs : env -> (Satsolver.Lit.t * Satsolver.Lit.t) list -> t
-  (** Counter over [a_i XOR b_i] difference bits (4 clauses per pair). *)
-
   val diff_lit : env -> Satsolver.Lit.t * Satsolver.Lit.t -> Satsolver.Lit.t
   (** The difference bit alone: a literal equivalent to [a XOR b].
       Assuming it forces disagreement, assuming its negation forces
       agreement — the building block for sweeps over difference sets. *)
-
-  val exactly : t -> int -> Satsolver.Lit.t list
-  (** Assumption pair: at least [k] and at most [k] difference bits
-      set. *)
 
   (** A pinnable comparison vector: the Y side of the distance is a row
       of otherwise-unconstrained literals, so one ladder measures the
@@ -111,16 +106,12 @@ module Session : sig
   (** A selector (activation) literal guarding a retractable clause
       group. *)
 
-  type stats = { queries : int; scopes_retired : int }
-
   val create : ?vars:Var.t list -> unit -> t
   (** A new session: one solver, one memo table, for many queries.
       [vars] pre-allocates letter literals. *)
 
   val env : t -> env
   (** The underlying incremental environment. *)
-
-  val stats : t -> stats
 
   val assert_always : t -> Formula.t -> unit
   (** Permanent assertion: constrains every later query.  Encoded in a
@@ -147,11 +138,10 @@ module Session : sig
     (module Mask.S with type t = 'm) -> t -> Interp_packed.alphabet -> 'm
   (** Projection of the last model onto the alphabet, as a mask. *)
 
+  (* lint: iface-ok test_session's retract case drives scopes by hand *)
   val new_scope : t -> scope
-  (** A new selector literal.  Clauses added under it ({!block},
-      {!block_mask}) bind only queries that activate the scope. *)
-
-  val block : t -> scope -> Var.t list -> Interp.t -> unit
+  (** A new selector literal.  Clauses added under it ({!block_mask})
+      bind only queries that activate the scope. *)
 
   val block_mask :
     (module Mask.S with type t = 'm) ->
@@ -163,9 +153,10 @@ module Session : sig
     unit
   (** [block_mask m ?on s sel alpha mask]: under [sel], exclude every
       model that agrees with [mask] on the letters whose bits are set in
-      [on] (default: the whole alphabet, the mask-level {!block}); the
-      clause has one literal per such letter. *)
+      [on] (default: the whole alphabet); the clause has one literal
+      per such letter. *)
 
+  (* lint: iface-ok test_session's retract case drives scopes by hand *)
   val retire : t -> scope -> unit
   (** Permanently deactivate the scope (unit clause on the negated
       selector): its clauses can never constrain a query again. *)
@@ -180,22 +171,10 @@ module Session : sig
   (** [within s fs lad k]: satisfiable with at most [k] ladder diff bits
       set?  One assumption flip ([sem.ladder.probes]). *)
 
-  val min_distance :
-    ?assume:Satsolver.Lit.t list -> t -> Formula.t list -> Ladder.t -> int option
-  (** Smallest [k] with [within s fs lad k], or [None] when [fs] (with
-      [assume]) is unsatisfiable.  The unsatisfiability pre-check is the
-      first, threshold-free query of the same session, so the formulas
-      are encoded exactly once for the whole sweep. *)
-
   val closer_than :
     ?assume:Satsolver.Lit.t list -> t -> Formula.t list -> Ladder.t -> int -> bool
   (** [closer_than s fs lad d]: is there a model at distance strictly
       below [d]?  [false] when [d <= 0]; otherwise one probe. *)
-
-  val models : ?cap:int -> t -> Var.t list -> Formula.t -> Interp.t list
-  (** Projected model enumeration inside the session: blocking clauses
-      live in a retractable scope, so several enumerations can share one
-      session without contaminating each other. *)
 
   val masks :
     (module Mask.S with type t = 'm) ->
@@ -204,8 +183,10 @@ module Session : sig
     Interp_packed.alphabet ->
     Formula.t ->
     'm array
-  (** Mask-level {!models}, read off as sorted masks of the given
-      representation.  Raises [Invalid_argument] when the alphabet does
+  (** Projected model enumeration inside the session, read off as
+      sorted masks of the given representation: blocking clauses live
+      in a retractable scope, so several enumerations can share one
+      session without contaminating each other.  Raises [Invalid_argument] when the alphabet does
       not fit it ({!Mask.S.fits}: one-word masks past
       {!Interp_packed.max_letters} letters). *)
 
@@ -223,22 +204,16 @@ end
 val is_sat : Formula.t -> bool
 (** Satisfiability.  Syntactic Horn / dual-Horn / Krom CNFs are settled
     by the linear-time deciders of {!Clausal} (observable via
-    {!Clausal.stats}); everything else goes to the CDCL solver. *)
+    the [sat.route.*] counters); everything else goes to the CDCL solver. *)
 
 val is_sat_cdcl : Formula.t -> bool
 (** {!is_sat} without the clausal fast path: always Tseitin-encode and
     solve.  The differential oracle for the fast path's tests. *)
 
-val is_valid : Formula.t -> bool
-
 val entails : Formula.t -> Formula.t -> bool
-(** Each direction consults the clausal fast path on the conjunction
+(** Consults the clausal fast path on the conjunction
     [a /\ ~b]; the CDCL fallback activates [a] and [~b] by assumption
     instead of re-Tseitining a negated rebuild. *)
-
-val equiv : Formula.t -> Formula.t -> bool
-(** Both CDCL directions share one session: the second direction reuses
-    the first's encodings and learned clauses. *)
 
 val masks_sat :
   (module Mask.S with type t = 'm) ->
@@ -246,9 +221,10 @@ val masks_sat :
   Interp_packed.alphabet ->
   Formula.t ->
   'm array
-(** Mask-level {!models_sat}: walk the models of the Tseitin-encoded
-    formula with blocking clauses on the incremental CDCL solver, reading
-    each model off as a mask of the given representation.  This is the
+(** All distinct projections onto the alphabet of models of the
+    formula: walk the models of the Tseitin-encoded formula with blocking
+    clauses on the incremental CDCL solver, reading each model off as a
+    mask of the given representation.  This is the
     enumerator behind {!Models.enumerate} for alphabets past the
     brute-force cutover.  Same width check as {!Session.masks}; raises
     {!Enumeration_cap_exceeded} at [cap] (default 1_000_000) so
@@ -258,21 +234,6 @@ val count_sat : ?cap:int -> Interp_packed.alphabet -> Formula.t -> int
 (** One-shot {!Session.count_masks}: model count over the alphabet by
     the SAT blocking walk, never materializing the model set.  This is
     what {!Models.count} runs past its brute-force cutover. *)
-
-val models_sat : ?cap:int -> Var.t list -> Formula.t -> Interp.t list
-(** All distinct projections onto the given letters of models of the
-    formula, found by iterated SAT with blocking clauses.  When the
-    formula's letters are all included this is exactly its model set; with
-    a sub-alphabet it is the projected model set used by query-equivalence
-    checks.  [cap] (default 1_000_000) bounds the enumeration; raises
-    {!Enumeration_cap_exceeded} if hit, so truncation can never be
-    silent. *)
-
-val query_equivalent : Var.t list -> Formula.t -> Formula.t -> bool
-(** [query_equivalent alphabet a b]: do [a] and [b] have the same
-    consequences over the alphabet (criterion (1) of the paper)?  Decided
-    by comparing projected model sets, both enumerated on one shared
-    session (scoped blocking clauses, shared encodings). *)
 
 (** Compile-once query route: build the KB's ROBDD one time and answer
     every subsequent entailment/equivalence query in time linear in the
@@ -294,17 +255,11 @@ module Compiled : sig
       [revkb compile] and the compilation bench. *)
 
   val order : t -> Var.t list
-  val sat : t -> bool
 
   val entails : t -> Formula.t -> bool
   (** Linear in the diagrams; query letters outside the compiled
       alphabet are appended below it, which never disturbs the KB. *)
 
-  val equivalent : t -> Formula.t -> bool
-  (** Canonicity makes this a root comparison after compiling the
-      query. *)
-
-  val ask : t -> Interp.t -> bool
   val count : t -> int
   (** Model count over the alphabet the KB was compiled with. *)
 end

@@ -16,11 +16,3 @@ let pp ppf t =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
        Formula.pp)
     t
-
-let subsets t =
-  List.fold_left
-    (fun acc f -> List.concat_map (fun s -> [ f :: s; s ]) acc)
-    [ [] ] (List.rev t)
-
-let is_consistent_with t p =
-  Semantics.is_sat (Formula.conj2 (conj t) p)

@@ -17,10 +17,3 @@ val of_string : string -> t
 (** Parse with {!Parser.theory_of_string}. *)
 
 val pp : Format.formatter -> t -> unit
-
-val subsets : t -> t list
-(** All subsets, largest first by construction order.  Exponential; only
-    for small theories (<= 20 members). *)
-
-val is_consistent_with : t -> Formula.t -> bool
-(** [is_consistent_with t p]: is [/\t /\ p] satisfiable? *)

@@ -1,7 +1,6 @@
 type t = int
 
 let compare = Int.compare
-let equal = Int.equal
 
 (* The intern table is process-global and interning happens inside pool
    tasks (compact constructions rename letters, EXA builds counters), so

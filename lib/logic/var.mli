@@ -8,7 +8,6 @@
 type t = private int
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 
 val named : string -> t
 (** Intern a name.  [named "a" = named "a"]. *)

@@ -84,76 +84,6 @@ let table (s : Obs.snapshot) =
 
 (* -- JSON lines ------------------------------------------------------------- *)
 
-let json_lines (s : Obs.snapshot) =
-  let buf = Buffer.create 1024 in
-  let obj fields =
-    Buffer.add_string buf
-      ("{"
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> json_string k ^ ": " ^ v) fields)
-      ^ "}\n")
-  in
-  List.iter
-    (fun (n, v) ->
-      obj
-        [
-          ("type", json_string "counter");
-          ("name", json_string n);
-          ("value", string_of_int v);
-        ])
-    s.counters;
-  List.iter
-    (fun (n, (d : Obs.dist)) ->
-      if d.count > 0 then
-        obj
-          [
-            ("type", json_string "histogram");
-            ("name", json_string n);
-            ("count", string_of_int d.count);
-            ("sum", string_of_int d.sum);
-            ("min", string_of_int d.min_v);
-            ("max", string_of_int d.max_v);
-          ])
-    s.hists;
-  List.iter
-    (fun (n, (st : Obs.span_stat)) ->
-      if st.s_count > 0 then
-        obj
-          [
-            ("type", json_string "span");
-            ("name", json_string n);
-            ("count", string_of_int st.s_count);
-            ("total_us", string_of_int st.s_total_us);
-            ("min_us", string_of_int st.s_min_us);
-            ("max_us", string_of_int st.s_max_us);
-          ])
-    s.spans;
-  Buffer.contents buf
-
-(* -- OpenMetrics ------------------------------------------------------------ *)
-
-(* The OpenMetrics / Prometheus text exposition format, so a scrape of
-   a [--metrics-out] artifact (or a future serve-daemon endpoint) needs
-   no custom parsing.  Mapping:
-
-   - counters -> counter families: [revkb_<name>_total];
-   - histograms -> histogram families with the registry's power-of-two
-     buckets rendered cumulatively.  [le] labels are inclusive, so
-     bucket 0 (values <= 1) is le="1" and a bucket with inclusive lower
-     bound lo >= 2 covering [lo, 2*lo) is le="2*lo-1"; the mandatory
-     le="+Inf" bucket equals the total count.  Empty histograms still
-     emit +Inf/sum/count (all zero) — scrapers treat a family with no
-     samples as a parse error;
-   - spans -> summary families in seconds ([_seconds_count] /
-     [_seconds_sum]), the conventional unit for Prometheus durations.
-
-   Metric names are the registry names with every character outside
-   [a-zA-Z0-9_:] replaced by '_' and a "revkb_" prefix (which also
-   guarantees a legal leading character).  All float values go through
-   [metric_float]: NaN/infinity aborts the export rather than emitting
-   a token some scrapers accept and others reject.  Output terminates
-   with "# EOF" as the OpenMetrics spec requires. *)
-
 let metric_name n =
   let b = Bytes.of_string n in
   Bytes.iteri

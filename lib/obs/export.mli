@@ -6,19 +6,17 @@
 
 (** {1 JSON primitives} *)
 
-val json_escape : string -> string
-(** Escape string contents for a JSON string literal: quote, backslash
-    and every control character (standard short escapes, [\uXXXX]
-    otherwise).  Does not add the surrounding quotes. *)
-
 val json_string : string -> string
-(** [json_escape] wrapped in double quotes. *)
+(** A JSON string literal: double quotes around the contents with
+    quote, backslash and every control character escaped (standard
+    short escapes, [\uXXXX] otherwise). *)
 
 val json_float : float -> string
 (** Render a finite float; raises [Invalid_argument] on NaN or
     infinities, which JSON cannot represent — an emitter must fail
     loudly rather than write an unparseable artifact. *)
 
+(* lint: iface-ok test_obs checks the non-finite refusal openmetrics relies on *)
 val metric_float : float -> string
 (** Render a finite float for the OpenMetrics text format; raises
     [Invalid_argument] on NaN or infinities — some scrapers accept
@@ -31,10 +29,6 @@ val table : Obs.snapshot -> string
 (** Human-readable sections (counters / histograms / spans); zero rows
     are elided, span rows include per-domain totals when more than one
     domain recorded. *)
-
-val json_lines : Obs.snapshot -> string
-(** One self-describing JSON object per line
-    ([{"type": "counter", "name": ..., ...}]). *)
 
 val openmetrics : Obs.snapshot -> string
 (** The OpenMetrics / Prometheus text exposition of a snapshot.

@@ -103,4 +103,3 @@ let enable () =
   sample ();
   Obs.set_span_exit_hook (Some boundary)
 
-let disable () = Obs.set_span_exit_hook None

@@ -19,6 +19,3 @@ val sample : unit -> unit
 val enable : unit -> unit
 (** Take a priming sample and install the rate-limited span-boundary
     sampler (via {!Obs.set_span_exit_hook}). *)
-
-val disable : unit -> unit
-(** Remove the span-boundary sampler. *)

@@ -58,7 +58,7 @@ let locked f =
 
 (* -- counters --------------------------------------------------------------- *)
 
-type counter = { c_name : string; cell : int Atomic.t }
+type counter = { cell : int Atomic.t }
 
 (* lint: domain-safe registry writes go through [locked]
    (registry_mutex); bumps touch only the per-counter Atomic cell *)
@@ -69,15 +69,13 @@ let counter name =
       match Hashtbl.find_opt counters name with
       | Some c -> c
       | None ->
-          let c = { c_name = name; cell = Atomic.make 0 } in
+          let c = { cell = Atomic.make 0 } in
           Hashtbl.add counters name c;
           c)
 
-let counter_name c = c.c_name
 let incr c = ignore (Atomic.fetch_and_add c.cell 1)
 let add c n = ignore (Atomic.fetch_and_add c.cell n)
 let value c = Atomic.get c.cell
-let reset_counter c = Atomic.set c.cell 0
 
 (* -- histograms ------------------------------------------------------------- *)
 
@@ -140,26 +138,6 @@ let observe_always h v =
   ignore (Atomic.fetch_and_add h.h_buckets.(bucket_of v) 1)
 
 let observe h v = if Atomic.get enabled_flag then observe_always h v
-
-let reset_hist h =
-  Atomic.set h.h_count 0;
-  Atomic.set h.h_sum 0;
-  Atomic.set h.h_min max_int;
-  Atomic.set h.h_max min_int;
-  Array.iter (fun b -> Atomic.set b 0) h.h_buckets
-
-let time h f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    let t0 = now_us () in
-    match f () with
-    | v ->
-        observe_always h (now_us () - t0);
-        v
-    | exception e ->
-        observe_always h (now_us () - t0);
-        raise e
-  end
 
 (* -- spans ------------------------------------------------------------------ *)
 
@@ -276,15 +254,10 @@ let with_span ?(attrs = no_attrs) name f =
         raise e
   end
 
-let span_depth () =
-  if not (Atomic.get enabled_flag) then 0
-  else (Domain.DLS.get buf_key).depth
-
 (* Deliberately not gated on [enabled]: the stack is empty when
    recording is off, and the profiler's signal handler must be able to
    read it without a flag race. *)
 let top_of b = match b.stack with [] -> None | s :: _ -> Some s
-let current_span () = top_of (Domain.DLS.get buf_key)
 
 (* The DLS lookup happens here, in plain code; the returned reader only
    dereferences the bound buffer.  That is what makes it usable from a
@@ -444,18 +417,6 @@ let diff newer older =
             } ))
         newer.spans;
   }
-
-let reset () =
-  locked (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
-      Hashtbl.iter (fun _ h -> reset_hist h) hists;
-      List.iter
-        (fun b ->
-          Hashtbl.reset b.aggs;
-          b.events <- [])
-        !all_bufs);
-  Atomic.set event_count 0;
-  Atomic.set events_dropped 0
 
 (* -- fatal-signal flush ------------------------------------------------------ *)
 

@@ -49,14 +49,11 @@ val counter : string -> counter
 (** The registry counter of that name, created at zero on first use.
     Idempotent: equal names share one cell. *)
 
-val counter_name : counter -> string
-
 val incr : counter -> unit
 (** One atomic add; never gated, never allocates. *)
 
 val add : counter -> int -> unit
 val value : counter -> int
-val reset_counter : counter -> unit
 
 (** {1 Histograms} *)
 
@@ -69,11 +66,6 @@ val hist : string -> hist
 val observe : hist -> int -> unit
 (** Record a sample iff {!enabled}; one flag read otherwise. *)
 
-val time : hist -> (unit -> 'a) -> 'a
-(** Run [f], recording its wall-clock microseconds iff {!enabled}
-    (disabled: calls [f] directly, no clock read).  Exceptions are
-    timed and re-raised. *)
-
 (** {1 Spans} *)
 
 val with_span :
@@ -85,17 +77,10 @@ val with_span :
     strings costs nothing unless the span is actually traced.
     Disabled: exactly [f ()] after one flag read. *)
 
-val span_depth : unit -> int
-(** Current nesting depth of spans on this domain (0 when disabled). *)
-
-val current_span : unit -> string option
-(** Name of the innermost span currently open on this domain, if any.
-    Not gated: with recording off the stack is simply empty. *)
-
 val span_reader : unit -> unit -> string option
 (** [span_reader ()] binds the calling domain's span stack (creating
-    its buffer if needed) and returns a reader of its innermost open
-    span, as {!current_span} would answer on that domain.  The reader
+    its buffer if needed) and returns a reader of the name of its
+    innermost open span ([None] outside spans).  The reader
     takes no lock and does no domain-local lookup, so it is safe from
     a signal handler running on any domain: the sampling profiler
     ({!Profile}) binds one in [start] to attribute samples to spans. *)
@@ -160,10 +145,6 @@ val diff : snapshot -> snapshot -> snapshot
     dropped from pair lists).  Window extrema are not recoverable from
     cumulative snapshots, so min/max pass through from [newer]. *)
 
-val reset : unit -> unit
-(** Zero every counter and histogram, clear every span buffer and all
-    trace events.  Call at quiescence. *)
-
 (** {1 Fatal-signal flush} *)
 
 val register_flusher : (unit -> unit) -> unit
@@ -174,6 +155,7 @@ val register_flusher : (unit -> unit) -> unit
     signal but its trace/metrics/profile artifacts survive.  Writers
     normally also run from [at_exit]; the two paths never both run. *)
 
+(* lint: iface-ok test_obs runs the signal path directly *)
 val run_flushers : unit -> unit
 (** Run every registered flusher now (the signal path, callable
     directly for tests). *)

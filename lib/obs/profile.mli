@@ -33,6 +33,7 @@ val sample_count : unit -> int
 val dropped : unit -> int
 (** Samples discarded because the ring was full ([prof.dropped]). *)
 
+(* lint: iface-ok test_obs reads the stacks the profile writer collapses *)
 val folded : unit -> (string * int) list
 (** Collapsed (stack, count) pairs by descending count.  Raises
     [Invalid_argument] while the profiler is running — aggregation

@@ -142,9 +142,6 @@ let map_array pool f arr =
 
 let map_list pool f l = Array.to_list (map_array pool f (Array.of_list l))
 
-let map_reduce_array pool ~map ~reduce ~init arr =
-  Array.fold_left (fun acc b -> reduce acc b) init (map_array pool map arr)
-
 let map_ranges pool ?chunks ~lo ~hi f =
   if hi <= lo then [||]
   else begin

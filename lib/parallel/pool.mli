@@ -29,6 +29,7 @@
 
 type t
 
+(* lint: iface-ok test_parallel drives private pools; global builds one *)
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs - 1] worker domains (none when
     [jobs = 1]); the caller is the remaining worker during batches.
@@ -36,24 +37,22 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
+(* lint: iface-ok test_parallel, as create *)
 val shutdown : t -> unit
 (** Stop and join the workers.  Any batch must have completed; idempotent. *)
 
+(* lint: iface-ok test_parallel's batch cases; every map runs through it *)
 val run : t -> (unit -> unit) array -> unit
 (** Execute a batch of tasks, returning when all have finished.  The
     calling domain executes queued tasks while it waits.  If a task
     raises, the batch still runs to completion and the first exception is
     re-raised in the caller. *)
 
+(* lint: iface-ok test_parallel; map_list and map_ranges run it *)
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; results are slotted by input index. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_reduce_array :
-  t -> map:('a -> 'b) -> reduce:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** Map every element, then fold the results left-to-right in input
-    order: [reduce (... (reduce init (map a0))) (map a1) ...]. *)
 
 val map_ranges : t -> ?chunks:int -> lo:int -> hi:int -> (int -> int -> 'a) -> 'a array
 (** Split [\[lo, hi)] into [chunks] contiguous subranges (default: one
@@ -90,6 +89,7 @@ val parallel_for_reduce :
 
 (** {1 The process-wide pool} *)
 
+(* lint: iface-ok test_parallel checks the job-count policy global reads *)
 val default_jobs : unit -> int
 (** Forced value ({!set_default_jobs}), else [REVKB_JOBS], else
     [Domain.recommended_domain_count ()]; always at least 1. *)
@@ -103,7 +103,8 @@ val global : unit -> t
     count changed since the last call.  Do not change the job count while
     pool work is in flight. *)
 
+(* lint: iface-ok the determinism suites under test/ pin job counts *)
 val with_jobs : int -> (unit -> 'a) -> 'a
 (** [with_jobs n f] runs [f] with the default job count forced to [n],
-    restoring the previous policy afterwards — how the determinism suite
-    and the speedup bench compare [jobs = 1] against [jobs = n]. *)
+    restoring the previous policy afterwards — how the determinism
+    suites compare [jobs = 1] against [jobs = n]. *)

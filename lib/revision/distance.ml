@@ -107,45 +107,3 @@ end
 
 module Packed = Make (Mask.Packed)
 module Wide = Make (Mask.Wide)
-
-(* Var.Set wrappers: pack over the union alphabet of the inputs (letters
-   false everywhere cannot appear in a symmetric difference), measure,
-   unpack. *)
-
-let engine models =
-  let alpha =
-    Interp_packed.alphabet
-      (Var.Set.elements (List.fold_left Var.Set.union Var.Set.empty models))
-  in
-  (alpha, Mask.by_width alpha (module Packed : S) (module Wide : S))
-
-let mu m p_models =
-  require "mu" (List.length p_models);
-  let alpha, (module E) = engine (m :: p_models) in
-  E.M.interps_of_set alpha
-    (E.mu (E.M.pack alpha m) (E.M.set_of_interps alpha p_models))
-
-let k_pointwise m p_models =
-  require "k_pointwise" (List.length p_models);
-  let alpha, (module E) = engine (m :: p_models) in
-  E.k_pointwise (E.M.pack alpha m) (E.M.set_of_interps alpha p_models)
-
-let delta t_models p_models =
-  require "delta" (List.length t_models);
-  require "delta" (List.length p_models);
-  let alpha, (module E) = engine (t_models @ p_models) in
-  E.M.interps_of_set alpha
-    (E.delta
-       (E.M.set_of_interps alpha t_models)
-       (E.M.set_of_interps alpha p_models))
-
-let k_global t_models p_models =
-  require "k_global" (List.length t_models);
-  require "k_global" (List.length p_models);
-  let alpha, (module E) = engine (t_models @ p_models) in
-  E.k_global
-    (E.M.set_of_interps alpha t_models)
-    (E.M.set_of_interps alpha p_models)
-
-let omega t_models p_models =
-  List.fold_left Var.Set.union Var.Set.empty (delta t_models p_models)

@@ -13,30 +13,22 @@
     The measures are written once, as {!Make} over the {!Logic.Mask.S}
     signature, and applied to both mask representations: {!Packed}
     (one [int] per model, the fast case) and {!Wide} (multi-word, no
-    width ceiling).  The [Var.Set.t] API below is a thin wrapper: inputs
-    are packed over their joint alphabet, measured by the engine
-    {!Logic.Mask.by_width} picks, and unpacked. *)
+    width ceiling).  Callers pack their model sets over one alphabet and
+    pick the engine with {!Logic.Mask.by_width}.
+
+    In the paper's notation:
+    - [mu m p] is [µ(M, P)], the inclusion-minimal symmetric
+      differences between [m] and the models of [P];
+    - [k_pointwise m p] is [k_{M,P}], the least cardinality of such a
+      difference;
+    - [delta t p] is [δ(T, P) = minc ∪_{M |= T} µ(M, P)];
+    - [k_global t p] is [k_{T,P}], the least cardinality over [δ(T,P)]
+      (the minimum Hamming distance between a model of [T] and one of
+      [P]);
+    - [omega t p] is [Ω = ∪ δ(T, P)], every letter in some minimal
+      difference (Weber's revision). *)
 
 open Logic
-
-val mu : Interp.t -> Interp.t list -> Var.Set.t list
-(** [mu m p_models] is the paper's [µ(M, P)]: the inclusion-minimal
-    symmetric differences between [m] and the models of [P]. *)
-
-val k_pointwise : Interp.t -> Interp.t list -> int
-(** [k_{M,P}]: minimum cardinality of a difference between [m] and a model
-    of [P]. *)
-
-val delta : Interp.t list -> Interp.t list -> Var.Set.t list
-(** [delta t_models p_models] is [δ(T, P) = minc ∪_{M |= T} µ(M, P)]. *)
-
-val k_global : Interp.t list -> Interp.t list -> int
-(** [k_{T,P}]: minimum cardinality over [δ(T,P)] — equivalently the
-    minimum Hamming distance between a model of [T] and a model of [P]. *)
-
-val omega : Interp.t list -> Interp.t list -> Var.Set.t
-(** [Ω = ∪ δ(T, P)]: every letter appearing in at least one minimal
-    difference (Weber's revision). *)
 
 (** A distance engine over one mask representation.  [delta],
     [k_global] and [omega] are streaming reductions: chunks of [Mod(T)]

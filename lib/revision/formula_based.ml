@@ -121,14 +121,6 @@ let nebel_worlds ?cap ~priorities p =
   in
   go priorities []
 
-let nebel_entails ?cap ~priorities p q =
-  List.for_all
-    (fun w ->
-      not
-        (Semantics.is_sat
-           (Formula.and_ [ Theory.conj w; p; Formula.not_ q ])))
-    (nebel_worlds ?cap ~priorities p)
-
 let nebel_formula ?cap ~priorities p =
   Formula.conj2
     (Formula.or_ (List.map Theory.conj (nebel_worlds ?cap ~priorities p)))

@@ -39,18 +39,13 @@ val widtio : ?cap:int -> Theory.t -> Formula.t -> Theory.t
 
 val widtio_revise : ?cap:int -> Theory.t -> Formula.t -> Result.t
 
+(* lint: iface-ok test_revision checks the priority classes directly *)
 val nebel_worlds :
   ?cap:int -> priorities:Theory.t list -> Formula.t -> Theory.t list
 (** Nebel's prioritized base revision: [priorities] lists the theory in
     decreasing priority classes; a world is built by greedily taking a
     maximal consistent subset of each class in order.  With a single
     class this coincides with {!worlds}. *)
-
-val nebel_entails :
-  ?cap:int -> priorities:Theory.t list -> Formula.t -> Formula.t -> bool
-
-val nebel_formula :
-  ?cap:int -> priorities:Theory.t list -> Formula.t -> Formula.t
 
 val nebel_revise :
   ?cap:int -> priorities:Theory.t list -> Formula.t -> Result.t

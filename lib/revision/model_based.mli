@@ -37,7 +37,7 @@ val revise_on : op -> Var.t list -> Formula.t -> Formula.t -> Result.t
 (** Revision with models enumerated over an explicit alphabet, which must
     contain the letters of both formulas.  Runs the mask pipeline
     ({!Models.enumerate_masks} + the engine {!select} uses, chosen by
-    the same width rule); past {!Models.sat_cutover} letters enumeration is
+    the same width rule); past 20 letters enumeration is
     SAT-backed, so large alphabets work as long as the model sets stay
     small. *)
 

@@ -11,9 +11,6 @@ type t =
   | Dalal
   | Weber
 
-let all =
-  [ Gfuv; Nebel []; Widtio; Winslett; Borgida; Forbus; Satoh; Dalal; Weber ]
-
 let name = function
   | Gfuv -> "gfuv"
   | Nebel _ -> "nebel"
@@ -83,24 +80,3 @@ let revise op t p =
       Formula_based.nebel_revise ~priorities:(priorities_of sizes t) p
   | Widtio -> Formula_based.widtio_revise t p
   | _ -> Model_based.revise (model_op op) (Theory.conj t) p
-
-let entails op t p q =
-  match op with
-  | Gfuv -> Formula_based.gfuv_entails t p q
-  | Nebel sizes ->
-      Formula_based.nebel_entails ~priorities:(priorities_of sizes t) p q
-  | Widtio ->
-      not
-        (Semantics.is_sat
-           (Formula.conj2
-              (Theory.conj (Formula_based.widtio t p))
-              (Formula.not_ q)))
-  | _ -> Result.entails (revise op t p) q
-
-let naive_formula op t p =
-  match op with
-  | Gfuv -> Formula_based.gfuv_formula t p
-  | Nebel sizes ->
-      Formula_based.nebel_formula ~priorities:(priorities_of sizes t) p
-  | Widtio -> Theory.conj (Formula_based.widtio t p)
-  | _ -> Result.to_dnf (revise op t p)

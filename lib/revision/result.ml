@@ -8,7 +8,6 @@ let make alphabet models =
 let alphabet r = r.alphabet
 let models r = r.models
 let model_count r = List.length r.models
-let is_inconsistent r = r.models = []
 let entails r q = List.for_all (fun m -> Interp.sat m q) r.models
 
 let model_check r m =
@@ -22,9 +21,6 @@ let equal a b =
   Var.Set.equal (Var.set_of_list a.alphabet) (Var.set_of_list b.alphabet)
   && List.length a.models = List.length b.models
   && List.for_all2 Interp.equal a.models b.models
-
-let subset a b =
-  List.for_all (fun m -> List.exists (Interp.equal m) b.models) a.models
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%d model(s) over {%a}:@,%a@]"

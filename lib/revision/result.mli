@@ -18,7 +18,6 @@ val make : Var.t list -> Interp.t list -> t
 val alphabet : t -> Var.t list
 val models : t -> Interp.t list
 val model_count : t -> int
-val is_inconsistent : t -> bool
 
 val entails : t -> Formula.t -> bool
 (** [entails r q]: does every model satisfy [q]?  [q] may only use letters
@@ -34,8 +33,5 @@ val to_minimized_dnf : t -> Formula.t
 
 val equal : t -> t -> bool
 (** Same alphabet (as a set) and same model set. *)
-
-val subset : t -> t -> bool
-(** Model-set inclusion (alphabets must agree). *)
 
 val pp : Format.formatter -> t -> unit

@@ -54,12 +54,4 @@ let parse_file path =
   close_in ic;
   parse_string buf
 
-let print ppf (nvars, clauses) =
-  Format.fprintf ppf "p cnf %d %d@." nvars (List.length clauses);
-  List.iter
-    (fun c ->
-      List.iter (fun l -> Format.fprintf ppf "%d " (Lit.to_int l)) c;
-      Format.fprintf ppf "0@.")
-    clauses
-
 let load solver clauses = List.iter (Solver.add_clause solver) clauses

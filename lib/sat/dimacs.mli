@@ -1,4 +1,4 @@
-(** DIMACS CNF reading and writing.
+(** DIMACS CNF reading.
 
     Used by the CLI tools and by tests that cross-check the solver against
     hand-written instances. *)
@@ -8,6 +8,7 @@ exception Parse_error of { line : int; msg : string }
     line — the clean-error contract of [revkb sat]: the CLI turns this
     into a message, never a backtrace. *)
 
+(* lint: iface-ok test_sat's parse and error cases feed it text *)
 val parse_string : string -> int * Lit.t list list
 (** [parse_string s] parses DIMACS CNF text and returns
     [(nvars, clauses)].  [nvars] is the maximum of the header's declared
@@ -16,9 +17,6 @@ val parse_string : string -> int * Lit.t list list
     malformed input. *)
 
 val parse_file : string -> int * Lit.t list list
-
-val print : Format.formatter -> int * Lit.t list list -> unit
-(** Write a problem in DIMACS CNF format. *)
 
 val load : Solver.t -> Lit.t list list -> unit
 (** Add all clauses to a solver. *)

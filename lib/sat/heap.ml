@@ -20,8 +20,6 @@ let grow_to t n =
     t.pos <- pos'
   end
 
-let size t = t.size
-
 let sift_up t i =
   let a = !(t.act) in
   let v = t.heap.(i) in

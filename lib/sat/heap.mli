@@ -23,5 +23,3 @@ val update : t -> int -> unit
 val pop_max : t -> int option
 val grow_to : t -> int -> unit
 (** Ensure internal position arrays can index variables [< n]. *)
-
-val size : t -> int

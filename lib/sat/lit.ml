@@ -7,7 +7,6 @@ let of_var ?(neg = false) v =
 let var l = l lsr 1
 let neg l = l lxor 1
 let is_pos l = l land 1 = 0
-let to_int l = if is_pos l then var l + 1 else -(var l + 1)
 
 let of_int i =
   if i = 0 then invalid_arg "Lit.of_int: zero"

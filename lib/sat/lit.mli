@@ -19,8 +19,6 @@ val neg : t -> t
 val is_pos : t -> bool
 (** [true] iff the literal is positive. *)
 
-val to_int : t -> int
-(** DIMACS-style integer: [v+1] for positive, [-(v+1)] for negative. *)
-
 val of_int : int -> t
-(** Inverse of {!to_int}.  Raises [Invalid_argument] on [0]. *)
+(** From a DIMACS-style integer: [v+1] is the positive literal on [v],
+    [-(v+1)] the negative one.  Raises [Invalid_argument] on [0]. *)

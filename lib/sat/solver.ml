@@ -79,9 +79,7 @@ let create () =
     model_len = 0;
   }
 
-let nvars s = s.nvars
 let ok s = s.ok
-let n_propagations s = s.propagations
 
 let grow_arrays s n =
   let old = Array.length s.assign in
@@ -568,10 +566,3 @@ let stats (s : t) : stats =
     learned = s.learned;
     restarts = s.restarts;
   }
-
-let reset_stats (s : t) =
-  s.decisions <- 0;
-  s.propagations <- 0;
-  s.conflicts <- 0;
-  s.learned <- 0;
-  s.restarts <- 0

@@ -19,13 +19,12 @@ val new_var : t -> int
 val ensure_nvars : t -> int -> unit
 (** Make sure variables [0 .. n-1] exist. *)
 
-val nvars : t -> int
-
 val add_clause : t -> Lit.t list -> unit
 (** Add a clause (a disjunction of literals).  Adding the empty clause, or a
     clause that closes a top-level conflict, makes the solver permanently
     unsatisfiable. *)
 
+(* lint: iface-ok test_sat checks it against a list reference *)
 val simplify : t -> Lit.t list -> Lit.t array option
 (** The clause {!add_clause} stores for these literals, given the
     top-level assignment (the solver is first backtracked to level 0):
@@ -47,6 +46,7 @@ val value : t -> Lit.t -> bool
 val model : t -> bool array
 (** Snapshot of the last model, indexed by variable. *)
 
+(* lint: iface-ok test_sat reads top-level unsatisfiability off it *)
 val ok : t -> bool
 (** [false] once the clause set has been proved unsatisfiable at top
     level. *)
@@ -54,7 +54,7 @@ val ok : t -> bool
 (** {1 Statistics}
 
     Counters are cumulative over the solver's lifetime and monotone
-    across [solve] calls (until {!reset_stats}).  Each [solve] also
+    across [solve] calls.  Each [solve] also
     flushes its deltas to the [Revkb_obs] registry under [sat.*], so a
     process-wide snapshot aggregates every solver instance. *)
 
@@ -66,10 +66,5 @@ type stats = {
   restarts : int;
 }
 
+(* lint: iface-ok test_sat pins the search trace on these counters *)
 val stats : t -> stats
-
-val reset_stats : t -> unit
-(** Zero the counters (clauses and assignments are untouched).  Do not
-    call while a [solve] is in progress. *)
-
-val n_propagations : t -> int

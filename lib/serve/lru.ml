@@ -28,8 +28,6 @@ let create ?(on_evict = fun _ _ -> ()) cap =
   }
 
 let length t = Hashtbl.length t.table
-let capacity t = t.cap
-
 let touch t k =
   t.clock <- t.clock + 1;
   Queue.push (k, t.clock) t.queue;
@@ -67,8 +65,6 @@ let find t k =
       compact t;
       Some v
 
-let mem t k = Hashtbl.mem t.table k
-
 let add t k v =
   (if not (Hashtbl.mem t.table k) then
      while Hashtbl.length t.table >= t.cap do
@@ -78,4 +74,3 @@ let add t k v =
   Hashtbl.replace t.table k (v, stamp);
   compact t
 
-let remove t k = Hashtbl.remove t.table k

@@ -17,15 +17,8 @@ val create : ?on_evict:('k -> 'v -> unit) -> int -> ('k, 'v) t
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; a hit refreshes the entry's recency. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership without touching recency. *)
-
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or overwrite, then evict down to capacity if needed. *)
 
-val remove : ('k, 'v) t -> 'k -> unit
-
 val length : ('k, 'v) t -> int
 (** Live entries (never exceeds capacity). *)
-
-val capacity : ('k, 'v) t -> int

@@ -34,9 +34,6 @@ let create () : t = Hashtbl.create 16
 
 let find (t : t) name = Hashtbl.find_opt t name
 
-let names (t : t) =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
-
 let size (t : t) = Hashtbl.length t
 
 let set_content e theory =

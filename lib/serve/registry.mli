@@ -25,9 +25,6 @@ type t
 val create : unit -> t
 val find : t -> string -> entry option
 
-val names : t -> string list
-(** Registered names, sorted. *)
-
 val size : t -> int
 
 val load : t -> string -> Theory.t -> entry

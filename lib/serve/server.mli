@@ -28,8 +28,10 @@ val create : ?cache_cap:int -> unit -> t
 (** A fresh server: empty registry, empty revision cache (default
     capacity 256 entries). *)
 
+(* lint: iface-ok test_serve inspects the registry behind the verbs *)
 val registry : t -> Registry.t
 
+(* lint: iface-ok test_serve drives requests in process; handle_line runs it *)
 val handle : t -> Json.t -> Json.t
 (** Answer one parsed request (the in-process entry point the tests
     drive). *)
@@ -39,6 +41,7 @@ val handle_line : t -> string -> string
     (neither carries the newline).  Unparsable input yields the
     structured [bad_json] error line. *)
 
+(* lint: iface-ok test_serve checks the shutdown verb sets it *)
 val stopping : t -> bool
 (** Set once a [shutdown] verb has been served. *)
 

@@ -27,11 +27,14 @@ type t = {
 }
 
 val make : Threesat.universe -> t
+(* lint: iface-ok test_witness checks Theorem 3.3's query Q_π *)
 val q_pi : t -> Threesat.instance -> Formula.t
 
+(* lint: iface-ok test_witness revises over it *)
 val alphabet : t -> Var.t list
 (** [L = B_n ∪ C ∪ {r}]. *)
 
+(* lint: iface-ok test_witness; reduction_holds runs it *)
 val m_pi_selected : t -> Threesat.instance -> bool
 (** [M_π |= T_n *_F P_n], by brute-force semantic revision over the
     joint alphabet — use small universes. *)

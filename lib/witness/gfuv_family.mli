@@ -32,6 +32,7 @@ type t = {
 
 val make : Threesat.universe -> t
 
+(* lint: iface-ok test_witness counts the guards of W_π *)
 val w_pi : t -> Threesat.instance -> Formula.t
 (** The conjunction [∧ W_π]. *)
 

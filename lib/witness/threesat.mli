@@ -31,6 +31,7 @@ val size : universe -> int
 type instance = { universe : universe; selected : int list }
 (** A 3-SAT instance [π ⊆] universe, as sorted clause indices. *)
 
+(* lint: iface-ok test_witness builds instances and checks the guards *)
 val instance : universe -> int list -> instance
 
 val is_satisfiable : instance -> bool

@@ -18,8 +18,6 @@ let make ~n ~m =
   { n; m; t_wide; p_wide }
 
 let letters fam = List.init fam.n (fun i -> var (i + 1))
-(* lint: shift-ok make rejects m > Sys.int_size - 2 *)
-let expected_world_count fam = (1 lsl fam.m) - 1
 let world_count fam = Models.count (letters fam) fam.p_wide
 
 let naive_size fam =

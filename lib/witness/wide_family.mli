@@ -20,15 +20,13 @@ type t = { n : int; m : int; t_wide : Formula.t; p_wide : Formula.t }
 val make : n:int -> m:int -> t
 (** Requires [1 <= m <= n]. *)
 
+(* lint: iface-ok test_wide enumerates over it *)
 val letters : t -> Var.t list
 (** The alphabet [w₁ … w_n], in index order. *)
 
-val expected_world_count : t -> int
-(** [2^m − 1], closed form (requires [m] small enough for an [int]). *)
-
 val world_count : t -> int
 (** [Models.count] over the full alphabet: exercises the SAT tally past
-    the cutover.  Equals {!expected_world_count}. *)
+    the cutover.  Equals [2^m − 1]. *)
 
 val naive_size : t -> int
 (** Tree size of the disjunction-of-minterms form of [P] over the full

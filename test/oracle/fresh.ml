@@ -134,7 +134,7 @@ let model_check ?(cegar_cap = 50_000) op t p n =
     | MB.Winslett -> winslett_check ~cap:cegar_cap MB.Winslett t p alphabet n
     | MB.Forbus ->
         exists_witness ~cap:cegar_cap MB.Forbus t alphabet (fun m ->
-            closer_by_cardinality p alphabet m (Interp.hamming m n))
+            closer_by_cardinality p alphabet m (Legacy.hamming m n))
     | MB.Borgida ->
         if Semantics.is_sat (Formula.conj2 t p) then Interp.sat n t
         else winslett_check ~cap:cegar_cap MB.Winslett t p alphabet n

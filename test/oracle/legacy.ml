@@ -6,6 +6,9 @@
 
 open Logic
 
+(* [|M Δ N|]. *)
+let hamming m n = Var.Set.cardinal (Interp.sym_diff m n)
+
 module Models = struct
   let enumerate alphabet f =
     let missing = Var.Set.diff (Formula.vars f) (Var.set_of_list alphabet) in
@@ -37,7 +40,7 @@ module Distance = struct
 
   let k_pointwise m p_models =
     require "k_pointwise" p_models;
-    List.fold_left (fun acc n -> min acc (Interp.hamming m n)) max_int p_models
+    List.fold_left (fun acc n -> min acc (hamming m n)) max_int p_models
 
   let delta t_models p_models =
     require "delta" t_models;
@@ -78,7 +81,7 @@ module Model_based = struct
     List.filter
       (fun n ->
         List.exists
-          (fun m -> Interp.hamming m n = Distance.k_pointwise m p_models)
+          (fun m -> hamming m n = Distance.k_pointwise m p_models)
           t_models)
       p_models
 
@@ -94,7 +97,7 @@ module Model_based = struct
   let dalal t_models p_models =
     let k = Distance.k_global t_models p_models in
     List.filter
-      (fun n -> List.exists (fun m -> Interp.hamming n m = k) t_models)
+      (fun n -> List.exists (fun m -> hamming n m = k) t_models)
       p_models
 
   let weber t_models p_models =

@@ -1,4 +1,16 @@
+(* Generic data structures with polynomial-time model checking:
+   Definition 7.1.  Section 7 strengthens every non-compactability
+   result from "no small formula" to "no small data structure D with a
+   poly-time ASK(D, M)"; Theorem 7.1 says every such structure must blow
+   up on the witness families unless NP ⊆ P/poly.  Here a structure is a
+   size (the |D| of the definition) plus an [ask] procedure, and the
+   three representations the library builds (formula evaluation, ROBDD
+   lookup, sorted model list) are packaged as instances, so the tests
+   can check that each one represents a revision (property 2 of the
+   definition, extensionally) and that they answer alike. *)
+
 open Logic
+open Revision
 
 type t = { name : string; size : int; ask : Interp.t -> bool }
 

@@ -23,11 +23,11 @@ let rule_preserves_equivalence name rule =
     qtest ~count:400
       (Printf.sprintf "%s preserves equivalence (4 letters)" name)
       (arb_formula ~depth:4 vars4)
-      (fun fm -> Models.equivalent_on vars4 fm (rule fm));
+      (fun fm -> equivalent_on vars4 fm (rule fm));
     qtest ~count:150
       (Printf.sprintf "%s preserves equivalence (8 letters)" name)
       (arb_formula ~depth:5 vars8)
-      (fun fm -> Models.equivalent_on vars8 fm (rule fm));
+      (fun fm -> equivalent_on vars8 fm (rule fm));
   ]
 
 let simplifier_equivalence_tests =
@@ -54,17 +54,6 @@ let test_simplify_examples () =
     (Formula.equal (s "a & (~a | b)") (f "a & b"));
   check_bool "subsumption" true
     (Formula.equal (s "(a | b | c) & (a | b)") (f "a | b"))
-
-(* [pure_literal] and [presat] only promise equisatisfiability — checked
-   against the CDCL oracle, never the fast path under test. *)
-let sat_only_tests =
-  List.map
-    (fun (name, rule) ->
-      qtest ~count:300
-        (Printf.sprintf "%s preserves satisfiability" name)
-        (arb_formula ~depth:4 vars4)
-        (fun fm -> Semantics.is_sat_cdcl (rule fm) = Semantics.is_sat_cdcl fm))
-    [ ("pure_literal", Simplifier.pure_literal); ("presat", Simplifier.presat) ]
 
 (* -- clausal deciders vs the CDCL oracle ---------------------------------- *)
 
@@ -140,7 +129,25 @@ let prop_horn_classification_matches =
       let fm = formula_of_cnf cnf in
       match Clausal.view fm with
       | None -> false (* CNF input must be viewed as CNF *)
-      | Some viewed -> (Fragments.classify fm).Fragments.horn = Horn.is_horn viewed)
+      | Some viewed -> (Fragments.classify fm).Fragments.horn = is_horn viewed)
+
+(* The other two class predicates against their definitions, on CNFs
+   of every shape. *)
+let arb_any_cnf =
+  QCheck.oneof [ arb_cnf `Horn; arb_cnf `Dual_horn; arb_cnf `Krom ]
+
+let prop_dual_horn_classification =
+  qtest ~count:500 "is_dual_horn = at most one negative literal per clause"
+    arb_any_cnf (fun cnf ->
+      Clausal.is_dual_horn cnf
+      = List.for_all
+          (fun c -> List.length (List.filter (fun (s, _) -> not s) c) <= 1)
+          cnf)
+
+let prop_krom_classification =
+  qtest ~count:500 "is_krom = at most two literals per clause" arb_any_cnf
+    (fun cnf ->
+      Clausal.is_krom cnf = List.for_all (fun c -> List.length c <= 2) cnf)
 
 let prop_affine_decider =
   (* Random GF(2) equation systems: Gaussian elimination vs CDCL. *)
@@ -241,7 +248,7 @@ let test_growth_fitting () =
   | Growth.Polynomial _ -> ()
   | v -> Alcotest.failf "affine misfit: %a" Growth.pp_verdict v);
   check_bool "needs 3 points" true
-    (match Growth.fit [ (1., 1.); (2., 2.) ] with
+    (match Growth.classify_points [ (1., 1.); (2., 2.) ] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -275,14 +282,15 @@ let () =
         @ [
             prop_simplify_never_grows;
             Alcotest.test_case "rewrite examples" `Quick test_simplify_examples;
-          ]
-        @ sat_only_tests );
+          ] );
       ( "clausal deciders",
         [
           prop_horn_decider;
           prop_dual_horn_decider;
           prop_krom_decider;
           prop_decide_sat_sound;
+          prop_dual_horn_classification;
+          prop_krom_classification;
           Alcotest.test_case "rule-form view" `Quick test_view_rule_form;
         ] );
       ( "fragments",

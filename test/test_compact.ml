@@ -39,12 +39,12 @@ let prop_measure_matches_extensional =
   qtest "measure = extensional distance machinery" ~count:150 arb_tp
     (fun (t, p) ->
       let tm = Models.enumerate vars4 t and pm = Models.enumerate vars4 p in
-      let d_ext = Distance.delta tm pm in
+      let d_ext = Revkb_oracle.Set_distance.delta tm pm in
       (* one session, all three measures *)
       let m = Compact.Measure.create (Kb.make t) p in
       same_models d_ext (Compact.Measure.delta m)
-      && Compact.Measure.k m = Distance.k_global tm pm
-      && Var.Set.equal (Compact.Measure.omega m) (Distance.omega tm pm))
+      && Compact.Measure.k m = Revkb_oracle.Set_distance.k_global tm pm
+      && Var.Set.equal (Compact.Measure.omega m) (Revkb_oracle.Set_distance.omega tm pm))
 
 let test_measure_guards () =
   let refused what kb p expected =
@@ -81,7 +81,7 @@ let prop_dalal_compact_query_equivalent =
 let prop_dalal_compact_k_correct =
   qtest "thm 3.4: k = k_{T,P}" ~count:150 arb_tp (fun (t, p) ->
       let tm = Models.enumerate vars4 t and pm = Models.enumerate vars4 p in
-      (dalal_step t p).Compact.Construct.measure = Distance.k_global tm pm)
+      (dalal_step t p).Compact.Construct.measure = Revkb_oracle.Set_distance.k_global tm pm)
 
 let test_dalal_compact_not_logically_equivalent () =
   (* The representation constrains new letters, so it is *not* logically
@@ -307,13 +307,20 @@ let test_iterated_bounded_size_additive () =
 
 (* -- compile-then-ask entailment --------------------------------------------------------- *)
 
+(* Compile-then-ask: [T * P |= Q] as one SAT query on the
+   query-equivalent construction, sound since [q] ranges over the
+   original alphabet. *)
+let compiled_entails op t p q =
+  Semantics.entails (Compact.Construct.revise op (Kb.make t) p) q
+
 let entails_agrees op =
   qtest
-    (Printf.sprintf "Check.entails %s = extensional" (Model_based.name op))
+    (Printf.sprintf "compile-then-ask entails %s = extensional"
+       (Model_based.name op))
     ~count:60
     (QCheck.triple arb_tp (arb_formula vars4) (arb_formula vars4))
     (fun ((t, p), q, _) ->
-      Compact.Check.entails op t p q
+      compiled_entails op t p q
       = Result.entails (Model_based.revise_on op vars4 t p) q)
 
 let test_entails_scales () =
@@ -322,13 +329,13 @@ let test_entails_scales () =
   let t = Formula.and_ (List.map Formula.var letters) in
   let p = f "~x1 & ~x2" in
   check_bool "dalal keeps x17" true
-    (Compact.Check.entails Model_based.Dalal t p (f "x17"));
+    (compiled_entails Model_based.Dalal t p (f "x17"));
   check_bool "dalal drops x1" true
-    (Compact.Check.entails Model_based.Dalal t p (f "~x1"));
+    (compiled_entails Model_based.Dalal t p (f "~x1"));
   check_bool "weber keeps x17" true
-    (Compact.Check.entails Model_based.Weber t p (f "x17"));
+    (compiled_entails Model_based.Weber t p (f "x17"));
   check_bool "no over-claim" false
-    (Compact.Check.entails Model_based.Dalal t p (f "x1"))
+    (compiled_entails Model_based.Dalal t p (f "x1"))
 
 (* -- unexpanded QBF views --------------------------------------------------------------- *)
 
@@ -480,32 +487,33 @@ let test_check_scales () =
 (* Horn inputs must reach the linear fast path inside the checker's
    plain satisfiability probes — the guard of the operators that measure
    nothing (Dalal, Weber and Satoh decide T and P on their measure's
-   session instead): the counters in [Logic.Clausal] make the routing
+   session instead): the [sat.route.*] counters make the routing
    observable. *)
 let test_check_horn_fast_path () =
   let t = f "(a -> b) & (b -> c) & a" in
   let p = f "~c" in
-  Logic.Clausal.reset_stats ();
+  let route r = Revkb_obs.Obs.value (Revkb_obs.Obs.counter ("sat.route." ^ r)) in
+  let hits () = route "horn" + route "dual_horn" + route "krom" in
+  let hits0 = hits () and horn0 = route "horn" in
   check_bool "M |= T * P after giving up only c" true
     (Compact.Check.model_check Model_based.Winslett t p
        (interp_of_string "a, b"));
-  let hits = Logic.Clausal.fast_path_hits () in
+  let hits = hits () - hits0 in
   check_bool
     (Printf.sprintf "fast path hit at least twice (got %d)" hits)
     true (hits >= 2);
-  check_bool "hits were horn hits" true
-    ((Logic.Clausal.stats ()).Logic.Clausal.horn >= 2)
+  check_bool "hits were horn hits" true (route "horn" - horn0 >= 2)
 
 let test_check_dist_to () =
   let alphabet = letters 3 in
   check_bool "distance 0" true
-    (Compact.Check.dist_to (f "x1 | x2") (interp_of_string "x1") alphabet
+    (ladder_dist_to (f "x1 | x2") (interp_of_string "x1") alphabet
     = Some 0);
   check_bool "distance 2" true
-    (Compact.Check.dist_to (f "x1 & x2 & x3") (interp_of_string "x1") alphabet
+    (ladder_dist_to (f "x1 & x2 & x3") (interp_of_string "x1") alphabet
     = Some 2);
   check_bool "unsat" true
-    (Compact.Check.dist_to (f "x1 & ~x1") Var.Set.empty alphabet = None)
+    (ladder_dist_to (f "x1 & ~x1") Var.Set.empty alphabet = None)
 
 (* -- Session (Section 6.2 strategy) -------------------------------------------------- *)
 
@@ -517,7 +525,7 @@ let test_session_lazy_incorporation () =
   check_bool "ask ~a" true (Compact.Session.ask s (f "~a"));
   check_bool "ask ~b" true (Compact.Session.ask s (f "~b"));
   check_bool "model check {}" true
-    (Compact.Session.model_check s Var.Set.empty);
+    (Result.model_check (Compact.Session.result s) Var.Set.empty);
   (* compile is query-equivalent to the session's semantics *)
   check_bool "compile query-equivalent" true
     (Compact.Verify.query_equivalent (Compact.Session.result s)
@@ -569,7 +577,7 @@ let test_session_empty_log () =
   let s = Compact.Session.create ~op:Operator.Dalal (Theory.of_string "a -> b") in
   check_bool "base consequences" true (Compact.Session.ask s (f "a -> b"));
   check_bool "compile = base" true
-    (Semantics.equiv (Compact.Session.compile s) (f "a -> b"))
+    (sat_equiv (Compact.Session.compile s) (f "a -> b"))
 
 let test_session_cache_invalidation () =
   let s = Compact.Session.create ~op:Operator.Dalal (Theory.of_string "a") in

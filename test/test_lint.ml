@@ -185,7 +185,58 @@ let test_r5_unreachable_value () =
     "only the unreferenced val is flagged" [ "unreachable:dead" ]
     (keys (List.filter (fun (f : F.t) -> f.rule = F.R5) fs))
 
+(* A lib/ module exporting one value per caller kind, with the callers
+   fed in as usage sources the way revkb_lint feeds test/, examples/
+   and revbench/. *)
+let r5_keys ?mli vals callers =
+  let decl = String.concat "" (List.map (Printf.sprintf "val %s : int\n") vals) in
+  let defs = String.concat "" (List.map (Printf.sprintf "let %s = 1\n") vals) in
+  let ml = input "lib/fixture/api.ml" defs in
+  let mli = input "lib/fixture/api.mli" (Option.value mli ~default:decl) in
+  let usage =
+    List.map
+      (fun (path, v) -> input path (Printf.sprintf "let () = ignore Api.%s\n" v))
+      callers
+  in
+  keys
+    (List.filter
+       (fun (f : F.t) -> f.rule = F.R5)
+       (E.analyze ~usage [ ml; mli ]))
+
+let test_r5_test_only () =
+  Alcotest.(check (list string))
+    "a value only test/ calls is test-only API" [ "test-only:probe" ]
+    (r5_keys [ "probe" ] [ ("test/test_api.ml", "probe") ])
+
+let test_r5_real_callers () =
+  Alcotest.(check (list string))
+    "bench/ and examples/ callers are real; test/ is not"
+    [ "test-only:by_test" ]
+    (r5_keys
+       [ "by_bench"; "by_example"; "by_test" ]
+       [
+         ("bench/fixture.ml", "by_bench");
+         ("examples/fixture.ml", "by_example");
+         ("test/test_api.ml", "by_test");
+       ])
+
+let test_r5_iface_ok () =
+  Alcotest.(check (list string))
+    "iface-ok with a reason suppresses test-only" [ "test-only:plain" ]
+    (r5_keys
+       ~mli:
+         "val plain : int\n\n\n\n(* lint: iface-ok test_api needs it *)\n\
+          val kept : int\n"
+       [ "kept"; "plain" ]
+       [ ("test/test_api.ml", "kept"); ("test/test_api.ml", "plain") ])
+
 (* -- R0 + allowlist mechanics ---------------------------------------------- *)
+
+let test_r0_stale_exemption () =
+  let fs = lint1 "(* lint: shift-ok bounded by caller *)\nlet x = 1\n" in
+  Alcotest.(check (list string))
+    "an exemption that suppresses nothing is stale" [ "stale:shift-ok" ]
+    (keys fs)
 
 let test_r0_bad_tag () =
   let fs = lint1 "(* lint: no-such-tag whatever *)\nlet x = 1\n" in
@@ -198,7 +249,6 @@ let test_r0_empty_reason () =
     "R0 plus the undamped R2" [ "R0"; "R2" ] (rules fs)
 
 let test_allowlist_window () =
-  Alcotest.(check int) "window is two lines" 2 A.window;
   let fs =
     lint1 "(* lint: shift-ok bounded by caller *)\n\nlet f n = 1 lsl n\n"
   in
@@ -206,7 +256,8 @@ let test_allowlist_window () =
   let fs =
     lint1 "(* lint: shift-ok bounded by caller *)\n\n\nlet f n = 1 lsl n\n"
   in
-  check_rules "one line past the window no longer suppresses" [ "R2" ] fs
+  check_rules "one line past the window suppresses nothing: stale, and R2"
+    [ "R0"; "R2" ] fs
 
 let test_allowlist_in_string_ignored () =
   let entries = A.scan "let s = \"(* lint: shift-ok nope *)\"\n" in
@@ -221,12 +272,11 @@ let test_parse_error () =
 
 let test_rule_ids () =
   Alcotest.(check string) "id" "R2" (F.rule_id F.R2);
-  Alcotest.(check string) "name" "shift-overflow" (F.rule_name F.R2);
-  Alcotest.(check bool) "roundtrip" true
-    (List.for_all
-       (fun r -> F.rule_of_id (F.rule_id r) = Some r)
-       [ F.R0; F.R1; F.R2; F.R3; F.R4; F.R5 ]);
-  Alcotest.(check bool) "unknown id" true (F.rule_of_id "R9" = None)
+  match lint1 "let f n = 1 lsl n\n" with
+  | [ f ] ->
+      Alcotest.(check bool) "name" true
+        (contains (F.to_json f) {|"name": "shift-overflow"|})
+  | _ -> Alcotest.fail "expected exactly one finding"
 
 (* -- baseline -------------------------------------------------------------- *)
 
@@ -244,12 +294,6 @@ let test_baseline_roundtrip () =
       let oc = open_out path in
       output_string oc ("# comment\n\n" ^ line ^ "\n");
       close_out oc;
-      (match E.load_baseline path with
-      | [ (rule, file, key) ] ->
-          Alcotest.(check string) "rule" "R2" rule;
-          Alcotest.(check string) "file" f.file file;
-          Alcotest.(check string) "key" f.key key
-      | _ -> Alcotest.fail "expected one baseline triple");
       let r =
         E.run ~baseline:path
           (with_mli "lib/fixture/fixture.ml" "let f n = 1 lsl n\n")
@@ -282,17 +326,17 @@ let test_self_run () =
   | None -> () (* source tree not reachable from the sandbox: skip *)
   | Some root ->
       let at p = Filename.concat root p in
-      let inputs =
-        E.collect_tree [ at "lib"; at "bin"; at "bench" ]
+      (* Strip the root prefix so paths read as revkb_lint's do: baseline
+         paths stay relative and R5 sees which usage files are tests. *)
+      let relative dirs =
+        E.collect_tree
+          (List.filter Sys.file_exists (List.map at dirs))
         |> List.map (fun (path, content) ->
-               (* strip the root prefix so baseline paths stay relative *)
                let n = String.length root + 1 in
                input (String.sub path n (String.length path - n)) content)
       in
-      let usage =
-        E.collect_tree [ at "test" ]
-        |> List.map (fun (path, content) -> input path content)
-      in
+      let inputs = relative [ "lib"; "bin"; "bench" ] in
+      let usage = relative [ "test"; "examples"; "revbench" ] in
       let r = E.run ~usage ~baseline:(at "lint.baseline") inputs in
       let show fs =
         String.concat "\n" (List.map F.to_table_row fs)
@@ -335,11 +379,18 @@ let () =
           Alcotest.test_case "missing mli" `Quick test_r5_missing_mli;
           Alcotest.test_case "unreachable value" `Quick
             test_r5_unreachable_value;
+          Alcotest.test_case "test-only value" `Quick test_r5_test_only;
+          Alcotest.test_case "bench and examples are callers" `Quick
+            test_r5_real_callers;
+          Alcotest.test_case "iface-ok suppresses test-only" `Quick
+            test_r5_iface_ok;
         ] );
       ( "allowlist",
         [
           Alcotest.test_case "unknown tag is R0" `Quick test_r0_bad_tag;
           Alcotest.test_case "empty reason is R0" `Quick test_r0_empty_reason;
+          Alcotest.test_case "stale exemption is R0" `Quick
+            test_r0_stale_exemption;
           Alcotest.test_case "window" `Quick test_allowlist_window;
           Alcotest.test_case "strings ignored" `Quick
             test_allowlist_in_string_ignored;

@@ -90,8 +90,8 @@ let prop_sat_enumerator_agrees =
 let prop_equivalent_on_agrees =
   qtest "equivalent_on: packed = legacy" ~count:200
     (arb_pair arb_f10 arb_f10) (fun (a, b) ->
-      Models.equivalent_on vars10 a b = Legacy.Models.equivalent_on vars10 a b
-      && Models.equivalent_on vars10 a a)
+      equivalent_on vars10 a b = Legacy.Models.equivalent_on vars10 a b
+      && equivalent_on vars10 a a)
 
 let prop_entails_on_agrees =
   qtest "entails_on: packed = legacy" ~count:200 (arb_pair arb_f10 arb_f10)
@@ -141,7 +141,7 @@ let prop_narrow_widths_agree =
              = Interp.sat (Interp_packed.unpack alpha c) a)
            codes
       && Models.entails_on vars a b = Legacy.Models.entails_on vars a b
-      && Models.equivalent_on vars a b
+      && equivalent_on vars a b
          = Legacy.Models.equivalent_on vars a b)
 
 (* n = 14 is past the 2^12-code parallel threshold, so jobs = 4 splits
@@ -229,17 +229,17 @@ let prop_distance_agrees =
       let t_models = Legacy.Models.enumerate vars6 t in
       let p_models = Legacy.Models.enumerate vars6 p in
       (t_models = [] || p_models = [])
-      || same_models (Distance.mu m p_models)
+      || same_models (Set_distance.mu m p_models)
            (Legacy.Distance.mu m p_models)
-         && Distance.k_pointwise m p_models
+         && Set_distance.k_pointwise m p_models
             = Legacy.Distance.k_pointwise m p_models
          && same_models
-              (Distance.delta t_models p_models)
+              (Set_distance.delta t_models p_models)
               (Legacy.Distance.delta t_models p_models)
-         && Distance.k_global t_models p_models
+         && Set_distance.k_global t_models p_models
             = Legacy.Distance.k_global t_models p_models
          && Var.Set.equal
-              (Distance.omega t_models p_models)
+              (Set_distance.omega t_models p_models)
               (Legacy.Distance.omega t_models p_models))
 
 (* -- streaming delta regression ------------------------------------------------ *)
@@ -363,13 +363,13 @@ let test_distance_empty_contract () =
           (contains_substring msg "Distance.")
     | _ -> Alcotest.failf "%s accepted an empty model set" name
   in
-  expect_invalid "mu" (fun () -> ignore (Distance.mu Var.Set.empty []));
+  expect_invalid "mu" (fun () -> ignore (Set_distance.mu Var.Set.empty []));
   expect_invalid "k_pointwise" (fun () ->
-      ignore (Distance.k_pointwise Var.Set.empty []));
-  expect_invalid "delta []/P" (fun () -> ignore (Distance.delta [] some));
-  expect_invalid "delta T/[]" (fun () -> ignore (Distance.delta some []));
-  expect_invalid "k_global" (fun () -> ignore (Distance.k_global [] some));
-  expect_invalid "omega" (fun () -> ignore (Distance.omega some []))
+      ignore (Set_distance.k_pointwise Var.Set.empty []));
+  expect_invalid "delta []/P" (fun () -> ignore (Set_distance.delta [] some));
+  expect_invalid "delta T/[]" (fun () -> ignore (Set_distance.delta some []));
+  expect_invalid "k_global" (fun () -> ignore (Set_distance.k_global [] some));
+  expect_invalid "omega" (fun () -> ignore (Set_distance.omega some []))
 
 let () =
   Alcotest.run "packed"

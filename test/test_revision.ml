@@ -5,6 +5,7 @@
 open Logic
 open Revision
 open Helpers
+module Structure = Revkb_oracle.Structure
 
 let vars4 = letters 4
 let vars5 = letters 5
@@ -114,7 +115,7 @@ let prop_2_1_minimal_diffs =
            (fun m ->
              List.for_all
                (fun d -> Var.Set.subset d vp)
-               (Distance.mu m p_models))
+               (Revkb_oracle.Set_distance.mu m p_models))
            t_models)
 
 let prop_2_1 op =
@@ -195,7 +196,7 @@ let test_unsat_p () =
     (fun op ->
       let r = Model_based.revise_on op vars4 (f "x1") (f "x2 & ~x2") in
       check_bool (Model_based.name op ^ ": P unsat -> inconsistent") true
-        (Result.is_inconsistent r))
+        (Result.models r = []))
     Model_based.all
 
 let test_unsat_t () =
@@ -316,9 +317,9 @@ let test_syntax_sensitivity () =
   let t1 = Theory.of_string "a; b" and t2 = Theory.of_string "a; a -> b" in
   let p = f "~b" in
   check_bool "equivalent presentations" true
-    (Semantics.equiv (Theory.conj t1) (Theory.conj t2));
+    (sat_equiv (Theory.conj t1) (Theory.conj t2));
   check_bool "different GFUV results" false
-    (Semantics.equiv
+    (sat_equiv
        (Formula_based.gfuv_formula t1 p)
        (Formula_based.gfuv_formula t2 p));
   (* model-based operators are syntax-irrelevant *)
@@ -342,8 +343,11 @@ let test_operator_roundtrip_names () =
           check_bool "name roundtrip" true
             (Operator.name op = Operator.name op')
       | None -> Alcotest.failf "of_name failed for %s" (Operator.name op))
-    Operator.all
+    Operator.
+      [ Gfuv; Nebel []; Widtio; Winslett; Borgida; Forbus; Satoh; Dalal; Weber ]
 
+(* The entailment a revision result answers by model check must be the
+   one SAT gives on its DNF and on its minimized DNF. *)
 let test_operator_entails_consistency () =
   let st = Random.State.make [| 41 |] in
   for _ = 1 to 30 do
@@ -353,13 +357,31 @@ let test_operator_entails_consistency () =
     if Semantics.is_sat p && Semantics.is_sat (Theory.conj t) then
       List.iter
         (fun op ->
-          let via_result = Result.entails (Operator.revise op t p) q in
-          let direct = Operator.entails op t p q in
+          let r = Operator.revise op t p in
+          let by_models = Result.entails r q in
           check_bool
             (Operator.name op ^ " entails paths agree")
-            via_result direct)
+            by_models
+            (Semantics.entails (Result.to_dnf r) q);
+          check_bool
+            (Operator.name op ^ " minimized DNF agrees")
+            by_models
+            (Semantics.entails (Result.to_minimized_dnf r) q))
         [ Operator.Gfuv; Operator.Widtio; Operator.Dalal; Operator.Winslett ]
   done
+
+let test_result_equal () =
+  let a = [ Var.named "a"; Var.named "b" ] in
+  let r = Result.make a [ interp_of_string "a"; interp_of_string "a,b" ] in
+  check_bool "model order is irrelevant" true
+    (Result.equal r
+       (Result.make a [ interp_of_string "a,b"; interp_of_string "a" ]));
+  check_bool "duplicates are irrelevant" true
+    (Result.equal r
+       (Result.make a
+          [ interp_of_string "a"; interp_of_string "a,b"; interp_of_string "a" ]));
+  check_bool "a different model set differs" false
+    (Result.equal r (Result.make a [ interp_of_string "a" ]))
 
 let test_partition () =
   Alcotest.(check (list (list int)))
@@ -421,10 +443,10 @@ let test_weber_can_coincide_with_p () =
     (same_models (Result.models r) (Models.enumerate paper_alpha paper_p))
 
 let test_distance_guards () =
-  (match Distance.k_pointwise Var.Set.empty [] with
+  (match Revkb_oracle.Set_distance.k_pointwise Var.Set.empty [] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "k_pointwise on empty");
-  match Distance.k_global [] [ Var.Set.empty ] with
+  match Revkb_oracle.Set_distance.k_global [] [ Var.Set.empty ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "k_global on empty"
 
@@ -460,7 +482,7 @@ let test_result_api () =
     (Result.model_check r (interp_of_string "x2"));
   check_formula_equiv "dnf" (f "x1 & ~x2 & ~x3 & ~x4") (Result.to_dnf r);
   check_bool "minimized equivalent" true
-    (Semantics.equiv (Result.to_dnf r) (Result.to_minimized_dnf r))
+    (sat_equiv (Result.to_dnf r) (Result.to_minimized_dnf r))
 
 (* -- Section 7: generic data structures ----------------------------------------------- *)
 
@@ -654,6 +676,7 @@ let () =
             test_operator_roundtrip_names;
           Alcotest.test_case "entails paths agree" `Quick
             test_operator_entails_consistency;
+          Alcotest.test_case "Result.equal" `Quick test_result_equal;
           Alcotest.test_case "partition" `Quick test_partition;
         ] );
       ( "iterated",

@@ -10,8 +10,8 @@ module H = Satsolver.Heap
 
 let test_lit_roundtrip () =
   for i = 1 to 50 do
-    Helpers.check_int "pos" i (L.to_int (L.of_int i));
-    Helpers.check_int "neg" (-i) (L.to_int (L.of_int (-i)))
+    Helpers.check_int "pos" (L.of_var (i - 1)) (L.of_int i);
+    Helpers.check_int "neg" (L.of_var ~neg:true (i - 1)) (L.of_int (-i))
   done;
   Helpers.check_int "var" 4 (L.var (L.of_var 4));
   Helpers.check_bool "neg flips sign" false (L.is_pos (L.neg (L.of_var 3)));
@@ -25,7 +25,7 @@ let test_lit_zero () =
 
 let test_vec_basic () =
   let v = V.create () in
-  Helpers.check_bool "empty" true (V.is_empty v);
+  Helpers.check_int "empty" 0 (V.size v);
   for i = 0 to 99 do
     V.push v i
   done;
@@ -33,26 +33,32 @@ let test_vec_basic () =
   Helpers.check_int "get" 42 (V.get v 42);
   V.set v 42 (-1);
   Helpers.check_int "set" (-1) (V.get v 42);
-  Helpers.check_int "pop" 99 (V.pop v);
-  Helpers.check_int "last after pop" 98 (V.last v);
   V.shrink v 10;
   Helpers.check_int "shrink" 10 (V.size v);
   V.filter_in_place (fun x -> x mod 2 = 0) v;
   Helpers.check_int "filter" 5 (V.size v);
-  Helpers.check_bool "exists" true (V.exists (fun x -> x = 4) v);
-  V.clear v;
-  Helpers.check_bool "cleared" true (V.is_empty v)
+  let kept = ref [] in
+  V.iter (fun x -> kept := x :: !kept) v;
+  Alcotest.(check (list int)) "filter keeps order" [ 0; 2; 4; 6; 8 ]
+    (List.rev !kept)
 
-let test_vec_swap_remove () =
-  let v = V.of_list [ 1; 2; 3; 4 ] in
-  V.swap_remove v 0;
-  Helpers.check_int "size after swap_remove" 3 (V.size v);
-  Helpers.check_int "swapped-in element" 4 (V.get v 0)
-
-let test_vec_fold () =
-  let v = V.of_list [ 1; 2; 3 ] in
-  Helpers.check_int "fold sum" 6 (V.fold ( + ) 0 v);
-  Alcotest.(check (list int)) "to_list" [ 1; 2; 3 ] (V.to_list v)
+(* Slots past [size] keep stale values: a push after a shrink must
+   overwrite them, and [iter]/[filter_in_place] must never reach them. *)
+let test_vec_shrink_push () =
+  let v = V.create () in
+  List.iter (V.push v) [ 10; 11; 12; 13; 14 ];
+  V.shrink v 2;
+  V.push v 20;
+  Helpers.check_int "size" 3 (V.size v);
+  Helpers.check_int "pushed over the stale slot" 20 (V.get v 2);
+  let seen = ref [] in
+  V.iter (fun x -> seen := x :: !seen) v;
+  Alcotest.(check (list int)) "iter stops at size" [ 10; 11; 20 ]
+    (List.rev !seen);
+  V.filter_in_place (fun _ -> false) v;
+  Helpers.check_int "filter can empty" 0 (V.size v);
+  V.push v 30;
+  Helpers.check_int "usable after emptying" 30 (V.get v 0)
 
 (* -- Heap --------------------------------------------------------------- *)
 
@@ -78,7 +84,24 @@ let test_heap_no_duplicates () =
   let h = H.create (ref (Array.make 2 0.0)) in
   H.insert h 1;
   H.insert h 1;
-  Helpers.check_int "size" 1 (H.size h)
+  Helpers.check_bool "one member" true
+    (H.pop_max h = Some 1 && H.pop_max h = None)
+
+(* The solver grows its activity array as variables appear: after
+   [grow_to], indices past the heap's first size are ordinary members. *)
+let test_heap_grow_to () =
+  let score = ref [| 1.0; 2.0 |] in
+  let h = H.create score in
+  H.insert h 0;
+  H.insert h 1;
+  score := Array.init 40 (fun i -> float_of_int (i mod 11));
+  H.grow_to h 40;
+  List.iter (H.insert h) [ 13; 39; 20 ];
+  H.update h 1;
+  let order = List.init 5 (fun _ -> Option.get (H.pop_max h)) in
+  Alcotest.(check (list int)) "descending by the grown scores"
+    [ 20; 39; 13; 1; 0 ] order;
+  Helpers.check_bool "drained" true (H.pop_max h = None)
 
 (* -- Search trace pinned ------------------------------------------------ *)
 
@@ -259,7 +282,10 @@ let test_simplify_matches_list_reference () =
   let st = Random.State.make [| 15 |] in
   let show = function
     | None -> "satisfied"
-    | Some ls -> String.concat " " (List.map (fun l -> string_of_int (L.to_int l)) ls)
+    | Some ls -> String.concat " " (List.map
+             (fun l ->
+               string_of_int (if L.is_pos l then L.var l + 1 else -(L.var l + 1)))
+             ls)
   in
   for _ = 1 to 2000 do
     let nv = 1 + Random.State.int st 6 in
@@ -404,14 +430,11 @@ let test_learnt_clause_pressure () =
 let test_ensure_nvars_idempotent () =
   let s = S.create () in
   S.ensure_nvars s 5;
-  Helpers.check_int "five vars" 5 (S.nvars s);
   S.ensure_nvars s 3;
-  Helpers.check_int "no shrink" 5 (S.nvars s);
   let v = S.new_var s in
   Helpers.check_int "next var" 5 v
 
-(* The stats record must grow monotonically across solve calls, zero on
-   [reset_stats], and resume counting afterwards. *)
+(* The stats record must grow monotonically across solve calls. *)
 let test_statistics_monotone () =
   let s = S.create () in
   S.add_clause s [ L.of_var 0; L.of_var 1 ];
@@ -420,8 +443,6 @@ let test_statistics_monotone () =
   let st1 = S.stats s in
   Helpers.check_bool "propagations counted" true (st1.S.propagations >= 0);
   Helpers.check_bool "decisions counted" true (st1.S.decisions >= 0);
-  Helpers.check_int "legacy getter agrees" st1.S.propagations
-    (S.n_propagations s);
   ignore (S.solve s);
   ignore (S.solve ~assumptions:[ L.neg (L.of_var 1) ] s);
   let st2 = S.stats s in
@@ -436,20 +457,7 @@ let test_statistics_monotone () =
     (st2.S.restarts >= st1.S.restarts);
   (* The unsat-under-assumptions probe must have worked at least once. *)
   Helpers.check_bool "some propagation happened" true
-    (st2.S.propagations > 0);
-  S.reset_stats s;
-  let z = S.stats s in
-  Helpers.check_int "reset decisions" 0 z.S.decisions;
-  Helpers.check_int "reset propagations" 0 z.S.propagations;
-  Helpers.check_int "reset conflicts" 0 z.S.conflicts;
-  Helpers.check_int "reset learned" 0 z.S.learned;
-  Helpers.check_int "reset restarts" 0 z.S.restarts;
-  S.add_clause s [ L.of_var 2 ];
-  S.add_clause s [ L.neg (L.of_var 2); L.of_var 3 ];
-  ignore (S.solve s);
-  let r = S.stats s in
-  Helpers.check_bool "counting resumes after reset" true
-    (r.S.propagations + r.S.decisions > 0)
+    (st2.S.propagations > 0)
 
 (* -- DIMACS -------------------------------------------------------------- *)
 
@@ -499,22 +507,30 @@ let test_dimacs_parse_errors () =
   expect_error "token after comments" "c hi\nc there\np cnf 1 1\n\n1 0\nbad 0\n"
     6 "bad token"
 
+(* DIMACS text written from random clause lists parses back to the same
+   clauses, under a header that declares more variables than are used. *)
 let test_dimacs_roundtrip () =
   let st = Random.State.make [| 3 |] in
   for _ = 1 to 50 do
     let nv = 1 + Random.State.int st 6 in
-    let clauses =
-      List.filter (fun c -> c <> []) (random_clauses st nv 10)
-    in
+    let clauses = random_clauses st nv (Random.State.int st 10) in
+    let int_of l = if L.is_pos l then L.var l + 1 else -(L.var l + 1) in
     let text =
-      Format.asprintf "%a" Satsolver.Dimacs.print (nv, clauses)
+      Printf.sprintf "c random\np cnf %d %d\n%s" (nv + 1) (List.length clauses)
+        (String.concat ""
+           (List.map
+              (fun c ->
+                String.concat " " (List.map (fun l -> string_of_int (int_of l)) c)
+                ^ " 0\n")
+              clauses))
     in
-    let _, clauses' = Satsolver.Dimacs.parse_string text in
-    Alcotest.(check int) "clause count survives" (List.length clauses)
-      (List.length clauses');
-    Helpers.check_bool "same satisfiability"
-      (brute_force_sat nv clauses)
-      (brute_force_sat nv clauses')
+    let nv', clauses' = Satsolver.Dimacs.parse_string text in
+    Helpers.check_int "declared count wins" (nv + 1) nv';
+    Alcotest.(check (list (list int))) "same clauses" clauses clauses';
+    let s = S.create () in
+    Satsolver.Dimacs.load s clauses';
+    Helpers.check_bool "same satisfiability" (brute_force_sat nv clauses)
+      (S.solve s)
   done
 
 let () =
@@ -528,14 +544,14 @@ let () =
       ( "vec",
         [
           Alcotest.test_case "basic ops" `Quick test_vec_basic;
-          Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
-          Alcotest.test_case "fold/to_list" `Quick test_vec_fold;
+          Alcotest.test_case "shrink then push" `Quick test_vec_shrink_push;
         ] );
       ( "heap",
         [
           Alcotest.test_case "max order" `Quick test_heap_order;
           Alcotest.test_case "update" `Quick test_heap_update;
           Alcotest.test_case "no duplicates" `Quick test_heap_no_duplicates;
+          Alcotest.test_case "grow_to" `Quick test_heap_grow_to;
         ] );
       ( "solver",
         [

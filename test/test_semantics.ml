@@ -1,5 +1,5 @@
 (* SAT-backed semantics: Tseitin encoding, entailment/equivalence,
-   projected model enumeration, CNF conversions, QBF expansion. *)
+   projected model enumeration, QBF expansion. *)
 
 open Logic
 open Helpers
@@ -13,61 +13,141 @@ let prop_sat_agrees_with_brute_force =
   qtest "is_sat = brute force" ~count:600 (arb_formula ~depth:4 vars4)
     (fun fm -> Semantics.is_sat fm = (Models.enumerate vars4 fm <> []))
 
-let prop_valid_agrees =
-  qtest "is_valid = all models" ~count:400 (arb_formula ~depth:4 vars4)
-    (fun fm ->
-      Semantics.is_valid fm
-      = (List.length (Models.enumerate vars4 fm) = 1 lsl 4))
-
 let prop_entails_agrees =
   qtest "entails = model containment" ~count:400
     (arb_pair (arb_formula vars4) (arb_formula vars4))
     (fun (a, b) -> Semantics.entails a b = Models.entails_on vars4 a b)
 
-let prop_equiv_agrees =
-  qtest "equiv = same model sets" ~count:400
+let prop_valid_agrees =
+  qtest "entails from top = all models" ~count:400 (arb_formula ~depth:4 vars4)
+    (fun fm ->
+      Semantics.entails Formula.top fm
+      = (List.length (Models.enumerate vars4 fm) = 1 lsl 4))
+
+(* The model set of [fm] over [vars], as a revision result. *)
+let result_of vars fm = Revision.Result.make vars (Models.enumerate vars fm)
+
+let prop_logically_equivalent_agrees =
+  qtest "Verify.logically_equivalent = same model sets" ~count:400
     (arb_pair (arb_formula vars4) (arb_formula vars4))
-    (fun (a, b) -> Semantics.equiv a b = Models.equivalent_on vars4 a b)
+    (fun (a, b) ->
+      Compact.Verify.logically_equivalent (result_of vars4 a) b
+      = equivalent_on vars4 a b)
 
 (* -- model enumeration ------------------------------------------------------ *)
 
-let prop_models_sat_complete =
-  qtest "models_sat = brute-force enumeration" ~count:300
+let prop_masks_sat_complete =
+  qtest "masks_sat = brute-force enumeration" ~count:300
     (arb_formula ~depth:4 vars4) (fun fm ->
-      same_models (Semantics.models_sat vars4 fm) (Models.enumerate vars4 fm))
+      same_models (models_sat vars4 fm) (Models.enumerate vars4 fm))
 
-let test_models_sat_projection () =
+let test_masks_sat_projection () =
   (* project (a | b) & w onto {a, b}: w is existential *)
   let fm = f "(a | b) & w" in
-  let proj = Semantics.models_sat [ Var.named "a"; Var.named "b" ] fm in
+  let proj = models_sat [ Var.named "a"; Var.named "b" ] fm in
   check_int "three projections" 3 (List.length proj)
 
-let test_models_sat_cap () =
-  match Semantics.models_sat ~cap:2 vars4 Formula.top with
+let test_masks_sat_cap () =
+  match
+    Semantics.masks_sat (module Mask.Packed) ~cap:2
+      (Interp_packed.alphabet vars4) Formula.top
+  with
   | exception Semantics.Enumeration_cap_exceeded { enumerator; cap } ->
-      Alcotest.(check string) "names the enumerator" "models_sat" enumerator;
+      Alcotest.(check string) "names the enumerator" "masks_sat" enumerator;
       Alcotest.(check int) "carries the cap" 2 cap
   | _ -> Alcotest.fail "cap should have been hit"
 
 let test_models_empty_alphabet () =
   check_int "sat formula, empty alphabet" 1
-    (List.length (Semantics.models_sat [] (f "a | b")));
+    (List.length (models_sat [] (f "a | b")));
   check_int "unsat formula, empty alphabet" 0
-    (List.length (Semantics.models_sat [] (f "a & ~a")))
+    (List.length (models_sat [] (f "a & ~a")))
 
 let prop_query_equivalent_reflexive =
   qtest "query_equivalent reflexive" ~count:200 (arb_formula vars4) (fun fm ->
-      Semantics.query_equivalent vars4 fm fm)
+      Compact.Verify.query_equivalent (result_of vars4 fm) fm)
 
 let test_query_equivalent_new_letters () =
-  (* b fresh: a ∧ (b ∨ ¬b holds trivially) — a & b is NOT query-equivalent
-     to a over {a}... it is: both entail exactly the consequences of a over
-     {a}?  No: models of a&b project to {a}: {a}; models of a: {a},{a,b}->{a}.
-     Both project to {{a}}.  Equivalent over {a}. *)
+  (* Over {a}, the models of a & b and of a both project to {{a}}; those
+     of a | b also project to {}. *)
+  let over_a = result_of [ Var.named "a" ] (f "a") in
   check_bool "a & b ~q a over {a}" true
-    (Semantics.query_equivalent [ Var.named "a" ] (f "a & b") (f "a"));
+    (Compact.Verify.query_equivalent over_a (f "a & b"));
   check_bool "a | b not ~q a over {a}" false
-    (Semantics.query_equivalent [ Var.named "a" ] (f "a | b") (f "a"))
+    (Compact.Verify.query_equivalent over_a (f "a | b"));
+  check_bool "a & b not logically equivalent to a" false
+    (Compact.Verify.logically_equivalent over_a (f "a & b"))
+
+(* The env-level walk [Fresh] runs, apart from the mask walk: one
+   encoding, then solve, read the projection, block it. *)
+let prop_encode_projection =
+  qtest "encode/model_on/block walk = brute force" ~count:300
+    (arb_formula ~depth:3 vars4) (fun fm ->
+      let env = Semantics.create () in
+      List.iter (fun x -> ignore (Semantics.lit_of_var env x)) vars4;
+      let l = Semantics.encode env fm in
+      let rec walk acc =
+        if Semantics.solve ~assumptions:[ l ] env then begin
+          let m = Semantics.model_on env vars4 in
+          Semantics.block env vars4 m;
+          walk (m :: acc)
+        end
+        else acc
+      in
+      let ms = walk [] in
+      List.length ms = List.length (List.sort_uniq Var.Set.compare ms)
+      && same_models ms (Models.enumerate vars4 fm))
+
+let prop_count_masks =
+  qtest "Session.count_masks = brute-force count" ~count:200
+    (arb_pair (arb_formula ~depth:4 vars4) (arb_formula vars4))
+    (fun (fm, q) ->
+      let alpha = Interp_packed.alphabet vars4 in
+      let s = Semantics.Session.create ~vars:vars4 () in
+      Semantics.Session.assert_always s fm;
+      Semantics.Session.count_masks s alpha [] = Models.count vars4 fm
+      && Semantics.Session.count_masks s alpha [ q ]
+         = Models.count vars4 (Formula.conj2 fm q)
+      (* the first walk's blocking clauses bind nothing later *)
+      && Semantics.Session.count_masks s alpha [] = Models.count vars4 fm)
+
+(* A scope [with_retractable] hands out binds queries that activate it
+   while [k] runs, and is retired when [k] returns or raises: activating
+   a retired scope is unsatisfiable whatever it holds. *)
+let test_with_retractable () =
+  let module S = Semantics.Session in
+  let ab = [ Var.named "a"; Var.named "b" ] in
+  let alpha = Interp_packed.alphabet ab in
+  let s = S.create ~vars:ab () in
+  S.assert_always s (f "a | b");
+  let block sc m =
+    S.block_mask (module Mask.Packed) s sc alpha
+      (Interp_packed.pack alpha (interp_of_string m))
+  in
+  let inside =
+    S.with_retractable s (fun sc ->
+        block sc "a";
+        let one_left = S.solve s ~scopes:[ sc ] [ f "~a" ] in
+        block sc "b";
+        (sc, one_left, S.solve s ~scopes:[ sc ] [ f "~a" ]))
+  in
+  let sc, one_left, none_left = inside in
+  check_bool "scope active: {b} still a model" true one_left;
+  check_bool "scope active: ~a blocked out" false none_left;
+  check_bool "without the scope: unconstrained" true (S.solve s [ f "~a" ]);
+  check_bool "retired on return" false (S.solve s ~scopes:[ sc ] []);
+  let seen = ref None in
+  (match
+     S.with_retractable s (fun sc ->
+         seen := Some sc;
+         check_bool "fresh scope is live" true (S.solve s ~scopes:[ sc ] []);
+         raise Exit)
+   with
+  | exception Exit -> ()
+  | () -> Alcotest.fail "exception swallowed");
+  match !seen with
+  | Some sc -> check_bool "retired on raise" false (S.solve s ~scopes:[ sc ] [])
+  | None -> Alcotest.fail "continuation never ran"
 
 (* -- incremental env -------------------------------------------------------- *)
 
@@ -82,30 +162,6 @@ let test_env_incremental () =
     (Semantics.solve ~assumptions:[ la ] env);
   check_bool "still sat without assumption" true (Semantics.solve env)
 
-(* -- CNF --------------------------------------------------------------------- *)
-
-let prop_naive_cnf_equivalent =
-  qtest "naive CNF equivalence" ~count:300 (arb_formula ~depth:3 vars4)
-    (fun fm ->
-      Models.equivalent_on vars4 fm (Cnf.to_formula (Cnf.of_formula_naive fm)))
-
-let prop_tseitin_projection =
-  qtest "tseitin projects to same models" ~count:300
-    (arb_formula ~depth:3 vars4) (fun fm ->
-      let clauses, _defs = Cnf.tseitin fm in
-      same_models
-        (Semantics.models_sat vars4 (Cnf.to_formula clauses))
-        (Models.enumerate vars4 fm))
-
-let test_dimacs_export () =
-  let clauses, _ = Cnf.tseitin (f "(a | b) & ~c") in
-  let text = Cnf.to_dimacs clauses in
-  let nv, parsed = Satsolver.Dimacs.parse_string text in
-  check_bool "nonempty" true (nv > 0 && parsed <> []);
-  let s = Satsolver.Solver.create () in
-  Satsolver.Dimacs.load s parsed;
-  check_bool "equisatisfiable" true (Satsolver.Solver.solve s)
-
 (* -- QBF ----------------------------------------------------------------------- *)
 
 let test_qbf_forall () =
@@ -116,7 +172,7 @@ let test_qbf_forall () =
 let test_qbf_exists () =
   let a = Var.named "qa" and b = Var.named "qb" in
   let q =
-    Qbf.exists [ a ] (Qbf.prop (Formula.conj2 (Formula.var a) (Formula.var b)))
+    Qbf.Exists ([ a ], Qbf.prop (Formula.conj2 (Formula.var a) (Formula.var b)))
   in
   check_formula_equiv "exists a. a&b = b" (Formula.var b) (Qbf.expand q)
 
@@ -125,13 +181,13 @@ let test_qbf_nested () =
   (* forall a. exists b. a == b  — valid *)
   let q =
     Qbf.forall [ a ]
-      (Qbf.exists [ b ] (Qbf.prop (Formula.iff (Formula.var a) (Formula.var b))))
+      (Qbf.Exists ([ b ], Qbf.prop (Formula.iff (Formula.var a) (Formula.var b))))
   in
-  check_bool "valid" true (Semantics.is_valid (Qbf.expand q));
+  check_bool "valid" true (Semantics.entails Formula.top (Qbf.expand q));
   (* exists b. forall a. a == b — unsatisfiable *)
   let q2 =
-    Qbf.exists [ b ]
-      (Qbf.forall [ a ] (Qbf.prop (Formula.iff (Formula.var a) (Formula.var b))))
+    Qbf.Exists
+      ([ b ], Qbf.forall [ a ] (Qbf.prop (Formula.iff (Formula.var a) (Formula.var b))))
   in
   check_bool "unsat" false (Semantics.is_sat (Qbf.expand q2))
 
@@ -151,16 +207,15 @@ let prop_qbf_forall_is_conjunction =
           (Formula.assign_vars (Var.Map.singleton x true) fm)
           (Formula.assign_vars (Var.Map.singleton x false) fm)
       in
-      Models.equivalent_on vars4 expanded manual)
+      equivalent_on vars4 expanded manual)
 
 let test_constants_and_empty () =
   check_bool "true sat" true (Semantics.is_sat Formula.top);
   check_bool "false unsat" false (Semantics.is_sat Formula.bot);
-  check_bool "true valid" true (Semantics.is_valid Formula.top);
   check_bool "false entails anything" true (Semantics.entails Formula.bot (f "a"));
   check_bool "anything entails true" true (Semantics.entails (f "a") Formula.top);
   check_int "no models of false" 0
-    (List.length (Semantics.models_sat vars4 Formula.bot))
+    (List.length (models_sat vars4 Formula.bot))
 
 let test_env_constants () =
   let env = Semantics.create () in
@@ -238,27 +293,27 @@ let () =
       ( "decision procedures",
         [
           prop_sat_agrees_with_brute_force;
-          prop_valid_agrees;
           prop_entails_agrees;
-          prop_equiv_agrees;
+          prop_valid_agrees;
+          prop_logically_equivalent_agrees;
         ] );
       ( "model enumeration",
         [
-          prop_models_sat_complete;
-          Alcotest.test_case "projection" `Quick test_models_sat_projection;
-          Alcotest.test_case "cap is loud" `Quick test_models_sat_cap;
+          prop_masks_sat_complete;
+          Alcotest.test_case "projection" `Quick test_masks_sat_projection;
+          Alcotest.test_case "cap is loud" `Quick test_masks_sat_cap;
           Alcotest.test_case "empty alphabet" `Quick test_models_empty_alphabet;
           prop_query_equivalent_reflexive;
           Alcotest.test_case "query equivalence with new letters" `Quick
             test_query_equivalent_new_letters;
+          prop_encode_projection;
+          prop_count_masks;
         ] );
       ( "incremental",
-        [ Alcotest.test_case "env reuse" `Quick test_env_incremental ] );
-      ( "cnf",
         [
-          prop_naive_cnf_equivalent;
-          prop_tseitin_projection;
-          Alcotest.test_case "dimacs export" `Quick test_dimacs_export;
+          Alcotest.test_case "env reuse" `Quick test_env_incremental;
+          Alcotest.test_case "with_retractable retires its scope" `Quick
+            test_with_retractable;
         ] );
       ( "qbf",
         [

@@ -80,21 +80,16 @@ let test_json_errors () =
 let test_lru_basic () =
   let evicted = ref [] in
   let c = Lru.create ~on_evict:(fun k _ -> evicted := k :: !evicted) 2 in
-  check_int "capacity" 2 (Lru.capacity c);
   Lru.add c "a" 1;
   Lru.add c "b" 2;
   check_int "length" 2 (Lru.length c);
-  check_bool "mem" true (Lru.mem c "a");
   (* Touch "a" so "b" is the LRU victim. *)
   check_int "find refreshes" 1 (Option.get (Lru.find c "a"));
   Lru.add c "c" 3;
   check_bool "b evicted" true (!evicted = [ "b" ]);
-  check_bool "a kept" true (Lru.mem c "a");
-  check_bool "c kept" true (Lru.mem c "c");
-  check_bool "find miss" true (Lru.find c "b" = None);
-  Lru.remove c "a";
-  check_bool "removed" true (not (Lru.mem c "a"));
-  check_bool "remove is not eviction" true (!evicted = [ "b" ])
+  check_bool "a kept" true (Lru.find c "a" <> None);
+  check_bool "c kept" true (Lru.find c "c" <> None);
+  check_bool "find miss" true (Lru.find c "b" = None)
 
 let test_lru_churn () =
   (* Many touches of few keys: the stamp queue must compact and the
@@ -110,7 +105,7 @@ let test_lru_churn () =
   ignore (Lru.find c "0");
   Lru.add c "x" 0;
   Lru.add c "y" 0;
-  check_bool "recency respected" true (Lru.mem c "0")
+  check_bool "recency respected" true (Lru.find c "0" <> None)
 
 (* -- helpers over the server ------------------------------------------------- *)
 
@@ -156,7 +151,7 @@ let test_registry_lifecycle () =
   check_int "fresh epoch" 0 (get_int "epoch" r);
   check_int "letters" 2 (get_int "letters" r);
   let reg = Server.registry srv in
-  check_bool "names" true (Registry.names reg = [ "k" ]);
+  check_int "one name" 1 (Registry.size reg);
   let e = Option.get (Registry.find reg "k") in
   let s1 = Registry.session e in
   let s2 = Registry.session e in

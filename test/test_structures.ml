@@ -12,7 +12,6 @@ let test_sym_diff () =
   let m = interp_of_string "a,b" and n = interp_of_string "b,c" in
   check_bool "a,c" true
     (Var.Set.equal (Interp.sym_diff m n) (interp_of_string "a,c"));
-  check_int "hamming" 2 (Interp.hamming m n);
   check_bool "neutral element" true
     (Var.Set.equal (Interp.sym_diff m Var.Set.empty) m)
 
@@ -25,11 +24,7 @@ let test_min_max_incl () =
   check_bool "a minimal" true
     (List.exists (Var.Set.equal (interp_of_string "a")) mins);
   check_bool "c minimal" true
-    (List.exists (Var.Set.equal (interp_of_string "c")) mins);
-  let maxs = Interp.max_incl sets in
-  check_int "one maximal" 1 (List.length maxs);
-  check_bool "abc maximal" true
-    (List.exists (Var.Set.equal (interp_of_string "a,b,c")) maxs)
+    (List.exists (Var.Set.equal (interp_of_string "c")) mins)
 
 let test_min_incl_dedups () =
   let sets = List.map interp_of_string [ "a"; "a"; "a,b" ] in
@@ -63,7 +58,7 @@ let exhaustive_exa_check n k =
         d = k)
       (Interp.subsets alphabet)
   in
-  let got = Semantics.models_sat alphabet fml in
+  let got = models_sat alphabet fml in
   if not (same_models got expected) then
     Alcotest.failf "EXA(%d) over %d letters: %d models, expected %d" k n
       (List.length got) (List.length expected);
@@ -101,29 +96,10 @@ let test_exa_direct_agrees () =
         not
           (same_models
              (Models.enumerate alphabet direct)
-             (Semantics.models_sat alphabet laddered))
+             (models_sat alphabet laddered))
       then Alcotest.failf "exa_direct vs exa disagree at n=%d k=%d" n k
     done
   done
-
-let test_dist_le_direct () =
-  let xs = Gen.letters ~prefix:"lx" 3 and ys = Gen.letters ~prefix:"ly" 3 in
-  let alphabet = xs @ ys in
-  let fml = Hamming.dist_le_direct 1 xs ys in
-  let count =
-    List.length
-      (List.filter
-         (fun m ->
-           let d =
-             List.fold_left2
-               (fun acc x y ->
-                 if Var.Set.mem x m <> Var.Set.mem y m then acc + 1 else acc)
-               0 xs ys
-           in
-           d <= 1)
-         (Interp.subsets alphabet))
-  in
-  check_int "dist<=1 count" count (List.length (Models.enumerate alphabet fml))
 
 let test_dist_lt_direct () =
   let a = Gen.letters ~prefix:"qa" 2
@@ -154,8 +130,8 @@ let test_exa_totalizer_agrees () =
       if
         not
           (same_models
-             (Semantics.models_sat alphabet ladder)
-             (Semantics.models_sat alphabet tot))
+             (models_sat alphabet ladder)
+             (models_sat alphabet tot))
       then Alcotest.failf "totalizer disagrees with ladder at n=%d k=%d" n k
     done
   done
@@ -181,7 +157,7 @@ let test_dist_lt_poly_agrees () =
           not
             (same_models
                (Models.enumerate alphabet direct)
-               (Semantics.models_sat alphabet poly))
+               (models_sat alphabet poly))
         then Alcotest.failf "dist_lt mismatch at widths %d/%d" w1 w2
       end
     done
@@ -214,21 +190,34 @@ let test_pointwise_diff_subset () =
 
 (* -- Horn upper bounds -------------------------------------------------------- *)
 
+(* With [is_horn], the property that makes a model set Horn. *)
+let closed_under_intersection ms =
+  List.for_all
+    (fun a ->
+      List.for_all (fun b -> List.exists (Var.Set.equal (Var.Set.inter a b)) ms) ms)
+    ms
+
+let cnf_formula cnf =
+  Formula.and_
+    (List.map
+       (fun c -> Formula.or_ (List.map (fun (s, x) -> Formula.lit s x) c))
+       cnf)
+
 let prop_horn_lub_sound =
   qtest "Horn LUB: closed, Horn, implied" ~count:200
     (arb_formula ~depth:3 vars4) (fun fm ->
       let closure = Horn.lub_models vars4 fm in
       let cnf = Horn.lub vars4 fm in
-      Horn.closed_under_intersection closure
-      && Horn.is_horn cnf
-      && Models.entails_on vars4 fm (Cnf.to_formula cnf)
-      && same_models (Models.enumerate vars4 (Cnf.to_formula cnf)) closure)
+      closed_under_intersection closure
+      && is_horn cnf
+      && Models.entails_on vars4 fm (cnf_formula cnf)
+      && same_models (Models.enumerate vars4 (cnf_formula cnf)) closure)
 
 let prop_horn_lub_least =
   (* Leastness: the LUB entails every Horn clause implied by fm. *)
   qtest "Horn LUB: strongest Horn consequence" ~count:100
     (arb_formula ~depth:3 vars4) (fun fm ->
-      let lub = Cnf.to_formula (Horn.lub vars4 fm) in
+      let lub = cnf_formula (Horn.lub vars4 fm) in
       (* check against all Horn clauses of width <= 2 over vars4 *)
       let clauses =
         List.concat_map
@@ -246,10 +235,20 @@ let prop_horn_lub_least =
       in
       List.for_all
         (fun c ->
-          let cf = Cnf.to_formula [ c ] in
+          let cf = cnf_formula [ c ] in
           (not (Models.entails_on vars4 fm cf))
           || Models.entails_on vars4 lub cf)
         clauses)
+
+(* The LUB is a closure: taking it again changes nothing, and
+   [lub_size] counts the literals of the clauses it returns. *)
+let prop_horn_lub_idempotent =
+  qtest "Horn LUB: idempotent, lub_size counts its literals" ~count:150
+    (arb_formula ~depth:3 vars4) (fun fm ->
+      let cnf = Horn.lub vars4 fm in
+      same_models (Horn.lub_models vars4 (cnf_formula cnf)) (Horn.lub_models vars4 fm)
+      && Horn.lub_size vars4 fm
+         = List.fold_left (fun acc c -> acc + List.length c) 0 cnf)
 
 let test_horn_on_horn_input =
   Alcotest.test_case "Horn input is its own LUB" `Quick (fun () ->
@@ -258,19 +257,12 @@ let test_horn_on_horn_input =
       check_bool "same models" true
         (same_models closure (Models.enumerate vars4 fm)))
 
-let test_horn_clause_recognizer =
-  Alcotest.test_case "is_horn_clause" `Quick (fun () ->
-      let x = Var.named "x1" and y = Var.named "x2" in
-      check_bool "negative clause" true (Horn.is_horn_clause [ (false, x); (false, y) ]);
-      check_bool "one positive" true (Horn.is_horn_clause [ (false, x); (true, y) ]);
-      check_bool "two positives" false (Horn.is_horn_clause [ (true, x); (true, y) ]))
-
 (* -- QMC --------------------------------------------------------------------- *)
 
 let prop_qmc_exact =
   qtest "QMC model-exact" ~count:300 (arb_formula ~depth:4 vars4) (fun fm ->
       let ms = Models.enumerate vars4 fm in
-      Models.equivalent_on vars4 fm (Qmc.minimize vars4 ms))
+      equivalent_on vars4 fm (Qmc.minimize vars4 ms))
 
 let prop_qmc_never_larger_than_naive =
   qtest "QMC <= naive DNF size" ~count:300 (arb_formula ~depth:4 vars4)
@@ -290,17 +282,17 @@ let test_qmc_corner_cases () =
   check_int "xor minimized size" 4
     (Qmc.minimized_size [ Var.named "x1"; Var.named "x2" ] ms)
 
+(* The CNF whose size [minimized_cnf_size] reports is the negation of
+   the complement's minimized DNF: it must have exactly the models. *)
 let prop_qmc_cnf_exact =
   qtest "QMC CNF model-exact" ~count:300 (arb_formula ~depth:4 vars4)
     (fun fm ->
       let ms = Models.enumerate vars4 fm in
-      Models.equivalent_on vars4 fm (Qmc.minimize_cnf vars4 ms))
+      let complement = Qmc.minimize vars4 (Models.enumerate vars4 (Formula.not_ fm)) in
+      equivalent_on vars4 fm (Formula.not_ complement)
+      && Qmc.minimized_cnf_size vars4 ms = Formula.size complement)
 
 let test_qmc_cnf_corner_cases () =
-  check_bool "all models -> true" true
-    (Formula.equal (Qmc.minimize_cnf vars4 (Interp.subsets vars4)) Formula.top);
-  check_bool "no models -> false" true
-    (Formula.equal (Qmc.minimize_cnf vars4 []) Formula.bot);
   (* CNF shines where DNF is bad: a single clause *)
   let clause = f "x1 | x2 | x3 | x4" in
   let ms = Models.enumerate vars4 clause in
@@ -334,23 +326,18 @@ let prop_bdd_canonical =
     (fun (a, b) ->
       let mgr = Bdd.manager vars4 in
       let na = Bdd.of_formula mgr a and nb = Bdd.of_formula mgr b in
-      Bdd.equal na nb = Models.equivalent_on vars4 a b)
-
-let prop_bdd_to_formula_roundtrip =
-  qtest "BDD to_formula equivalence" ~count:200 (arb_formula ~depth:4 vars4)
-    (fun fm ->
-      let mgr = Bdd.manager vars4 in
-      Models.equivalent_on vars4 fm
-        (Bdd.to_formula mgr (Bdd.of_formula mgr fm)))
+      Bdd.equal na nb = equivalent_on vars4 a b)
 
 let test_bdd_constants () =
   let mgr = Bdd.manager vars4 in
-  check_bool "true" true (Bdd.is_true (Bdd.of_formula mgr Formula.top));
+  check_bool "true" true
+    (Bdd.is_false (Bdd.not_ (Bdd.of_formula mgr Formula.top)));
   check_bool "false" true (Bdd.is_false (Bdd.of_formula mgr Formula.bot));
   check_int "constant node count" 0
     (Bdd.node_count (Bdd.of_formula mgr Formula.top));
   check_bool "taut collapses" true
-    (Bdd.is_true (Bdd.of_formula mgr (f "x1 | ~x1")))
+    (Bdd.equal (Bdd.of_formula mgr (f "x1 | ~x1"))
+       (Bdd.of_formula mgr Formula.top))
 
 let test_bdd_order_sensitivity () =
   (* (x1&y1)|(x2&y2)|(x3&y3): interleaved order linear, separated order
@@ -389,7 +376,6 @@ let () =
             test_exa_size_polynomial;
           Alcotest.test_case "direct variant agrees" `Quick
             test_exa_direct_agrees;
-          Alcotest.test_case "dist_le_direct" `Quick test_dist_le_direct;
           Alcotest.test_case "dist_lt_direct" `Quick test_dist_lt_direct;
           Alcotest.test_case "pointwise_diff_subset" `Quick
             test_pointwise_diff_subset;
@@ -404,8 +390,8 @@ let () =
         [
           prop_horn_lub_sound;
           prop_horn_lub_least;
+          prop_horn_lub_idempotent;
           test_horn_on_horn_input;
-          test_horn_clause_recognizer;
         ] );
       ( "qmc",
         [
@@ -423,7 +409,6 @@ let () =
           prop_bdd_models;
           prop_bdd_sat_count;
           prop_bdd_canonical;
-          prop_bdd_to_formula_roundtrip;
           Alcotest.test_case "constants" `Quick test_bdd_constants;
           Alcotest.test_case "order sensitivity" `Quick
             test_bdd_order_sensitivity;

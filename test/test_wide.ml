@@ -31,7 +31,6 @@ let arb_interp100 =
 (* -- primitives ------------------------------------------------------------ *)
 
 let test_word_layout () =
-  check_int "bits_per_word" IP.max_letters IW.bits_per_word;
   check_int "one word at 62" 1 (IW.words (IP.alphabet (letters 62)));
   check_int "two words at 63" 2 (IW.words (IP.alphabet (letters 63)));
   check_int "two words at 124" 2 (IW.words (IP.alphabet (letters 124)));
@@ -62,7 +61,7 @@ let prop_hamming =
   qtest "wide hamming = |sym_diff|" ~count:200
     (arb_pair arb_interp100 arb_interp100) (fun (m, n) ->
       IW.hamming (IW.pack alpha100 m) (IW.pack alpha100 n)
-      = Interp.hamming m n)
+      = Legacy.hamming m n)
 
 let prop_subset =
   qtest "wide subset = Var.Set.subset" ~count:200
@@ -165,7 +164,7 @@ let check_boundary_width n =
   let p_models = Models.enumerate vars p in
   check_int
     (Printf.sprintf "model count at n=%d" n)
-    (Witness.Wide_family.expected_world_count fam)
+    ((1 lsl fam.Witness.Wide_family.m) - 1)
     (List.length p_models);
   let wide = Models.enumerate_wide alpha p in
   check_bool
@@ -184,28 +183,28 @@ let check_boundary_width n =
   check_bool
     (Printf.sprintf "mu at n=%d" n)
     true
-    (same_models (Distance.mu m p_models) (Legacy.Distance.mu m p_models));
+    (same_models (Set_distance.mu m p_models) (Legacy.Distance.mu m p_models));
   check_int
     (Printf.sprintf "k_pointwise at n=%d" n)
     (Legacy.Distance.k_pointwise m p_models)
-    (Distance.k_pointwise m p_models);
+    (Set_distance.k_pointwise m p_models);
   check_bool
     (Printf.sprintf "delta at n=%d" n)
     true
     (same_models
-       (Distance.delta t_models p_models)
+       (Set_distance.delta t_models p_models)
        (Legacy.Distance.delta t_models p_models));
   check_int
     (Printf.sprintf "k_global at n=%d" n)
     (Legacy.Distance.k_global t_models p_models)
-    (Distance.k_global t_models p_models);
+    (Set_distance.k_global t_models p_models);
   check_int (Printf.sprintf "Dalal distance 1 at n=%d" n) 1
-    (Distance.k_global t_models p_models);
+    (Set_distance.k_global t_models p_models);
   check_bool
     (Printf.sprintf "omega at n=%d" n)
     true
     (Var.Set.equal
-       (Distance.omega t_models p_models)
+       (Set_distance.omega t_models p_models)
        (Legacy.Distance.omega t_models p_models));
   (* All six operators, wrapper vs legacy oracle. *)
   List.iter
