@@ -2,37 +2,28 @@ open Logic
 module MB = Revision.Model_based
 module Obs = Revkb_obs.Obs
 module Session = Semantics.Session
-module Ladder = Semantics.Ladder
 
 (* CEGAR refinement count: witnesses blocked before a probe resolved.
    One increment per solver round-trip, so the counter is a direct read
    on how hard the Σ₂ checks are working. *)
 let c_cegar = Obs.counter "check.cegar_iters"
 
-(* x = N(x) for each letter of [xs]: a literal conjunction, so as a
-   query premise it is pure assumption literals and encodes nothing. *)
-let agree_on xs n =
-  Formula.and_ (List.map (fun x -> Formula.lit (Var.Set.mem x n) x) xs)
+(* The assumption literal setting letter (or copy) [x] to [v]. *)
+let pin env x v =
+  let l = Semantics.lit_of_var env x in
+  if v then l else Satsolver.Lit.neg l
 
-(* Distance probes from a fixed interpretation to the models of [f]:
-   one session holding [f] and a pinnable cardinality ladder, so every
-   probe and every further reference point run on the same solver with
-   [f] encoded exactly once. *)
-module Dist = struct
-  type t = { s : Session.t; fs : Formula.t list; pv : Ladder.pinned }
+(* x = N(x) for each letter of [xs]: assumption literals, no clause. *)
+let agree_on env xs n = List.map (fun x -> pin env x (Var.Set.mem x n)) xs
 
-  let create f alphabet =
-    let s = Session.create ~vars:alphabet () in
-    { s; fs = [ f ]; pv = Ladder.against (Session.env s) alphabet }
-
-  (* Is [n] within distance [k], counted on the ladder's letters, of a
-     model of [f] that agrees with [n] on [fixed]?  One ladder probe;
-     [f] must be satisfiable for a [false] to mean "farther than k". *)
-  let within d ~fixed n k =
-    Session.within d.s ~assume:(Ladder.pin d.pv n)
-      (agree_on fixed n :: d.fs)
-      (Ladder.ladder d.pv) k
-end
+(* The candidate [n] on the measure's session: T's letters outside V(P)
+   and P's copies of V(P) take [n]'s values, so the T side moves on
+   V(P) alone and the difference literals spell out its moves away
+   from [n]. *)
+let pin_candidate m vp outside n =
+  let env = Session.env (Measure.session m) in
+  agree_on env outside n
+  @ List.map2 (fun x y -> pin env y (Var.Set.mem x n)) vp (Measure.copies m)
 
 (* Context threaded through the CEGAR loops so a cap failure names the
    operator, the cap, and the alphabet width it died on. *)
@@ -75,20 +66,20 @@ let refutation_core (type m) (module M : Mask.S with type t = m) ~witness
   (* (d ∪ e) Δ e = d \ e *)
   M.diff (M.union d e) e
 
-(* CEGAR for the pointwise operators, all on ONE session per call site:
-   witnesses are models of the premises [ws] ([t], pinned to the
-   candidate outside V(P)) under a retractable blocking scope, and
-   [refutes m] asks its own queries on the same solver (the blocking
-   scope is not activated for those, so blocked witnesses never
-   constrain a refutation probe).  It returns the refuting P-model N',
-   read right after its own satisfiable query, exactly when the witness
-   does NOT select [n]; the round then blocks every witness that N'
-   refutes ({!refutation_core}), not just [m]. *)
-let witness_loop (type m) (module M : Mask.S with type t = m) ctx s ws scope
+(* CEGAR for the pointwise operators, on the chunk's measure session:
+   witnesses are models of T under the assumptions [pins] (T's letters
+   outside V(P) set to the candidate) and a retractable blocking scope,
+   and [refutes m] asks its own query on the same solver (the blocking
+   scope is not activated for it, so blocked witnesses never constrain
+   a refutation probe).  It returns the refuting P-model N', read right
+   after its own satisfiable query, exactly when the witness does NOT
+   select [n]; the round then blocks every witness that N' refutes
+   ({!refutation_core}), not just [m]. *)
+let witness_loop (type m) (module M : Mask.S with type t = m) ctx s pins scope
     alpha (nm : m) ~refutes =
   let rec loop i =
     if i > ctx.cap then cegar_fail ctx
-    else if not (Session.solve s ~scopes:[ scope ] ws) then false
+    else if not (Session.solve s ~scopes:[ scope ] ~extra:pins []) then false
     else begin
       let m = Session.mask_on (module M) s alpha in
       match refutes m with
@@ -104,71 +95,52 @@ let witness_loop (type m) (module M : Mask.S with type t = m) ctx s ws scope
   in
   loop 0
 
-(* The refuting P-model: the model of the query just answered [sat]. *)
-let refuter (type m) (module M : Mask.S with type t = m) s alpha sat =
-  if sat then Some (Session.mask_on (module M) s alpha : m) else None
-
-(* A model of [p] strictly closer (inclusion-wise) to [m] than [n] is,
-   if there is one, with d = M Δ N.  One query on the shared session:
-   the agreement pin off d is pure assumption literals (premise of a
-   literal conjunction), and the strict part, "disagree with N somewhere
-   on d", is one blocking clause in a scope retired after the solve, so
-   a probe leaves no Tseitin node and no live clause behind. *)
-let closer_by_inclusion_in (type m) (module M : Mask.S with type t = m) s p
-    alpha (m : m) n =
-  let d = M.diff m n in
-  if M.is_zero d then None
-  else begin
-    let agree =
-      List.filter_map Fun.id
-        (List.mapi
-           (fun i x ->
-             if M.test d i then None else Some (Formula.lit (M.test n i) x))
-           (Interp_packed.letters alpha))
-    in
-    Session.with_retractable s (fun strict ->
-        Session.block_mask (module M) ~on:d s strict alpha n;
-        refuter (module M) s alpha
-          (Session.solve s ~scopes:[ strict ] [ p; Formula.and_ agree ]))
-  end
-
-(* The pointwise checks, on the chunk's session, local to V(P) by
-   Proposition 2.1: a T-model M that selects N agrees with N outside
-   V(P), for flipping such a letter of N to M's value keeps P true and
-   moves N strictly closer to M, by inclusion and by cardinality alike.
-   So each witness query pins the [outside] letters to N, the witnesses
-   are masks over [alpha] = V(P) alone, and a candidate runs at most
-   2^|V(P)| refinements (each blocks its witness) with no new clause for
-   the pins.  A refuting P-model may take M's values outside V(P), where
-   P does not look, so the refutation probes ask [p] over V(P) only, and
-   Forbus's one pinnable cardinality ladder [pv] per chunk spans V(P)
-   (pins are assumptions, so candidates share it).  The witness blocking
-   scope is the candidate's own and is retired when its loop ends,
-   however it ends.  The witness masks take the representation
+(* The pointwise checks, local to V(P) by Proposition 2.1: a T-model M
+   that selects N agrees with N outside V(P), for flipping such a
+   letter of N to M's value keeps P true and moves N strictly closer to
+   M, by inclusion and by cardinality alike.  So each witness query
+   pins the [outside] letters to N, the witnesses are masks over
+   [alpha] = V(P) alone, and a candidate runs at most 2^|V(P)|
+   refinements (each blocks its witness) with no new clause for the
+   pins.  A refuting P-model may take M's values outside V(P), where P
+   does not look, so a refutation is one probe on the measure's ladder
+   with V(P) pinned to M: its difference literals then spell out
+   M Δ N' for the model N' of P on the copies, and N' refutes M when
+   |M Δ N'| < |M Δ N| (Forbus), or when in addition every difference
+   outside M Δ N is off (inclusion: Winslett, Borgida).  The witness
+   blocking scope is the candidate's own and is retired when its loop
+   ends, however it ends.  The witness masks take the representation
    {!Mask.engine} picks. *)
-
-let winslett_in ctx s t p alpha outside n =
+let cegar_in ctx ~inclusion m alpha outside n =
   let (module M) = Mask.engine alpha in
-  let nm = M.pack alpha n in
+  let s = Measure.session m in
+  let env = Session.env s in
+  let letters = Interp_packed.letters alpha in
+  let ys = Measure.copies m in
+  let y = Array.of_list ys in
+  let nm = M.pack alpha n and pins = agree_on env outside n in
+  let refutes wm =
+    let d = M.diff wm nm in
+    let inside =
+      if not inclusion then []
+      else
+        List.concat
+          (List.mapi
+             (fun i dl -> if M.test d i then [] else [ Satsolver.Lit.neg dl ])
+             (Measure.diff_lits m))
+    in
+    let at_m = List.mapi (fun i x -> pin env x (M.test wm i)) letters in
+    if
+      Session.closer_than s
+        ~assume:(at_m @ pins @ inside)
+        [] (Measure.ladder m) (M.hamming wm nm)
+    then
+      let n' = Semantics.model_on env ys in
+      Some (M.init alpha (fun i -> Var.Set.mem y.(i) n'))
+    else None
+  in
   Session.with_retractable s (fun scope ->
-      witness_loop (module M) ctx s
-        [ t; agree_on outside n ]
-        scope alpha nm
-        ~refutes:(fun m -> closer_by_inclusion_in (module M) s p alpha m nm))
-
-let forbus_in ctx s pv t p alpha outside n =
-  let (module M) = Mask.engine alpha in
-  let lad = Ladder.ladder pv in
-  let nm = M.pack alpha n in
-  Session.with_retractable s (fun scope ->
-      witness_loop (module M) ctx s
-        [ t; agree_on outside n ]
-        scope alpha nm
-        ~refutes:(fun m ->
-          refuter (module M) s alpha
-            (Session.closer_than s
-               ~assume:(Ladder.pin_mask (module M) pv m)
-               [ p ] lad (M.hamming m nm))))
+      witness_loop (module M) ctx s pins scope alpha nm ~refutes)
 
 let ctx_for ~cap op alphabet =
   { cap; opname = MB.name op; nletters = List.length alphabet }
@@ -182,32 +154,37 @@ let require_sat kb p =
     invalid_arg "Compact.Check: P unsatisfiable"
 
 (* Membership of a batch of candidates: the per-(T, P) setup is hoisted
-   out of the per-candidate loop and shared.
+   out of the per-candidate loop and shared.  Every solver question is
+   asked on a {!Measure} session, one per pool chunk, which holds
+   T ∧ P[V(P)/Y] and a difference literal per letter of V(P).
 
-   - Dalal: k_{T,P} ([Measure.k], a ladder threshold sweep) is computed
-     once for the whole batch, and each pool chunk shares one [Dist]
-     prober with T encoded once and its ladder over V(P).  A candidate
-     N |= P is then one probe: is some model X of T that agrees with N
-     outside V(P) within k of N?  No model of P lies closer than k to T,
-     so for such N "at most k" is "exactly k", which is membership; and
-     a nearest X agrees with N outside V(P), for flipping a letter
-     z ∉ V(P) of N to X(z) keeps P true at distance k − 1.
-   - Weber: Ω(T, P) is computed once; each chunk holds one session
-     with T asserted and pins the surviving letters per candidate.
-   - Satoh: δ(T, P) is computed once; membership is then a pure
-     evaluation over the difference sets, no solver at all.
-   - Winslett / Forbus / Borgida: each chunk shares one CEGAR session,
-     so T's encoding and the solver's learned clauses carry across
-     candidates, and each candidate's search is local to V(P).  The
-     chunk also builds Forbus's one pinnable ladder over V(P) and
-     decides Borgida's T ∧ P once.  Each candidate's witness
-     blocking and each inclusion probe's strict clause live in scopes
-     retired when they end, so no candidate constrains the next.
+   - Dalal: the chunk's measure computes k_{T,P} (a ladder threshold
+     sweep) once.  A candidate N |= P is then one probe on its ladder,
+     with P's copies and T's letters outside V(P) pinned to N: is some
+     model X of T that agrees with N outside V(P) within k of N?  No
+     model of P lies closer than k to T, so for such N "at most k" is
+     "exactly k", which is membership; and a nearest X agrees with N
+     outside V(P), for flipping a letter z ∉ V(P) of N to X(z) keeps P
+     true at distance k − 1.
+   - Weber: Ω(T, P) is computed once, on a measure of the calling
+     domain; a candidate is one solve on its chunk's measure, pinned as
+     Dalal's, with the difference literals outside Ω off.
+   - Satoh: δ(T, P) is computed once, on the same kind of measure;
+     membership is then a pure evaluation over the difference sets.
+   - Winslett / Forbus / Borgida: each chunk's CEGAR loops share its
+     measure, so T's encoding, the ladder and the solver's learned
+     clauses carry across candidates, and each candidate's search is
+     local to V(P).  Borgida's T ∧ P decision is one solve per chunk
+     with every difference literal off.  Each candidate's witness
+     blocking lives in a scope retired when it ends, so no candidate
+     constrains the next.
 
-   The first three take their T/P satisfiability guard from their
-   measure's session; the CEGAR operators run {!require_sat}.  Either
-   way T's decision is taken here, on the calling domain, before any
-   chunk runs.
+   Dalal takes its T/P satisfiability guard from its chunks' measures,
+   Weber and Satoh from their calling-domain measure, and the CEGAR
+   operators run {!require_sat} first.  A Dalal batch on an undecided
+   handle therefore decides T in its chunks: on the calling domain at
+   one job, and possibly once per concurrent chunk at more (both
+   deciders store the same answer).
 
    Answers are slotted in candidate order and depend only on (op, T,
    P, candidate) — never on chunk boundaries — so the result is
@@ -222,34 +199,39 @@ let model_check_batch ?(cegar_cap = 50_000) op kb p ns =
         (fun () ->
           let t = Kb.formula kb and vp_set = Formula.vars p in
           let va = Var.Set.union (Kb.vars kb) vp_set in
-          let alphabet = Var.Set.elements va in
           let arr = Array.of_list (List.map (Interp.restrict va) ns) in
           let vp = Var.Set.elements vp_set in
           let outside = Var.Set.elements (Var.Set.diff (Kb.vars kb) vp_set) in
-          let pool = Revkb_parallel.Pool.global () in
+          (* [checker m n] on the P-model candidates, with one measure
+             [m] per chunk built on the chunk's domain. *)
+          let per_chunk checker =
+            Revkb_parallel.Pool.map_array_with (Revkb_parallel.Pool.global ())
+              ~init:(fun () -> checker (Measure.create kb p))
+              (fun check n -> Interp.sat n p && check n)
+              arr
+          in
           let answers =
             match op with
             | MB.Dalal ->
-                let k = Measure.k (Measure.create kb p) in
-                Revkb_parallel.Pool.map_array_with pool
-                  ~init:(fun () -> Dist.create t vp)
-                  (fun d n ->
-                    Interp.sat n p && Dist.within d ~fixed:outside n k)
-                  arr
+                per_chunk (fun m n ->
+                    Session.within (Measure.session m)
+                      ~assume:(pin_candidate m vp outside n)
+                      [] (Measure.ladder m) (Measure.k m))
             | MB.Weber ->
                 let omega = Measure.omega (Measure.create kb p) in
-                let fixed =
-                  List.filter (fun x -> not (Var.Set.mem x omega)) alphabet
-                in
-                Revkb_parallel.Pool.map_array_with pool
-                  ~init:(fun () ->
-                    let s = Session.create ~vars:alphabet () in
-                    Session.assert_always s t;
-                    s)
-                  (fun s n ->
-                    Interp.sat n p
-                    && Session.solve s [ agree_on fixed n ])
-                  arr
+                per_chunk (fun m ->
+                    let off =
+                      List.concat
+                        (List.map2
+                           (fun x d ->
+                             if Var.Set.mem x omega then []
+                             else [ Satsolver.Lit.neg d ])
+                           vp (Measure.diff_lits m))
+                    in
+                    fun n ->
+                      Session.solve (Measure.session m)
+                        ~extra:(pin_candidate m vp outside n @ off)
+                        [])
             | MB.Satoh ->
                 let delta = Measure.delta (Measure.create kb p) in
                 Array.map
@@ -261,28 +243,25 @@ let model_check_batch ?(cegar_cap = 50_000) op kb p ns =
                   arr
             | MB.Winslett | MB.Forbus | MB.Borgida ->
                 require_sat kb p;
-                let ctx = ctx_for ~cap:cegar_cap op alphabet in
+                let ctx = ctx_for ~cap:cegar_cap op (Var.Set.elements va) in
                 let alpha = Interp_packed.alphabet vp in
-                (* One session per chunk, and the chunk's checker: what
-                   depends only on (T, P, alphabet) is built at most once
-                   per chunk, when the first P-model candidate needs it. *)
-                let chunk () =
-                  let s = Session.create ~vars:alphabet () in
-                  match op with
-                  | MB.Forbus ->
-                      let pv = lazy (Ladder.against (Session.env s) vp) in
-                      fun n ->
-                        forbus_in ctx s (Lazy.force pv) t p alpha outside n
-                  | MB.Borgida ->
-                      let consistent = lazy (Session.solve s [ t; p ]) in
-                      fun n ->
-                        if Lazy.force consistent then Interp.sat n t
-                        else winslett_in ctx s t p alpha outside n
-                  | _ -> winslett_in ctx s t p alpha outside
-                in
-                Revkb_parallel.Pool.map_array_with pool ~init:chunk
-                  (fun check n -> Interp.sat n p && check n)
-                  arr
+                let cegar ~inclusion m = cegar_in ctx ~inclusion m alpha outside in
+                per_chunk (fun m ->
+                    match op with
+                    | MB.Forbus -> cegar ~inclusion:false m
+                    | MB.Borgida ->
+                        let consistent =
+                          lazy
+                            (Session.solve (Measure.session m)
+                               ~extra:
+                                 (List.map Satsolver.Lit.neg
+                                    (Measure.diff_lits m))
+                               [])
+                        in
+                        fun n ->
+                          if Lazy.force consistent then Interp.sat n t
+                          else cegar ~inclusion:true m n
+                    | _ -> cegar ~inclusion:true m)
           in
           Array.to_list answers)
 

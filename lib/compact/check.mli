@@ -4,17 +4,22 @@
     The paper points at Liberatore-Schaerf for the complexity of this
     problem; the implementations here mirror those upper bounds:
 
+    Every solver question is asked on a {!Measure} session, which
+    holds [T ∧ P[V(P)/Y]] with one difference literal per letter of
+    [V(P)] (Proposition 2.1 puts every minimal difference there):
+
     - {b Dalal}: [N |= P] and [dist(N, T) = k_{T,P}].  Computing [k] is
       a logarithmic-ish number of NP probes (we probe linearly; the
       binary-search variant only changes the constant), matching
       Δ₂[O(log n)]; the candidate is then one more, [dist(N, T) <= k],
-      because [dist(N, T) >= k] for every [N |= P].  That probe pins
-      its model [X] of [T] to [N] outside [V(P)] and counts [V(P)]
-      only: flipping a letter [z ∉ V(P)] of [N] to [X(z)] would keep
-      [P] true at distance [k - 1 < k_{T,P}], so a nearest [X] agrees
-      with [N] there.
-    - {b Weber}: one probe [T ∧ (x = N(x) for x ∉ Ω)] after computing
-      [Ω].
+      because [dist(N, T) >= k] for every [N |= P].  That probe is one
+      ladder threshold on the measure's session with [P]'s copies and
+      [T]'s letters outside [V(P)] pinned to [N]: flipping a letter
+      [z ∉ V(P)] of [N] to a model [X] of [T]'s value would keep [P]
+      true at distance [k - 1 < k_{T,P}], so a nearest [X] agrees with
+      [N] there.
+    - {b Weber}: one solve after computing [Ω], pinned as Dalal's
+      probe, with the difference literals outside [Ω] off.
     - {b Satoh}: [δ(T, P)] has at most [2^{|V(P)|}] members, each [⊆ V(P)],
       and [N Δ M = S] pins [M = N Δ S] — so the check is an evaluation per
       member of δ.
@@ -24,8 +29,11 @@
       selects [N] agrees with [N] outside [V(P)] (flipping such a letter
       of [N] keeps [P] and moves [N] strictly closer to [M]), so the
       witnesses are pinned to [N] there, and [N'] takes [M]'s values
-      there; the witnesses, refuters and Forbus's cardinality ladder
-      span [V(P)] only.  A candidate therefore costs at most
+      there; the witnesses and refuters span [V(P)] only.  With [V(P)]
+      pinned to [M] the difference literals spell out [M Δ N'], so a
+      refutation is one ladder probe below [|M Δ N|] (Forbus), with
+      every difference outside [M Δ N] off (Winslett), and [N'] is read
+      off the copies.  A candidate therefore costs at most
       [2^{|V(P)|}] refinements, a constant for bounded [P] however
       large [T] is.  Each refutation blocks every witness
       that agrees with [N'] on [A = (N' Δ N) \ (M Δ N')]
@@ -34,8 +42,8 @@
       cardinality [M] sides with [N'] on a strict majority of
       [D = N' Δ N], so [|M' Δ N'| - |M' Δ N| <= |D \ A| - |A| < 0].
       The loop is capped; hitting the cap raises rather than guessing.
-    - {b Borgida}: evaluation when [T ∧ P] is satisfiable, Winslett
-      (local to [V(P)] as above) otherwise.
+    - {b Borgida}: evaluation when [T ∧ P] is satisfiable (one solve
+      with every difference literal off), Winslett otherwise.
 
     All checkers agree with the extensional
     {!Revision.Result.model_check} (property-tested); their point is
@@ -63,19 +71,22 @@ val model_check_batch :
 (** [model_check_batch op kb p ns]: does each interpretation of [ns]
     (over [V(T) ∪ V(P)]; letters outside it are ignored) satisfy
     [T * P]?  Requires [T] and [p] satisfiable (raises
-    [Invalid_argument] otherwise, unless [ns] is empty); [T]'s
-    decision is the handle's, taken before the pool fans out.  The per-(T, P)
-    setup runs once and each candidate pays only for itself: Dalal
-    computes k_{T,P} and asks one [dist(N, T) <= k] probe per candidate
-    [N |= P] on one {!Dist} prober per pool chunk (its ladder over
-    [V(P)]), Weber computes Ω(T, P) and shares a session with [T]
-    asserted, Satoh reduces to a pure evaluation over δ(T, P) — all
-    three from one {!Measure} — and the CEGAR operators share one
-    session per chunk, with Forbus's one pinnable ladder over [V(P)]
-    and Borgida's one T ∧ P decision.  Every clause a candidate adds
-    sits in a scope retired when it ends.  Chunks are fanned across the
-    {!Revkb_parallel.Pool.global} work pool.  Answers are returned in
-    candidate order and are identical at every job count.
+    [Invalid_argument] otherwise, unless [ns] is empty).  Candidates
+    are fanned across the {!Revkb_parallel.Pool.global} work pool in
+    chunks, and each chunk asks all its questions on one {!Measure}
+    of its own: Dalal's chunk computes k_{T,P} on it and asks one
+    probe per candidate [N |= P]; Weber's asks one solve per
+    candidate, with Ω computed once on a measure of the calling
+    domain, as Satoh's δ is, after which Satoh is a pure evaluation;
+    the CEGAR operators run their witness loops on it, with one
+    ladder and one Borgida T ∧ P decision per chunk.  So at one job a
+    Dalal or Satoh batch builds one solver, a Weber batch two, and a
+    CEGAR batch one besides its guard: the CEGAR operators decide [T]
+    (through the handle) and [p] on the calling domain first, which
+    builds a solver only for a side past {!Logic.Clausal}'s fast path.
+    Dalal's chunks take both decisions from their measures.  Every clause a candidate adds sits in a
+    scope retired when it ends.  Answers are returned in candidate
+    order and are identical at every job count.
     [cegar_cap] (default 50_000) bounds the Winslett/Forbus witness
     loop; exceeding it raises {!Cegar_cap_exceeded}. *)
 

@@ -2,22 +2,25 @@ open Logic
 module Session = Semantics.Session
 module Ladder = Semantics.Ladder
 
-(* One session for every measure of the pair: [t[V(P)/Y] /\ p] is
+(* One session for every question about the pair: [t /\ p[V(P)/Y]] is
    asserted once, each letter of V(P) gets one xor ("difference")
-   literal, and letters outside V(P) are shared by the two sides, so
-   they can never move (Proposition 2.1 puts every minimal difference
-   inside V(P)).  A candidate difference set is a polarity choice on the
-   difference literals and a distance threshold is one ladder literal:
-   pure assumptions, no re-encoding per query. *)
+   literal against its copy, and letters outside V(P) belong to [t]
+   alone (Proposition 2.1 puts every minimal difference inside V(P)).
+   A candidate difference set is a polarity choice on the difference
+   literals and a distance threshold is one ladder literal: pure
+   assumptions, no re-encoding per query. *)
 type t = {
+  session : Session.t;
+  copies : Var.t list;
+  diff_lits : Satsolver.Lit.t list;
+  ladder : Ladder.t Lazy.t;
   k : int Lazy.t;
   diffs : Var.Set.t list Lazy.t;
   delta : Var.Set.t list Lazy.t;
   omega : Var.Set.t Lazy.t;
 }
 
-let k_of s ds =
-  let lad = Ladder.of_lits (Session.env s) ds in
+let k_of s lad =
   let rec probe j = if Session.within s [] lad j then j else probe (j + 1) in
   probe 0
 
@@ -49,32 +52,40 @@ let create kb p =
   let y =
     Names.copy ~avoid:(Var.Set.union (Kb.vars kb) vp_set) ~suffix:"_m" vp
   in
-  (* [T[V(P)/Y]] and [p] share no letter, so each is decided by a solve
-     on what is asserted so far: [T]'s only when its handle holds no
+  (* [t] and [p[V(P)/Y]] share no letter, so each is decided by a solve
+     on what is asserted so far: [t]'s only when its handle holds no
      decision yet, then [p]'s. *)
   let s = Session.create ~vars:vp () in
-  Session.assert_always s (Formula.rename (List.combine vp y) (Kb.formula kb));
+  Session.assert_always s (Kb.formula kb);
   if not (Kb.decide kb ~by:(fun () -> Session.solve s [])) then unsat "T";
-  Session.assert_always s p;
+  Session.assert_always s (Formula.rename (List.combine vp y) p);
   if not (Session.solve s []) then unsat "P";
   let env = Session.env s in
-  let movable =
+  let diff_lits =
     List.map2
       (fun xv yv ->
-        ( xv,
-          Ladder.diff_lit env
-            (Semantics.lit_of_var env xv, Semantics.lit_of_var env yv) ))
+        Ladder.diff_lit env
+          (Semantics.lit_of_var env xv, Semantics.lit_of_var env yv))
       vp y
   in
-  let diffs = lazy (sweep s movable) in
+  let ladder = lazy (Ladder.of_lits env diff_lits) in
+  let diffs = lazy (sweep s (List.combine vp diff_lits)) in
   let delta = lazy (Interp.min_incl (Lazy.force diffs)) in
   {
-    k = lazy (k_of s (List.map snd movable));
+    session = s;
+    copies = y;
+    diff_lits;
+    ladder;
+    k = lazy (k_of s (Lazy.force ladder));
     diffs;
     delta;
     omega = lazy (List.fold_left Var.Set.union Var.Set.empty (Lazy.force delta));
   }
 
+let session m = m.session
+let copies m = m.copies
+let diff_lits m = m.diff_lits
+let ladder m = Lazy.force m.ladder
 let k m = Lazy.force m.k
 let diffs m = Lazy.force m.diffs
 let delta m = Lazy.force m.delta

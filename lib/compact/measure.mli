@@ -1,11 +1,13 @@
 (** The "measures of minimal distance" (Section 4.3's two-step scheme):
     [k_{T,P}], [δ(T,P)] and [Ω], computed with SAT probes instead of model
-    enumeration.
+    enumeration, on the one session every question about a pair
+    [(T, P)] is asked on.
 
     By Proposition 2.1 every inclusion- or cardinality-minimal difference
     between a model of [T] and a model of [P] is contained in [V(P)], so
-    one session holding [T[V(P)/Y] ∧ P] (the letters outside [V(P)]
-    shared by both sides) with one difference literal per letter of
+    one session holding [T ∧ P[V(P)/Y]] ([T] on its own letters, [P] on
+    a copy [Y] of [V(P)], the letters outside [V(P)] read by [T] alone)
+    with one difference literal [d_x ↔ (x ⊕ y_x)] per letter [x] of
     [V(P)] answers all three:
 
     - [k_{T,P}] is the least threshold of a cardinality ladder over the
@@ -18,9 +20,14 @@
     A value of {!t} is the one owner of its [(T, P)] pair: building it
     decides that [P] is satisfiable (the session's one solve) and takes
     [T]'s decision from its {!Logic.Kb} handle, and each measure is
-    computed at most once, on first use.
+    computed at most once, on first use.  The session, the copies, the
+    difference literals and the ladder are exported, so
+    {!Check} asks its per-candidate questions on the same solver:
+    pinning [Y] (or [V(P)]) to an interpretation makes the difference
+    literals spell out its difference with the other side.
     A construction or checker that needs a measure builds one value and
-    takes its guard from it. *)
+    takes its guard from it.  A value is not domain-safe: build one per
+    domain. *)
 
 open Logic
 
@@ -33,6 +40,22 @@ val create : Kb.t -> Formula.t -> t
     raises before anything is built.  Raises [Invalid_argument] when
     [T] or [p] is unsatisfiable (the paper's standing assumption; [T]
     is named when both are). *)
+
+val session : t -> Semantics.Session.t
+(** The session holding [T ∧ P[V(P)/Y]] and the difference literals.
+    A caller may add retractable scopes and ask queries; it must assert
+    nothing permanent. *)
+
+val copies : t -> Var.t list
+(** [Y]: one fresh letter per letter of [V(P)], in
+    [Var.Set.elements (Formula.vars p)] order. *)
+
+val diff_lits : t -> Satsolver.Lit.t list
+(** [d_x ↔ (x ⊕ y_x)] for each letter [x] of [V(P)], in the order of
+    {!copies}. *)
+
+val ladder : t -> Semantics.Ladder.t
+(** The cardinality ladder over {!diff_lits}, built on first use. *)
 
 val k : t -> int
 (** [k_{T,P}]: the minimum Hamming distance between a model of [T] and

@@ -41,6 +41,14 @@ let error offset fmt =
     (fun msg -> raise (Syntax_error (Printf.sprintf "at offset %d: %s" offset msg)))
     fmt
 
+(* The deepest parenthesis nesting a formula may have.  Each level's
+   [Formula.and_]/[or_] copies its child's list of operands, so a chain
+   nested n deep costs O(n^2) to build: at 10,000 levels that is
+   seconds, at 40,000 over a minute of one serve request.  The
+   tokenizer refuses such input at the first parenthesis past the
+   bound, before any of that work starts. *)
+let max_depth = 1_000
+
 (* [keep_newlines] turns newlines into [;] so theories can be written one
    formula per line.  Every token carries the offset of its first
    character so parse errors can point back into the source. *)
@@ -48,6 +56,7 @@ let tokenize ~keep_newlines src =
   let n = String.length src in
   let toks = ref [] in
   let i = ref 0 in
+  let depth = ref 0 in
   let emit_at off t = toks := (t, off) :: !toks in
   let emit t = emit_at !i t in
   while !i < n do
@@ -94,8 +103,11 @@ let tokenize ~keep_newlines src =
           | '~' | '!' -> emit TNot; incr i
           | '&' -> emit TAnd; incr i
           | '|' -> emit TOr; incr i
-          | '(' -> emit TLparen; incr i
-          | ')' -> emit TRparen; incr i
+          | '(' ->
+              if !depth >= max_depth then
+                error !i "parentheses nested deeper than %d" max_depth;
+              incr depth; emit TLparen; incr i
+          | ')' -> decr depth; emit TRparen; incr i
           | ';' -> emit TSemi; incr i
           | '^' -> emit TXor; incr i
           | _ -> error !i "unexpected character %C" c)

@@ -219,7 +219,6 @@ module Ladder = struct
     done;
     { ge = Array.init n (fun j -> prev.(j + 1)); width = n; tl }
 
-
   (* True iff at least [k] difference bits are set. *)
   let at_least t k =
     if k <= 0 then t.tl
@@ -227,37 +226,6 @@ module Ladder = struct
     else t.ge.(k - 1)
 
   let at_most t k = L.neg (at_least t (k + 1))
-
-  (* A pinnable comparison vector: the Y side of the distance is a row
-     of otherwise-unconstrained selector literals, so one ladder serves
-     every reference point N — pinning Y := N is an assumption list, not
-     an encoding. *)
-  type pinned = { lad : t; ys : L.t array; letters : Var.t array }
-
-  let against env alphabet =
-    let letters = Array.of_list alphabet in
-    let ys = Array.map (fun _ -> fresh_lit env) letters in
-    let ds =
-      Array.to_list
-        (Array.mapi
-           (fun i x -> diff_lit env (lit_of_var env x, ys.(i)))
-           letters)
-    in
-    { lad = of_lits env ds; ys; letters }
-
-  let ladder p = p.lad
-
-  let pin p n =
-    Array.to_list
-      (Array.mapi
-         (fun i x -> if Var.Set.mem x n then p.ys.(i) else L.neg p.ys.(i))
-         p.letters)
-
-  let pin_mask (type m) (module M : Mask.S with type t = m) p (mask : m) =
-    Array.to_list
-      (Array.mapi
-         (fun i _ -> if M.test mask i then p.ys.(i) else L.neg p.ys.(i))
-         p.letters)
 end
 
 (* -- incremental sessions -----------------------------------------------

@@ -44,7 +44,6 @@ val assert_formula : env -> Formula.t -> unit
 
 val solve : ?assumptions:Satsolver.Lit.t list -> env -> bool
 
-(* lint: iface-ok test/oracle/fresh.ml's own model walk, apart from masks *)
 val model_on : env -> Var.t list -> Interp.t
 (** Projection of the last model onto the given letters. *)
 
@@ -62,7 +61,11 @@ val block : env -> Var.t list -> Interp.t -> unit
     n(n+1)/2 auxiliary) build.  A distance probe ["distance <= k?"] is
     then a single assumption flip on a live solver, where the per-[k]
     [Hamming.exa] path re-Tseitins an O(n*k) formula into a fresh solver
-    for every threshold. *)
+    for every threshold.  The two vectors are the caller's: when it
+    pins one of them by assumptions, the reference point is part of
+    the assumption set, and one ladder measures the distance to each
+    reference point in turn ([Compact.Check] pins the copies of
+    [Compact.Measure]). *)
 
 module Ladder : sig
   type t
@@ -74,27 +77,6 @@ module Ladder : sig
   (** The difference bit alone: a literal equivalent to [a XOR b].
       Assuming it forces disagreement, assuming its negation forces
       agreement — the building block for sweeps over difference sets. *)
-
-  (** A pinnable comparison vector: the Y side of the distance is a row
-      of otherwise-unconstrained literals, so one ladder measures the
-      distance to {e any} reference point — pinning Y := N is an
-      assumption list, not a new encoding. *)
-  type pinned
-
-  val against : env -> Var.t list -> pinned
-  (** New Y literals paired with the letters' literals, diff bits, and
-      the full ladder, all encoded once. *)
-
-  val ladder : pinned -> t
-
-  val pin : pinned -> Interp.t -> Satsolver.Lit.t list
-  (** Assumptions setting Y to the interpretation (over the [against]
-      alphabet, in its order). *)
-
-  val pin_mask :
-    (module Mask.S with type t = 'm) -> pinned -> 'm -> Satsolver.Lit.t list
-  (** Mask-level {!pin}, for either mask representation; bit [i] is
-      letter [i] of the [against] list. *)
 end
 
 (** {1 Incremental sessions} *)

@@ -16,9 +16,8 @@
 
    Sampling points: explicitly at snapshot/flush time by the CLI and
    bench writers, and — once [enable] has run — at every recorded span
-   exit, rate-limited to one sample per REVKB_GC_TICK_MS milliseconds
-   (default 10) so hot spans (pool tasks) cost one clock read, not a
-   quick_stat each.
+   exit, rate-limited to one sample per [tick_ms] (10) milliseconds so
+   hot spans (pool tasks) cost one clock read, not a quick_stat each.
 
    The state behind delta computation is guarded by a try-lock: a
    contended sample is simply skipped (another domain just sampled;
@@ -83,13 +82,7 @@ let sample () =
 
 (* -- span-boundary tick ------------------------------------------------------ *)
 
-let default_tick_ms = 10
-
-let tick_ms =
-  match Sys.getenv_opt "REVKB_GC_TICK_MS" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n >= 1 -> n | _ -> default_tick_ms)
-  | _ -> default_tick_ms
+let tick_ms = 10
 
 let last_tick_us = Atomic.make 0
 

@@ -9,8 +9,8 @@
 
     Sampling points: the CLI/bench writers call {!sample} right before
     their final snapshot, and after {!enable} every recorded span exit
-    samples too — rate-limited to one [quick_stat] per
-    [REVKB_GC_TICK_MS] milliseconds (default 10). *)
+    samples too — rate-limited to one [quick_stat] per 10
+    milliseconds. *)
 
 val sample : unit -> unit
 (** Read [Gc.quick_stat] and publish the delta since the previous

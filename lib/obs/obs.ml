@@ -162,7 +162,6 @@ type domain_buf = {
   dom_id : int;
   aggs : (string, sagg) Hashtbl.t;
   mutable events : event list; (* newest first *)
-  mutable depth : int;
   (* Innermost-first stack of the names of the currently open spans on
      this domain.  Single-writer like the rest of the buffer.  The
      sampling profiler reads the head through a {!span_reader} bound
@@ -192,7 +191,6 @@ let buf_key =
           dom_id = (Domain.self () :> int);
           aggs = Hashtbl.create 16;
           events = [];
-          depth = 0;
           stack = [];
         }
       in
@@ -238,10 +236,8 @@ let with_span ?(attrs = no_attrs) name f =
   else begin
     let b = Domain.DLS.get buf_key in
     let t0 = now_us () in
-    b.depth <- b.depth + 1;
     b.stack <- name :: b.stack;
     let finish () =
-      b.depth <- b.depth - 1;
       (match b.stack with _ :: tl -> b.stack <- tl | [] -> ());
       record_span b name t0 (now_us () - t0) attrs
     in

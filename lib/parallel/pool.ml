@@ -142,15 +142,11 @@ let map_array pool f arr =
 
 let map_list pool f l = Array.to_list (map_array pool f (Array.of_list l))
 
-let map_ranges pool ?chunks ~lo ~hi f =
+let map_ranges pool ~lo ~hi f =
   if hi <= lo then [||]
   else begin
     let len = hi - lo in
-    let chunks =
-      match chunks with
-      | Some c -> max 1 (min c len)
-      | None -> if pool.jobs = 1 then 1 else min len (4 * pool.jobs)
-    in
+    let chunks = if pool.jobs = 1 then 1 else min len (4 * pool.jobs) in
     map_array pool
       (fun k -> f (lo + (len * k / chunks)) (lo + (len * (k + 1) / chunks)))
       (Array.init chunks (fun k -> k))
@@ -163,23 +159,23 @@ let map_ranges pool ?chunks ~lo ~hi f =
    independent of the chunking for the determinism contract to hold,
    which every engine caller satisfies (the context only caches work,
    never changes answers). *)
-let map_array_with pool ?chunks ~init f arr =
+let map_array_with pool ~init f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let parts =
-      map_ranges pool ?chunks ~lo:0 ~hi:n (fun l h ->
+      map_ranges pool ~lo:0 ~hi:n (fun l h ->
           let ctx = init () in
           Array.init (h - l) (fun i -> f ctx arr.(l + i)))
     in
     Array.concat (Array.to_list parts)
   end
 
-let parallel_for_reduce pool ?chunks ~lo ~hi ~map ~reduce init =
+let parallel_for_reduce pool ~lo ~hi ~map ~reduce init =
   Array.fold_left
     (fun acc b -> reduce acc b)
     init
-    (map_ranges pool ?chunks ~lo ~hi map)
+    (map_ranges pool ~lo ~hi map)
 
 (* -- process-wide pool ----------------------------------------------------- *)
 

@@ -54,15 +54,14 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
-val map_ranges : t -> ?chunks:int -> lo:int -> hi:int -> (int -> int -> 'a) -> 'a array
-(** Split [\[lo, hi)] into [chunks] contiguous subranges (default: one
-    per job when sequential is forced, else a small multiple of the job
-    count for load balance), apply [f l h] to each, and return the
-    per-chunk results in ascending range order. *)
+val map_ranges : t -> lo:int -> hi:int -> (int -> int -> 'a) -> 'a array
+(** Split [\[lo, hi)] into contiguous subranges (one at [jobs = 1],
+    else four per job, for load balance, and at most one per element),
+    apply [f l h] to each, and return the per-chunk results in
+    ascending range order. *)
 
 val map_array_with :
   t ->
-  ?chunks:int ->
   init:(unit -> 'c) ->
   ('c -> 'a -> 'b) ->
   'a array ->
@@ -76,7 +75,6 @@ val map_array_with :
 
 val parallel_for_reduce :
   t ->
-  ?chunks:int ->
   lo:int ->
   hi:int ->
   map:(int -> int -> 'a) ->

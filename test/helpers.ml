@@ -55,6 +55,29 @@ let models_sat vars fm =
   Interp_packed.interps_of_set alpha
     (Semantics.masks_sat (module Mask.Packed) alpha fm)
 
+(* A pinnable comparison vector over [alphabet] on [env]: a row of copy
+   letters no clause fixes, one difference bit per letter against its
+   copy, and the ladder over the bits, all encoded once.  [pin n] is
+   the assumption list setting the row to [n], so one ladder measures
+   the distance to every reference point. *)
+let pinned_ladder env alphabet =
+  let ys =
+    List.map
+      (fun x -> Semantics.lit_of_var env (Var.copy_of ~suffix:"__pin" x))
+      alphabet
+  in
+  let ds =
+    List.map2
+      (fun x y -> Semantics.Ladder.diff_lit env (Semantics.lit_of_var env x, y))
+      alphabet ys
+  in
+  let pin n =
+    List.map2
+      (fun x y -> if Var.Set.mem x n then y else Satsolver.Lit.neg y)
+      alphabet ys
+  in
+  (Semantics.Ladder.of_lits env ds, pin)
+
 (* Least Hamming distance over [alphabet] from a reference point to a
    model of [fm] ([None] when [fm] is unsatisfiable): [fm] and a pinned
    cardinality ladder are encoded once on one session, each reference
@@ -64,12 +87,11 @@ let models_sat vars fm =
 let ladder_prober fm alphabet =
   let module S = Semantics.Session in
   let s = S.create ~vars:alphabet () in
-  let pv = Semantics.Ladder.against (S.env s) alphabet in
+  let lad, pin = pinned_ladder (S.env s) alphabet in
   fun n ->
-    let assume = Semantics.Ladder.pin pv n in
+    let assume = pin n in
     let rec probe k =
-      if S.within ~assume s [ fm ] (Semantics.Ladder.ladder pv) k then Some k
-      else probe (k + 1)
+      if S.within ~assume s [ fm ] lad k then Some k else probe (k + 1)
     in
     if S.solve s ~extra:assume [ fm ] then probe 0 else None
 

@@ -192,6 +192,40 @@ let test_parser_error_offsets () =
         (Helpers.contains_substring msg "at offset 8")
   | _ -> Alcotest.fail "expected syntax error in theory"
 
+(* Parenthesis chains [(a & (a & ... a))] and [((a & a) & ... a)] with
+   [links] connectives, nested [links] deep. *)
+let chain ~left links =
+  let b = Buffer.create (6 * links) in
+  let rep s = for _ = 1 to links do Buffer.add_string b s done in
+  if left then (rep "("; Buffer.add_char b 'a'; rep " & a)")
+  else (rep "(a & "; Buffer.add_char b 'a'; rep ")");
+  Buffer.contents b
+
+(* Nesting past the parser's bound is refused as a syntax error, at
+   once: a 200,000-link chain of either shape, which the quadratic
+   operand copying would take hours to build, is turned down in under
+   a second, and a chain exactly at the bound still parses. *)
+let test_parser_depth_bound () =
+  List.iter
+    (fun left ->
+      let shape = if left then "left" else "right" in
+      let src = chain ~left 200_000 in
+      let t0 = Sys.time () in
+      (match Parser.formula_of_string src with
+      | exception Parser.Syntax_error msg ->
+          check_bool
+            (Printf.sprintf "%s: %S names the bound" shape msg)
+            true
+            (Helpers.contains_substring msg "nested deeper than 1000")
+      | _ -> Alcotest.failf "%s-nested 200,000-link chain parsed" shape);
+      let dt = Sys.time () -. t0 in
+      check_bool (Printf.sprintf "%s: refused in %.3f s < 1 s" shape dt) true
+        (dt < 1.0);
+      let fm = Parser.formula_of_string (chain ~left 1_000) in
+      check_bool (shape ^ ": 1,000 deep parses") true
+        (Var.Set.equal (Formula.vars fm) (Var.Set.singleton (Var.named "a"))))
+    [ false; true ]
+
 let test_theory_parsing () =
   let t = Parser.theory_of_string "a & b\n# comment\nc -> d; e" in
   check_int "three members" 3 (List.length t);
@@ -299,6 +333,7 @@ let () =
             test_parser_alternative_syntax;
           Alcotest.test_case "errors" `Quick test_parser_errors;
           Alcotest.test_case "error offsets" `Quick test_parser_error_offsets;
+          Alcotest.test_case "depth bound" `Quick test_parser_depth_bound;
           Alcotest.test_case "theories" `Quick test_theory_parsing;
         ] );
       ( "theory",

@@ -91,7 +91,7 @@ let prop_dist_to_matches_fresh =
    does. *)
 let prop_dist_prober_reusable =
   let x = letters 5 in
-  qtest "Dist prober = dist_to on every reference" ~count:80
+  qtest "ladder prober = dist_to on every reference" ~count:80
     (arb_formula x)
     (fun fm ->
       let d = ladder_prober fm x in
@@ -108,8 +108,8 @@ let prop_closer_than_matches_distances =
     (arb_pair (arb_formula x) (arb_interp x))
     (fun (fm, n) ->
       let s = Session.create ~vars:x () in
-      let pv = Ladder.against (Session.env s) x in
-      let assume = Ladder.pin pv n and lad = Ladder.ladder pv in
+      let lad, pin = pinned_ladder (Session.env s) x in
+      let assume = pin n in
       let dists =
         List.map
           (fun m -> Var.Set.cardinal (Interp.sym_diff m n))
@@ -248,6 +248,30 @@ let test_guard_builds () =
             true (builds <= cap))
         MB.all)
 
+(* Every solver question of a batch is asked on a measure session, one
+   per pool chunk.  At one job a Dalal batch builds one solver: its
+   chunk's measure, which computes k and answers every probe.  Weber
+   adds the measure of the calling domain that computes Ω, and Satoh
+   has only that one.  With a Horn T and a Horn P the CEGAR operators'
+   guard builds none, so their chunk's measure is their one solver. *)
+let test_batch_builds () =
+  let t = f "x1 & (~x1 | x2) & (~x2 | ~x3 | x4)" in
+  let p = f "~x2 & (x3 | ~x5)" in
+  let ns = Interp.subsets (letters 5) in
+  Pool.with_jobs 1 (fun () ->
+      List.iter
+        (fun op ->
+          let name = MB.name op in
+          let answers, builds, _ =
+            work (fun () -> Check.model_check_batch op (Kb.make t) p ns)
+          in
+          check_bool (name ^ ": batch = fresh") true
+            (answers = List.map (Fresh.model_check op t p) ns);
+          check_int (name ^ ": solvers built")
+            (if op = MB.Weber then 2 else 1)
+            builds)
+        MB.all)
+
 (* The per-candidate step of a batch pays only for the candidate.  A
    Dalal batch makes the measure's k + 1 threshold probes, then one
    probe per P-model candidate (none for the others), farther ones
@@ -278,7 +302,7 @@ let test_per_candidate_work () =
       let ladder =
         let s = Session.create ~vars () in
         let c0 = count "sem.encode.clauses" in
-        ignore (Ladder.against (Session.env s) vars);
+        ignore (pinned_ladder (Session.env s) vars);
         count "sem.encode.clauses" - c0
       in
       let x1 = List.hd vars in
@@ -335,7 +359,7 @@ let test_local_work () =
   let ladder =
     let s = Session.create ~vars () in
     let c0 = count "sem.encode.clauses" in
-    ignore (Ladder.against (Session.env s) vars);
+    ignore (pinned_ladder (Session.env s) vars);
     count "sem.encode.clauses" - c0
   in
   Pool.with_jobs 1 (fun () ->
@@ -550,6 +574,7 @@ let () =
           Alcotest.test_case "Forbus CEGAR" `Quick test_cegar_work;
           Alcotest.test_case "one guard per entry point" `Quick
             test_guard_builds;
+          Alcotest.test_case "one session per chunk" `Quick test_batch_builds;
           Alcotest.test_case "per-candidate batch work" `Quick
             test_per_candidate_work;
           Alcotest.test_case "CEGAR local to V(P)" `Quick test_local_work;
