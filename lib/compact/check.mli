@@ -8,21 +8,12 @@
     holds [T ∧ P[V(P)/Y]] with one difference literal per letter of
     [V(P)] (Proposition 2.1 puts every minimal difference there):
 
-    - {b Dalal}: [N |= P] and [dist(N, T) = k_{T,P}].  Computing [k] is
-      a logarithmic-ish number of NP probes (we probe linearly; the
-      binary-search variant only changes the constant), matching
-      Δ₂[O(log n)]; the candidate is then one more, [dist(N, T) <= k],
-      because [dist(N, T) >= k] for every [N |= P].  That probe is one
-      ladder threshold on the measure's session with [P]'s copies and
-      [T]'s letters outside [V(P)] pinned to [N]: flipping a letter
-      [z ∉ V(P)] of [N] to a model [X] of [T]'s value would keep [P]
-      true at distance [k - 1 < k_{T,P}], so a nearest [X] agrees with
-      [N] there.
-    - {b Weber}: one solve after computing [Ω], pinned as Dalal's
-      probe, with the difference literals outside [Ω] off.
-    - {b Satoh}: [δ(T, P)] has at most [2^{|V(P)|}] members, each [⊆ V(P)],
-      and [N Δ M = S] pins [M = N Δ S] — so the check is an evaluation per
-      member of δ.
+    - {b Dalal}, {b Weber}, {b Satoh}: one {!Measure.member} query per
+      candidate [N |= P], [N] pinned: a ladder probe at [k] (computing
+      [k] takes a logarithmic-ish number of NP probes, matching
+      Δ₂[O(log n)]), one solve with the differences outside [Ω] off,
+      or [|δ|] solves that fix the difference pattern, each pure
+      propagation.
     - {b Winslett / Forbus}: genuinely Σ₂-flavoured; a CEGAR loop guesses
       a witness [M |= T] and refutes the minimality of [N Δ M] with a
       P-model [N'] closer to [M].  By Proposition 2.1 a witness that
@@ -74,19 +65,11 @@ val model_check_batch :
     [Invalid_argument] otherwise, unless [ns] is empty).  Candidates
     are fanned across the {!Revkb_parallel.Pool.global} work pool in
     chunks, and each chunk asks all its questions on one {!Measure}
-    of its own: Dalal's chunk computes k_{T,P} on it and asks one
-    probe per candidate [N |= P]; Weber's asks one solve per
-    candidate, with Ω computed once on a measure of the calling
-    domain, as Satoh's δ is, after which Satoh is a pure evaluation;
-    the CEGAR operators run their witness loops on it, with one
-    ladder and one Borgida T ∧ P decision per chunk.  So at one job a
-    Dalal or Satoh batch builds one solver, a Weber batch two, and a
-    CEGAR batch one besides its guard: the CEGAR operators decide [T]
-    (through the handle) and [p] on the calling domain first, which
-    builds a solver only for a side past {!Logic.Clausal}'s fast path.
-    Dalal's chunks take both decisions from their measures.  Every clause a candidate adds sits in a
-    scope retired when it ends.  Answers are returned in candidate
-    order and are identical at every job count.
+    of its own (its own [k], [Ω] or [δ], one ladder, one Borgida
+    T ∧ P decision), whose construction is the batch's [T]/[P] guard:
+    at one job every batch builds exactly one solver.  Every clause a
+    candidate adds sits in a scope retired when it ends.  Answers are
+    returned in candidate order and are identical at every job count.
     [cegar_cap] (default 50_000) bounds the Winslett/Forbus witness
     loop; exceeding it raises {!Cegar_cap_exceeded}. *)
 

@@ -77,12 +77,12 @@ let winslett_qbf t p =
   let kb = Kb.make t in
   winslett_view (alphabet kb [ p ]) kb p
 
-let winslett x kb p =
+let winslett x kb p _ =
   ignore (check_bounded p);
   step (Qbf.expand (winslett_view x kb p)) 0
 
 (* Formula (14), its comparison written out directly. *)
-let forbus x kb p =
+let forbus x kb p _ =
   ignore (check_bounded p);
   let vp, y, z, renamed = pointwise x kb p ("_fy", "_fz") in
   let closer = Hamming.dist_lt_direct (z, y) (vp, y) in
@@ -91,11 +91,11 @@ let forbus x kb p =
   in
   step (Formula.conj2 renamed (Qbf.expand minimality)) 0
 
-let borgida x kb p =
+let borgida x kb p m =
   ignore (check_bounded p);
   let phi = Kb.formula kb in
   if Semantics.is_sat (Formula.conj2 phi p) then step (Formula.conj2 phi p) 0
-  else winslett x kb p
+  else winslett x kb p m
 
 (* Satoh's step: ERRATUM E1 (DESIGN.md §8).  The paper's formula (13)
    quantifies the alternative T-model only over a copy of V(P), sharing
@@ -104,9 +104,9 @@ let borgida x kb p =
    {x2}).  Instead δ(φ, P) comes from the measure ([2^{|V(P)|}] SAT
    probes, polynomial in |φ| for bounded P) and pins the candidate's
    difference inside it. *)
-let satoh x kb p =
+let satoh x kb p m =
   let vp = bounded_letters p in
-  let delta = Measure.delta (Measure.create kb p) in
+  let delta = Measure.delta (Lazy.force m) in
   let phi = Kb.formula kb in
   let y = fresh x kb "_sy" vp in
   let diff_is s =
@@ -127,19 +127,19 @@ let satoh x kb p =
        ])
     (List.length delta)
 
-(* Theorem 3.4's step, over the joint alphabet; EXA is built once, at
-   the measured k. *)
-let dalal x kb p =
-  let k = Measure.k (Measure.create kb p) in
+(* Theorem 3.4's step, over V(P) by Proposition 2.1 (DESIGN.md §8); EXA
+   is built once, at the measured k. *)
+let dalal x kb p m =
+  let k = Measure.k (Lazy.force m) in
   let phi = Kb.formula kb in
-  let xs = Var.Set.elements x in
+  let xs = Var.Set.elements (Formula.vars p) in
   let ys = fresh x kb "'" xs in
   let exa_k, _aux = Hamming.exa k xs ys in
   step (Formula.and_ [ Formula.rename (List.combine xs ys) phi; p; exa_k ]) k
 
 (* Theorem 3.5's step. *)
-let weber x kb p =
-  let omega = Measure.omega (Measure.create kb p) in
+let weber x kb p m =
+  let omega = Measure.omega (Lazy.force m) in
   let phi = Kb.formula kb in
   let letters = Var.Set.elements omega in
   let z = fresh x kb "_z" letters in
@@ -147,12 +147,13 @@ let weber x kb p =
     (Formula.conj2 (Formula.rename (List.combine letters z) phi) p)
     (Var.Set.cardinal omega)
 
-let iterate (op : MB.op) kb ps =
+(* The measuring steps take each accumulated formula's decision from
+   their measure, the first one's being [first] when given; the others
+   consult T's handle up front.  A later step's formula gets a handle
+   of its own, built on demand. *)
+let steps (op : MB.op) kb ps first =
   if ps = [] then []
   else begin
-    (* The measuring steps take each accumulated formula's decision
-       from their measure; the others consult T's handle up front.  A
-       later step's formula gets a handle of its own, built on demand. *)
     let measures, step_of =
       match op with
       | MB.Dalal -> (true, dalal)
@@ -168,14 +169,23 @@ let iterate (op : MB.op) kb ps =
     let steps, _ =
       List.fold_left
         (fun (acc, phi) p ->
-          let s = step_of x (Lazy.force phi) p in
+          let kb = Lazy.force phi in
+          let m =
+            match first with
+            | Some m when acc = [] -> Lazy.from_val m
+            | _ -> lazy (Measure.create kb p)
+          in
+          let s = step_of x kb p m in
           (s :: acc, lazy (Kb.make s.formula)))
         ([], Lazy.from_val kb) ps
     in
     List.rev steps
   end
 
+let iterate op kb ps = steps op kb ps None
+
 let final t steps =
   match List.rev steps with [] -> t | last :: _ -> last.formula
 
-let revise op kb p = final (Kb.formula kb) (iterate op kb [ p ])
+let revise ?measure op kb p =
+  final (Kb.formula kb) (steps op kb [ p ] measure)

@@ -9,10 +9,10 @@
     3.4's [T'] is Theorem 5.1's [Φ₁], Theorem 3.5's [T[Ω/Z] ∧ P] is
     formula (10)'s [Ψ₁], and formula (12) is [WIN₁] of formula (16).
 
-    - {b Dalal} (Theorem 3.4 / 5.1): [φ[X/Y] ∧ P ∧ EXA(k, X, Y, W)],
-      [X] the joint alphabet of [T] and every [Pⁱ], [k] the minimum
-      distance from {!Measure.k}.  Not logically equivalent: it
-      constrains the new letters [Y ∪ W] (Theorem 3.6).
+    - {b Dalal} (Theorem 3.4 / 5.1): [φ[V(P)/Y] ∧ P ∧ EXA(k, V(P), Y, W)],
+      [k] from {!Measure.k}: over [V(P)], not the paper's joint
+      alphabet, by Proposition 2.1 (DESIGN.md §8).  Not logically
+      equivalent: it constrains the new letters [Y ∪ W] (Theorem 3.6).
     - {b Weber} (Theorem 3.5 / formula (10)): [φ[Ω/Z] ∧ P], [Ω] from
       {!Measure.omega}.
     - {b Winslett} (formulas (12), (15), (16)): the expansion of
@@ -29,7 +29,7 @@
 
     Each step's fresh letters avoid [V(φ)] and the letters of [T] and
     of every [Pⁱ], so a later [Pⁱ] never names one of them.  Dalal
-    and Weber grow by [O(|X|² + |Pⁱ|)] and [O(|Ω_i| + |Pⁱ|)] per step
+    and Weber grow by [O(|V(Pⁱ)|² + |Pⁱ|)] and [O(|Ω_i| + |Pⁱ|)] per step
     (Table 2's general YES entries); the pointwise steps by
     [O(2^{|V(Pⁱ)|} + |Pⁱ|)], polynomial for bounded [Pⁱ] (Corollary 6.4).
 
@@ -60,8 +60,15 @@ val iterate : Revision.Model_based.op -> Kb.t -> Formula.t list -> step list
 val final : Formula.t -> step list -> Formula.t
 (** [final t steps]: the last step's formula, [t] when there is none. *)
 
-val revise : Revision.Model_based.op -> Kb.t -> Formula.t -> Formula.t
-(** [T * P]: [final (Kb.formula kb) (iterate op kb [p])]. *)
+val revise :
+  ?measure:Measure.t ->
+  Revision.Model_based.op ->
+  Kb.t ->
+  Formula.t ->
+  Formula.t
+(** [T * P]: [final (Kb.formula kb) (iterate op kb [p])].  Dalal, Weber
+    and Satoh read their measure from [measure], [Measure.create kb p],
+    when one is given. *)
 
 (** {1 Unexpanded QBF views}
 

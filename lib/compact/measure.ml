@@ -1,6 +1,8 @@
 open Logic
+module MB = Revision.Model_based
 module Session = Semantics.Session
 module Ladder = Semantics.Ladder
+module Lit = Satsolver.Lit
 
 (* One session for every question about the pair: [t /\ p[V(P)/Y]] is
    asserted once, each letter of V(P) gets one xor ("difference")
@@ -11,8 +13,11 @@ module Ladder = Semantics.Ladder
    assumptions, no re-encoding per query. *)
 type t = {
   session : Session.t;
+  alphabet : Var.Set.t; (* V(T) ∪ V(P) *)
+  vp : Var.t list;
+  outside : Var.t list; (* V(T) \ V(P) *)
   copies : Var.t list;
-  diff_lits : Satsolver.Lit.t list;
+  diff_lits : Lit.t list;
   ladder : Ladder.t Lazy.t;
   k : int Lazy.t;
   diffs : Var.Set.t list Lazy.t;
@@ -24,18 +29,18 @@ let k_of s lad =
   let rec probe j = if Session.within s [] lad j then j else probe (j + 1) in
   probe 0
 
-let sweep s movable =
-  if List.length movable > 16 then invalid_arg "Measure.diffs: |V(P)| > 16";
+(* The difference literals of [vp] spelling out exactly the set [sub]. *)
+let pattern vp diff_lits sub =
+  List.map2
+    (fun x d -> if Var.Set.mem x sub then d else Lit.neg d)
+    vp diff_lits
+
+let sweep s vp diff_lits =
+  if List.length vp > 16 then invalid_arg "Measure.diffs: |V(P)| > 16";
   let diffs =
     List.filter
-      (fun sub ->
-        Session.solve s []
-          ~extra:
-            (List.map
-               (fun (x, d) ->
-                 if Var.Set.mem x sub then d else Satsolver.Lit.neg d)
-               movable))
-      (Interp.subsets (List.map fst movable))
+      (fun sub -> Session.solve s [] ~extra:(pattern vp diff_lits sub))
+      (Interp.subsets vp)
   in
   (* The session's first query found a model pair, and its difference
      is one of the subsets: an empty sweep is a solver fault, never
@@ -49,9 +54,8 @@ let create kb p =
   if Kb.known kb = Some false then unsat "T";
   let vp_set = Formula.vars p in
   let vp = Var.Set.elements vp_set in
-  let y =
-    Names.copy ~avoid:(Var.Set.union (Kb.vars kb) vp_set) ~suffix:"_m" vp
-  in
+  let alphabet = Var.Set.union (Kb.vars kb) vp_set in
+  let y = Names.copy ~avoid:alphabet ~suffix:"_m" vp in
   (* [t] and [p[V(P)/Y]] share no letter, so each is decided by a solve
      on what is asserted so far: [t]'s only when its handle holds no
      decision yet, then [p]'s. *)
@@ -69,10 +73,13 @@ let create kb p =
       vp y
   in
   let ladder = lazy (Ladder.of_lits env diff_lits) in
-  let diffs = lazy (sweep s (List.combine vp diff_lits)) in
+  let diffs = lazy (sweep s vp diff_lits) in
   let delta = lazy (Interp.min_incl (Lazy.force diffs)) in
   {
     session = s;
+    alphabet;
+    vp;
+    outside = Var.Set.elements (Var.Set.diff (Kb.vars kb) vp_set);
     copies = y;
     diff_lits;
     ladder;
@@ -90,3 +97,37 @@ let k m = Lazy.force m.k
 let diffs m = Lazy.force m.diffs
 let delta m = Lazy.force m.delta
 let omega m = Lazy.force m.omega
+
+(* T * P is the session, V(P) read on the copies, under assumptions on
+   the difference literals: Dalal's ladder "at most k", Weber's every
+   difference outside Ω off, Satoh's one pattern per member of δ. *)
+let consistent m (op : MB.op) extra fs =
+  let s = m.session in
+  let under a = Session.solve s ~extra:(extra @ a) fs in
+  match op with
+  | MB.Dalal -> Session.within s ~assume:extra fs (ladder m) (k m)
+  | MB.Weber ->
+      let off x d = if Var.Set.mem x (omega m) then [] else [ Lit.neg d ] in
+      under (List.concat (List.map2 off m.vp m.diff_lits))
+  | MB.Satoh ->
+      List.exists (fun sub -> under (pattern m.vp m.diff_lits sub)) (delta m)
+  | MB.Winslett | MB.Forbus | MB.Borgida ->
+      invalid_arg ("Measure: " ^ MB.name op ^ " is not a measured revision")
+
+(* The copies and T's letters outside V(P) take the candidate's values:
+   the T side moves on V(P) alone, spelled out by the differences. *)
+let member m op n =
+  let env = Session.env m.session in
+  let pin x y =
+    let l = Semantics.lit_of_var env y in
+    if Var.Set.mem x n then l else Lit.neg l
+  in
+  consistent m op
+    (List.map (fun x -> pin x x) m.outside @ List.map2 pin m.vp m.copies)
+    []
+
+let entails m op q =
+  let q = Names.free ~alphabet:m.alphabet (Var.set_of_list m.copies) q in
+  not
+    (consistent m op []
+       [ Formula.not_ (Formula.rename (List.combine m.vp m.copies) q) ])

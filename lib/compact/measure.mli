@@ -17,17 +17,19 @@
       [|T|] for bounded [P] and exponential in general, exactly the
       asymmetry Table 1 turns on.
 
+    Under one more constraint on the difference literals the session
+    is the revision itself for Dalal, Weber and Satoh ({!member},
+    {!entails}): [EXA(k)] (Theorem 3.4), [T[Ω/Z] ∧ P] (Theorem 3.5) and
+    δ (formula (7)) each constrain only where [T] and [P] differ.
+
     A value of {!t} is the one owner of its [(T, P)] pair: building it
     decides that [P] is satisfiable (the session's one solve) and takes
     [T]'s decision from its {!Logic.Kb} handle, and each measure is
     computed at most once, on first use.  The session, the copies, the
-    difference literals and the ladder are exported, so
-    {!Check} asks its per-candidate questions on the same solver:
-    pinning [Y] (or [V(P)]) to an interpretation makes the difference
-    literals spell out its difference with the other side.
-    A construction or checker that needs a measure builds one value and
-    takes its guard from it.  A value is not domain-safe: build one per
-    domain. *)
+    difference literals and the ladder are exported for {!Check}'s
+    CEGAR loops: pinning [V(P)] to a witness makes the difference
+    literals spell out its difference with the P-model on the copies.
+    A value is not domain-safe: build one per domain. *)
 
 open Logic
 
@@ -72,3 +74,16 @@ val delta : t -> Var.Set.t list
 
 val omega : t -> Var.Set.t
 (** [Ω = ∪ δ(T, P)]. *)
+
+val member : t -> Revision.Model_based.op -> Interp.t -> bool
+(** [member m op n]: for [n |= P], is [n] a model of [T * P]?  With [n]
+    pinned, Dalal is one ladder probe at [k] ([sem.ladder.probes]),
+    Weber one solve with the differences outside [Ω] off, Satoh one
+    solve per [S ∈ δ].  Raises [Invalid_argument] for Winslett, Forbus
+    and Borgida, whose revisions are not of this shape, as {!entails}
+    does. *)
+
+val entails : t -> Revision.Model_based.op -> Formula.t -> bool
+(** [entails m op q]: [T * P |= q], with [q]'s letters of [V(P)]
+    renamed onto {!copies} and its letters outside [V(T) ∪ V(P)] free
+    ({!Names.free}); one query, on [¬q]. *)

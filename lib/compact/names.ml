@@ -11,3 +11,12 @@ let copy ?(avoid = Var.Set.empty) ~suffix xs =
     if ok then ys else attempt (suffix ^ "_")
   in
   attempt suffix
+
+let free ~alphabet made q =
+  let vq = Formula.vars q in
+  match Var.Set.elements (Var.Set.diff (Var.Set.inter vq made) alphabet) with
+  | [] -> q
+  | xs ->
+      Formula.rename
+        (List.combine xs (copy ~avoid:(Var.Set.union made vq) ~suffix:"_q" xs))
+        q

@@ -12,3 +12,9 @@ val copy : ?avoid:Var.Set.t -> suffix:string -> Var.t list -> Var.t list
 (** [copy ~avoid ~suffix xs]: fresh letters named [x ^ suffix] (or
     [x ^ suffix ^ "_"] repeated as needed), pairwise distinct and disjoint
     from both [xs] and [avoid]. *)
+
+val free : alphabet:Var.Set.t -> Var.Set.t -> Formula.t -> Formula.t
+(** [free ~alphabet made q]: [q] with each letter of [made] outside
+    [alphabet] renamed apart, so a query against [T * P] reads the
+    letters a construction made up as free, like every letter outside
+    [alphabet] = [V(T) ∪ V(P)]. *)

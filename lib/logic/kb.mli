@@ -28,7 +28,7 @@ val decide : t -> by:(unit -> bool) -> bool
 (** The decision, taken by [by ()] when none has been yet and then kept
     ([sem.kb.decisions] counts these).  [by] must answer whether
     {!formula} is satisfiable; the measure session of [Compact] asks it
-    of its renamed copy of [T]. *)
+    of [T] asserted alone. *)
 
 val is_sat : t -> bool
 (** {!decide} by {!Semantics.is_sat}. *)

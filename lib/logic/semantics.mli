@@ -64,8 +64,8 @@ val block : env -> Var.t list -> Interp.t -> unit
     for every threshold.  The two vectors are the caller's: when it
     pins one of them by assumptions, the reference point is part of
     the assumption set, and one ladder measures the distance to each
-    reference point in turn ([Compact.Check] pins the copies of
-    [Compact.Measure]). *)
+    reference point in turn ([Compact.Measure] pins its copies to a
+    candidate, [Compact.Check] its letters to a witness). *)
 
 module Ladder : sig
   type t
@@ -110,11 +110,11 @@ module Session : sig
       conjunct, encoded once), any [extra] assumption literals, and the
       clause groups of the activated [scopes]. *)
 
-  val entails : ?premises:Formula.t list -> t -> Formula.t -> bool
-  (** [entails s ~premises q]: do the permanent assertions plus
-      [premises] entail [q]?  One {!solve} on [premises @ [not q]], so
-      repeated entailment queries against one asserted KB hit the
-      Tseitin memo and the accumulated learned clauses. *)
+  val entails : t -> Formula.t -> bool
+  (** [entails s q]: do the permanent assertions entail [q]?  One
+      {!solve} on [[not q]], so repeated entailment queries against one
+      asserted KB hit the Tseitin memo and the accumulated learned
+      clauses. *)
 
   val mask_on :
     (module Mask.S with type t = 'm) -> t -> Interp_packed.alphabet -> 'm

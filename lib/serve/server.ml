@@ -11,12 +11,15 @@
    - revisions are answered from a bounded LRU keyed on
      (KB name, epoch, operator, normalized P) — an epoch bump on
      [update]/[load] changes every key of that KB, so invalidation is
-     free and stale entries simply age out;
+     free and stale entries simply age out.  A Dalal, Weber or Satoh
+     entry holds one measure of (T, P): an op+P [query] is answered on
+     its session, and the compact formula is built from it only when a
+     [revise] or [update] needs its size or text;
    - model-checking traffic against one (KB, operator, P) is fanned
      through [Check.model_check_batch], which hoists the per-(T, P)
-     setup (k_{T,P}, Ω, Δ, CEGAR sessions) out of the per-candidate
-     loop; the [batch] verb additionally groups its members so one
-     setup serves many requests.
+     measure out of the per-candidate loop; the [batch] verb
+     additionally groups its members so one setup serves many
+     requests.
 
    Shutdown: the [shutdown] verb stops the loop after replying; a
    SIGTERM/SIGINT mid-request is deferred via [Obs.set_signal_deferral],
@@ -39,10 +42,10 @@ let c_evictions = Obs.counter "serve.cache.evictions"
 let c_batch_groups = Obs.counter "serve.batch.groups"
 let c_drained = Obs.counter "serve.drained.lines"
 
-(* A cached revision: the compact formula for T * P plus a lazily
-   built session that asserts it once (clause conjuncts as clauses),
-   so a repeated query against it encodes only the query. *)
-type cached = { rf : Formula.t; mutable rsession : Session.t option }
+(* A cached revision T * P: [ask] answers T * P |= q, on the measure
+   for Dalal, Weber and Satoh and on {!cached_session} for the others;
+   [rf] is the compact formula. *)
+type cached = { rf : Formula.t Lazy.t; ask : (Formula.t -> bool) Lazy.t }
 
 type t = {
   registry : Registry.t;
@@ -133,10 +136,36 @@ let cache_key (e : Registry.entry) op pf =
   Printf.sprintf "%s@%d|%s|%s" e.name e.epoch (MB.name op)
     (Formula.to_string pf)
 
-(* Lookup-or-compute for T * P.  The epoch inside the key is the whole
-   invalidation story: [update]/[load] bump it, so stale entries can
-   never be found again and age out of the LRU. *)
-let revised t (e : Registry.entry) op pf =
+(* Winslett, Forbus and Borgida revisions are not a measure under
+   assumptions: a session asserts the compact formula once (clause
+   conjuncts as clauses), so a repeated query encodes only itself. *)
+let cached_session kb pf rf =
+  let made = Formula.vars rf in
+  let s = Session.create ~vars:(Var.Set.elements made) () in
+  Session.assert_always s rf;
+  let alphabet = Var.Set.union (Kb.vars kb) (Formula.vars pf) in
+  fun q -> Session.entails s (Compact.Names.free ~alphabet made q)
+
+let entry op kb pf =
+  let construct measure =
+    Obs.with_span "serve.revise"
+      ~attrs:(fun () -> [ ("op", MB.name op) ])
+      (fun () -> Compact.Construct.revise ?measure op kb pf)
+  in
+  match op with
+  | MB.Dalal | MB.Weber | MB.Satoh ->
+      let m = lazy (Compact.Measure.create kb pf) in
+      {
+        rf = lazy (construct (Some (Lazy.force m)));
+        ask = lazy (Compact.Measure.entails (Lazy.force m) op);
+      }
+  | MB.Winslett | MB.Forbus | MB.Borgida ->
+      let rf = lazy (construct None) in
+      { rf; ask = lazy (cached_session kb pf (Lazy.force rf)) }
+
+(* Lookup-or-compute for T * P.  A new entry is cached only once what
+   the verb [needs] of it is built, so a refused revision never is. *)
+let revised t (e : Registry.entry) op pf needs =
   let key = cache_key e op pf in
   match Lru.find t.cache key with
   | Some c ->
@@ -146,25 +175,13 @@ let revised t (e : Registry.entry) op pf =
   | None ->
       t.misses <- t.misses + 1;
       Obs.incr c_misses;
-      let rf =
-        Obs.with_span "serve.revise"
-          ~attrs:(fun () -> [ ("op", MB.name op) ])
-          (fun () -> Compact.Construct.revise op e.kb pf)
-      in
-      let c = { rf; rsession = None } in
+      let c = entry op e.kb pf in
+      needs c;
       Lru.add t.cache key c;
       (c, false)
 
-let cached_session c =
-  match c.rsession with
-  | Some s -> s
-  | None ->
-      let s =
-        Session.create ~vars:(Var.Set.elements (Formula.vars c.rf)) ()
-      in
-      Session.assert_always s c.rf;
-      c.rsession <- Some s;
-      s
+let formula c = Lazy.force c.rf
+let needs_formula c = ignore (formula c)
 
 (* -- verbs ----------------------------------------------------------------- *)
 
@@ -190,13 +207,13 @@ let do_update t id req =
   let e = entry_of t id req in
   let op = op_of id req in
   let pf = formula_of id req "p" in
-  let c, cached = revised t e op pf in
-  Registry.commit e [ c.rf ];
+  let c, cached = revised t e op pf needs_formula in
+  Registry.commit e [ formula c ];
   ok id
     [
       ("kb", Json.Str e.name);
       ("epoch", Json.Int e.epoch);
-      ("size", Json.Int (Formula.size c.rf));
+      ("size", Json.Int (Formula.size (formula c)));
       ("cached", Json.Bool cached);
     ]
 
@@ -204,19 +221,19 @@ let do_revise t id req =
   let e = entry_of t id req in
   let op = op_of id req in
   let pf = formula_of id req "p" in
-  let c, cached = revised t e op pf in
+  let c, cached = revised t e op pf needs_formula in
   let base =
     [
       ("kb", Json.Str e.name);
       ("epoch", Json.Int e.epoch);
       ("op", Json.Str (MB.name op));
-      ("size", Json.Int (Formula.size c.rf));
+      ("size", Json.Int (Formula.size (formula c)));
       ("cached", Json.Bool cached);
     ]
   in
   let extra =
     if Json.bool_member "print" req = Some true then
-      [ ("formula", Json.Str (Formula.to_string c.rf)) ]
+      [ ("formula", Json.Str (Formula.to_string (formula c))) ]
     else []
   in
   ok id (base @ extra)
@@ -248,13 +265,13 @@ let do_query t id req =
       (* Entailment by the revised KB: T * P |= q through the cache. *)
       let op = op_of id req in
       let pf = formula_of id req "p" in
-      let c, cached = revised t e op pf in
-      let s = cached_session c in
+      let needs_ask c = ignore (Lazy.force c.ask : Formula.t -> bool) in
+      let c, cached = revised t e op pf needs_ask in
       ok id
         [
           ("kb", Json.Str e.name);
           ("op", Json.Str (MB.name op));
-          ("entails", Json.Bool (Session.entails s q));
+          ("entails", Json.Bool (Lazy.force c.ask q));
           ("route", Json.Str "revised");
           ("cached", Json.Bool cached);
         ]

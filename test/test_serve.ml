@@ -323,8 +323,7 @@ let test_unsat_kb_epochs () =
               (Printf.sprintf
                  {|{"verb":"check","kb":"k","op":"%s","p":"c","models":["c"]}|}
                  op)
-              (if measured then "Measure: T is unsatisfiable"
-               else "Compact.Check: T unsatisfiable"))
+              "Measure: T is unsatisfiable")
           [ ("winslett", false); ("dalal", true) ])
   in
   check_bool "one decision for six refusals" true (decisions = [ 1 ]);
@@ -343,6 +342,79 @@ let test_unsat_kb_epochs () =
   check_int "update bumps the epoch" 2 (get_int "epoch" u);
   check_bool "query sees the update" true
     (get_bool "entails" (send srv {|{"verb":"query","kb":"k","q":"~a & b"}|}))
+
+(* A letter outside V(T) ∪ V(P) is free in an op+P query, whichever
+   route answers it, even when the construction or the measure made up
+   a letter of that name: Dalal's step copies a to a', Weber's to a_z,
+   Winslett's to a_wy, the measure to a_m; zz is nobody's.  The revision
+   of a & b by ~a is ~a & b under each operator, so neither a letter
+   nor its negation is entailed. *)
+let test_made_up_letters_free () =
+  let srv = Server.create () in
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
+  let entails op q =
+    get_bool "entails"
+      (sendf srv {|{"verb":"query","kb":"k","op":"%s","p":"~a","q":"%s"}|}
+         op q)
+  in
+  List.iter
+    (fun (op, x) ->
+      check_bool (Printf.sprintf "%s: %s is free" op x) false (entails op x);
+      check_bool (Printf.sprintf "%s: ~%s is free" op x) false
+        (entails op ("~" ^ x)))
+    [
+      ("dalal", "a'");
+      ("weber", "a_z");
+      ("dalal", "zz");
+      ("dalal", "a_m");
+      ("satoh", "a_m");
+      ("winslett", "a_wy");
+      ("winslett", "zz");
+    ];
+  List.iter
+    (fun op -> check_bool (op ^ ": ~a & b") true (entails op "~a & b"))
+    [ "dalal"; "weber"; "satoh"; "winslett" ]
+
+(* A cold Dalal, Weber or Satoh op+P query is answered on the one
+   measure its cache entry owns: one solver built, and no compact
+   formula constructed (no [serve.revise] span).  A later [revise] of
+   the same P builds the formula from that measure, with no solver. *)
+let test_cold_query_on_measure () =
+  let enabled = Obs.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled enabled)
+    (fun () ->
+      Obs.set_enabled true;
+      let constructions () =
+        match List.assoc_opt "serve.revise" (Obs.snapshot ()).spans with
+        | Some s -> s.Obs.s_count
+        | None -> 0
+      in
+      let srv = Server.create () in
+      ignore
+        (send srv
+           {|{"verb":"load","kb":"k","theory":"(a | b | ~c) & (~a | c | d) & (b | ~d)"}|});
+      List.iter
+        (fun op ->
+          let c0 = constructions () in
+          let v, builds =
+            deltas [ "sem.env.builds" ] (fun () ->
+                sendf srv
+                  {|{"verb":"query","kb":"k","op":"%s","p":"~b | ~c","q":"a | d"}|}
+                  op)
+          in
+          check_bool (op ^ ": cold") false (get_bool "cached" v);
+          check_bool (op ^ ": one solver") true (builds = [ 1 ]);
+          check_int (op ^ ": no construction") c0 (constructions ());
+          let r, builds =
+            deltas [ "sem.env.builds" ] (fun () ->
+                sendf srv {|{"verb":"revise","kb":"k","op":"%s","p":"~b | ~c"}|}
+                  op)
+          in
+          check_bool (op ^ ": revise hits") true (get_bool "cached" r);
+          check_bool (op ^ ": formula from the measure") true (builds = [ 0 ]);
+          check_int (op ^ ": one construction") (c0 + 1) (constructions ()))
+        [ "dalal"; "weber"; "satoh" ])
 
 (* -- batch semantics ---------------------------------------------------------- *)
 
@@ -582,6 +654,10 @@ let () =
             test_one_decision_per_epoch;
           Alcotest.test_case "unsatisfiable KB across epochs" `Quick
             test_unsat_kb_epochs;
+          Alcotest.test_case "made-up letters are free" `Quick
+            test_made_up_letters_free;
+          Alcotest.test_case "cold query on the measure" `Quick
+            test_cold_query_on_measure;
         ] );
       ( "batch",
         [

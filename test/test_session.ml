@@ -214,19 +214,23 @@ let test_cegar_work () =
         (fun () -> Check.model_check MB.Forbus t p cand))
     [ 12; 16 ]
 
-(* Each public entry point decides T and P once: the measuring
-   operators take the guard from their Measure session, the others run
-   one plain check per formula.  A 3-CNF T goes past the clausal fast
-   path to the solver; a Horn P does not.  So one batch check builds at
-   most two solvers, and so does one entailment, except that Borgida's
-   also decides T ∧ P. *)
+(* A 3-CNF T goes past the clausal fast path to the solver; a Horn P
+   does not. *)
+let cnf3_t =
+  f
+    "(x1 | x2 | ~x3) & (~x1 | ~x2 | x3) & (x2 | x3 | ~x4) & (~x2 | ~x3 | \
+     x4) & (x1 | x4 | x5) & (~x1 | ~x4 | ~x5)"
+
+let horn_p = f "x1 & (~x1 | ~x2) & (~x3 | x4) & ~x5"
+
+(* Each public entry point decides T and P once: a batch check and the
+   measuring constructions take the guard from their Measure session,
+   the other constructions run one plain check per formula.  So on
+   [cnf3_t] and [horn_p] one batch check builds at most two solvers,
+   and so does one entailment, except that Borgida's also decides
+   T ∧ P. *)
 let test_guard_builds () =
-  let t =
-    f
-      "(x1 | x2 | ~x3) & (~x1 | ~x2 | x3) & (x2 | x3 | ~x4) & (~x2 | ~x3 | \
-       x4) & (x1 | x4 | x5) & (~x1 | ~x4 | ~x5)"
-  in
-  let p = f "x1 & (~x1 | ~x2) & (~x3 | x4) & ~x5" in
+  let t = cnf3_t and p = horn_p in
   let q = f "x3 -> x4" in
   let ns = Interp.subsets (letters 5) in
   Pool.with_jobs 1 (fun () ->
@@ -249,11 +253,9 @@ let test_guard_builds () =
         MB.all)
 
 (* Every solver question of a batch is asked on a measure session, one
-   per pool chunk.  At one job a Dalal batch builds one solver: its
-   chunk's measure, which computes k and answers every probe.  Weber
-   adds the measure of the calling domain that computes Ω, and Satoh
-   has only that one.  With a Horn T and a Horn P the CEGAR operators'
-   guard builds none, so their chunk's measure is their one solver. *)
+   per pool chunk.  At one job every batch builds one solver: its
+   chunk's measure, which computes k, Ω or δ and answers every
+   candidate. *)
 let test_batch_builds () =
   let t = f "x1 & (~x1 | x2) & (~x2 | ~x3 | x4)" in
   let p = f "~x2 & (x3 | ~x5)" in
@@ -267,10 +269,23 @@ let test_batch_builds () =
           in
           check_bool (name ^ ": batch = fresh") true
             (answers = List.map (Fresh.model_check op t p) ns);
-          check_int (name ^ ": solvers built")
-            (if op = MB.Weber then 2 else 1)
-            builds)
+          check_int (name ^ ": solvers built") 1 builds)
         MB.all)
+
+(* A batch's T/P guard is its chunk's measure: on [cnf3_t], past the
+   clausal fast path, a CEGAR batch at one job builds that one solver
+   and decides T on it, with no guard solver beside it. *)
+let test_no_guard_solver () =
+  let ns = Interp.subsets (letters 5) in
+  Pool.with_jobs 1 (fun () ->
+      List.iter
+        (fun op ->
+          let _, builds, _ =
+            work (fun () ->
+                Check.model_check_batch op (Kb.make cnf3_t) horn_p ns)
+          in
+          check_int (MB.name op ^ ": solvers built") 1 builds)
+        [ MB.Winslett; MB.Forbus; MB.Borgida ])
 
 (* The per-candidate step of a batch pays only for the candidate.  A
    Dalal batch makes the measure's k + 1 threshold probes, then one
@@ -445,6 +460,36 @@ let prop_batch_local_matches_enumeration =
             [ 1; 4 ])
         MB.all)
 
+(* The measure route answers as the enumeration route does for the
+   three operators whose revision is the measure's session under
+   assumptions: entailment of a query over V(T) ∪ V(P) and beyond it,
+   and model checking by {!Compact.Measure.member} and by a batch at
+   one and at four worker domains, with P partly outside V(T). *)
+let prop_measure_route_matches_model_based =
+  let tv = letters 4 and pv = List.filteri (fun i _ -> i >= 2) (letters 5) in
+  let x = letters 5 in
+  let ns = Interp.subsets x in
+  qtest "measure route = Model_based (Dalal, Weber, Satoh), P partly outside V(T)"
+    ~count:40
+    (arb_triple (arb_sat_formula tv) (arb_sat_formula pv) (arb_formula x))
+    (fun (t, p, q) ->
+      List.for_all
+        (fun op ->
+          let r = MB.revise_on op x t p in
+          let m = Compact.Measure.create (Kb.make t) p in
+          let expected = List.map (Revision.Result.model_check r) ns in
+          Compact.Measure.entails m op q = Revision.Result.entails r q
+          && List.for_all2
+               (fun n e ->
+                 (not (Interp.sat n p)) || Compact.Measure.member m op n = e)
+               ns expected
+          && List.for_all
+               (fun jobs ->
+                 Pool.with_jobs jobs (fun () ->
+                     Check.model_check_batch op (Kb.make t) p ns = expected))
+               [ 1; 4 ])
+        [ MB.Dalal; MB.Weber; MB.Satoh ])
+
 (* The measure's realizable-difference sweep agrees with the
    formula-level per-subset oracle. *)
 let prop_measure_matches_formula_oracle =
@@ -565,6 +610,7 @@ let () =
           prop_model_check_matches_fresh;
           prop_batch_matches_fresh;
           prop_batch_local_matches_enumeration;
+          prop_measure_route_matches_model_based;
           prop_measure_matches_formula_oracle;
         ] );
       ( "work",
@@ -575,6 +621,7 @@ let () =
           Alcotest.test_case "one guard per entry point" `Quick
             test_guard_builds;
           Alcotest.test_case "one session per chunk" `Quick test_batch_builds;
+          Alcotest.test_case "no guard solver" `Quick test_no_guard_solver;
           Alcotest.test_case "per-candidate batch work" `Quick
             test_per_candidate_work;
           Alcotest.test_case "CEGAR local to V(P)" `Quick test_local_work;
