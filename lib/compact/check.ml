@@ -48,7 +48,7 @@ let refutation_core (type m) (module M : Mask.S with type t = m) ~witness
   (* (d ∪ e) Δ e = d \ e *)
   M.diff (M.union d e) e
 
-(* CEGAR for the pointwise operators, on the chunk's measure session:
+(* CEGAR for the pointwise operators, on the measure's session:
    witnesses are models of T under the assumptions [pins] (T's letters
    outside V(P) set to the candidate) and a retractable blocking scope,
    and [refutes m] asks its own query on the same solver (the blocking
@@ -124,60 +124,46 @@ let cegar_in budget ~inclusion m alpha outside n =
   Session.with_retractable s (fun scope ->
       witness_loop (module M) budget s pins scope alpha nm ~refutes)
 
-(* Membership of a batch (check.mli).  The CEGAR loops share the
-   chunk's measure, so T's encoding, the ladder and the learned clauses
-   carry across candidates.  A batch on an undecided handle decides T
-   in its chunks: at more than one job possibly once per concurrent
-   chunk (both deciders store the same answer).  Answers depend only on
-   (op, T, P, candidate), never on chunk boundaries. *)
-let model_check_batch ?(cegar_cap = 50_000) op kb p ns =
-  match ns with
-  | [] -> []
-  | _ ->
-      Obs.with_span "check.batch"
-        ~attrs:(fun () ->
-          [ ("op", MB.name op); ("candidates", string_of_int (List.length ns)) ])
-        (fun () ->
-          let t = Kb.formula kb and vp_set = Formula.vars p in
-          let va = Var.Set.union (Kb.vars kb) vp_set in
-          let arr = Array.of_list (List.map (Interp.restrict va) ns) in
-          let vp = Var.Set.elements vp_set in
-          let outside = Var.Set.elements (Var.Set.diff (Kb.vars kb) vp_set) in
-          (* Refinement [i] of a witness loop; past the cap it raises,
-             naming the operator and the alphabet width. *)
-          let budget i =
-            if i > cegar_cap then
-              raise
-                (Cegar_cap_exceeded
-                   { cap = cegar_cap; opname = MB.name op;
-                     nletters = Var.Set.cardinal va })
-          in
-          let alpha = Interp_packed.alphabet vp in
-          let cegar ~inclusion m = cegar_in budget ~inclusion m alpha outside in
-          (* One checker per chunk, on a measure built on its domain. *)
-          let checker m =
-            match op with
-            | MB.Dalal | MB.Weber | MB.Satoh -> Measure.member m op
-            | MB.Winslett -> cegar ~inclusion:true m
-            | MB.Forbus -> cegar ~inclusion:false m
-            | MB.Borgida ->
-                let consistent =
-                  lazy
-                    (Session.solve (Measure.session m)
-                       ~extra:(List.map Satsolver.Lit.neg (Measure.diff_lits m))
-                       [])
-                in
-                fun n ->
-                  if Lazy.force consistent then Interp.sat n t
-                  else cegar ~inclusion:true m n
-          in
-          Revkb_parallel.Pool.map_array_with (Revkb_parallel.Pool.global ())
-            ~init:(fun () -> checker (Measure.create kb p))
-            (fun check n -> Interp.sat n p && check n)
-            arr
-          |> Array.to_list)
+(* The per-candidate checker of [m]'s pair (check.mli).  Every
+   candidate asks its questions on [m]'s session, so T's encoding, the
+   ladder and the learned clauses carry across candidates. *)
+let checker ?(cegar_cap = 50_000) op m =
+  let kb = Measure.kb m and p = Measure.p m in
+  let vp_set = Formula.vars p in
+  let va = Var.Set.union (Kb.vars kb) vp_set in
+  let outside = Var.Set.elements (Var.Set.diff (Kb.vars kb) vp_set) in
+  (* Refinement [i] of a witness loop; past the cap it raises, naming
+     the operator and the alphabet width. *)
+  let budget i =
+    if i > cegar_cap then
+      raise
+        (Cegar_cap_exceeded
+           { cap = cegar_cap; opname = MB.name op;
+             nletters = Var.Set.cardinal va })
+  in
+  let alpha = Interp_packed.alphabet (Var.Set.elements vp_set) in
+  let cegar ~inclusion = cegar_in budget ~inclusion m alpha outside in
+  let check =
+    match op with
+    | MB.Dalal | MB.Weber | MB.Satoh -> Measure.member m op
+    | MB.Winslett -> cegar ~inclusion:true
+    | MB.Forbus -> cegar ~inclusion:false
+    | MB.Borgida ->
+        let consistent =
+          lazy
+            (Session.solve (Measure.session m)
+               ~extra:(List.map Satsolver.Lit.neg (Measure.diff_lits m))
+               [])
+        in
+        fun n ->
+          if Lazy.force consistent then Interp.sat n (Kb.formula kb)
+          else cegar ~inclusion:true n
+  in
+  fun n ->
+    let n = Interp.restrict va n in
+    Interp.sat n p && check n
 
 let model_check ?cegar_cap op t p n =
-  match model_check_batch ?cegar_cap op (Kb.make t) p [ n ] with
-  | [ b ] -> b
-  | _ -> assert false (* one answer per candidate *)
+  Obs.with_span "check.batch"
+    ~attrs:(fun () -> [ ("op", MB.name op); ("candidates", "1") ])
+    (fun () -> checker ?cegar_cap op (Measure.create (Kb.make t) p) n)

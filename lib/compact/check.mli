@@ -52,26 +52,22 @@ exception
     [cegar_cap] times.  Carries the cap, the operator name, and the
     alphabet width the loop died on. *)
 
-val model_check_batch :
+val checker :
   ?cegar_cap:int ->
   Revision.Model_based.op ->
-  Kb.t ->
-  Formula.t ->
-  Interp.t list ->
-  bool list
-(** [model_check_batch op kb p ns]: does each interpretation of [ns]
-    (over [V(T) ∪ V(P)]; letters outside it are ignored) satisfy
-    [T * P]?  Requires [T] and [p] satisfiable (raises
-    [Invalid_argument] otherwise, unless [ns] is empty).  Candidates
-    are fanned across the {!Revkb_parallel.Pool.global} work pool in
-    chunks, and each chunk asks all its questions on one {!Measure}
-    of its own (its own [k], [Ω] or [δ], one ladder, one Borgida
-    T ∧ P decision), whose construction is the batch's [T]/[P] guard:
-    at one job every batch builds exactly one solver.  Every clause a
-    candidate adds sits in a scope retired when it ends.  Answers are
-    returned in candidate order and are identical at every job count.
-    [cegar_cap] (default 50_000) bounds the Winslett/Forbus witness
-    loop; exceeding it raises {!Cegar_cap_exceeded}. *)
+  Measure.t ->
+  Interp.t ->
+  bool
+(** [checker op m]: the membership test of [T * P] for [m]'s pair.
+    [checker op m n] restricts [n] to [V(T) ∪ V(P)] (letters outside it
+    are ignored), answers [false] when [n] falsifies [P], and otherwise
+    asks [m]'s session alone: the checker keeps [m]'s [k], [Ω] or [δ],
+    its ladder and a Borgida [T ∧ P] decision for every candidate it is
+    applied to.  Every clause a candidate adds sits in a scope retired
+    when it ends, so an answer never depends on the candidates checked
+    before it.  [cegar_cap] (default 50_000) bounds the Winslett/Forbus
+    witness loop; exceeding it raises {!Cegar_cap_exceeded}.  Not
+    domain-safe, as [m] is not. *)
 
 val model_check :
   ?cegar_cap:int ->
@@ -80,8 +76,9 @@ val model_check :
   Formula.t ->
   Interp.t ->
   bool
-(** {!model_check_batch} on one candidate, with a handle built on the
-    spot for [T]. *)
+(** [model_check op t p n]: {!checker} on a fresh [Measure.create]
+    for [T] and [p], applied to [n], in one [check.batch] span.
+    Raises [Invalid_argument] when [T] or [p] is unsatisfiable. *)
 
 (* lint: iface-ok test_compact checks it against the CEGAR refutation *)
 val refutation_core :

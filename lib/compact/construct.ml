@@ -17,18 +17,13 @@ let alphabet kb ps =
 let fresh x kb suffix letters =
   Names.copy ~avoid:(Var.Set.union x (Kb.vars kb)) ~suffix letters
 
-let bounded_letters p =
-  let vp = Var.Set.elements (Formula.vars p) in
-  if List.length vp > 8 then
-    invalid_arg "Construct: |V(P)| > 8 — not a bounded instance";
-  vp
-
-(* The guard of a step that measures nothing: one plain check of [p]. *)
+(* The guard of a step that measures nothing: one plain check of [p],
+   whose expansion is exponential in |V(P)|. *)
 let check_bounded p =
-  let vp = bounded_letters p in
+  if Var.Set.cardinal (Formula.vars p) > 8 then
+    invalid_arg "Construct: |V(P)| > 8 — not a bounded instance";
   if not (Semantics.is_sat p) then
-    invalid_arg "Construct: revising formula unsatisfiable";
-  vp
+    invalid_arg "Construct: revising formula unsatisfiable"
 
 (* F_P(Z) = P[V(P)/Z] *)
 let f_p p vp z = Formula.rename (List.combine vp z) p
@@ -78,12 +73,12 @@ let winslett_qbf t p =
   winslett_view (alphabet kb [ p ]) kb p
 
 let winslett x kb p _ =
-  ignore (check_bounded p);
+  check_bounded p;
   step (Qbf.expand (winslett_view x kb p)) 0
 
 (* Formula (14), its comparison written out directly. *)
 let forbus x kb p _ =
-  ignore (check_bounded p);
+  check_bounded p;
   let vp, y, z, renamed = pointwise x kb p ("_fy", "_fz") in
   let closer = Hamming.dist_lt_direct (z, y) (vp, y) in
   let minimality =
@@ -92,7 +87,7 @@ let forbus x kb p _ =
   step (Formula.conj2 renamed (Qbf.expand minimality)) 0
 
 let borgida x kb p m =
-  ignore (check_bounded p);
+  check_bounded p;
   let phi = Kb.formula kb in
   if Semantics.is_sat (Formula.conj2 phi p) then step (Formula.conj2 phi p) 0
   else winslett x kb p m
@@ -102,10 +97,11 @@ let borgida x kb p m =
    the candidate's letters outside V(P), and so misses globally closer
    pairs (T = (x1 != x2) -> x1, P = ~x1: it admits the non-Satoh model
    {x2}).  Instead δ(φ, P) comes from the measure ([2^{|V(P)|}] SAT
-   probes, polynomial in |φ| for bounded P) and pins the candidate's
-   difference inside it. *)
+   probes, polynomial in |φ| for bounded P, and refused past 16
+   letters by the measure's sweep) and pins the candidate's difference
+   inside it. *)
 let satoh x kb p m =
-  let vp = bounded_letters p in
+  let vp = Var.Set.elements (Formula.vars p) in
   let delta = Measure.delta (Lazy.force m) in
   let phi = Kb.formula kb in
   let y = fresh x kb "_sy" vp in

@@ -40,8 +40,10 @@
     nothing: they consult [T]'s handle, and give each [P] one check
     (Borgida's fallback to Winslett checks it again).  Every failure raises
     [Invalid_argument], as does a [P] with more than 8 letters for the
-    four pointwise operators (the expansion and δ are exponential in
-    [|V(P)|]) and a Weber [P] with more than 16 ({!Measure.diffs}). *)
+    three expanding operators, Winslett, Forbus and Borgida (their
+    expansion is exponential in [|V(P)|]), and a Weber or Satoh [P]
+    with more than 16 ({!Measure.diffs}: Ω and δ come from a sweep
+    exponential in [|V(P)|]). *)
 
 open Logic
 

@@ -12,6 +12,8 @@ module Lit = Satsolver.Lit
    literals and a distance threshold is one ladder literal: pure
    assumptions, no re-encoding per query. *)
 type t = {
+  kb : Kb.t;
+  p : Formula.t;
   session : Session.t;
   alphabet : Var.Set.t; (* V(T) ∪ V(P) *)
   vp : Var.t list;
@@ -76,6 +78,8 @@ let create kb p =
   let diffs = lazy (sweep s vp diff_lits) in
   let delta = lazy (Interp.min_incl (Lazy.force diffs)) in
   {
+    kb;
+    p;
     session = s;
     alphabet;
     vp;
@@ -89,6 +93,8 @@ let create kb p =
     omega = lazy (List.fold_left Var.Set.union Var.Set.empty (Lazy.force delta));
   }
 
+let kb m = m.kb
+let p m = m.p
 let session m = m.session
 let copies m = m.copies
 let diff_lits m = m.diff_lits

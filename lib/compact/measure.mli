@@ -43,6 +43,12 @@ val create : Kb.t -> Formula.t -> t
     [T] or [p] is unsatisfiable (the paper's standing assumption; [T]
     is named when both are). *)
 
+val kb : t -> Kb.t
+(** The [T] handle the pair was built on. *)
+
+val p : t -> Formula.t
+(** The revising formula [P]. *)
+
 val session : t -> Semantics.Session.t
 (** The session holding [T ∧ P[V(P)/Y]] and the difference literals.
     A caller may add retractable scopes and ask queries; it must assert

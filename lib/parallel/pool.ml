@@ -152,25 +152,6 @@ let map_ranges pool ~lo ~hi f =
       (Array.init chunks (fun k -> k))
   end
 
-(* Chunked map with a per-chunk context: [init] runs once per chunk on
-   the executing domain, so expensive shared setup (a solver session, a
-   distance prober) is amortized over the chunk instead of rebuilt per
-   element.  Results are slotted by input index — [f] must give answers
-   independent of the chunking for the determinism contract to hold,
-   which every engine caller satisfies (the context only caches work,
-   never changes answers). *)
-let map_array_with pool ~init f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let parts =
-      map_ranges pool ~lo:0 ~hi:n (fun l h ->
-          let ctx = init () in
-          Array.init (h - l) (fun i -> f ctx arr.(l + i)))
-    in
-    Array.concat (Array.to_list parts)
-  end
-
 let parallel_for_reduce pool ~lo ~hi ~map ~reduce init =
   Array.fold_left
     (fun acc b -> reduce acc b)

@@ -3,12 +3,14 @@
     The model-based revision pipeline is embarrassingly parallel over
     models: packed enumeration sweeps disjoint mask ranges, distance
     reductions fold disjoint chunks of [Mod(T)], and the bench tables
-    measure independent instances.  This pool gives those layers a shared
-    set of worker domains without pulling in domainslib: plain [Domain] +
-    [Mutex]/[Condition], a FIFO task queue, and batch submission where the
-    submitting domain also executes tasks while it waits (so nested
-    batches — an instance fanned across the pool whose enumeration fans
-    again — cannot deadlock).
+    measure independent instances.  Model checking does not fan out:
+    every candidate of a (T, P) pair is asked on the pair's one solver
+    session, which no domain shares.  This pool gives those layers a
+    shared set of worker domains without pulling in domainslib: plain
+    [Domain] + [Mutex]/[Condition], a FIFO task queue, and batch
+    submission where the submitting domain also executes tasks while it
+    waits (so nested batches — an instance fanned across the pool whose
+    enumeration fans again — cannot deadlock).
 
     {b Determinism contract.} Every combinator returns results slotted or
     reduced in submission order, so for the associative merges used by the
@@ -59,19 +61,6 @@ val map_ranges : t -> lo:int -> hi:int -> (int -> int -> 'a) -> 'a array
     else four per job, for load balance, and at most one per element),
     apply [f l h] to each, and return the per-chunk results in
     ascending range order. *)
-
-val map_array_with :
-  t ->
-  init:(unit -> 'c) ->
-  ('c -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** Chunked parallel map with a per-chunk context: {!map_ranges} where
-    each chunk first runs [init] once on its executing domain and then
-    maps its slice with the resulting context.  Amortizes expensive
-    shared setup (a SAT session, a distance prober) over the chunk.
-    Results are slotted by input index; [f]'s answers must not depend
-    on the context's history for the determinism contract to hold. *)
 
 val parallel_for_reduce :
   t ->

@@ -11,15 +11,15 @@
    - revisions are answered from a bounded LRU keyed on
      (KB name, epoch, operator, normalized P) — an epoch bump on
      [update]/[load] changes every key of that KB, so invalidation is
-     free and stale entries simply age out.  A Dalal, Weber or Satoh
-     entry holds one measure of (T, P): an op+P [query] is answered on
-     its session, and the compact formula is built from it only when a
-     [revise] or [update] needs its size or text;
-   - model-checking traffic against one (KB, operator, P) is fanned
-     through [Check.model_check_batch], which hoists the per-(T, P)
-     measure out of the per-candidate loop; the [batch] verb
-     additionally groups its members so one setup serves many
-     requests.
+     free and stale entries simply age out.  Every entry holds one
+     lazy measure of (T, P): a [check] asks its candidates on that
+     measure's checker, a Dalal, Weber or Satoh op+P [query] on its
+     session, and the compact formula is built (from the measure, for
+     those three) only when a [revise] or [update] needs its size or
+     text.  So the per-(T, P) setup is paid once per entry, whichever
+     verb comes first and however the requests are split: a [batch]
+     dispatches each member, and the second [check] of a pair is a
+     cache hit.
 
    Shutdown: the [shutdown] verb stops the loop after replying; a
    SIGTERM/SIGINT mid-request is deferred via [Obs.set_signal_deferral],
@@ -39,13 +39,17 @@ let c_errors = Obs.counter "serve.errors"
 let c_hits = Obs.counter "serve.cache.hits"
 let c_misses = Obs.counter "serve.cache.misses"
 let c_evictions = Obs.counter "serve.cache.evictions"
-let c_batch_groups = Obs.counter "serve.batch.groups"
 let c_drained = Obs.counter "serve.drained.lines"
 
 (* A cached revision T * P: [ask] answers T * P |= q, on the measure
    for Dalal, Weber and Satoh and on {!cached_session} for the others;
-   [rf] is the compact formula. *)
-type cached = { rf : Formula.t Lazy.t; ask : (Formula.t -> bool) Lazy.t }
+   [check] answers M |= T * P on the measure for all six; [rf] is the
+   compact formula. *)
+type cached = {
+  rf : Formula.t Lazy.t;
+  ask : (Formula.t -> bool) Lazy.t;
+  check : (Interp.t -> bool) Lazy.t;
+}
 
 type t = {
   registry : Registry.t;
@@ -152,16 +156,18 @@ let entry op kb pf =
       ~attrs:(fun () -> [ ("op", MB.name op) ])
       (fun () -> Compact.Construct.revise ?measure op kb pf)
   in
+  let m = lazy (Compact.Measure.create kb pf) in
+  let check = lazy (Check.checker op (Lazy.force m)) in
   match op with
   | MB.Dalal | MB.Weber | MB.Satoh ->
-      let m = lazy (Compact.Measure.create kb pf) in
       {
         rf = lazy (construct (Some (Lazy.force m)));
         ask = lazy (Compact.Measure.entails (Lazy.force m) op);
+        check;
       }
   | MB.Winslett | MB.Forbus | MB.Borgida ->
       let rf = lazy (construct None) in
-      { rf; ask = lazy (cached_session kb pf (Lazy.force rf)) }
+      { rf; ask = lazy (cached_session kb pf (Lazy.force rf)); check }
 
 (* Lookup-or-compute for T * P.  A new entry is cached only once what
    the verb [needs] of it is built, so a refused revision never is. *)
@@ -182,6 +188,7 @@ let revised t (e : Registry.entry) op pf needs =
 
 let formula c = Lazy.force c.rf
 let needs_formula c = ignore (formula c)
+let needs_check c = ignore (Lazy.force c.check : Interp.t -> bool)
 
 (* -- verbs ----------------------------------------------------------------- *)
 
@@ -276,8 +283,6 @@ let do_query t id req =
           ("cached", Json.Bool cached);
         ]
 
-(* The candidates of a check request.  It only reads [req], so the
-   batch path can parse a member and still hand it back whole. *)
 let models_of id req =
   match Json.list_member "models" req with
   | None -> failf id "missing_field" "list field \"models\" is required"
@@ -288,19 +293,30 @@ let models_of id req =
           | _ -> failf id "bad_request" "\"models\" must hold strings")
         l
 
-let check_reply id (e : Registry.entry) op answers =
+(* M |= T * P for each candidate, on the entry's checker.  A check
+   with no candidates touches neither the cache nor a solver. *)
+let do_check t id req =
+  let e = entry_of t id req in
+  let op = op_of id req in
+  let pf = formula_of id req "p" in
+  let answers =
+    match models_of id req with
+    | [] -> []
+    | ns ->
+        Obs.with_span "check.batch"
+          ~attrs:(fun () ->
+            [ ("op", MB.name op);
+              ("candidates", string_of_int (List.length ns)) ])
+          (fun () ->
+            let c, _ = revised t e op pf needs_check in
+            List.map (Lazy.force c.check) ns)
+  in
   ok id
     [
       ("kb", Json.Str e.name);
       ("op", Json.Str (MB.name op));
       ("results", Json.List (List.map (fun b -> Json.Bool b) answers));
     ]
-
-let do_check t id req =
-  let e = entry_of t id req in
-  let op = op_of id req in
-  let pf = formula_of id req "p" in
-  check_reply id e op (Check.model_check_batch op e.kb pf (models_of id req))
 
 let do_count t id req =
   let e = entry_of t id req in
@@ -382,105 +398,24 @@ let guarded id f =
            "CEGAR cap %d exceeded (op=%s, %d-letter alphabet)" cap opname
            nletters)
 
-let batchable = function
-  | "revise" | "query" | "check" | "count" | "stats" -> true
-  | _ -> false
-
-(* Members of one batch that model-check the same (KB, epoch, op, P)
-   are answered by ONE [Check.model_check_batch] call: their candidate
-   lists are concatenated, the shared setup runs once, and the answer
-   slices are dealt back to the member responses in request order. *)
-let do_batch t handle_one id req =
+(* Each member is dispatched as a top-level request is (counted and
+   span-timed) once screened for batchability, so members that share a
+   (KB, op, P) pair share its cache entry, as separate requests do. *)
+let do_batch t dispatch id req =
   match Json.list_member "requests" req with
   | None -> failf id "missing_field" "list field \"requests\" is required"
   | Some members ->
-      let arr = Array.of_list members in
-      let responses = Array.make (Array.length arr) Json.Null in
-      (* Pass 1: group the check members. *)
-      let groups : (string, (int * Json.t) list ref) Hashtbl.t =
-        Hashtbl.create 8
+      let answer m =
+        let mid = Json.member "id" m in
+        match Json.str_member "verb" m with
+        | Some ("revise" | "query" | "check" | "count" | "stats") ->
+            dispatch t m
+        | Some v ->
+            error mid "not_batchable"
+              (Printf.sprintf "verb %S cannot appear inside a batch" v)
+        | None -> error mid "missing_field" "field \"verb\" required"
       in
-      let order = ref [] in
-      Array.iteri
-        (fun i m ->
-          if Json.str_member "verb" m = Some "check" then
-            match
-              ( Json.str_member "kb" m,
-                Json.str_member "op" m,
-                Json.str_member "p" m )
-            with
-            | Some kb, Some opname, Some p -> (
-                let key = Printf.sprintf "%s|%s|%s" kb opname p in
-                match Hashtbl.find_opt groups key with
-                | Some cell -> cell := (i, m) :: !cell
-                | None ->
-                    Hashtbl.replace groups key (ref [ (i, m) ]);
-                    order := key :: !order)
-            | _ -> ())
-        arr;
-      let grouped = Hashtbl.create 8 in
-      List.iter
-        (fun key ->
-          match Hashtbl.find_opt groups key with
-          | Some cell when List.length !cell > 1 ->
-              Obs.incr c_batch_groups;
-              let members = List.rev !cell in
-              (* One shared run; on any member error fall back to
-                 per-member handling below. *)
-              let shared () =
-                let _, m0 = List.hd members in
-                let id0 = Json.member "id" m0 in
-                let e = entry_of t id0 m0 in
-                let op = op_of id0 m0 in
-                let pf = formula_of id0 m0 "p" in
-                let parts =
-                  List.map
-                    (fun (i, m) ->
-                      let mid = Json.member "id" m in
-                      (i, mid, models_of mid m))
-                    members
-                in
-                let all = List.concat_map (fun (_, _, ms) -> ms) parts in
-                let answers =
-                  Check.model_check_batch op e.kb pf all
-                in
-                let rest = ref answers in
-                List.iter
-                  (fun (i, mid, ms) ->
-                    let k = List.length ms in
-                    let mine = List.filteri (fun j _ -> j < k) !rest in
-                    rest := List.filteri (fun j _ -> j >= k) !rest;
-                    responses.(i) <- check_reply mid e op mine;
-                    Hashtbl.replace grouped i ())
-                  parts
-              in
-              (match shared () with
-              | () -> ()
-              | exception Reply _
-              | exception Invalid_argument _
-              | exception Check.Cegar_cap_exceeded _ ->
-                  (* Roll back to individual handling so each member
-                     gets its own structured error. *)
-                  List.iter (fun (i, _) -> Hashtbl.remove grouped i) members)
-          | _ -> ())
-        (List.rev !order);
-      (* Pass 2: everything not answered by a shared group. *)
-      Array.iteri
-        (fun i m ->
-          if not (Hashtbl.mem grouped i) then begin
-            let mid = Json.member "id" m in
-            let resp =
-              match Json.str_member "verb" m with
-              | Some v when batchable v -> handle_one t m
-              | Some v ->
-                  error mid "not_batchable"
-                    (Printf.sprintf "verb %S cannot appear inside a batch" v)
-              | None -> error mid "missing_field" "field \"verb\" required"
-            in
-            responses.(i) <- resp
-          end)
-        arr;
-      ok id [ ("responses", Json.List (Array.to_list responses)) ]
+      ok id [ ("responses", Json.List (List.map answer members)) ]
 
 let rec dispatch t req =
   t.requests <- t.requests + 1;
@@ -502,19 +437,13 @@ let rec dispatch t req =
                   | "count" -> do_count t id req
                   | "compile" -> do_compile t id req
                   | "stats" -> do_stats t id req
-                  | "batch" -> do_batch t handle_in_batch id req
+                  | "batch" -> do_batch t dispatch id req
                   | "shutdown" -> do_shutdown t id req
                   | v -> error id "unknown_verb" (Printf.sprintf "%S" v))))
   | _ -> error id "bad_request" "a request must be a JSON object"
 
-(* Batch members reuse the normal dispatcher (so they are counted and
-   span-timed like top-level requests) but have already been screened
-   for batchability. *)
-and handle_in_batch t m = dispatch t m
-
 (* Errors are counted from the reply that is sent, batch members
-   included, so a member answered after its shared group rolled back
-   counts once. *)
+   included. *)
 let rec errors_in v =
   match (Json.bool_member "ok" v, Json.list_member "responses" v) with
   | Some false, _ -> 1
@@ -680,12 +609,11 @@ let serve_fd t fd_in fd_out =
       in
       loop ())
 
-(* Unix-socket front: one client at a time (request batching, not
-   connection concurrency, is the parallelism story — the pool fans
-   within a request).  SIGPIPE is ignored, so a client that hangs up
-   costs only its own connection (EPIPE or ECONNRESET); a signal
-   deferred while its last request ran is honoured then.  The listener
-   stops once a [shutdown] verb has been served. *)
+(* Unix-socket front: one client at a time.  SIGPIPE is ignored, so a
+   client that hangs up costs only its own connection (EPIPE or
+   ECONNRESET); a signal deferred while its last request ran is
+   honoured then.  The listener stops once a [shutdown] verb has been
+   served. *)
 let serve_socket t path =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (match Unix.lstat path with

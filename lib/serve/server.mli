@@ -12,15 +12,18 @@
     Performance tiers per KB: a pooled incremental session (encode
     once, query many), an optional compiled ROBDD, and a bounded LRU
     over (name, epoch, operator, P) for revision results — epoch bumps
-    invalidate by construction.  [check] members of one [batch] that
-    share (KB, op, P) are answered by a single
-    {!Compact.Check.model_check_batch} fan.
+    invalidate by construction.  One entry answers [revise], op+P
+    [query] and [check] alike, on one {!Compact.Measure} of the pair;
+    a [batch] dispatches each member, so its checks of one pair share
+    that entry.
 
-    Counters: [serve.requests], [serve.errors], [serve.cache.hits] /
-    [serve.cache.misses] / [serve.cache.evictions],
-    [serve.session.builds] / [serve.session.reuse],
-    [serve.epoch.bumps], [serve.batch.groups], [serve.drained.lines];
-    per-verb latency under the [serve.request.*] spans. *)
+    Counters: [serve.requests] (batch members included),
+    [serve.errors], [serve.cache.hits] / [serve.cache.misses] /
+    [serve.cache.evictions], [serve.session.builds] /
+    [serve.session.reuse], [serve.epoch.bumps],
+    [serve.drained.lines]; per-verb latency under the
+    [serve.request.*] spans, one [check.batch] span per checking
+    [check]. *)
 
 type t
 

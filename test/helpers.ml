@@ -149,3 +149,8 @@ let check_result_models name result expected =
       got
       (Format.pp_print_list Interp.pp)
       exp
+
+(* M |= T * P for each candidate of [ns], on one checker of the pair:
+   what a served [check] asks of its cache entry. *)
+let check_all op kb p ns =
+  List.map (Compact.Check.checker op (Compact.Measure.create kb p)) ns

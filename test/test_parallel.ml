@@ -165,33 +165,6 @@ let op_jobs op =
       in
       same_models a b)
 
-(* -- SAT-probe fan-out ------------------------------------------------------- *)
-
-let test_model_check_batch () =
-  let vars30 = letters 30 in
-  let t = Formula.and_ (List.map Formula.var vars30) in
-  let x0 = List.nth vars30 0 and x1 = List.nth vars30 1 in
-  let p =
-    Formula.and_
-      [ Formula.not_ (Formula.var x0); Formula.not_ (Formula.var x1) ]
-  in
-  let full = Var.set_of_list vars30 in
-  let candidates =
-    List.map
-      (fun drop -> Var.Set.diff full (Var.set_of_list drop))
-      [ [ x0; x1 ]; [ x0 ]; [ x1 ]; []; [ x0; x1; List.nth vars30 5 ] ]
-  in
-  List.iter
-    (fun op ->
-      let a, b =
-        both (fun () ->
-            Compact.Check.model_check_batch op (Kb.make t) p candidates)
-      in
-      check_bool "batch jobs=1 = jobs=4" true (a = b);
-      check_bool "batch = pointwise" true
-        (a = List.map (fun n -> Compact.Check.model_check op t p n) candidates))
-    [ Model_based.Dalal; Model_based.Weber; Model_based.Winslett ]
-
 let () =
   Alcotest.run "parallel"
     [
@@ -210,7 +183,4 @@ let () =
       ("enumeration", [ prop_enumerate_jobs; prop_count_jobs ]);
       ("distance", [ prop_distances_jobs ]);
       ("operators", List.map op_jobs Model_based.all);
-      ( "check",
-        [ Alcotest.test_case "model_check_batch" `Quick test_model_check_batch ]
-      );
     ]

@@ -1,7 +1,8 @@
 (* The serve tier: protocol JSON, the LRU revision cache, the named-KB
    registry with epochs, and the request loop's semantics — epoch
-   invalidation, zero-work cache hits, batch = sequential at jobs 1 and
-   4 with fewer solver builds, and structured errors for bad input. *)
+   invalidation, zero-work cache hits, one solver per (KB, op, P)
+   whichever verbs and batches reach it, batch = sequential at jobs 1
+   and 4, and structured errors for bad input. *)
 
 open Logic
 module Obs = Revkb_obs.Obs
@@ -377,8 +378,9 @@ let test_made_up_letters_free () =
 
 (* A cold Dalal, Weber or Satoh op+P query is answered on the one
    measure its cache entry owns: one solver built, and no compact
-   formula constructed (no [serve.revise] span).  A later [revise] of
-   the same P builds the formula from that measure, with no solver. *)
+   formula constructed (no [serve.revise] span).  A later [check] of
+   the same P asks that measure, and a later [revise] builds the
+   formula from it, neither with a solver of its own. *)
 let test_cold_query_on_measure () =
   let enabled = Obs.enabled () in
   Fun.protect
@@ -390,10 +392,10 @@ let test_cold_query_on_measure () =
         | Some s -> s.Obs.s_count
         | None -> 0
       in
+      let theory = "(a | b | ~c) & (~a | c | d) & (b | ~d)" in
       let srv = Server.create () in
       ignore
-        (send srv
-           {|{"verb":"load","kb":"k","theory":"(a | b | ~c) & (~a | c | d) & (b | ~d)"}|});
+        (sendf srv {|{"verb":"load","kb":"k","theory":"%s"}|} theory);
       List.iter
         (fun op ->
           let c0 = constructions () in
@@ -406,6 +408,30 @@ let test_cold_query_on_measure () =
           check_bool (op ^ ": cold") false (get_bool "cached" v);
           check_bool (op ^ ": one solver") true (builds = [ 1 ]);
           check_int (op ^ ": no construction") c0 (constructions ());
+          let models = [ [ "a"; "b"; "c"; "d" ]; [ "b" ]; [ "a"; "d" ]; [] ] in
+          let c, builds =
+            deltas [ "sem.env.builds" ] (fun () ->
+                sendf srv
+                  {|{"verb":"check","kb":"k","op":"%s","p":"~b | ~c","models":[%s]}|}
+                  op
+                  (String.concat ","
+                     (List.map
+                        (fun m -> Printf.sprintf "%S" (String.concat " " m))
+                        models)))
+          in
+          check_bool (op ^ ": check on the measure") true (builds = [ 0 ]);
+          let mop = Option.get (Revision.Model_based.of_name op) in
+          let t = Parser.formula_of_string theory
+          and p = Parser.formula_of_string "~b | ~c" in
+          check_bool (op ^ ": check answers") true
+            (Json.list_member "results" c
+            = Some
+                (List.map
+                   (fun m ->
+                     Json.Bool
+                       (Compact.Check.model_check mop t p
+                          (Interp.of_list (List.map Var.named m))))
+                   models));
           let r, builds =
             deltas [ "sem.env.builds" ] (fun () ->
                 sendf srv {|{"verb":"revise","kb":"k","op":"%s","p":"~b | ~c"}|}
@@ -415,6 +441,32 @@ let test_cold_query_on_measure () =
           check_bool (op ^ ": formula from the measure") true (builds = [ 0 ]);
           check_int (op ^ ": one construction") (c0 + 1) (constructions ()))
         [ "dalal"; "weber"; "satoh" ])
+
+(* Satoh's construction is bounded by its measure's 16-letter sweep, as
+   its query and check are: on a 10-letter P all three verbs answer. *)
+let test_satoh_wide_p () =
+  let srv = Server.create () in
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
+  let p =
+    "~a & (" ^ String.concat " | " (List.init 9 (Printf.sprintf "b%d")) ^ ")"
+  in
+  let q =
+    sendf srv {|{"verb":"query","kb":"k","op":"satoh","p":"%s","q":"b & ~a"}|} p
+  in
+  check_bool "query answers" true (get_bool "entails" q);
+  let c =
+    sendf srv
+      {|{"verb":"check","kb":"k","op":"satoh","p":"%s","models":["b b3","b b1 b2","a b b1"]}|}
+      p
+  in
+  check_bool "check answers" true
+    (Json.list_member "results" c
+    = Some [ Json.Bool true; Json.Bool true; Json.Bool false ]);
+  let r = sendf srv {|{"verb":"revise","kb":"k","op":"satoh","p":"%s"}|} p in
+  check_bool
+    ("revise answers: " ^ Json.render r)
+    true
+    (is_ok r && get_int "size" r > 0)
 
 (* -- batch semantics ---------------------------------------------------------- *)
 
@@ -436,7 +488,7 @@ let run_batch jobs =
 let test_batch_equality () =
   let r1 = run_batch 1 and r4 = run_batch 4 in
   check_str "batch jobs=1 = jobs=4" r1 r4;
-  (* The grouped answers equal one-at-a-time model checks. *)
+  (* The batched answers equal one-at-a-time model checks. *)
   let v = Json.parse r1 in
   let responses = Option.get (Json.list_member "responses" v) in
   check_int "all answered" 4 (List.length responses);
@@ -468,11 +520,32 @@ let test_batch_equality () =
     (results_of (by_id "c1") = expect [ "c"; "a c"; "a b c"; "" ]);
   check_bool "c2 = pointwise" true
     (results_of (by_id "c2") = expect [ "b c"; "a b" ]);
-  check_bool "grouped counter moved" true
-    (Obs.value (Obs.counter "serve.batch.groups") > 0);
-  (* One 24-member Dalal batch hoists the k_{T,P} / session setup out of
-     the per-candidate loop: fewer solver builds and encoded clauses
-     than 24 separate checks, at either job count. *)
+  (* The second check member of one (KB, op, P) is a cache hit on the
+     first member's checker: beside a batch of the first member alone,
+     it adds one hit and builds no solver and encodes no clause. *)
+  let c1 =
+    {|{"verb":"check","kb":"k","op":"dalal","p":"~a | ~b","models":["c","a c","a b c",""]}|}
+  and c2 =
+    {|{"verb":"check","kb":"k","op":"dalal","p":"~a | ~b","models":["b c","a b"]}|}
+  in
+  let batch_work members =
+    let srv = Server.create () in
+    ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b & c"}|});
+    snd
+      (deltas
+         [ "serve.cache.hits"; "sem.env.builds"; "sem.encode.clauses" ]
+         (fun () ->
+           sendf srv {|{"verb":"batch","requests":[%s]}|}
+             (String.concat "," members)))
+  in
+  let show l = String.concat "/" (List.map string_of_int l) in
+  let second =
+    List.map2 ( - ) (batch_work [ c1; c2 ]) (batch_work [ c1 ])
+  in
+  check_str "second member: hits/builds/clauses" "1/0/0" (show second);
+  (* 24 separate check requests on one (KB, Dalal, P) share its cache
+     entry: one solver answers them all, and a batch of the same
+     members answers alike. *)
   let member i =
     List.init 26 (fun j -> Printf.sprintf "v%d" (j + 1))
     |> List.filteri (fun j _ -> j * (i + 3) mod 5 < 2)
@@ -485,31 +558,21 @@ let test_batch_equality () =
   let on_fresh_server f =
     let srv = Server.create () in
     ignore (send srv kb26_load);
-    deltas [ "sem.env.builds"; "sem.encode.clauses" ] (fun () -> f srv)
+    deltas [ "sem.env.builds" ] (fun () -> f srv)
   in
-  List.iter
-    (fun jobs ->
-      Pool.with_jobs jobs (fun () ->
-          let single, one_by_one =
-            on_fresh_server (fun srv ->
-                List.concat_map (fun m -> results_of (send srv m)) members)
-          in
-          let grouped, batched =
-            on_fresh_server (fun srv ->
-                sendf srv {|{"verb":"batch","requests":[%s]}|}
-                  (String.concat "," members)
-                |> Json.list_member "responses" |> Option.get
-                |> List.concat_map results_of)
-          in
-          let show l = String.concat "/" (List.map string_of_int l) in
-          check_bool (Printf.sprintf "jobs=%d: batch answers" jobs) true
-            (grouped = single);
-          check_bool
-            (Printf.sprintf "jobs=%d: builds/clauses %s < %s" jobs
-               (show batched) (show one_by_one))
-            true
-            (List.for_all2 ( < ) batched one_by_one)))
-    [ 1; 4 ]
+  let single, builds =
+    on_fresh_server (fun srv ->
+        List.concat_map (fun m -> results_of (send srv m)) members)
+  in
+  check_int "24 checks build one solver" 1 (List.hd builds);
+  let batched, _ =
+    on_fresh_server (fun srv ->
+        sendf srv {|{"verb":"batch","requests":[%s]}|}
+          (String.concat "," members)
+        |> Json.list_member "responses" |> Option.get
+        |> List.concat_map results_of)
+  in
+  check_bool "batch answers = separate answers" true (batched = single)
 
 let test_batch_rejects_mutators () =
   let srv = Server.create () in
@@ -570,9 +633,8 @@ let test_stats_shape () =
   check_int "no cache traffic yet" 0 (get_int "cache_hits" v);
   check_int "cache empty" 0 (get_int "cache_entries" v)
 
-(* A grouped check member that fails rolls its group back to one-by-one
-   handling; the error reply it then gets is counted once, exactly as
-   when the members never group. *)
+(* A failing check member beside a good one gets its own error reply,
+   counted once, whether or not the two share (KB, op, P). *)
 let test_batch_error_counted_once () =
   let errors_after members =
     let srv = Server.create () in
@@ -587,10 +649,10 @@ let test_batch_error_counted_once () =
     get_int "errors" (send srv {|{"verb":"stats"}|})
   in
   let ok_member = {|{"verb":"check","kb":"k","op":"dalal","p":"~a","models":["b"]}|} in
-  check_int "grouped members" 1
+  check_int "same pair" 1
     (errors_after
        (ok_member ^ {|,{"verb":"check","kb":"k","op":"dalal","p":"~a"}|}));
-  check_int "ungrouped members" 1
+  check_int "other pair" 1
     (errors_after
        (ok_member ^ {|,{"verb":"check","kb":"k","op":"weber","p":"~a"}|}))
 
@@ -658,6 +720,7 @@ let () =
             test_made_up_letters_free;
           Alcotest.test_case "cold query on the measure" `Quick
             test_cold_query_on_measure;
+          Alcotest.test_case "Satoh past 8 letters" `Quick test_satoh_wide_p;
         ] );
       ( "batch",
         [

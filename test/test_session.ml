@@ -1,7 +1,8 @@
 (* Incremental SAT sessions: differential tests of the shared
    cardinality ladder against the per-k EXA encodings, the solver work
    sessions save over fresh solvers, the retract (activation-literal)
-   discipline, and determinism of the checkers across job counts. *)
+   discipline, and one checker per pair answering as each candidate's
+   own. *)
 
 open Logic
 open Helpers
@@ -10,7 +11,6 @@ module Session = Semantics.Session
 module Ladder = Semantics.Ladder
 module Check = Compact.Check
 module MB = Revision.Model_based
-module Pool = Revkb_parallel.Pool
 module Obs = Revkb_obs.Obs
 
 (* Build the standard min-distance setup on one session: [t] renamed to
@@ -223,122 +223,142 @@ let cnf3_t =
 
 let horn_p = f "x1 & (~x1 | ~x2) & (~x3 | x4) & ~x5"
 
-(* Each public entry point decides T and P once: a batch check and the
+(* Each public entry point decides T and P once: a checker and the
    measuring constructions take the guard from their Measure session,
    the other constructions run one plain check per formula.  So on
-   [cnf3_t] and [horn_p] one batch check builds at most two solvers,
-   and so does one entailment, except that Borgida's also decides
-   T ∧ P. *)
+   [cnf3_t] and [horn_p] one checker's candidates build at most two
+   solvers, and so does one entailment, except that Borgida's also
+   decides T ∧ P. *)
 let test_guard_builds () =
   let t = cnf3_t and p = horn_p in
   let q = f "x3 -> x4" in
   let ns = Interp.subsets (letters 5) in
-  Pool.with_jobs 1 (fun () ->
-      List.iter
-        (fun op ->
-          let name = MB.name op in
-          let answers, builds, _ =
-            work (fun () -> Check.model_check_batch op (Kb.make t) p ns)
-          in
-          check_bool (name ^ ": batch = fresh") true
-            (answers = List.map (Fresh.model_check op t p) ns);
-          check_bool (Printf.sprintf "%s: batch builds %d <= 2" name builds)
-            true (builds <= 2);
-          let _, builds, _ = work (fun () ->
-                Semantics.entails (Compact.Construct.revise op (Kb.make t) p) q) in
-          let cap = if op = MB.Borgida then 3 else 2 in
-          check_bool
-            (Printf.sprintf "%s: entails builds %d <= %d" name builds cap)
-            true (builds <= cap))
-        MB.all)
+  List.iter
+    (fun op ->
+      let name = MB.name op in
+      let answers, builds, _ = work (fun () -> check_all op (Kb.make t) p ns) in
+      check_bool (name ^ ": batch = fresh") true
+        (answers = List.map (Fresh.model_check op t p) ns);
+      check_bool (Printf.sprintf "%s: batch builds %d <= 2" name builds)
+        true (builds <= 2);
+      let _, builds, _ = work (fun () ->
+            Semantics.entails (Compact.Construct.revise op (Kb.make t) p) q) in
+      let cap = if op = MB.Borgida then 3 else 2 in
+      check_bool
+        (Printf.sprintf "%s: entails builds %d <= %d" name builds cap)
+        true (builds <= cap))
+    MB.all
 
-(* Every solver question of a batch is asked on a measure session, one
-   per pool chunk.  At one job every batch builds one solver: its
-   chunk's measure, which computes k, Ω or δ and answers every
+(* Every solver question of a checker is asked on its measure's
+   session: one solver, which computes k, Ω or δ and answers every
    candidate. *)
 let test_batch_builds () =
   let t = f "x1 & (~x1 | x2) & (~x2 | ~x3 | x4)" in
   let p = f "~x2 & (x3 | ~x5)" in
   let ns = Interp.subsets (letters 5) in
-  Pool.with_jobs 1 (fun () ->
-      List.iter
-        (fun op ->
-          let name = MB.name op in
-          let answers, builds, _ =
-            work (fun () -> Check.model_check_batch op (Kb.make t) p ns)
-          in
-          check_bool (name ^ ": batch = fresh") true
-            (answers = List.map (Fresh.model_check op t p) ns);
-          check_int (name ^ ": solvers built") 1 builds)
-        MB.all)
+  List.iter
+    (fun op ->
+      let name = MB.name op in
+      let answers, builds, _ = work (fun () -> check_all op (Kb.make t) p ns) in
+      check_bool (name ^ ": batch = fresh") true
+        (answers = List.map (Fresh.model_check op t p) ns);
+      check_int (name ^ ": solvers built") 1 builds)
+    MB.all
 
-(* A batch's T/P guard is its chunk's measure: on [cnf3_t], past the
-   clausal fast path, a CEGAR batch at one job builds that one solver
-   and decides T on it, with no guard solver beside it. *)
+(* A checker's T/P guard is its measure: on [cnf3_t], past the clausal
+   fast path, a CEGAR checker builds that one solver and decides T on
+   it, with no guard solver beside it. *)
 let test_no_guard_solver () =
   let ns = Interp.subsets (letters 5) in
-  Pool.with_jobs 1 (fun () ->
-      List.iter
-        (fun op ->
-          let _, builds, _ =
-            work (fun () ->
-                Check.model_check_batch op (Kb.make cnf3_t) horn_p ns)
-          in
-          check_int (MB.name op ^ ": solvers built") 1 builds)
-        [ MB.Winslett; MB.Forbus; MB.Borgida ])
+  List.iter
+    (fun op ->
+      let _, builds, _ =
+        work (fun () -> check_all op (Kb.make cnf3_t) horn_p ns)
+      in
+      check_int (MB.name op ^ ": solvers built") 1 builds)
+    [ MB.Winslett; MB.Forbus; MB.Borgida ]
 
-(* The per-candidate step of a batch pays only for the candidate.  A
-   Dalal batch makes the measure's k + 1 threshold probes, then one
+(* Weber over a 6-letter P: 64 candidates ask one measure, so the
+   solver work is the same at one and at four worker domains, and one
+   solver is built at either. *)
+let test_weber_jobs_work () =
+  let t =
+    f "(x1 | x2 | x7) & (~x3 | x4 | x8) & (x5 | ~x6 | ~x7) & (x2 | ~x8)"
+  in
+  let p = f "(~x1 | ~x2) & (x3 | x4) & (~x5 | x6)" in
+  let ns =
+    List.map
+      (fun a -> Var.Set.union a (Var.set_of_list [ Var.named "x7" ]))
+      (Interp.subsets (letters 6))
+  in
+  let at jobs =
+    Revkb_parallel.Pool.with_jobs jobs (fun () ->
+        let solves0 = Obs.value (Obs.counter "sat.solves") in
+        let answers, builds, _ =
+          work (fun () -> check_all MB.Weber (Kb.make t) p ns)
+        in
+        (answers, builds, Obs.value (Obs.counter "sat.solves") - solves0))
+  in
+  let a1, b1, s1 = at 1 and a4, b4, s4 = at 4 in
+  check_int "64 candidates" 64 (List.length ns);
+  check_bool "answers = fresh" true
+    (a1 = List.map (Fresh.model_check MB.Weber t p) ns);
+  check_bool "jobs 1 = jobs 4" true (a1 = a4);
+  check_int "one solver at jobs 1" 1 b1;
+  check_int "one solver at jobs 4" 1 b4;
+  check_int (Printf.sprintf "sat.solves at jobs 4 = %d at jobs 1" s1) s1 s4
+
+(* The per-candidate step of a checker pays only for the candidate.  A
+   Dalal checker makes the measure's k + 1 threshold probes, then one
    probe per P-model candidate (none for the others), farther ones
    included.  A Forbus candidate costs its refinements and its scope,
-   never a cardinality ladder of its own: the chunk builds one. *)
+   never a cardinality ladder of its own: the measure builds one. *)
 let test_per_candidate_work () =
   let count c = Obs.value (Obs.counter c) in
-  Pool.with_jobs 1 (fun () ->
-      let x = letters 5 in
-      let t = f "x1 & x2 & x3" and p = f "~x1 | (~x2 & ~x3)" in
-      let ns = Interp.subsets x in
-      let k = Compact.Measure.k (Compact.Measure.create (Kb.make t) p) in
-      let on_p = List.filter (fun n -> Interp.sat n p) ns in
-      check_bool "some P-model lies farther than k" true
-        (List.exists (fun n -> Fresh.dist_to t n x > Some k) on_p);
-      let p0 = count "sem.ladder.probes" in
-      let answers = Check.model_check_batch MB.Dalal (Kb.make t) p ns in
-      let probes = count "sem.ladder.probes" - p0 in
-      check_bool "Dalal batch = fresh" true
-        (answers = List.map (Fresh.model_check MB.Dalal t p) ns);
-      check_int
-        (Printf.sprintf "Dalal probes = %d P-models + k + 1 (k = %d)"
-           (List.length on_p) k)
-        (List.length on_p + k + 1)
-        probes;
-      let vars = letters 12 in
-      let t = at_most_one vars and p = f "x1 | x2" in
-      let ladder =
-        let s = Session.create ~vars () in
-        let c0 = count "sem.encode.clauses" in
-        ignore (pinned_ladder (Session.env s) vars);
-        count "sem.encode.clauses" - c0
-      in
-      let x1 = List.hd vars in
-      let ns =
-        List.map
-          (fun j -> Var.set_of_list [ x1; List.nth vars j ])
-          [ 1; 2; 5; 9 ]
-      in
-      let clauses j =
-        let c0 = count "sem.encode.clauses" in
-        ignore (Check.model_check_batch MB.Forbus (Kb.make t) p (first j ns));
-        count "sem.encode.clauses" - c0
-      in
-      List.iter
-        (fun j ->
-          let extra = clauses (j + 1) - clauses j in
-          check_bool
-            (Printf.sprintf "Forbus candidate %d adds %d clauses < %d (a ladder)"
-               (j + 1) extra ladder)
-            true (extra < ladder))
-        [ 1; 2; 3 ])
+  let x = letters 5 in
+  let t = f "x1 & x2 & x3" and p = f "~x1 | (~x2 & ~x3)" in
+  let ns = Interp.subsets x in
+  let k = Compact.Measure.k (Compact.Measure.create (Kb.make t) p) in
+  let on_p = List.filter (fun n -> Interp.sat n p) ns in
+  check_bool "some P-model lies farther than k" true
+    (List.exists (fun n -> Fresh.dist_to t n x > Some k) on_p);
+  let p0 = count "sem.ladder.probes" in
+  let answers = check_all MB.Dalal (Kb.make t) p ns in
+  let probes = count "sem.ladder.probes" - p0 in
+  check_bool "Dalal batch = fresh" true
+    (answers = List.map (Fresh.model_check MB.Dalal t p) ns);
+  check_int
+    (Printf.sprintf "Dalal probes = %d P-models + k + 1 (k = %d)"
+       (List.length on_p) k)
+    (List.length on_p + k + 1)
+    probes;
+  let vars = letters 12 in
+  let t = at_most_one vars and p = f "x1 | x2" in
+  let ladder =
+    let s = Session.create ~vars () in
+    let c0 = count "sem.encode.clauses" in
+    ignore (pinned_ladder (Session.env s) vars);
+    count "sem.encode.clauses" - c0
+  in
+  let x1 = List.hd vars in
+  let ns =
+    List.map
+      (fun j -> Var.set_of_list [ x1; List.nth vars j ])
+      [ 1; 2; 5; 9 ]
+  in
+  let clauses j =
+    let c0 = count "sem.encode.clauses" in
+    ignore (check_all MB.Forbus (Kb.make t) p (first j ns));
+    count "sem.encode.clauses" - c0
+  in
+  List.iter
+    (fun j ->
+      let extra = clauses (j + 1) - clauses j in
+      check_bool
+        (Printf.sprintf "Forbus candidate %d adds %d clauses < %d (a ladder)"
+           (j + 1) extra ladder)
+        true (extra < ladder))
+    [ 1; 2; 3 ]
 
 (* Proposition 2.1 bounds each CEGAR candidate's search to V(P): on a
    satisfiable 20-letter 3-CNF T and a P over three letters, a Winslett
@@ -377,38 +397,37 @@ let test_local_work () =
     ignore (pinned_ladder (Session.env s) vars);
     count "sem.encode.clauses" - c0
   in
-  Pool.with_jobs 1 (fun () ->
-      List.iter
-        (fun op ->
-          let name = MB.name op in
-          let one n =
-            let i0 = count "check.cegar_iters" in
-            let b = Check.model_check op t p n in
-            (b, count "check.cegar_iters" - i0)
-          in
-          let each = List.map one ns in
-          let members = List.length (List.filter fst each) in
-          let worst = List.fold_left (fun w (_, i) -> max w i) 0 each in
-          check_bool
-            (Printf.sprintf "%s: %d of %d candidates are members" name members
-               (List.length ns))
-            true
-            (members > 0 && members < List.length ns);
-          check_bool
-            (Printf.sprintf "%s: at most %d refinements per candidate <= 2^3"
-               name worst)
-            true (worst <= 8);
-          let c0 = count "sem.encode.clauses" in
-          let answers = Check.model_check_batch op (Kb.make t) p ns in
-          let clauses = count "sem.encode.clauses" - c0 in
-          check_bool (name ^ ": batch = one by one") true
-            (answers = List.map fst each);
-          if op = MB.Forbus then
-            check_bool
-              (Printf.sprintf "Forbus batch encodes %d clauses < %d (a ladder)"
-                 clauses ladder)
-              true (clauses < ladder))
-        [ MB.Winslett; MB.Forbus ])
+  List.iter
+    (fun op ->
+      let name = MB.name op in
+      let one n =
+        let i0 = count "check.cegar_iters" in
+        let b = Check.model_check op t p n in
+        (b, count "check.cegar_iters" - i0)
+      in
+      let each = List.map one ns in
+      let members = List.length (List.filter fst each) in
+      let worst = List.fold_left (fun w (_, i) -> max w i) 0 each in
+      check_bool
+        (Printf.sprintf "%s: %d of %d candidates are members" name members
+           (List.length ns))
+        true
+        (members > 0 && members < List.length ns);
+      check_bool
+        (Printf.sprintf "%s: at most %d refinements per candidate <= 2^3"
+           name worst)
+        true (worst <= 8);
+      let c0 = count "sem.encode.clauses" in
+      let answers = check_all op (Kb.make t) p ns in
+      let clauses = count "sem.encode.clauses" - c0 in
+      check_bool (name ^ ": batch = one by one") true
+        (answers = List.map fst each);
+      if op = MB.Forbus then
+        check_bool
+          (Printf.sprintf "Forbus batch encodes %d clauses < %d (a ladder)"
+             clauses ladder)
+          true (clauses < ladder))
+    [ MB.Winslett; MB.Forbus ]
 
 (* -- session-backed checkers vs the fresh-solver oracle ------------------- *)
 
@@ -422,49 +441,45 @@ let prop_model_check_matches_fresh =
           Check.model_check op t p n = Fresh.model_check op t p n)
         MB.all)
 
-(* One batch over every candidate of the alphabet runs in one session,
-   so the state a chunk shares (Forbus's ladder, Borgida's consistency
-   bit, the retired witness and probe scopes) must never carry from one
-   candidate to the next: each answer is the fresh solver's. *)
+(* One checker over every candidate of the alphabet runs in one
+   session, so the state its candidates share (Forbus's ladder,
+   Borgida's consistency bit, the retired witness and probe scopes)
+   must never carry from one candidate to the next: each answer is the
+   fresh solver's. *)
 let prop_batch_matches_fresh =
   let x = letters 5 in
   let ns = Interp.subsets x in
-  qtest "model_check_batch over 2^5 = Fresh.model_check (all ops)" ~count:40
+  qtest "one checker over 2^5 = Fresh.model_check (all ops)" ~count:40
     (arb_pair (arb_sat_formula x) (arb_sat_formula x))
     (fun (t, p) ->
-      Pool.with_jobs 1 (fun () ->
-          List.for_all
-            (fun op ->
-              Check.model_check_batch op (Kb.make t) p ns
-              = List.map (Fresh.model_check op t p) ns)
-            MB.all))
+      List.for_all
+        (fun op ->
+          check_all op (Kb.make t) p ns
+          = List.map (Fresh.model_check op t p) ns)
+        MB.all)
 
 (* Proposition 2.1's locality on the alphabet's edges: P names a letter
    outside V(T) and leaves some of V(T) out, and the candidates carry a
-   letter outside both.  Every operator's batch answers as the
-   enumeration route does, at one and at four worker domains. *)
+   letter outside both.  Every operator's checker answers as the
+   enumeration route does. *)
 let prop_batch_local_matches_enumeration =
   let tv = letters 4 and pv = List.filteri (fun i _ -> i >= 2) (letters 5) in
   let ns = Interp.subsets (letters 6) in
-  qtest "model_check_batch = enumeration, P partly outside V(T)" ~count:30
+  qtest "one checker = enumeration, P partly outside V(T)" ~count:30
     (arb_pair (arb_sat_formula tv) (arb_sat_formula pv))
     (fun (t, p) ->
       List.for_all
         (fun op ->
           let r = MB.revise op t p in
-          let expected = List.map (Revision.Result.model_check r) ns in
-          List.for_all
-            (fun jobs ->
-              Pool.with_jobs jobs (fun () ->
-                  Check.model_check_batch op (Kb.make t) p ns = expected))
-            [ 1; 4 ])
+          check_all op (Kb.make t) p ns
+          = List.map (Revision.Result.model_check r) ns)
         MB.all)
 
 (* The measure route answers as the enumeration route does for the
    three operators whose revision is the measure's session under
    assumptions: entailment of a query over V(T) ∪ V(P) and beyond it,
-   and model checking by {!Compact.Measure.member} and by a batch at
-   one and at four worker domains, with P partly outside V(T). *)
+   and model checking by {!Compact.Measure.member} and by a checker,
+   with P partly outside V(T). *)
 let prop_measure_route_matches_model_based =
   let tv = letters 4 and pv = List.filteri (fun i _ -> i >= 2) (letters 5) in
   let x = letters 5 in
@@ -483,11 +498,7 @@ let prop_measure_route_matches_model_based =
                (fun n e ->
                  (not (Interp.sat n p)) || Compact.Measure.member m op n = e)
                ns expected
-          && List.for_all
-               (fun jobs ->
-                 Pool.with_jobs jobs (fun () ->
-                     Check.model_check_batch op (Kb.make t) p ns = expected))
-               [ 1; 4 ])
+          && check_all op (Kb.make t) p ns = expected)
         [ MB.Dalal; MB.Weber; MB.Satoh ])
 
 (* The measure's realizable-difference sweep agrees with the
@@ -577,20 +588,37 @@ let test_cegar_cap_message () =
         (contains_substring msg "2-letter alphabet")
   | _ -> Alcotest.fail "expected CEGAR cap failure"
 
-(* -- bit-identical across job counts -------------------------------------- *)
+(* -- one checker = pointwise ------------------------------------------- *)
 
-let test_jobs_deterministic () =
+(* A checker asked many candidates answers each as {!Check.model_check}
+   on a measure of its own does: on a 5-letter pair with every
+   candidate, and on a 30-letter conjunction whose P flips two
+   letters. *)
+let test_checker_pointwise () =
   let t = f "(x1 | x2) & (x3 -> x4 | x5) & (~x1 | x3)" in
   let p = f "(~x2 | x5) & (x1 | x4)" in
   let ns = Interp.subsets (letters 5) in
+  let vars30 = letters 30 in
+  let t30 = Formula.and_ (List.map Formula.var vars30) in
+  let x0 = List.nth vars30 0 and x1 = List.nth vars30 1 in
+  let p30 =
+    Formula.and_
+      [ Formula.not_ (Formula.var x0); Formula.not_ (Formula.var x1) ]
+  in
+  let full = Var.set_of_list vars30 in
+  let ns30 =
+    List.map
+      (fun drop -> Var.Set.diff full (Var.set_of_list drop))
+      [ [ x0; x1 ]; [ x0 ]; [ x1 ]; []; [ x0; x1; List.nth vars30 5 ] ]
+  in
   List.iter
     (fun op ->
-      let batch jobs =
-        Pool.with_jobs jobs (fun () ->
-            Check.model_check_batch op (Kb.make t) p ns)
-      in
-      let r1 = batch 1 and r4 = batch 4 in
-      check_bool (MB.name op ^ ": jobs=1 equals jobs=4") true (r1 = r4))
+      List.iter
+        (fun (t, p, ns) ->
+          check_bool (MB.name op ^ ": one checker = pointwise") true
+            (check_all op (Kb.make t) p ns
+            = List.map (Check.model_check op t p) ns))
+        [ (t, p, ns); (t30, p30, ns30) ])
     MB.all
 
 let () =
@@ -620,11 +648,14 @@ let () =
           Alcotest.test_case "Forbus CEGAR" `Quick test_cegar_work;
           Alcotest.test_case "one guard per entry point" `Quick
             test_guard_builds;
-          Alcotest.test_case "one session per chunk" `Quick test_batch_builds;
+          Alcotest.test_case "one session per checker" `Quick
+            test_batch_builds;
           Alcotest.test_case "no guard solver" `Quick test_no_guard_solver;
           Alcotest.test_case "per-candidate batch work" `Quick
             test_per_candidate_work;
           Alcotest.test_case "CEGAR local to V(P)" `Quick test_local_work;
+          Alcotest.test_case "Weber work at jobs 1 = jobs 4" `Quick
+            test_weber_jobs_work;
         ] );
       ( "sessions",
         [
@@ -633,6 +664,7 @@ let () =
           Alcotest.test_case "scoped enumerations isolated" `Quick
             test_session_models_isolated;
           Alcotest.test_case "CEGAR cap message" `Quick test_cegar_cap_message;
-          Alcotest.test_case "jobs=1 = jobs=4" `Quick test_jobs_deterministic;
+          Alcotest.test_case "one checker = pointwise" `Quick
+            test_checker_pointwise;
         ] );
     ]
