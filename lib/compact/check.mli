@@ -1,5 +1,6 @@
 (** SAT-based model checking [M |= T * P] (the Section 2.2.4 decision
-    problem), without enumerating model sets.
+    problem) and entailment [T * P |= Q], without enumerating model
+    sets and without building a representation of [T * P].
 
     The paper points at Liberatore-Schaerf for the complexity of this
     problem; the implementations here mirror those upper bounds:
@@ -33,8 +34,15 @@
       cardinality [M] sides with [N'] on a strict majority of
       [D = N' Δ N], so [|M' Δ N'| - |M' Δ N| <= |D \ A| - |A| < 0].
       The loop is capped; hitting the cap raises rather than guessing.
-    - {b Borgida}: evaluation when [T ∧ P] is satisfiable (one solve
-      with every difference literal off), Winslett otherwise.
+    - {b Borgida}: evaluation when [T ∧ P] is satisfiable
+      ({!Measure.compatible}: one solve with every difference literal
+      off, once per measure), Winslett otherwise.
+
+    {!entails} asks [T * P |= Q] on the same session: Dalal, Weber and
+    Satoh under their assumptions, Borgida by one solve when [T ∧ P] is
+    satisfiable, and Winslett and Forbus (Π₂ᵖ-complete, Eiter-Gottlob)
+    by the same refutations over model pairs, a 2QBF CEGAR loop in the
+    style of Janota and Marques-Silva.
 
     All checkers agree with the extensional
     {!Revision.Result.model_check} (property-tested); their point is
@@ -61,13 +69,39 @@ val checker :
 (** [checker op m]: the membership test of [T * P] for [m]'s pair.
     [checker op m n] restricts [n] to [V(T) ∪ V(P)] (letters outside it
     are ignored), answers [false] when [n] falsifies [P], and otherwise
-    asks [m]'s session alone: the checker keeps [m]'s [k], [Ω] or [δ],
-    its ladder and a Borgida [T ∧ P] decision for every candidate it is
+    asks [m]'s session alone: [m] keeps its [k], [Ω] or [δ], its ladder
+    and its Borgida [T ∧ P] decision for every candidate the checker is
     applied to.  Every clause a candidate adds sits in a scope retired
     when it ends, so an answer never depends on the candidates checked
     before it.  [cegar_cap] (default 50_000) bounds the Winslett/Forbus
     witness loop; exceeding it raises {!Cegar_cap_exceeded}.  Not
     domain-safe, as [m] is not. *)
+
+val entails :
+  ?cegar_cap:int ->
+  Revision.Model_based.op ->
+  Measure.t ->
+  Formula.t ->
+  bool
+(** [entails op m]: the entailment test of [T * P] for [m]'s pair,
+    asked on [m]'s session with no construction.  [entails op m q]
+    reads [q] on the model pairs ({!Measure.on_copies}: letters outside
+    [V(T) ∪ V(P)] are free).  Dalal, Weber and Satoh are
+    {!Measure.entails}.  Borgida is one solve on [¬q] with every
+    difference literal off when {!Measure.compatible} holds (decided
+    when [entails op m] is applied), and Winslett's test otherwise.
+    Winslett and Forbus ask for a counter-model by the CEGAR loop of
+    the candidate checks, over model pairs: a witness is a model pair
+    [(M, N)] of the session and [¬q] ([N = M] outside [V(P)] by
+    Proposition 2.1), refuted as a candidate's witness is, and each
+    refutation by [N'] blocks the pairs with [N]'s copy values that
+    agree with [N'] on {!refutation_core}, so a query runs at most
+    [4^{|V(P)|}] refinements.  The blocks sit in a scope retired when
+    the query ends, so an answer never depends on the queries asked
+    before it.  No width bound short of [cegar_cap] (default 50_000
+    per query, raising {!Cegar_cap_exceeded}), where {!Construct}
+    expands [2^{|V(P)|}] and refuses [|V(P)| > 8].  Not domain-safe, as [m]
+    is not. *)
 
 val model_check :
   ?cegar_cap:int ->

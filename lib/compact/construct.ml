@@ -144,9 +144,9 @@ let weber x kb p m =
     (Var.Set.cardinal omega)
 
 (* The measuring steps take each accumulated formula's decision from
-   their measure, the first one's being [first] when given; the others
-   consult T's handle up front.  A later step's formula gets a handle
-   of its own, built on demand. *)
+   their measure, the first one's being [first] when given (forced only
+   by a measuring step); the others consult T's handle up front.  A
+   later step's formula gets a handle of its own, built on demand. *)
 let steps (op : MB.op) kb ps first =
   if ps = [] then []
   else begin
@@ -168,7 +168,7 @@ let steps (op : MB.op) kb ps first =
           let kb = Lazy.force phi in
           let m =
             match first with
-            | Some m when acc = [] -> Lazy.from_val m
+            | Some m when acc = [] -> m
             | _ -> lazy (Measure.create kb p)
           in
           let s = step_of x kb p m in

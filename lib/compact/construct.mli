@@ -63,14 +63,14 @@ val final : Formula.t -> step list -> Formula.t
 (** [final t steps]: the last step's formula, [t] when there is none. *)
 
 val revise :
-  ?measure:Measure.t ->
+  ?measure:Measure.t Lazy.t ->
   Revision.Model_based.op ->
   Kb.t ->
   Formula.t ->
   Formula.t
 (** [T * P]: [final (Kb.formula kb) (iterate op kb [p])].  Dalal, Weber
-    and Satoh read their measure from [measure], [Measure.create kb p],
-    when one is given. *)
+    and Satoh force [measure], a lazy [Measure.create kb p], when one
+    is given; Winslett, Forbus and Borgida never force it. *)
 
 (** {1 Unexpanded QBF views}
 

@@ -21,6 +21,7 @@ type t = {
   copies : Var.t list;
   diff_lits : Lit.t list;
   ladder : Ladder.t Lazy.t;
+  compatible : bool Lazy.t;
   k : int Lazy.t;
   diffs : Var.Set.t list Lazy.t;
   delta : Var.Set.t list Lazy.t;
@@ -87,6 +88,8 @@ let create kb p =
     copies = y;
     diff_lits;
     ladder;
+    compatible =
+      lazy (Session.solve s ~extra:(List.map Lit.neg diff_lits) []);
     k = lazy (k_of s (Lazy.force ladder));
     diffs;
     delta;
@@ -99,6 +102,7 @@ let session m = m.session
 let copies m = m.copies
 let diff_lits m = m.diff_lits
 let ladder m = Lazy.force m.ladder
+let compatible m = Lazy.force m.compatible
 let k m = Lazy.force m.k
 let diffs m = Lazy.force m.diffs
 let delta m = Lazy.force m.delta
@@ -132,8 +136,8 @@ let member m op n =
     (List.map (fun x -> pin x x) m.outside @ List.map2 pin m.vp m.copies)
     []
 
-let entails m op q =
+let on_copies m q =
   let q = Names.free ~alphabet:m.alphabet (Var.set_of_list m.copies) q in
-  not
-    (consistent m op []
-       [ Formula.not_ (Formula.rename (List.combine m.vp m.copies) q) ])
+  Formula.rename (List.combine m.vp m.copies) q
+
+let entails m op q = not (consistent m op [] [ Formula.not_ (on_copies m q) ])

@@ -65,6 +65,11 @@ val diff_lits : t -> Satsolver.Lit.t list
 val ladder : t -> Semantics.Ladder.t
 (** The cardinality ladder over {!diff_lits}, built on first use. *)
 
+val compatible : t -> bool
+(** Is [T ∧ P] satisfiable?  One solve with every difference literal
+    off, on first use: the decision Borgida's revision turns on, shared
+    by its checker and its entailment test ({!Check}). *)
+
 val k : t -> int
 (** [k_{T,P}]: the minimum Hamming distance between a model of [T] and
     a model of [P] over their joint alphabet. *)
@@ -89,7 +94,12 @@ val member : t -> Revision.Model_based.op -> Interp.t -> bool
     and Borgida, whose revisions are not of this shape, as {!entails}
     does. *)
 
+val on_copies : t -> Formula.t -> Formula.t
+(** [on_copies m q]: [q] read on the session's model pairs: its letters
+    of [V(P)] renamed onto {!copies}, and its letters outside
+    [V(T) ∪ V(P)] that name a copy renamed apart ({!Names.free}), so
+    they stay free. *)
+
 val entails : t -> Revision.Model_based.op -> Formula.t -> bool
-(** [entails m op q]: [T * P |= q], with [q]'s letters of [V(P)]
-    renamed onto {!copies} and its letters outside [V(T) ∪ V(P)] free
-    ({!Names.free}); one query, on [¬q]. *)
+(** [entails m op q]: [T * P |= q], for Dalal, Weber and Satoh: one
+    query, on [¬q] read {!on_copies}. *)

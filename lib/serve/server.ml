@@ -12,14 +12,15 @@
      (KB name, epoch, operator, normalized P) — an epoch bump on
      [update]/[load] changes every key of that KB, so invalidation is
      free and stale entries simply age out.  Every entry holds one
-     lazy measure of (T, P): a [check] asks its candidates on that
-     measure's checker, a Dalal, Weber or Satoh op+P [query] on its
-     session, and the compact formula is built (from the measure, for
-     those three) only when a [revise] or [update] needs its size or
-     text.  So the per-(T, P) setup is paid once per entry, whichever
-     verb comes first and however the requests are split: a [batch]
-     dispatches each member, and the second [check] of a pair is a
-     cache hit.
+     lazy measure of (T, P), for all six operators: a [check] asks its
+     candidates on that measure's checker, an op+P [query] on its
+     entailment test (a CEGAR loop over the measure's session for
+     Winslett, Forbus and Borgida), and the compact formula is built
+     (from the measure, for Dalal, Weber and Satoh) only when a
+     [revise] or [update] needs its size or text.  So the per-(T, P)
+     setup is paid once per entry, whichever verb comes first and
+     however the requests are split: a [batch] dispatches each member,
+     and the second [check] of a pair is a cache hit.
 
    Shutdown: the [shutdown] verb stops the loop after replying; a
    SIGTERM/SIGINT mid-request is deferred via [Obs.set_signal_deferral],
@@ -41,10 +42,10 @@ let c_misses = Obs.counter "serve.cache.misses"
 let c_evictions = Obs.counter "serve.cache.evictions"
 let c_drained = Obs.counter "serve.drained.lines"
 
-(* A cached revision T * P: [ask] answers T * P |= q, on the measure
-   for Dalal, Weber and Satoh and on {!cached_session} for the others;
-   [check] answers M |= T * P on the measure for all six; [rf] is the
-   compact formula. *)
+(* A cached revision T * P, for any of the six operators: [ask]
+   answers T * P |= q and [check] answers M |= T * P, both on the
+   entry's one measure; [rf] is the compact formula, built from that
+   measure for Dalal, Weber and Satoh and without it for the others. *)
 type cached = {
   rf : Formula.t Lazy.t;
   ask : (Formula.t -> bool) Lazy.t;
@@ -140,34 +141,17 @@ let cache_key (e : Registry.entry) op pf =
   Printf.sprintf "%s@%d|%s|%s" e.name e.epoch (MB.name op)
     (Formula.to_string pf)
 
-(* Winslett, Forbus and Borgida revisions are not a measure under
-   assumptions: a session asserts the compact formula once (clause
-   conjuncts as clauses), so a repeated query encodes only itself. *)
-let cached_session kb pf rf =
-  let made = Formula.vars rf in
-  let s = Session.create ~vars:(Var.Set.elements made) () in
-  Session.assert_always s rf;
-  let alphabet = Var.Set.union (Kb.vars kb) (Formula.vars pf) in
-  fun q -> Session.entails s (Compact.Names.free ~alphabet made q)
-
 let entry op kb pf =
-  let construct measure =
-    Obs.with_span "serve.revise"
-      ~attrs:(fun () -> [ ("op", MB.name op) ])
-      (fun () -> Compact.Construct.revise ?measure op kb pf)
-  in
   let m = lazy (Compact.Measure.create kb pf) in
-  let check = lazy (Check.checker op (Lazy.force m)) in
-  match op with
-  | MB.Dalal | MB.Weber | MB.Satoh ->
-      {
-        rf = lazy (construct (Some (Lazy.force m)));
-        ask = lazy (Compact.Measure.entails (Lazy.force m) op);
-        check;
-      }
-  | MB.Winslett | MB.Forbus | MB.Borgida ->
-      let rf = lazy (construct None) in
-      { rf; ask = lazy (cached_session kb pf (Lazy.force rf)); check }
+  {
+    rf =
+      lazy
+        (Obs.with_span "serve.revise"
+           ~attrs:(fun () -> [ ("op", MB.name op) ])
+           (fun () -> Compact.Construct.revise ~measure:m op kb pf));
+    ask = lazy (Check.entails op (Lazy.force m));
+    check = lazy (Check.checker op (Lazy.force m));
+  }
 
 (* Lookup-or-compute for T * P.  A new entry is cached only once what
    the verb [needs] of it is built, so a refused revision never is. *)

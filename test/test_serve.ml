@@ -289,7 +289,10 @@ let test_one_decision_per_epoch () =
 
 (* An unsatisfiable KB is refused by every revising verb, under the
    measuring and the non-measuring operators alike, with the detail the
-   engine raises; the decision is taken once.  Reloading the name with
+   engine raises (the measure's for [query] and [check], which ask the
+   entry's measure under all six operators; the construction's for a
+   Winslett [revise], which builds no measure); the decision is taken
+   once.  Reloading the name with
    a satisfiable theory starts a new epoch that answers, and [update]
    then [query] sees the updated KB. *)
 let test_unsat_kb_epochs () =
@@ -319,7 +322,7 @@ let test_unsat_kb_epochs () =
             refused (op ^ " query")
               (Printf.sprintf
                  {|{"verb":"query","kb":"k","op":"%s","p":"c","q":"c"}|} op)
-              t_detail;
+              "Measure: T is unsatisfiable";
             refused (op ^ " check")
               (Printf.sprintf
                  {|{"verb":"check","kb":"k","op":"%s","p":"c","models":["c"]}|}
@@ -345,11 +348,12 @@ let test_unsat_kb_epochs () =
     (get_bool "entails" (send srv {|{"verb":"query","kb":"k","q":"~a & b"}|}))
 
 (* A letter outside V(T) ∪ V(P) is free in an op+P query, whichever
-   route answers it, even when the construction or the measure made up
+   route answers it, even when a construction or the measure makes up
    a letter of that name: Dalal's step copies a to a', Weber's to a_z,
-   Winslett's to a_wy, the measure to a_m; zz is nobody's.  The revision
-   of a & b by ~a is ~a & b under each operator, so neither a letter
-   nor its negation is entailed. *)
+   Winslett's to a_wy, Forbus's to a_fy (Borgida's, here Winslett's,
+   to a_wy), the measure to a_m; zz is nobody's.  The revision of
+   a & b by ~a is ~a & b under each operator, so neither a letter nor
+   its negation is entailed. *)
 let test_made_up_letters_free () =
   let srv = Server.create () in
   ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
@@ -371,16 +375,25 @@ let test_made_up_letters_free () =
       ("satoh", "a_m");
       ("winslett", "a_wy");
       ("winslett", "zz");
+      ("winslett", "a_m");
+      ("forbus", "a_fy");
+      ("forbus", "a_m");
+      ("forbus", "zz");
+      ("borgida", "a_wy");
+      ("borgida", "a_m");
     ];
   List.iter
     (fun op -> check_bool (op ^ ": ~a & b") true (entails op "~a & b"))
-    [ "dalal"; "weber"; "satoh"; "winslett" ]
+    [ "dalal"; "weber"; "satoh"; "winslett"; "forbus"; "borgida" ]
 
-(* A cold Dalal, Weber or Satoh op+P query is answered on the one
-   measure its cache entry owns: one solver built, and no compact
-   formula constructed (no [serve.revise] span).  A later [check] of
-   the same P asks that measure, and a later [revise] builds the
-   formula from it, neither with a solver of its own. *)
+(* A cold op+P query, under each of the six operators, is answered on
+   the one measure its cache entry owns: one solver built, and no
+   compact formula constructed (no [serve.revise] span).  A later
+   [check] of the same P asks that measure with no solver of its own,
+   and a later [revise] constructs once: Dalal, Weber and Satoh from
+   the measure, Winslett and Forbus with no solver, Borgida with the
+   one solver of its own T ∧ P decision.  A cold Winslett or Forbus
+   [revise] of another P builds no solver: it forces no measure. *)
 let test_cold_query_on_measure () =
   let enabled = Obs.enabled () in
   Fun.protect
@@ -438,9 +451,57 @@ let test_cold_query_on_measure () =
                   op)
           in
           check_bool (op ^ ": revise hits") true (get_bool "cached" r);
-          check_bool (op ^ ": formula from the measure") true (builds = [ 0 ]);
-          check_int (op ^ ": one construction") (c0 + 1) (constructions ()))
-        [ "dalal"; "weber"; "satoh" ])
+          check_bool (op ^ ": solvers for the formula") true
+            (builds = [ (if op = "borgida" then 1 else 0) ]);
+          check_int (op ^ ": one construction") (c0 + 1) (constructions ());
+          if op = "winslett" || op = "forbus" then begin
+            let r, builds =
+              deltas [ "sem.env.builds" ] (fun () ->
+                  sendf srv
+                    {|{"verb":"revise","kb":"k","op":"%s","p":"~a | ~d"}|} op)
+            in
+            check_bool (op ^ ": cold revise") false (get_bool "cached" r);
+            check_bool (op ^ ": no measure") true (builds = [ 0 ])
+          end)
+        [ "dalal"; "weber"; "satoh"; "winslett"; "forbus"; "borgida" ])
+
+(* Winslett, Forbus and Borgida answer [query] and [check] on the
+   measure at any width their CEGAR cap allows, while their
+   constructions expand 2^|V(P)| and refuse past 8 letters: on a
+   10-letter P (a & b revised by ~a & (b1 | ... | b9) is ~a & b with
+   at least one b_i, under all three) query and check answer and
+   revise is refused. *)
+let test_pointwise_wide_p () =
+  let srv = Server.create () in
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
+  let p =
+    "~a & (" ^ String.concat " | " (List.init 9 (Printf.sprintf "b%d")) ^ ")"
+  in
+  List.iter
+    (fun op ->
+      let query q =
+        sendf srv {|{"verb":"query","kb":"k","op":"%s","p":"%s","q":"%s"}|}
+          op p q
+      in
+      check_bool (op ^ ": query answers") true
+        (get_bool "entails" (query "b & ~a"));
+      check_bool (op ^ ": b1 not entailed") false
+        (get_bool "entails" (query "b1"));
+      let c =
+        sendf srv
+          {|{"verb":"check","kb":"k","op":"%s","p":"%s","models":["b b3","b b1 b2","b","a b b1"]}|}
+          op p
+      in
+      check_bool (op ^ ": check answers") true
+        (Json.list_member "results" c
+        = Some (List.map (fun b -> Json.Bool b) [ true; true; false; false ]));
+      let r =
+        sendf srv {|{"verb":"revise","kb":"k","op":"%s","p":"%s"}|} op p
+      in
+      check_str (op ^ ": revise refused")
+        "Construct: |V(P)| > 8 — not a bounded instance"
+        (Option.value ~default:"" (Json.str_member "detail" r)))
+    [ "winslett"; "forbus"; "borgida" ]
 
 (* Satoh's construction is bounded by its measure's 16-letter sweep, as
    its query and check are: on a 10-letter P all three verbs answer. *)
@@ -721,6 +782,8 @@ let () =
           Alcotest.test_case "cold query on the measure" `Quick
             test_cold_query_on_measure;
           Alcotest.test_case "Satoh past 8 letters" `Quick test_satoh_wide_p;
+          Alcotest.test_case "pointwise query past 8 letters" `Quick
+            test_pointwise_wide_p;
         ] );
       ( "batch",
         [

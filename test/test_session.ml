@@ -501,6 +501,62 @@ let prop_measure_route_matches_model_based =
           && check_all op (Kb.make t) p ns = expected)
         [ MB.Dalal; MB.Weber; MB.Satoh ])
 
+(* The entailment test of the three operators that are no measure
+   under assumptions answers as the enumeration route does, with P
+   partly outside V(T) and queries naming x6, outside V(T) ∪ V(P).
+   Each test answers every literal and three random queries in a row
+   on one measure, so a query's retired blocks must not bind the
+   next. *)
+let pointwise_ops = [ MB.Winslett; MB.Forbus; MB.Borgida ]
+
+let entails_as_model_based x t p qs =
+  List.for_all
+    (fun op ->
+      let r = MB.revise_on op x t p in
+      let ask = Check.entails op (Compact.Measure.create (Kb.make t) p) in
+      List.for_all (fun q -> ask q = Revision.Result.entails r q) qs)
+    pointwise_ops
+
+let literals x =
+  List.concat_map (fun v -> [ Formula.var v; Formula.not_ (Formula.var v) ]) x
+
+let prop_pointwise_entails_matches_model_based =
+  let tv = letters 4 and pv = List.filteri (fun i _ -> i >= 2) (letters 5) in
+  let x = letters 6 in
+  qtest
+    "entails = Model_based (Winslett, Forbus, Borgida), q past V(T) ∪ V(P)"
+    ~count:80
+    (arb_triple (arb_sat_formula tv) (arb_sat_formula pv)
+       (QCheck.list_of_size (QCheck.Gen.return 3) (arb_formula x)))
+    (fun (t, p, qs) -> entails_as_model_based x t p (qs @ literals x))
+
+(* The query loop's masks span V(P) and its copies, which the packed
+   alphabet orders by interning: here every copy is interned before
+   the letter it copies, in reverse, so the copies sort first and in
+   the opposite order.  The entailment tests still answer as the
+   enumeration route does on 40 fixed-seed pairs. *)
+let test_entails_copies_interned_first () =
+  List.iter
+    (fun i -> ignore (Var.named (Printf.sprintf "cf%d_m" i)))
+    [ 5; 4; 3; 2; 1 ];
+  let x = letters ~prefix:"cf" 5 in
+  let tv = List.filteri (fun i _ -> i < 4) x
+  and pv = List.filteri (fun i _ -> i >= 1) x in
+  let st = Random.State.make [| 26 |] in
+  let rec sat vars =
+    let f = Gen.formula st ~vars ~depth:3 in
+    if Semantics.is_sat f then f else sat vars
+  in
+  for i = 1 to 40 do
+    let t = sat tv and p = sat pv in
+    let qs = List.init 3 (fun _ -> Gen.formula st ~vars:x ~depth:3) in
+    check_bool
+      (Printf.sprintf "pair %d: T = %s, P = %s" i (Formula.to_string t)
+         (Formula.to_string p))
+      true
+      (entails_as_model_based x t p (qs @ literals x))
+  done
+
 (* The measure's realizable-difference sweep agrees with the
    formula-level per-subset oracle. *)
 let prop_measure_matches_formula_oracle =
@@ -639,6 +695,9 @@ let () =
           prop_batch_matches_fresh;
           prop_batch_local_matches_enumeration;
           prop_measure_route_matches_model_based;
+          prop_pointwise_entails_matches_model_based;
+          Alcotest.test_case "entails with copies interned first" `Quick
+            test_entails_copies_interned_first;
           prop_measure_matches_formula_oracle;
         ] );
       ( "work",
