@@ -20,8 +20,8 @@ let exa_ablation () =
       (fun n ->
         let xs = Gen.letters ~prefix:"ax" n and ys = Gen.letters ~prefix:"ay" n in
         let k = n / 2 in
-        let ladder, laux = Hamming.exa k xs ys in
-        let tot, taux = Hamming.exa_totalizer k xs ys in
+        let ladder, laux = Hamming.exa ~avoid:Var.Set.empty k xs ys in
+        let tot, taux = Hamming.exa_totalizer ~avoid:Var.Set.empty k xs ys in
         [
           string_of_int n;
           string_of_int k;

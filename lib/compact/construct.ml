@@ -59,8 +59,9 @@ let winslett_view x kb p =
    vacuous. *)
 let forbus_qbf t p =
   let kb = Kb.make t in
-  let vp, y, z, renamed = pointwise (alphabet kb [ p ]) kb p ("_fy", "_fz") in
-  let closer, aux = Hamming.dist_lt (z, y) (vp, y) in
+  let x = alphabet kb [ p ] in
+  let vp, y, z, renamed = pointwise x kb p ("_fy", "_fz") in
+  let closer, aux = Hamming.dist_lt ~avoid:x (z, y) (vp, y) in
   Qbf.conj
     [
       Qbf.prop renamed;
@@ -124,13 +125,13 @@ let satoh x kb p m =
     (List.length delta)
 
 (* Theorem 3.4's step, over V(P) by Proposition 2.1 (DESIGN.md §8); EXA
-   is built once, at the measured k. *)
+   is built once, at the measured k, apart from an earlier step's. *)
 let dalal x kb p m =
   let k = Measure.k (Lazy.force m) in
   let phi = Kb.formula kb in
   let xs = Var.Set.elements (Formula.vars p) in
   let ys = fresh x kb "'" xs in
-  let exa_k, _aux = Hamming.exa k xs ys in
+  let exa_k, _ = Hamming.exa ~avoid:(Var.Set.union x (Kb.vars kb)) k xs ys in
   step (Formula.and_ [ Formula.rename (List.combine xs ys) phi; p; exa_k ]) k
 
 (* Theorem 3.5's step. *)

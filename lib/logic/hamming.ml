@@ -2,28 +2,36 @@ let check_same_length xs ys =
   if List.length xs <> List.length ys then
     invalid_arg "Hamming: vectors of different lengths"
 
-let exa k xs ys =
+let diff_lit x y = Formula.xor (Formula.var x) (Formula.var y)
+
+(* One build's auxiliaries, numbered [prefix0], [prefix1], ... apart
+   from [avoid] and the compared [vectors]: [define rhs] names the next
+   one [w], records [w <-> rhs] and returns [w]; [built ()] reads back
+   the definitions and the letters in order. *)
+let definitions ~avoid prefix vectors =
+  let next =
+    Var.numbered
+      ~avoid:(Var.Set.union avoid (Var.set_of_list (List.concat vectors)))
+      prefix
+  in
+  let defs = ref [] and aux = ref [] in
+  let define rhs =
+    let w = next () in
+    aux := w :: !aux;
+    defs := Formula.iff (Formula.var w) rhs :: !defs;
+    Formula.var w
+  in
+  (define, fun () -> (List.rev !defs, List.rev !aux))
+
+let exa ~avoid k xs ys =
   check_same_length xs ys;
   let n = List.length xs in
   if k < 0 || k > n then (Formula.bot, [])
   else begin
-    let xs = Array.of_list xs and ys = Array.of_list ys in
-    let aux = ref [] in
-    let fresh () =
-      let w = Var.fresh ~prefix:"_exa" () in
-      aux := w :: !aux;
-      w
-    in
-    let defs = ref [] in
+    let define, built = definitions ~avoid "_exa" [ xs; ys ] in
     (* d.(i): position i differs *)
     let d =
-      Array.init n (fun i ->
-          let di = fresh () in
-          defs :=
-            Formula.iff (Formula.var di)
-              (Formula.xor (Formula.var xs.(i)) (Formula.var ys.(i)))
-            :: !defs;
-          di)
+      Array.of_list (List.map2 (fun x y -> define (diff_lit x y)) xs ys)
     in
     (* cell.(i).(j): exactly j of the first i+1 positions differ (j <= k).
        "First 0 positions" is the constant boundary: exactly 0 holds,
@@ -40,18 +48,16 @@ let exa k xs ys =
         let rhs =
           Formula.or_
             [
-              Formula.conj2 (row_before i j)
-                (Formula.not_ (Formula.var d.(i)));
-              Formula.conj2 (row_before i (j - 1)) (Formula.var d.(i));
+              Formula.conj2 (row_before i j) (Formula.not_ d.(i));
+              Formula.conj2 (row_before i (j - 1)) d.(i);
             ]
         in
-        let s = fresh () in
-        defs := Formula.iff (Formula.var s) rhs :: !defs;
-        cell.(i).(j) <- Formula.var s
+        cell.(i).(j) <- define rhs
       done
     done;
     let result = if n = 0 then Formula.top (* k = 0 here *) else cell.(n - 1).(k) in
-    (Formula.and_ (List.rev (result :: !defs)), List.rev !aux)
+    let defs, aux = built () in
+    (Formula.and_ (defs @ [ result ]), aux)
   end
 
 let rec choose k lst =
@@ -61,8 +67,6 @@ let rec choose k lst =
     | [] -> []
     | x :: rest ->
         List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
-
-let diff_lit x y = Formula.xor (Formula.var x) (Formula.var y)
 
 let exa_direct k xs ys =
   check_same_length xs ys;
@@ -120,17 +124,9 @@ let at_least v j =
    is the single difference bit [d_i]; merging two sorted vectors [a]
    (length la) and [b] (length lb) yields [r] of length la + lb with
    r_j <-> OR_{p+q=j, p<=la, q<=lb} (a_p /\ b_q), where a_0 = true.
-   Every r_j gets a fresh defining letter named from [prefix]; returns
-   the biconditional definitions, the sorted vector and those letters. *)
-let unary_counter ~prefix xs ys =
-  let aux = ref [] in
-  let defs = ref [] in
-  let define rhs =
-    let s = Var.fresh ~prefix () in
-    aux := s :: !aux;
-    defs := Formula.iff (Formula.var s) rhs :: !defs;
-    Formula.var s
-  in
+   Every leaf and every r_j is named by [define]; returns the sorted
+   vector. *)
+let unary_counter define xs ys =
   let leaves = List.map2 (fun x y -> [ define (diff_lit x y) ]) xs ys in
   let merge a b =
     let la = List.length a and lb = List.length b in
@@ -155,34 +151,36 @@ let unary_counter ~prefix xs ys =
         in
         build (pair vs)
   in
-  let sorted = build leaves in
-  (List.rev !defs, sorted, List.rev !aux)
+  build leaves
 
 (* "Exactly k" is [s_k /\ ~s_{k+1}] on the totalizer's sorted output. *)
-let exa_totalizer k xs ys =
+let exa_totalizer ~avoid k xs ys =
   check_same_length xs ys;
   let n = List.length xs in
   if k < 0 || k > n then (Formula.bot, [])
   else if n = 0 then (Formula.top, [])
   else begin
-    let defs, sorted, aux = unary_counter ~prefix:"_tot" xs ys in
+    let define, built = definitions ~avoid "_tot" [ xs; ys ] in
+    let sorted = unary_counter define xs ys in
     let exactly =
       Formula.conj2 (at_least sorted k)
         (Formula.not_ (at_least sorted (k + 1)))
     in
+    let defs, aux = built () in
     (Formula.and_ (defs @ [ exactly ]), aux)
   end
 
 (* Polynomial comparison via two unary counters: count1 < count2 iff the
    sorted vectors witness some threshold reached by the second but not
-   the first. *)
-let dist_lt (a, b) (c, d) =
+   the first.  The two counters share one numbering. *)
+let dist_lt ~avoid (a, b) (c, d) =
   check_same_length a b;
   check_same_length c d;
   if a = [] && c = [] then (Formula.bot, [])
   else begin
-    let defs1, v1, aux1 = unary_counter ~prefix:"_cnt" a b in
-    let defs2, v2, aux2 = unary_counter ~prefix:"_cnt" c d in
+    let define, built = definitions ~avoid "_cnt" [ a; b; c; d ] in
+    let v1 = unary_counter define a b in
+    let v2 = unary_counter define c d in
     let width = max (List.length v1) (List.length v2) in
     let lt =
       Formula.or_
@@ -191,5 +189,6 @@ let dist_lt (a, b) (c, d) =
              Formula.conj2 (at_least v2 j)
                (Formula.not_ (at_least v1 j))))
     in
-    (Formula.and_ (defs1 @ defs2 @ [ lt ]), aux1 @ aux2)
+    let defs, aux = built () in
+    (Formula.and_ (defs @ [ lt ]), aux)
   end

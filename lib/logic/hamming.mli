@@ -1,10 +1,12 @@
 (** Hamming-distance formulas: the paper's [EXA(k, X, Y, W)] and friends.
 
     [EXA(k,X,Y,W)] (Section 3.1) is a polynomial-size formula over two
-    equal-length letter vectors [X], [Y] and fresh auxiliary letters [W]
+    equal-length letter vectors [X], [Y] and auxiliary letters [W]
     that is true exactly when the assignments to [X] and [Y] differ in
-    exactly [k] positions.  The paper obtains it from a counting circuit;
-    we build the standard ladder network
+    exactly [k] positions.  [W] is new only relative to the formula being
+    built: each builder numbers its auxiliaries ({!Var.numbered}) apart
+    from the vectors and the caller's [~avoid].  The paper obtains it
+    from a counting circuit; we build the standard ladder network
     [s_{i,j} <-> (s_{i-1,j} /\ ~d_i) \/ (s_{i-1,j-1} /\ d_i)] with
     [d_i <-> (x_i != y_i)], giving size O(|X| * k).
 
@@ -13,13 +15,15 @@
     bounded-[P] constructions (Section 4) and serve as reference
     implementations in tests. *)
 
-val exa : int -> Var.t list -> Var.t list -> Formula.t * Var.t list
-(** [exa k xs ys] is [(EXA(k, xs, ys, ws), ws)].  The two vectors must
-    have equal length [n]; when [k > n] the formula is [false] and no
-    auxiliaries are created.  The auxiliary letters are fresh and
-    functionally determined by [xs] and [ys] (the definitions are
-    biconditionals), so conjoining [EXA] never changes the projection of a
-    model set onto the original letters. *)
+val exa :
+  avoid:Var.Set.t -> int -> Var.t list -> Var.t list -> Formula.t * Var.t list
+(** [exa ~avoid k xs ys] is [(EXA(k, xs, ys, ws), ws)].  The two vectors
+    must have equal length [n]; when [k > n] the formula is [false] and
+    no auxiliaries are created.  The auxiliary letters lie outside
+    [avoid] and are functionally determined by [xs] and [ys] (the
+    definitions are biconditionals), so conjoining [EXA] to a formula
+    over [avoid] never changes the projection of a model set onto the
+    original letters. *)
 
 (* lint: iface-ok test_session and test_structures check exa against it *)
 val exa_direct : int -> Var.t list -> Var.t list -> Formula.t
@@ -40,7 +44,8 @@ val pointwise_diff_subset :
     the positions where [S1] and [S2] differ are a subset of those where
     [S3] and [S4] differ (Section 6). *)
 
-val exa_totalizer : int -> Var.t list -> Var.t list -> Formula.t * Var.t list
+val exa_totalizer :
+  avoid:Var.Set.t -> int -> Var.t list -> Var.t list -> Formula.t * Var.t list
 (** Alternative [EXA] built from a totalizer (balanced-tree unary
     counter): the definitions compute a sorted unary output
     [s_1 >= s_2 >= ...] of the difference bits, and "exactly k" is
@@ -49,12 +54,13 @@ val exa_totalizer : int -> Var.t list -> Var.t list -> Formula.t * Var.t list
     {e some} polynomial counting circuit, cf. its O(n log n) remark). *)
 
 val dist_lt :
+  avoid:Var.Set.t ->
   Var.t list * Var.t list ->
   Var.t list * Var.t list ->
   Formula.t * Var.t list
 (** Polynomial-size strict comparison
     [DIST(a, b) < DIST(c, d)] using two totalizers and a sorted-vector
-    comparison (with fresh auxiliary letters).  Unlike
+    comparison, its auxiliaries numbered apart from [avoid].  Unlike
     {!dist_lt_direct}, this stays polynomial for unbounded widths — the
     matrix of formula (14) is polynomial; only its universal quantifier
     is not. *)

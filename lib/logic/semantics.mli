@@ -10,8 +10,9 @@
     assumptions on their (polarity-complete) Tseitin literals, and
     clause groups that must not outlive a query — blocking clauses, CEGAR
     refinements — are tagged with selector ("activation") literals and
-    retired with one unit clause.  The raw {!env} remains the low-level
-    substrate.  The convenience predicates spin up a throwaway solver
+    retired with one unit clause.  A session's {!env} is the low-level
+    substrate: letter literals, Tseitin literals, model readout.  The
+    convenience predicates spin up a throwaway solver
     (after the {!Clausal} linear-time fast path).
 
     Instrumentation ({!Revkb_obs}): [sem.env.builds] counts solver
@@ -28,21 +29,12 @@ exception Enumeration_cap_exceeded of { enumerator : string; cap : int }
     produced more than [cap] models.  Raised instead of truncating, so a silent partial model set
     can never flow into a revision. *)
 
-val create : unit -> env
-
 val lit_of_var : env -> Var.t -> Satsolver.Lit.t
 (** Solver literal for a formula letter (allocated on first use). *)
 
-(* lint: iface-ok test_semantics pins the memo (one literal per subterm) *)
 val encode : env -> Formula.t -> Satsolver.Lit.t
-(** Literal equivalent to the formula (Tseitin, with memoization). *)
-
-val assert_formula : env -> Formula.t -> unit
-(** Constrain the formula to be true.  Each top-level conjunct that is a
-    clause (an [Or] of literals) becomes one solver clause with no
-    auxiliary variable, so it is not memoized for later queries. *)
-
-val solve : ?assumptions:Satsolver.Lit.t list -> env -> bool
+(** Literal equivalent to the formula (Tseitin, with memoization): as an
+    [~extra] assumption of {!Session.solve} it asserts the formula. *)
 
 val model_on : env -> Var.t list -> Interp.t
 (** Projection of the last model onto the given letters. *)
@@ -97,7 +89,8 @@ module Session : sig
 
   val assert_always : t -> Formula.t -> unit
   (** Permanent assertion: constrains every later query.  Encoded in a
-      [sem.assert] span. *)
+      [sem.assert] span; a top-level conjunct that is a clause becomes
+      one solver clause, with no auxiliary. *)
 
   val solve :
     ?scopes:scope list ->

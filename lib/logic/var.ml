@@ -43,34 +43,21 @@ let named s =
   Mutex.unlock intern_mutex;
   v
 
-(* lint: domain-safe fresh holds intern_mutex around the whole
-   probe-and-increment loop *)
-let gensym = ref 0
-
-let fresh ?(prefix = "_w") () =
-  Mutex.lock intern_mutex;
-  let rec go () =
-    let s = Printf.sprintf "%s%d" prefix !gensym in
-    incr gensym;
-    if Hashtbl.mem table s then go ()
-    else begin
-      let v = !next in
-      incr next;
-      (name_slot v) := s;
-      Hashtbl.add table s v;
-      v
-    end
-  in
-  let v = go () in
-  Mutex.unlock intern_mutex;
-  v
-
 let name v = !(name_slot v)
 let copy_of ~suffix v = named (name v ^ suffix)
 let pp ppf v = Format.pp_print_string ppf (name v)
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
+
+let numbered ~avoid prefix =
+  let i = ref 0 in
+  let rec next () =
+    let v = named (prefix ^ string_of_int !i) in
+    incr i;
+    if Set.mem v avoid then next () else v
+  in
+  next
 
 let set_of_list l = Set.of_list l
 

@@ -17,28 +17,20 @@ let dedupe t =
    consistent set of the branch; it is a *global* MCS iff none of the
    excluded members can be added back consistently.  Otherwise we branch
    on member [i], pruning the include-branch when already inconsistent. *)
-(* One incremental CDCL solver serves the whole enumeration: [p] is
-   asserted once, each theory member is guarded by a selector literal
-   ([s_i -> f_i]), and every consistency probe is a solve under
-   assumptions — learned clauses are shared across the thousands of
-   probes a large enumeration performs. *)
+(* One session serves the whole enumeration: [p] is asserted once, each
+   member is encoded once into its (biconditional) Tseitin literal, and
+   every consistency probe assumes the chosen members' literals, sharing
+   learned clauses across the thousands of probes a large enumeration
+   performs. *)
 let worlds_idx ?(cap = 100_000) arr p =
   if not (Semantics.is_sat p) then []
   else begin
-    let env = Semantics.create () in
-    Semantics.assert_formula env p;
+    let s = Semantics.Session.create () in
+    Semantics.Session.assert_always s p;
     let n = Array.length arr in
-    let sels =
-      Array.init n (fun i ->
-          let s = Var.fresh ~prefix:"_sel" () in
-          Semantics.assert_formula env
-            (Formula.imp (Formula.var s) arr.(i));
-          Semantics.lit_of_var env s)
-    in
+    let lits = Array.map (Semantics.encode (Semantics.Session.env s)) arr in
     let sat_with idxs =
-      Semantics.solve
-        ~assumptions:(List.map (fun i -> sels.(i)) idxs)
-        env
+      Semantics.Session.solve s ~extra:(List.map (fun i -> lits.(i)) idxs) []
     in
     let out = ref [] in
     let count = ref 0 in

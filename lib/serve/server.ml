@@ -153,20 +153,22 @@ let entry op kb pf =
     check = lazy (Check.checker op (Lazy.force m));
   }
 
-(* Lookup-or-compute for T * P.  A new entry is cached only once what
-   the verb [needs] of it is built, so a refused revision never is. *)
+(* Lookup-or-compute for T * P.  A hit, a miss and a new entry count
+   only once what the verb [needs] of it is built: a refused request is
+   neither, and a refused revision is never cached. *)
 let revised t (e : Registry.entry) op pf needs =
   let key = cache_key e op pf in
   match Lru.find t.cache key with
   | Some c ->
+      needs c;
       t.hits <- t.hits + 1;
       Obs.incr c_hits;
       (c, true)
   | None ->
-      t.misses <- t.misses + 1;
-      Obs.incr c_misses;
       let c = entry op e.kb pf in
       needs c;
+      t.misses <- t.misses + 1;
+      Obs.incr c_misses;
       Lru.add t.cache key c;
       (c, false)
 

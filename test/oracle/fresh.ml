@@ -17,13 +17,14 @@ let min_distance_exa t p =
     let alphabet =
       Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
     in
+    let avoid = Var.set_of_list alphabet in
     let ys = List.map (Var.copy_of ~suffix:"__y") alphabet in
     let t_y = Formula.rename (List.combine alphabet ys) t in
     let n = List.length alphabet in
     let rec go k =
       if k > n then None
       else begin
-        let exa_k, _ = Hamming.exa k alphabet ys in
+        let exa_k, _ = Hamming.exa ~avoid k alphabet ys in
         if Semantics.is_sat (Formula.and_ [ t_y; p; exa_k ]) then Some k
         else go (k + 1)
       end
@@ -44,7 +45,7 @@ let dist_to f n alphabet =
     let rec probe k =
       if k > len then None
       else begin
-        let exa_k, _ = Hamming.exa k alphabet ys in
+        let exa_k, _ = Hamming.exa ~avoid:(Formula.vars f) k alphabet ys in
         if Semantics.is_sat (Formula.and_ [ f; pin; exa_k ]) then Some k
         else probe (k + 1)
       end
@@ -52,18 +53,18 @@ let dist_to f n alphabet =
     probe 0
   end
 
-(* CEGAR on a fresh environment: guess a model [m] of [t], keep it when
+(* CEGAR on a fresh session: guess a model [m] of [t], keep it when
    [refutes m] fails, otherwise block it and guess again. *)
 let exists_witness ~cap op t alphabet refutes =
-  let env = Semantics.create () in
-  List.iter (fun x -> ignore (Semantics.lit_of_var env x)) alphabet;
-  Semantics.assert_formula env t;
+  let s = Semantics.Session.create ~vars:alphabet () in
+  Semantics.Session.assert_always s t;
+  let env = Semantics.Session.env s in
   let rec loop i =
     if i > cap then
       raise
         (Compact.Check.Cegar_cap_exceeded
            { cap; opname = MB.name op; nletters = List.length alphabet })
-    else if not (Semantics.solve env) then false
+    else if not (Semantics.Session.solve s []) then false
     else begin
       let m = Semantics.model_on env alphabet in
       if refutes m then begin

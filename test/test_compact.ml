@@ -660,6 +660,108 @@ let test_iterate_avoids_later_letters () =
     "operators answering wrong" []
     (List.map (fun (op, _) -> Operator.name op) wrong)
 
+(* -- made-up letters ------------------------------------------------------------------ *)
+
+(* A construction numbers its auxiliaries apart from the letters of the
+   formula it builds, client letters named like them included: with T
+   naming [_exa0] and P naming [_exa1], Dalal's EXA starts at [_exa2];
+   with T naming [_cnt0] and P naming [_cnt1], the counters that Forbus's
+   QBF view quantifies leave both free.  Both results stay
+   query-equivalent to the semantic revision. *)
+let test_aux_skip_client_letters () =
+  let query_equivalent op t p fm =
+    Compact.Verify.query_equivalent
+      (Model_based.revise_on op
+         (Var.Set.elements (Formula.vars (Formula.conj2 t p)))
+         t p)
+      fm
+  in
+  let t = f "a & b & _exa0" and p = f "(~a | ~b) & _exa1" in
+  let dalal = Compact.Construct.revise Model_based.Dalal (Kb.make t) p in
+  check_bool "Dalal's EXA starts at _exa2" true
+    (Var.Set.mem (Var.named "_exa2") (Formula.vars dalal));
+  check_bool "Dalal query-equivalent" true
+    (query_equivalent Model_based.Dalal t p dalal);
+  let t = f "a & b & _cnt0" and p = f "~a & ~_cnt1" in
+  let forbus = Compact.Construct.forbus_qbf t p in
+  let rec bound : Qbf.t -> Var.t list = function
+    | Prop _ -> []
+    | Forall (xs, q) | Exists (xs, q) -> xs @ bound q
+    | Conj qs -> List.concat_map bound qs
+  in
+  check_bool "Forbus quantifies none of T's or P's letters" true
+    (List.for_all
+       (fun x -> not (Var.Set.mem x (Formula.vars (Formula.conj2 t p))))
+       (bound forbus));
+  check_bool "Forbus query-equivalent" true
+    (query_equivalent Model_based.Forbus t p (Qbf.expand forbus))
+
+(* The second step of an iterated Dalal revision numbers its EXA apart
+   from the first step's, which its accumulated formula carries: the
+   two steps' auxiliaries add up (query-equivalence of every step is
+   "thm 5.1: iterated Dalal query-equivalent"). *)
+let test_iterated_aux_apart () =
+  let t = f "a & b & c" and ps = [ f "~a | ~b"; f "~b | ~c" ] in
+  let steps = Compact.Construct.iterate Model_based.Dalal (Kb.make t) ps in
+  let aux_of (s : Compact.Construct.step) =
+    List.filter
+      (fun x -> String.starts_with ~prefix:"_exa" (Var.name x))
+      (Var.Set.elements (Formula.vars s.formula))
+  in
+  let standalone (s : Compact.Construct.step) p =
+    let xs = Var.Set.elements (Formula.vars p) in
+    let ys = List.map (Var.copy_of ~suffix:"#") xs in
+    List.length (snd (Hamming.exa ~avoid:Var.Set.empty s.measure xs ys))
+  in
+  match steps with
+  | [ s1; s2 ] ->
+      let a1 = aux_of s1 and a2 = aux_of s2 in
+      check_int "step 1's auxiliaries" (standalone s1 (List.nth ps 0))
+        (List.length a1);
+      check_bool "step 2 keeps step 1's" true
+        (List.for_all (fun w -> List.mem w a2) a1);
+      check_int "step 2 adds its own, apart" (standalone s2 (List.nth ps 1))
+        (List.length a2 - List.length a1)
+  | _ -> Alcotest.fail "two steps expected"
+
+(* Made-up letters are named per construction, so revising again and
+   again does not grow the live heap: 16,000 Dalal revisions over a
+   12-letter T, cycling through the 286 clauses [~xa | ~xb] and
+   [~xa | ~xb | ~xc], end within 10% of the live words after the first
+   1,000. *)
+let test_revisions_live_words_flat () =
+  let xs = Gen.letters 12 in
+  let kb = Kb.make (Formula.and_ (List.map Formula.var xs)) in
+  let ps =
+    Array.of_list
+      (List.filter_map
+         (fun c ->
+           if List.mem (Var.Set.cardinal c) [ 2; 3 ] then
+             Some
+               (Formula.or_ (List.map (Formula.lit false) (Var.Set.elements c)))
+           else None)
+         (Interp.subsets xs))
+  in
+  let revised = ref 0 in
+  let revise n =
+    for _ = 1 to n do
+      let p = ps.(!revised mod Array.length ps) in
+      ignore (Compact.Construct.revise Model_based.Dalal kb p : Formula.t);
+      incr revised
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  revise 1_000;
+  let w1 = live () in
+  revise 15_000;
+  let w16 = live () in
+  if float_of_int w16 > 1.1 *. float_of_int w1 then
+    Alcotest.failf "live words %d after 1,000 revisions, %d after 16,000" w1
+      w16
+
 let () =
   Alcotest.run "compact"
     [
@@ -770,4 +872,13 @@ let () =
             test_iterate_avoids_later_letters;
         ]
       );
+      ( "made-up letters",
+        [
+          Alcotest.test_case "auxiliaries skip client letters" `Quick
+            test_aux_skip_client_letters;
+          Alcotest.test_case "iterated steps number apart" `Quick
+            test_iterated_aux_apart;
+          Alcotest.test_case "live words flat over 16,000 revisions" `Quick
+            test_revisions_live_words_flat;
+        ] );
     ]

@@ -290,10 +290,22 @@ let test_var_interning () =
     (Var.compare (Var.named "zq1") (Var.named "zq1") = 0);
   check_bool "distinct names" false
     (Var.compare (Var.named "zq1") (Var.named "zq2") = 0);
-  let w1 = Var.fresh () and w2 = Var.fresh () in
-  check_bool "fresh distinct" false (Var.compare w1 w2 = 0);
   check_bool "copy_of suffixes" true
     (String.equal (Var.name (Var.copy_of ~suffix:"_k" (Var.named "zq1"))) "zq1_k")
+
+(* [numbered] counts from [prefix0], skips [avoid], never repeats a
+   letter, and starts again with each generator. *)
+let test_var_numbered () =
+  let avoid = Var.set_of_list [ Var.named "zn0"; Var.named "zn2" ] in
+  let next = Var.numbered ~avoid "zn" in
+  let ws = List.init 4 (fun _ -> next ()) in
+  Alcotest.(check (list string))
+    "names skip avoid" [ "zn1"; "zn3"; "zn4"; "zn5" ] (List.map Var.name ws);
+  check_int "distinct" 4 (List.length (List.sort_uniq Var.compare ws));
+  check_bool "avoid honoured" true
+    (List.for_all (fun w -> not (Var.Set.mem w avoid)) ws);
+  check_bool "a new generator starts over" true
+    (Var.compare (Var.numbered ~avoid "zn" ()) (List.hd ws) = 0)
 
 let () =
   Alcotest.run "formula"
@@ -350,5 +362,9 @@ let () =
           Alcotest.test_case "theory separators" `Quick
             test_theory_mixed_separators;
         ] );
-      ("var", [ Alcotest.test_case "interning" `Quick test_var_interning ]);
+      ( "var",
+        [
+          Alcotest.test_case "interning" `Quick test_var_interning;
+          Alcotest.test_case "numbered" `Quick test_var_numbered;
+        ] );
     ]

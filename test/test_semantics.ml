@@ -83,11 +83,11 @@ let test_query_equivalent_new_letters () =
 let prop_encode_projection =
   qtest "encode/model_on/block walk = brute force" ~count:300
     (arb_formula ~depth:3 vars4) (fun fm ->
-      let env = Semantics.create () in
-      List.iter (fun x -> ignore (Semantics.lit_of_var env x)) vars4;
+      let s = Semantics.Session.create ~vars:vars4 () in
+      let env = Semantics.Session.env s in
       let l = Semantics.encode env fm in
       let rec walk acc =
-        if Semantics.solve ~assumptions:[ l ] env then begin
+        if Semantics.Session.solve s ~extra:[ l ] [] then begin
           let m = Semantics.model_on env vars4 in
           Semantics.block env vars4 m;
           walk (m :: acc)
@@ -149,18 +149,18 @@ let test_with_retractable () =
   | Some sc -> check_bool "retired on raise" false (S.solve s ~scopes:[ sc ] [])
   | None -> Alcotest.fail "continuation never ran"
 
-(* -- incremental env -------------------------------------------------------- *)
+(* -- incremental session ---------------------------------------------------- *)
 
 let test_env_incremental () =
-  let env = Semantics.create () in
-  Semantics.assert_formula env (f "a -> b");
-  check_bool "sat" true (Semantics.solve env);
-  let la = Semantics.lit_of_var env (Var.named "a") in
-  check_bool "sat under a" true (Semantics.solve ~assumptions:[ la ] env);
-  Semantics.assert_formula env (f "~b");
-  check_bool "unsat under a after ~b" false
-    (Semantics.solve ~assumptions:[ la ] env);
-  check_bool "still sat without assumption" true (Semantics.solve env)
+  let module S = Semantics.Session in
+  let s = S.create () in
+  S.assert_always s (f "a -> b");
+  check_bool "sat" true (S.solve s []);
+  let la = Semantics.lit_of_var (S.env s) (Var.named "a") in
+  check_bool "sat under a" true (S.solve s ~extra:[ la ] []);
+  S.assert_always s (f "~b");
+  check_bool "unsat under a after ~b" false (S.solve s ~extra:[ la ] []);
+  check_bool "still sat without assumption" true (S.solve s [])
 
 (* -- QBF ----------------------------------------------------------------------- *)
 
@@ -218,15 +218,16 @@ let test_constants_and_empty () =
     (List.length (models_sat vars4 Formula.bot))
 
 let test_env_constants () =
-  let env = Semantics.create () in
-  Semantics.assert_formula env Formula.top;
-  check_bool "after asserting true" true (Semantics.solve env);
-  Semantics.assert_formula env Formula.bot;
-  check_bool "after asserting false" false (Semantics.solve env)
+  let module S = Semantics.Session in
+  let s = S.create () in
+  S.assert_always s Formula.top;
+  check_bool "after asserting true" true (S.solve s []);
+  S.assert_always s Formula.bot;
+  check_bool "after asserting false" false (S.solve s [])
 
 let test_encode_memoized () =
   (* encoding the same subformula twice must return the same literal *)
-  let env = Semantics.create () in
+  let env = Semantics.Session.env (Semantics.Session.create ()) in
   let g = f "(a | b) & c" in
   let l1 = Semantics.encode env g in
   let l2 = Semantics.encode env g in
@@ -267,12 +268,12 @@ let prop_clause_conjuncts =
 
 let test_clause_is_one_clause () =
   let clauses = Revkb_obs.Obs.counter "sem.encode.clauses" in
-  let env = Semantics.create () in
+  let s = Semantics.Session.create () in
   let c0 = Revkb_obs.Obs.value clauses in
-  Semantics.assert_formula env (f "(a | ~b | a) & (c | ~c)");
+  Semantics.Session.assert_always s (f "(a | ~b | a) & (c | ~c)");
   check_int "one solver clause per clause, no auxiliary" 2
     (Revkb_obs.Obs.value clauses - c0);
-  check_bool "still satisfiable" true (Semantics.solve env)
+  check_bool "still satisfiable" true (Semantics.Session.solve s [])
 
 (* -- Hamming / EXA (SAT-level sanity; exhaustive check in structures) ------- *)
 

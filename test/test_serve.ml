@@ -529,6 +529,54 @@ let test_satoh_wide_p () =
     true
     (is_ok r && get_int "size" r > 0)
 
+(* A refused [revise] counts neither a hit nor a miss: after a Winslett
+   [query] of a 10-letter P answers (one miss), two Winslett [revise]s
+   of it, refused on the cached entry, and one Forbus [revise], refused
+   on a new one, leave the counters at 0 hits and 1 miss. *)
+let test_refused_revise_uncounted () =
+  let srv = Server.create () in
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
+  let p =
+    "~a & (" ^ String.concat " | " (List.init 9 (Printf.sprintf "b%d")) ^ ")"
+  in
+  check_bool "query answers" true
+    (is_ok
+       (sendf srv
+          {|{"verb":"query","kb":"k","op":"winslett","p":"%s","q":"b"}|} p));
+  List.iter
+    (fun op ->
+      let r =
+        sendf srv {|{"verb":"revise","kb":"k","op":"%s","p":"%s"}|} op p
+      in
+      check_bool (op ^ ": revise refused") false (is_ok r))
+    [ "winslett"; "winslett"; "forbus" ];
+  let v = send srv {|{"verb":"stats"}|} in
+  check_int "cache_hits" 0 (get_int "cache_hits" v);
+  check_int "cache_misses" 1 (get_int "cache_misses" v);
+  check_int "errors" 3 (get_int "errors" v)
+
+(* Reply text depends on the request, not on what the process did
+   before: two KBs loaded alike print the same Dalal revision, made-up
+   letters and all. *)
+let test_identical_kbs_print_alike () =
+  let srv = Server.create () in
+  let printed kb =
+    ignore
+      (sendf srv {|{"verb":"load","kb":"%s","theory":"a & b"}|} kb);
+    let r =
+      sendf srv
+        {|{"verb":"revise","kb":"%s","op":"dalal","p":"~a | ~b","print":true}|}
+        kb
+    in
+    Option.get (Json.str_member "formula" r)
+  in
+  let first = printed "k1" in
+  check_str "second KB prints alike" first (printed "k2");
+  check_bool "made-up letters printed" true
+    (String.length first > 0
+    && Var.Set.mem (Var.named "_exa0")
+         (Formula.vars (Parser.formula_of_string first)))
+
 (* -- batch semantics ---------------------------------------------------------- *)
 
 let batch_line =
@@ -782,6 +830,10 @@ let () =
           Alcotest.test_case "cold query on the measure" `Quick
             test_cold_query_on_measure;
           Alcotest.test_case "Satoh past 8 letters" `Quick test_satoh_wide_p;
+          Alcotest.test_case "refused revise counts no hit" `Quick
+            test_refused_revise_uncounted;
+          Alcotest.test_case "identical KBs print alike" `Quick
+            test_identical_kbs_print_alike;
           Alcotest.test_case "pointwise query past 8 letters" `Quick
             test_pointwise_wide_p;
         ] );

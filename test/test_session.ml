@@ -48,7 +48,7 @@ let ladder_matches_exa n =
             Semantics.is_sat
               (Formula.and_ [ t_y; p; Formula.or_ (List.init (k + 1) exa_j) ])
           in
-          let exa = upto (fun j -> fst (Hamming.exa j x ys)) in
+          let exa = upto (fun j -> fst (Hamming.exa ~avoid:Var.Set.empty j x ys)) in
           let direct = upto (fun j -> Hamming.exa_direct j x ys) in
           sess = exa && exa = direct)
         (List.init (n + 1) Fun.id))

@@ -45,7 +45,8 @@ let test_minterm () =
 let exhaustive_exa_check n k =
   let xs = Gen.letters ~prefix:"ex" n and ys = Gen.letters ~prefix:"ey" n in
   let alphabet = xs @ ys in
-  let fml, aux = Hamming.exa k xs ys in
+  let avoid = Var.set_of_list [ Var.named "_exa0"; Var.named "_exa2" ] in
+  let fml, aux = Hamming.exa ~avoid k xs ys in
   let expected =
     List.filter
       (fun m ->
@@ -62,11 +63,14 @@ let exhaustive_exa_check n k =
   if not (same_models got expected) then
     Alcotest.failf "EXA(%d) over %d letters: %d models, expected %d" k n
       (List.length got) (List.length expected);
-  (* auxiliaries must be fresh *)
+  (* auxiliaries are distinct and miss the vectors and [avoid] *)
   List.iter
     (fun w ->
-      if List.mem w alphabet then Alcotest.fail "aux letter not fresh")
-    aux
+      if List.mem w alphabet || Var.Set.mem w avoid then
+        Alcotest.failf "aux letter %s not new" (Var.name w))
+    aux;
+  check_int "aux letters distinct" (List.length aux)
+    (List.length (List.sort_uniq Var.compare aux))
 
 let test_exa_exhaustive () =
   for n = 0 to 4 do
@@ -79,7 +83,7 @@ let test_exa_size_polynomial () =
   (* size of EXA(k, X, Y, W) should grow ~ n * k, definitely not 2^n *)
   let size n k =
     let xs = Gen.letters ~prefix:"px" n and ys = Gen.letters ~prefix:"py" n in
-    Formula.size (fst (Hamming.exa k xs ys))
+    Formula.size (fst (Hamming.exa ~avoid:Var.Set.empty k xs ys))
   in
   let s10 = size 10 5 and s20 = size 20 10 in
   check_bool "roughly quadratic growth" true
@@ -91,7 +95,7 @@ let test_exa_direct_agrees () =
       let xs = Gen.letters ~prefix:"dx" n and ys = Gen.letters ~prefix:"dy" n in
       let alphabet = xs @ ys in
       let direct = Hamming.exa_direct k xs ys in
-      let laddered, _ = Hamming.exa k xs ys in
+      let laddered, _ = Hamming.exa ~avoid:Var.Set.empty k xs ys in
       if
         not
           (same_models
@@ -125,8 +129,8 @@ let test_exa_totalizer_agrees () =
     for k = 0 to n + 1 do
       let xs = Gen.letters ~prefix:"totx" n and ys = Gen.letters ~prefix:"toty" n in
       let alphabet = xs @ ys in
-      let ladder, _ = Hamming.exa k xs ys in
-      let tot, _ = Hamming.exa_totalizer k xs ys in
+      let ladder, _ = Hamming.exa ~avoid:Var.Set.empty k xs ys in
+      let tot, _ = Hamming.exa_totalizer ~avoid:Var.Set.empty k xs ys in
       if
         not
           (same_models
@@ -139,7 +143,7 @@ let test_exa_totalizer_agrees () =
 let test_exa_totalizer_polynomial () =
   let size n k =
     let xs = Gen.letters ~prefix:"tpx" n and ys = Gen.letters ~prefix:"tpy" n in
-    Formula.size (fst (Hamming.exa_totalizer k xs ys))
+    Formula.size (fst (Hamming.exa_totalizer ~avoid:Var.Set.empty k xs ys))
   in
   let s10 = size 10 5 and s20 = size 20 10 in
   check_bool "quadratic-ish growth" true (s20 < 8 * s10)
@@ -152,13 +156,16 @@ let test_dist_lt_poly_agrees () =
         let c = Gen.letters ~prefix:"pdc" w2 and d = Gen.letters ~prefix:"pdd" w2 in
         let alphabet = a @ b @ c @ d in
         let direct = Hamming.dist_lt_direct (a, b) (c, d) in
-        let poly, _ = Hamming.dist_lt (a, b) (c, d) in
+        let poly, aux = Hamming.dist_lt ~avoid:Var.Set.empty (a, b) (c, d) in
         if
           not
             (same_models
                (Models.enumerate alphabet direct)
                (models_sat alphabet poly))
-        then Alcotest.failf "dist_lt mismatch at widths %d/%d" w1 w2
+        then Alcotest.failf "dist_lt mismatch at widths %d/%d" w1 w2;
+        (* the two counters share one numbering *)
+        check_int "dist_lt aux distinct" (List.length aux)
+          (List.length (List.sort_uniq Var.compare aux))
       end
     done
   done
