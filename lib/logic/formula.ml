@@ -143,38 +143,55 @@ let rec eval env = function
 
 (* -- printing ----------------------------------------------------------- *)
 
-(* Precedence levels: 0 iff/xor, 1 imp, 2 or, 3 and, 4 unary. *)
-let rec pp_prec prec ppf f =
-  let paren p body =
-    if prec > p then Format.fprintf ppf "(%t)" body else body ppf
-  in
-  match f with
-  | True -> Format.pp_print_string ppf "true"
-  | False -> Format.pp_print_string ppf "false"
-  | Var x -> Var.pp ppf x
-  | Not g -> Format.fprintf ppf "~%a" (pp_prec 4) g
-  | And gs ->
-      paren 3 (fun ppf ->
-          Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ")
-            (pp_prec 4) ppf gs)
-  | Or gs ->
-      paren 2 (fun ppf ->
-          Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
-            (pp_prec 3) ppf gs)
-  | Imp (a, b) ->
-      paren 1 (fun ppf ->
-          Format.fprintf ppf "%a -> %a" (pp_prec 2) a (pp_prec 1) b)
-  | Iff (a, b) ->
-      paren 0 (fun ppf ->
-          Format.fprintf ppf "%a == %a" (pp_prec 1) a (pp_prec 1) b)
-  | Xor (a, b) ->
-      paren 0 (fun ppf ->
-          Format.fprintf ppf "%a != %a" (pp_prec 1) a (pp_prec 1) b)
+(* Precedence levels: 0 iff/xor, 1 imp, 2 or, 3 and, 4 unary.  A
+   connective is parenthesized when its context binds tighter. *)
+let level = function
+  | Iff _ | Xor _ -> 0
+  | Imp _ -> 1
+  | Or _ -> 2
+  | And _ -> 3
+  | True | False | Var _ | Not _ -> 4
 
-let pp ppf f = pp_prec 0 ppf f
-let to_string f = Format.asprintf "%a" pp f
+(* Written straight into one buffer, with no Format pass: the text of a
+   served revision costs a linear copy of the formula. *)
+let rec print b prec f =
+  let paren = prec > level f in
+  if paren then Buffer.add_char b '(';
+  (match f with
+  | True -> Buffer.add_string b "true"
+  | False -> Buffer.add_string b "false"
+  | Var x -> Buffer.add_string b (Var.name x)
+  | Not g ->
+      Buffer.add_char b '~';
+      print b 4 g
+  | And gs -> print_list b " & " 4 gs
+  | Or gs -> print_list b " | " 3 gs
+  | Imp (x, y) -> print_pair b 2 x " -> " 1 y
+  | Iff (x, y) -> print_pair b 1 x " == " 1 y
+  | Xor (x, y) -> print_pair b 1 x " != " 1 y);
+  if paren then Buffer.add_char b ')'
+
+and print_list b sep prec = function
+  | [] -> ()
+  | g :: gs ->
+      print b prec g;
+      List.iter
+        (fun g ->
+          Buffer.add_string b sep;
+          print b prec g)
+        gs
+
+and print_pair b px x sep py y =
+  print b px x;
+  Buffer.add_string b sep;
+  print b py y
+
+let to_string f =
+  let b = Buffer.create 64 in
+  print b 0 f;
+  Buffer.contents b
+
+let pp ppf f = Format.pp_print_string ppf (to_string f)
 
 let rec simplify f =
   match f with

@@ -7,23 +7,31 @@
 
 (* -- JSON primitives -------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
+(* Runs of bytes that need no escape are copied whole. *)
+let add_json_string b s =
+  Buffer.add_char b '"';
+  let from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring b s !from (i - !from);
+      from := i + 1;
       match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c -> Printf.bprintf b "\\u%04x" (Char.code c)
+    end
+  done;
+  Buffer.add_substring b s !from (String.length s - !from);
+  Buffer.add_char b '"'
 
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  add_json_string b s;
+  Buffer.contents b
 
 let json_float f =
   match Float.classify_float f with

@@ -6,10 +6,14 @@
 
 (** {1 JSON primitives} *)
 
+val add_json_string : Buffer.t -> string -> unit
+(** Append a JSON string literal: double quotes around the contents
+    with quote, backslash and every control character escaped (standard
+    short escapes, [\uXXXX] otherwise); other bytes, those [>= 0x80]
+    included, are copied as they are. *)
+
 val json_string : string -> string
-(** A JSON string literal: double quotes around the contents with
-    quote, backslash and every control character escaped (standard
-    short escapes, [\uXXXX] otherwise). *)
+(** {!add_json_string} into a fresh string. *)
 
 val json_float : float -> string
 (** Render a finite float; raises [Invalid_argument] on NaN or

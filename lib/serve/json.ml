@@ -221,7 +221,7 @@ let rec render_to b v =
   | Bool false -> Buffer.add_string b "false"
   | Int i -> Buffer.add_string b (string_of_int i)
   | Float f -> Buffer.add_string b (Export.json_float f)
-  | Str s -> Buffer.add_string b (Export.json_string s)
+  | Str s -> Export.add_json_string b s
   | List vs ->
       Buffer.add_char b '[';
       List.iteri
@@ -235,7 +235,7 @@ let rec render_to b v =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Export.json_string k);
+          Export.add_json_string b k;
           Buffer.add_char b ':';
           render_to b v)
         kvs;

@@ -121,9 +121,12 @@ let op_of id req =
         "%S is not a model-based operator (expected one of %s)" s
         (String.concat ", " (List.map MB.name MB.all))
 
+let parsed f = Obs.with_span "serve.parse" f
+let rendered f = Obs.with_span "serve.render" f
+
 let formula_of id req field =
   let s = need_str id req field in
-  match Parser.formula_of_string s with
+  match parsed (fun () -> Parser.formula_of_string s) with
   | f -> f
   | exception Parser.Syntax_error d ->
       failf id "syntax_error" "field %S: %s" field d
@@ -138,8 +141,9 @@ let interp_of_string s =
 (* -- the revision cache ---------------------------------------------------- *)
 
 let cache_key (e : Registry.entry) op pf =
-  Printf.sprintf "%s@%d|%s|%s" e.name e.epoch (MB.name op)
-    (Formula.to_string pf)
+  String.concat ""
+    [ e.name; "@"; string_of_int e.epoch; "|"; MB.name op; "|";
+      Formula.to_string pf ]
 
 let entry op kb pf =
   let m = lazy (Compact.Measure.create kb pf) in
@@ -182,7 +186,7 @@ let do_load t id req =
   let name = need_str id req "kb" in
   let theory =
     let s = need_str id req "theory" in
-    match Parser.theory_of_string s with
+    match parsed (fun () -> Parser.theory_of_string s) with
     | th -> th
     | exception Parser.Syntax_error d ->
         failf id "syntax_error" "field \"theory\": %s" d
@@ -226,7 +230,8 @@ let do_revise t id req =
   in
   let extra =
     if Json.bool_member "print" req = Some true then
-      [ ("formula", Json.Str (Formula.to_string (formula c))) ]
+      let text = rendered (fun () -> Formula.to_string (formula c)) in
+      [ ("formula", Json.Str text) ]
     else []
   in
   ok id (base @ extra)
@@ -445,12 +450,13 @@ let sent t resp =
 let handle t req = sent t (dispatch t req)
 
 let handle_line t line =
-  match Json.parse line with
-  | req -> Json.render (handle t req)
+  let render v = rendered (fun () -> Json.render v) in
+  match parsed (fun () -> Json.parse line) with
+  | req -> render (handle t req)
   | exception Json.Parse_error d ->
       t.requests <- t.requests + 1;
       Obs.incr c_requests;
-      Json.render (sent t (error None "bad_json" d))
+      render (sent t (error None "bad_json" d))
 
 let stopping t = t.stopping
 
@@ -464,24 +470,31 @@ type reader = {
   fd : Unix.file_descr;
   buf : Buffer.t;
   chunk : Bytes.t;
+  mutable scanned : int;  (** bytes of [buf] known to hold no newline *)
   mutable eof : bool;
 }
 
-let reader fd = { fd; buf = Buffer.create 4096; chunk = Bytes.create 4096; eof = false }
+let reader fd =
+  { fd; buf = Buffer.create 4096; chunk = Bytes.create 4096; scanned = 0; eof = false }
 
+(* Each byte is searched once, so a line of L bytes costs O(L) however
+   many reads it spans. *)
 let take_line r =
-  let s = Buffer.contents r.buf in
-  match String.index_opt s '\n' with
-  | None -> None
+  let n = Buffer.length r.buf in
+  let rec newline i =
+    if i = n then None else if Buffer.nth r.buf i = '\n' then Some i else newline (i + 1)
+  in
+  match newline r.scanned with
+  | None ->
+      r.scanned <- n;
+      None
   | Some i ->
-      let line = String.sub s 0 i in
+      let len = if i > 0 && Buffer.nth r.buf (i - 1) = '\r' then i - 1 else i in
+      let line = Buffer.sub r.buf 0 len in
+      let rest = Buffer.sub r.buf (i + 1) (n - i - 1) in
       Buffer.clear r.buf;
-      Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-      let line =
-        if String.length line > 0 && line.[String.length line - 1] = '\r'
-        then String.sub line 0 (String.length line - 1)
-        else line
-      in
+      Buffer.add_string r.buf rest;
+      r.scanned <- 0;
       Some line
 
 let rec refill r =
@@ -498,6 +511,7 @@ let rec read_line r =
         if Buffer.length r.buf > 0 then begin
           let line = Buffer.contents r.buf in
           Buffer.clear r.buf;
+          r.scanned <- 0;
           Some line
         end
         else None

@@ -257,6 +257,81 @@ let test_pp_precedence_roundtrip_edge_cases () =
       "a & (b -> c) | ~d";
     ]
 
+(* -- the buffer printer against the Format reference --------------------- *)
+
+let reference fm = Format.asprintf "%a" Revkb_oracle.Printers.pp_formula fm
+let check_str name expected actual = Alcotest.(check string) name expected actual
+
+let prop_printer_matches_reference =
+  qtest "to_string = reference printer" ~count:500
+    (arb_formula ~depth:5 (letters 6))
+    (fun fm -> Formula.to_string fm = reference fm)
+
+(* Shapes the smart constructors fold away: empty and one-member
+   [And]/[Or], double negation, constants as operands.  [Formula.t] is
+   private, so they are built on a mirror of it: the same constructors
+   in the same order have the same runtime representation. *)
+type raw =
+  | T
+  | F
+  | V of Var.t
+  | N of raw
+  | A of raw list
+  | O of raw list
+  | I of raw * raw
+  | E of raw * raw
+  | X of raw * raw
+
+let of_raw : raw -> Formula.t = Obj.magic
+
+let test_printer_raw_shapes () =
+  let a = V (Var.named "a") and b = V (Var.named "b") in
+  let c = V (Var.named "c") in
+  List.iter
+    (fun r ->
+      let fm = of_raw r in
+      check_str (reference fm) (reference fm) (Formula.to_string fm))
+    [
+      A [];
+      O [];
+      N (A []);
+      O [ a; A [] ];
+      O [ a ];
+      A [ O [ a ]; b ];
+      N (N a);
+      N (N (A [ a; b ]));
+      I (I (a, b), c);
+      I (a, I (b, c));
+      X (E (a, b), c);
+      X (a, E (b, c));
+      E (X (a, b), I (c, a));
+      N (I (a, b));
+      O [ A [ a; b ]; X (a, b); I (b, c) ];
+      A [ T; F ];
+      O [ T; N F ];
+      I (T, F);
+      E (F, O [ T ]);
+      X (T, A [ a; T ]);
+    ]
+
+(* Format breaks lines only at break hints, and the formula carries
+   none: printed in a vertical box, a long formula stays on one line,
+   as the reference printer leaves it. *)
+let test_printer_in_vertical_box () =
+  let fm =
+    f
+      (String.concat " & "
+         (List.init 30 (fun i -> Printf.sprintf "(x%d | ~y%d -> z)" i i)))
+  in
+  let boxed pp = Format.asprintf "@[<v 2>revised:@,%a@,end@]" pp fm in
+  check_bool "longer than 200 characters" true
+    (String.length (reference fm) > 200);
+  check_str "Formula.pp = reference"
+    (boxed Revkb_oracle.Printers.pp_formula)
+    (boxed Formula.pp);
+  check_str "one line" ("revised:\n  " ^ reference fm ^ "\n  end")
+    (boxed Formula.pp)
+
 let test_node_count () =
   check_int "literal" 1 (Formula.node_count (f "a"));
   check_int "negated literal" 2 (Formula.node_count (f "~a"));
@@ -354,6 +429,11 @@ let () =
         [
           Alcotest.test_case "pp precedence roundtrips" `Quick
             test_pp_precedence_roundtrip_edge_cases;
+          prop_printer_matches_reference;
+          Alcotest.test_case "printer on raw shapes" `Quick
+            test_printer_raw_shapes;
+          Alcotest.test_case "printer in a vertical box" `Quick
+            test_printer_in_vertical_box;
           Alcotest.test_case "node_count" `Quick test_node_count;
           Alcotest.test_case "constants varless" `Quick
             test_constants_have_no_vars;

@@ -268,6 +268,30 @@ let test_json_primitives () =
   check_bool "+inf rejected" true (rejects Float.infinity);
   check_bool "-inf rejected" true (rejects Float.neg_infinity)
 
+(* Every byte class the escape tells apart: controls, quote and
+   backslash are escaped; printable ASCII, DEL and bytes >= 0x80 pass
+   through. *)
+let arb_bytes =
+  QCheck.(
+    string_gen
+      Gen.(
+        frequency
+          [
+            (2, char_range '\x00' '\x1f');
+            (1, oneofl [ '"'; '\\' ]);
+            (3, char_range ' ' '~');
+            (2, char_range '\x7f' '\xff');
+          ]))
+
+let prop_json_string_matches_reference =
+  Helpers.qtest "json_string = reference escape" ~count:1000 arb_bytes
+    (fun s ->
+      let quoted = "\"" ^ Revkb_oracle.Printers.json_escape s ^ "\"" in
+      let b = Buffer.create 1 in
+      Buffer.add_string b "k:";
+      Export.add_json_string b s;
+      Export.json_string s = quoted && Buffer.contents b = "k:" ^ quoted)
+
 let test_openmetrics_golden () =
   check_str "openmetrics golden"
     ("# TYPE revkb_sem_ladder_probes counter\n\
@@ -541,6 +565,7 @@ let () =
           Alcotest.test_case "table" `Quick test_export_table;
           Alcotest.test_case "chrome trace" `Quick test_export_chrome_trace;
           Alcotest.test_case "json primitives" `Quick test_json_primitives;
+          prop_json_string_matches_reference;
         ] );
       ( "openmetrics",
         [

@@ -791,6 +791,72 @@ let test_cached_equals_recomputed () =
   check_bool "tight cache stayed bounded" true
     (get_int "cache_entries" (send tight {|{"verb":"stats"}|}) <= 1)
 
+(* -- line framing ----------------------------------------------------------- *)
+
+(* The replies [Server.serve_fd] writes for [input].  The input is read
+   from a file, so each read returns the next 4096 bytes and the input
+   alone sets where its lines fall against the reads. *)
+let serve_input input =
+  let path_in = Filename.temp_file "revkb_serve" ".in" in
+  let path_out = Filename.temp_file "revkb_serve" ".out" in
+  Out_channel.with_open_bin path_in (fun oc -> output_string oc input);
+  let fd_in = Unix.openfile path_in [ Unix.O_RDONLY ] 0 in
+  let fd_out = Unix.openfile path_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd_in;
+      Unix.close fd_out;
+      Sys.remove path_in)
+    (fun () -> Server.serve_fd (Server.create ()) fd_in fd_out);
+  let out = In_channel.with_open_bin path_out In_channel.input_all in
+  Sys.remove path_out;
+  List.map Json.parse
+    (List.filter (fun l -> l <> "") (String.split_on_char '\n' out))
+
+let stats_line id = Printf.sprintf {|{"id":%d,"verb":"stats"}|} id
+
+let check_ids name expected replies =
+  Alcotest.(check (list (option int)))
+    name
+    (List.map Option.some expected)
+    (List.map (Json.int_member "id") replies)
+
+let test_framing () =
+  let first = "{" ^ String.make 4060 ' ' ^ {|"id":1,"verb":"stats"}|} in
+  let start2 = String.length first + 1 in
+  check_bool "line 2 straddles the first read" true
+    (start2 < 4096 && start2 + String.length (stats_line 2) > 4096);
+  check_ids "a line split across reads" [ 1; 2 ]
+    (serve_input (first ^ "\n" ^ stats_line 2 ^ "\n"));
+  check_ids "several lines in one read" [ 1; 2; 3 ]
+    (serve_input
+       (String.concat "\n" [ stats_line 1; stats_line 2; stats_line 3; "" ]));
+  check_ids "a final line without a newline" [ 1; 2 ]
+    (serve_input (stats_line 1 ^ "\n" ^ stats_line 2));
+  (* The CR goes with the LF: an error offset counts the line without it,
+     and a CRLF-only line is blank. *)
+  match serve_input (stats_line 1 ^ "\r\n\r\n" ^ {|{"id":2|} ^ "\r\n") with
+  | [ r1; r2 ] ->
+      check_ids "CRLF" [ 1 ] [ r1 ];
+      check_str "CR cut" "expected ',' or '}' at offset 7"
+        (Option.get (Json.str_member "detail" r2))
+  | rs -> Alcotest.failf "CRLF: %d replies, expected 2" (List.length rs)
+
+(* A line is searched once however many reads it spans: 8 MB in one
+   line stays far from the quadratic rescan, which took seconds per
+   megabyte. *)
+let test_long_line () =
+  let long =
+    Printf.sprintf {|{"id":1,"verb":"stats","pad":"%s"}|}
+      (String.make (8 * 1024 * 1024) 'x')
+  in
+  let t0 = Unix.gettimeofday () in
+  let replies = serve_input (long ^ "\n" ^ stats_line 2 ^ "\n") in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_ids "both answered" [ 1; 2 ] replies;
+  check_bool (Printf.sprintf "8 MB line in %.2f s, budget 5 s" dt) true
+    (dt < 5.0)
+
 let () =
   Alcotest.run "serve"
     [
@@ -851,5 +917,10 @@ let () =
           Alcotest.test_case "stats shape" `Quick test_stats_shape;
           Alcotest.test_case "batch error counted once" `Quick
             test_batch_error_counted_once;
+        ] );
+      ( "line reader",
+        [
+          Alcotest.test_case "framing" `Quick test_framing;
+          Alcotest.test_case "8 MB line" `Quick test_long_line;
         ] );
     ]
