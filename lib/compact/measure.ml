@@ -59,12 +59,11 @@ let create kb p =
   let vp = Var.Set.elements vp_set in
   let alphabet = Var.Set.union (Kb.vars kb) vp_set in
   let y = Names.copy ~avoid:alphabet ~suffix:"_m" vp in
-  (* [t] and [p[V(P)/Y]] share no letter, so each is decided by a solve
-     on what is asserted so far: [t]'s only when its handle holds no
-     decision yet, then [p]'s. *)
-  let s = Session.create ~vars:vp () in
-  Session.assert_always s (Kb.formula kb);
-  if not (Kb.decide kb ~by:(fun () -> Session.solve s [])) then unsat "T";
+  (* The session is a copy of the handle's, which holds [t] and its
+     decision; [t] and [p[V(P)/Y]] share no letter, so one solve on the
+     copy once [p] is asserted decides [p]. *)
+  let s = Kb.session kb in
+  if not (Kb.is_sat kb) then unsat "T";
   Session.assert_always s (Formula.rename (List.combine vp y) p);
   if not (Session.solve s []) then unsat "P";
   let env = Session.env s in

@@ -23,8 +23,10 @@
     δ (formula (7)) each constrain only where [T] and [P] differ.
 
     A value of {!t} is the one owner of its [(T, P)] pair: building it
-    decides that [P] is satisfiable (the session's one solve) and takes
-    [T]'s decision from its {!Logic.Kb} handle, and each measure is
+    copies the solver of its {!Logic.Kb} handle, in which [T] is
+    encoded once, asserts only [P[V(P)/Y]] and the difference literals,
+    decides that [P] is satisfiable (the copy's one solve) and takes
+    [T]'s decision from the handle, and each measure is
     computed at most once, on first use.  The session, the copies, the
     difference literals and the ladder are exported for {!Check}'s
     CEGAR loops: pinning [V(P)] to a witness makes the difference
@@ -36,12 +38,13 @@ open Logic
 type t
 
 val create : Kb.t -> Formula.t -> t
-(** [create kb p]: assert the pair once and decide [p] with one solve.
-    [T] takes the handle's decision, or this session's first solve when
-    the handle holds none, and an unsatisfiable [T] known beforehand
-    raises before anything is built.  Raises [Invalid_argument] when
-    [T] or [p] is unsatisfiable (the paper's standing assumption; [T]
-    is named when both are). *)
+(** [create kb p]: a copy of the handle's solver ({!Logic.Kb.session},
+    built on first use) with [p] asserted on the copies, and [p]
+    decided with one solve.  [T] takes the handle's decision, and an
+    unsatisfiable [T] known beforehand raises before anything is built
+    or copied.  Raises [Invalid_argument] when [T] or [p] is
+    unsatisfiable (the paper's standing assumption; [T] is named when
+    both are). *)
 
 val kb : t -> Kb.t
 (** The [T] handle the pair was built on. *)

@@ -7,6 +7,7 @@ module Obs = Revkb_obs.Obs
    encodings reused, ladder probes answered by assumption flips — are
    always visible in a [--stats] snapshot or a [revkb trace]. *)
 let c_env_builds = Obs.counter "sem.env.builds"
+let c_env_copies = Obs.counter "sem.env.copies"
 let c_clauses = Obs.counter "sem.encode.clauses"
 let c_cache_hit = Obs.counter "sem.encode.cache_hit"
 let c_reuse = Obs.counter "sem.session.reuse"
@@ -31,6 +32,21 @@ let create () =
     var_map = Var.Map.empty;
     memo = Hashtbl.create 64;
     true_lit = None;
+  }
+
+(* The letter map is immutable and shared; the memo is not, since a
+   copy's encodings name literals of its own solver.  A KB asserted
+   clause by clause leaves the memo empty, and an empty one is not
+   worth a [Hashtbl.copy]. *)
+let copy env =
+  Obs.incr c_env_copies;
+  {
+    solver = S.copy env.solver;
+    var_map = env.var_map;
+    memo =
+      (if Hashtbl.length env.memo = 0 then Hashtbl.create 16
+       else Hashtbl.copy env.memo);
+    true_lit = env.true_lit;
   }
 
 let fresh_lit env = L.of_var (S.new_var env.solver)
@@ -251,6 +267,7 @@ module Session = struct
     List.iter (fun x -> ignore (lit_of_var env x)) vars;
     make env
 
+  let copy s = make (copy s.env)
   let env s = s.env
   let declare s xs = List.iter (fun x -> ignore (lit_of_var s.env x)) xs
   (* Encoding a large asserted KB (a constructed revision) is a cost of

@@ -16,7 +16,8 @@
     (after the {!Clausal} linear-time fast path).
 
     Instrumentation ({!Revkb_obs}): [sem.env.builds] counts solver
-    constructions, [sem.encode.clauses] encoded clauses,
+    constructions, [sem.env.copies] session copies ({!Session.copy}),
+    [sem.encode.clauses] encoded clauses,
     [sem.encode.cache_hit] memo hits, [sem.session.reuse] queries that
     reused a live session solver, [sem.ladder.probes] cardinality-ladder
     threshold probes; every session query runs in a [sem.query] span,
@@ -83,6 +84,13 @@ module Session : sig
   val create : ?vars:Var.t list -> unit -> t
   (** A new session: one solver, one memo table, for many queries.
       [vars] pre-allocates letter literals. *)
+
+  val copy : t -> t
+  (** An independent session holding what [s] holds: a copy of its
+      solver ({!Satsolver.Solver.copy}: clauses, learnt clauses, search
+      state) and of its encodings.  Assertions, scopes and blocking
+      clauses added to either never reach the other.  Counted as
+      [sem.env.copies], not as a build. *)
 
   val env : t -> env
   (** The underlying incremental environment. *)

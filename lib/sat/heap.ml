@@ -12,6 +12,17 @@ type t = {
 
 let create act = { act; heap = [||]; size = 0; pos = Array.make 16 (-1) }
 
+(* The positions are sized to [!act]: a copy's variables are those its
+   activity array indexes. *)
+let copy t act =
+  let n = Array.length !act in
+  {
+    act;
+    heap = Array.sub t.heap 0 t.size;
+    size = t.size;
+    pos = Array.init n (fun v -> if v < Array.length t.pos then t.pos.(v) else -1);
+  }
+
 let grow_to t n =
   let cap = Array.length t.pos in
   if n > cap then begin

@@ -13,6 +13,11 @@ val create : float array ref -> t
     bumping a variable's activity requires a subsequent {!update} to
     restore heap order.  Every variable inserted must index [!act]. *)
 
+val copy : t -> float array ref -> t
+(** [copy h act]: the same variables in the same heap order, ordered by
+    [act] from now on; [!act] must index every variable of [h].
+    Nothing is shared with [h]. *)
+
 val insert : t -> int -> unit
 (** No-op when already present. *)
 

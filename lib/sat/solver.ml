@@ -400,6 +400,56 @@ let add_clause s lits =
         Vec.push s.clauses c;
         attach s c
 
+(* -- copying ------------------------------------------------------------ *)
+
+(* Between calls a solver sits at level 0, so a copy is its clause
+   database, its level-0 facts and its search state.  Every clause
+   record is new, because watch swaps permute a clause's literals in
+   place, and the watch lists are rebuilt from the new records.  A
+   level-0 fact's reason is the copy's [no_reason]: conflict analysis
+   never expands a level-0 literal and level 0 is never undone.  The
+   arrays are sized to [nvars]; the next [new_var] grows them. *)
+let copy s =
+  assert (decision_level s = 0);
+  let n = s.nvars in
+  let no_reason =
+    { lits = [||]; learnt = false; activity = 0.0; deleted = true }
+  in
+  let clone c = { c with lits = Array.copy c.lits } in
+  let var_activity = ref (Array.sub !(s.var_activity) 0 n) in
+  let c =
+    {
+      assign = Array.sub s.assign 0 n;
+      level = Array.sub s.level 0 n;
+      reason = Array.make n no_reason;
+      no_reason;
+      watches = Array.init (2 * n) (fun _ -> Vec.create ());
+      polarity = Array.sub s.polarity 0 n;
+      seen = Array.make n false;
+      var_activity;
+      trail = Vec.map Fun.id s.trail;
+      trail_lim = Vec.create ();
+      qhead = s.qhead;
+      clauses = Vec.map clone s.clauses;
+      learnts = Vec.map clone s.learnts;
+      order = Heap.copy s.order var_activity;
+      nvars = n;
+      var_inc = s.var_inc;
+      cla_inc = s.cla_inc;
+      ok = s.ok;
+      conflicts = 0;
+      decisions = 0;
+      propagations = 0;
+      learned = 0;
+      restarts = 0;
+      last_model = Array.sub s.last_model 0 s.model_len;
+      model_len = s.model_len;
+    }
+  in
+  Vec.iter (attach c) c.clauses;
+  Vec.iter (attach c) c.learnts;
+  c
+
 (* -- search ------------------------------------------------------------- *)
 
 (* Luby restart sequence: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,... *)

@@ -13,6 +13,13 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent solver with the same clauses, learnt clauses
+    included, the same top-level facts and the same search state
+    (variable activities and order, saved phases, last model): what
+    either adds or learns later never reaches the other.  Its
+    {!stats} start at zero. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable and return its index. *)
 

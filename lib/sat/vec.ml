@@ -1,6 +1,7 @@
 type 'a t = { mutable data : 'a array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
+let map f v = { data = Array.init v.size (fun i -> f v.data.(i)); size = v.size }
 
 let size v = v.size
 

@@ -7,6 +7,11 @@
 type 'a t
 
 val create : unit -> 'a t
+
+val map : ('a -> 'b) -> 'a t -> 'b t
+(** [map f v]: [f] of each element, in order, with capacity for
+    exactly those. *)
+
 val size : 'a t -> int
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit

@@ -1,10 +1,11 @@
 (* The named-KB registry behind [revkb serve].
 
    An entry owns the KB's presentation, its handle (the conjunction, its
-   letters, and a satisfiability decided at most once per epoch), a
-   monotonic epoch, and two lazily built acceleration structures: a
-   pooled incremental SAT session with the KB asserted once (so every
-   query after the first reuses it and the solver's learned clauses)
+   letters, a satisfiability decided at most once per epoch, and T
+   encoded once per epoch), a monotonic epoch, and two lazily built
+   acceleration structures: a pooled incremental SAT session, a copy
+   of the handle's solver (so every query after the first reuses it
+   and its learned clauses)
    and an optional compiled ROBDD for entail/count-heavy traffic.
    Any content change bumps the epoch, builds a new handle and drops
    both structures; the epoch is part of every serve-cache key, so a
@@ -75,8 +76,7 @@ let session e =
       s
   | None ->
       Obs.incr c_session_builds;
-      let s = Session.create ~vars:(Var.Set.elements (Kb.vars e.kb)) () in
-      Session.assert_always s (Kb.formula e.kb);
+      let s = Kb.session e.kb in
       e.session <- Some s;
       s
 

@@ -3,9 +3,11 @@
     Entries carry a monotonic {e epoch}: any content change ({!load}
     over an existing name, {!commit}) bumps it, builds a new {!Logic.Kb}
     handle and drops the entry's pooled session and compiled diagram.
-    The handle is the epoch's one satisfiability decision: [load]
-    decides nothing, and the first request that needs [T] decided
-    takes the decision for every later one.  Serve-cache keys embed the
+    The handle is the epoch's one satisfiability decision and its one
+    encoding of [T]: [load] decides and encodes nothing, the first
+    request that needs [T] decided takes the decision for every later
+    one, and every session of the epoch starts as a copy of the
+    handle's solver.  Serve-cache keys embed the
     epoch, so a bump invalidates every cached revision of the entry
     without touching the cache itself. *)
 
@@ -37,8 +39,9 @@ val commit : entry -> Theory.t -> unit
     verb's in-place [T := T * P]. *)
 
 val session : entry -> Semantics.Session.t
-(** The entry's pooled incremental session, with the KB asserted.
-    Built on first use, reused until the next epoch bump; counted as
+(** The entry's pooled incremental session: a copy of the epoch's
+    loaded solver ({!Logic.Kb.session}), so [T] is not encoded again.
+    Made on first use, reused until the next epoch bump; counted as
     [serve.session.builds] / [serve.session.reuse]. *)
 
 val compiled : entry -> Semantics.Compiled.t option

@@ -4,7 +4,9 @@
    Performance architecture (the point of the tier):
    - each KB holds one [Kb.t] handle per epoch: T's satisfiability is
      decided once, by the first request that needs it, and read by
-     every construction, check and measure after it;
+     every construction, check and measure after it, and T is
+     Tseitin-encoded once, into a solver every measure and the pooled
+     session start as a copy of;
    - plain queries and counts run on the entry's pooled session (T
      asserted once, accumulated learned clauses) or, when the KB has
      been compiled, on its ROBDD in diagram time;
@@ -465,37 +467,76 @@ let stopping t = t.stopping
 (* Line reader over a raw file descriptor.  Buffered by hand (not
    [in_channel]) because the drain path needs "read whatever is
    already available without blocking", which channels cannot
-   express. *)
+   express.  A line of more than [max_line_bytes] bytes before its
+   newline (a CR included) is [Too_large]: the reader says so as soon
+   as its buffer holds that many bytes with no newline, frees the
+   buffer, and drops every byte up to the next newline as it arrives,
+   so one client line holds at most [max_line_bytes] plus one read. *)
+let max_line_bytes = 16 * 1024 * 1024
+
+type line = Line of string | Too_large
+
+let blank = function Line l -> String.trim l = "" | Too_large -> false
+
 type reader = {
   fd : Unix.file_descr;
   buf : Buffer.t;
   chunk : Bytes.t;
   mutable scanned : int;  (** bytes of [buf] known to hold no newline *)
   mutable eof : bool;
+  mutable dropping : bool;  (** inside a [Too_large] line *)
 }
 
 let reader fd =
-  { fd; buf = Buffer.create 4096; chunk = Bytes.create 4096; scanned = 0; eof = false }
+  {
+    fd;
+    buf = Buffer.create 4096;
+    chunk = Bytes.create 4096;
+    scanned = 0;
+    eof = false;
+    dropping = false;
+  }
+
+(* Keep what follows the newline at [i]. *)
+let consume r i =
+  let n = Buffer.length r.buf in
+  let rest = Buffer.sub r.buf (i + 1) (n - i - 1) in
+  Buffer.clear r.buf;
+  Buffer.add_string r.buf rest;
+  r.scanned <- 0
 
 (* Each byte is searched once, so a line of L bytes costs O(L) however
    many reads it spans. *)
-let take_line r =
+let rec take_line r =
   let n = Buffer.length r.buf in
   let rec newline i =
     if i = n then None else if Buffer.nth r.buf i = '\n' then Some i else newline (i + 1)
   in
   match newline r.scanned with
+  | None when r.dropping ->
+      Buffer.clear r.buf;
+      r.scanned <- 0;
+      None
+  | None when n > max_line_bytes ->
+      Buffer.reset r.buf;
+      r.scanned <- 0;
+      r.dropping <- true;
+      Some Too_large
   | None ->
       r.scanned <- n;
       None
+  | Some i when r.dropping ->
+      consume r i;
+      r.dropping <- false;
+      take_line r
+  | Some i when i > max_line_bytes ->
+      consume r i;
+      Some Too_large
   | Some i ->
       let len = if i > 0 && Buffer.nth r.buf (i - 1) = '\r' then i - 1 else i in
       let line = Buffer.sub r.buf 0 len in
-      let rest = Buffer.sub r.buf (i + 1) (n - i - 1) in
-      Buffer.clear r.buf;
-      Buffer.add_string r.buf rest;
-      r.scanned <- 0;
-      Some line
+      consume r i;
+      Some (Line line)
 
 let rec refill r =
   match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
@@ -503,22 +544,35 @@ let rec refill r =
   | n -> Buffer.add_subbytes r.buf r.chunk 0 n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
 
+(* At end of input, bytes after the last newline are a final line,
+   unless they end a [Too_large] one. *)
 let rec read_line r =
   match take_line r with
   | Some line -> Some line
   | None ->
       if r.eof then
-        if Buffer.length r.buf > 0 then begin
+        if Buffer.length r.buf > 0 && not r.dropping then begin
           let line = Buffer.contents r.buf in
           Buffer.clear r.buf;
           r.scanned <- 0;
-          Some line
+          Some (Line line)
         end
         else None
       else begin
         refill r;
         read_line r
       end
+
+(* The one reply to a line past [max_line_bytes], counted as a request
+   and an error like a line that does not parse. *)
+let too_large_line t =
+  t.requests <- t.requests + 1;
+  Obs.incr c_requests;
+  Json.render
+    (sent t
+       (error None "too_large"
+          (Printf.sprintf "request line longer than %d bytes; dropped"
+             max_line_bytes)))
 
 let readable_now fd =
   match Unix.select [ fd ] [] [] 0.0 with
@@ -555,7 +609,7 @@ let drain_queued r fd_out =
   let rec go () =
     match take_line r with
     | Some line ->
-        if String.trim line <> "" then begin
+        if not (blank line) then begin
           Obs.incr c_drained;
           send_line fd_out shutting_down_line
         end;
@@ -595,10 +649,13 @@ let serve_fd t fd_in fd_out =
       let rec loop () =
         match read_line r with
         | None -> ()
-        | Some line when String.trim line = "" -> loop ()
+        | Some line when blank line -> loop ()
         | Some line ->
             Atomic.set t.busy true;
-            send_line fd_out (handle_line t line);
+            send_line fd_out
+              (match line with
+              | Line l -> handle_line t l
+              | Too_large -> too_large_line t);
             Atomic.set t.busy false;
             let signum = Atomic.exchange t.pending_signal 0 in
             if signum <> 0 then begin

@@ -48,6 +48,13 @@ val handle_line : t -> string -> string
 val stopping : t -> bool
 (** Set once a [shutdown] verb has been served. *)
 
+(* lint: iface-ok test_serve sends lines either side of it *)
+val max_line_bytes : int
+(** The longest request line {!serve_fd} reads: more bytes than this
+    before a newline (a CR included) get one
+    [{"error":"too_large"}] reply, and the reader drops them up to the
+    next newline without keeping them, then serves the next line. *)
+
 val serve_fd : t -> Unix.file_descr -> Unix.file_descr -> unit
 (** Serve one connection (or stdin/stdout) until EOF or [shutdown].
     While a request is in flight, SIGTERM/SIGINT is deferred

@@ -227,6 +227,92 @@ let test_random_cross_check () =
     end
   done
 
+(* -- Solver: copies ------------------------------------------------------- *)
+
+let random_3cnf st nv nc =
+  List.init nc (fun _ ->
+      List.init 3 (fun _ ->
+          L.of_var ~neg:(Random.State.bool st) (Random.State.int st nv)))
+
+let fresh_solve clauses assumptions =
+  let s = S.create () in
+  List.iter (S.add_clause s) clauses;
+  S.solve ~assumptions s
+
+(* [s] answers as a fresh solver of [clauses] on every assumption set,
+   and each of its models satisfies every clause and the assumptions. *)
+let agrees s clauses sets =
+  List.for_all
+    (fun a ->
+      let sat = S.solve ~assumptions:a s in
+      sat = fresh_solve clauses a
+      && ((not sat)
+         || List.for_all (List.exists (S.value s)) clauses
+            && List.for_all (S.value s) a))
+    sets
+
+(* Models over the first [nv] variables, by a blocking walk in a scope
+   that is retired afterwards. *)
+let count_models s nv =
+  let sel = L.of_var (S.new_var s) in
+  let rec go n =
+    if S.solve ~assumptions:[ sel ] s then begin
+      S.add_clause s
+        (L.neg sel
+        :: List.init nv (fun v ->
+               let l = L.of_var v in
+               if S.value s l then L.neg l else l));
+      go (n + 1)
+    end
+    else n
+  in
+  let n = go 0 in
+  S.add_clause s [ L.neg sel ];
+  n
+
+(* A copy of a solver that has learnt clauses and a retired scope
+   answers as a fresh solver of the same clauses.  Clauses, a variable
+   and a live scope added to one copy reach neither the source nor a
+   sibling copy, and a model walk on the sibling leaves the source's
+   count where it was. *)
+let prop_copy =
+  Helpers.qtest "copy = fresh solver, independent of its source" ~count:150
+    QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let nv = 10 + Random.State.int st 6 in
+      let clauses = random_3cnf st nv (4 * nv) in
+      let sets =
+        List.init 12 (fun _ ->
+            List.init (Random.State.int st 5) (fun _ ->
+                L.of_var ~neg:(Random.State.bool st) (Random.State.int st nv)))
+      in
+      let s = S.create () in
+      S.ensure_nvars s nv;
+      List.iter (S.add_clause s) clauses;
+      List.iter (fun a -> ignore (S.solve ~assumptions:a s)) sets;
+      let sel = L.of_var (S.new_var s) in
+      List.iter (fun c -> S.add_clause s (L.neg sel :: c)) (random_3cnf st nv nv);
+      ignore (S.solve ~assumptions:[ sel ] s);
+      S.add_clause s [ L.neg sel ];
+      let n = count_models s nv in
+      let c1 = S.copy s and c2 = S.copy s in
+      let more = random_3cnf st nv (nv / 2) in
+      List.iter (S.add_clause c1) more;
+      let live = L.of_var (S.new_var c1) in
+      if S.solve c1 then
+        S.add_clause c1
+          (L.neg live
+          :: List.init nv (fun v ->
+                 let l = L.of_var v in
+                 if S.value c1 l then L.neg l else l));
+      let n1 = count_models c1 nv in
+      agrees c1 (clauses @ more) sets
+      && agrees s clauses sets
+      && agrees c2 clauses sets
+      && count_models c2 nv = n
+      && count_models s nv = n
+      && S.solve ~assumptions:[ live ] c1 = (n1 > 1))
+
 let test_pigeonhole_unsat () =
   (* PHP(n+1, n) is unsatisfiable and requires real search. *)
   List.iter
@@ -570,6 +656,7 @@ let () =
           Alcotest.test_case "incremental blocking" `Quick
             test_incremental_blocking;
           Alcotest.test_case "hard random 3-CNF" `Slow test_random_3cnf_hard;
+          prop_copy;
         ] );
       ( "incremental",
         [

@@ -205,12 +205,12 @@ let test_epoch_invalidation () =
   List.iter (fun i -> ignore (revise i)) [ 0; 1 ];
   let cached, work =
     deltas
-      [ "sat.solves"; "sem.env.builds"; "sem.encode.clauses";
-        "check.cegar_iters" ]
+      [ "sat.solves"; "sem.env.builds"; "sem.env.copies";
+        "sem.encode.clauses"; "check.cegar_iters" ]
       (fun () -> List.init 40 (fun i -> get_bool "cached" (revise (i mod 2))))
   in
   check_bool "40 hits" true (List.for_all Fun.id cached);
-  check_bool "hits do no solver work" true (work = [ 0; 0; 0; 0 ])
+  check_bool "hits do no solver work" true (work = [ 0; 0; 0; 0; 0 ])
 
 (* -- pooled sessions and the bdd route --------------------------------------- *)
 
@@ -387,13 +387,16 @@ let test_made_up_letters_free () =
     [ "dalal"; "weber"; "satoh"; "winslett"; "forbus"; "borgida" ]
 
 (* A cold op+P query, under each of the six operators, is answered on
-   the one measure its cache entry owns: one solver built, and no
-   compact formula constructed (no [serve.revise] span).  A later
-   [check] of the same P asks that measure with no solver of its own,
-   and a later [revise] constructs once: Dalal, Weber and Satoh from
-   the measure, Winslett and Forbus with no solver, Borgida with the
-   one solver of its own T ∧ P decision.  A cold Winslett or Forbus
-   [revise] of another P builds no solver: it forces no measure. *)
+   the one measure its cache entry owns: one copy of the KB's loaded
+   solver, and no compact formula constructed (no [serve.revise]
+   span).  The epoch's first such query builds that loaded solver,
+   the only build: T is encoded once per epoch.  A later [check] of
+   the same P asks that measure with no solver of its own, and a later
+   [revise] constructs once: Dalal, Weber and Satoh from the measure,
+   Winslett and Forbus with no solver, Borgida with the one solver of
+   its own T ∧ P decision.  A cold Winslett or Forbus [revise] of
+   another P neither builds nor copies a solver: it forces no
+   measure. *)
 let test_cold_query_on_measure () =
   let enabled = Obs.enabled () in
   Fun.protect
@@ -409,17 +412,18 @@ let test_cold_query_on_measure () =
       let srv = Server.create () in
       ignore
         (sendf srv {|{"verb":"load","kb":"k","theory":"%s"}|} theory);
-      List.iter
-        (fun op ->
+      List.iteri
+        (fun i op ->
           let c0 = constructions () in
-          let v, builds =
-            deltas [ "sem.env.builds" ] (fun () ->
+          let v, work =
+            deltas [ "sem.env.builds"; "sem.env.copies" ] (fun () ->
                 sendf srv
                   {|{"verb":"query","kb":"k","op":"%s","p":"~b | ~c","q":"a | d"}|}
                   op)
           in
           check_bool (op ^ ": cold") false (get_bool "cached" v);
-          check_bool (op ^ ": one solver") true (builds = [ 1 ]);
+          check_bool (op ^ ": one copy, T built once per epoch") true
+            (work = [ (if i = 0 then 1 else 0); 1 ]);
           check_int (op ^ ": no construction") c0 (constructions ());
           let models = [ [ "a"; "b"; "c"; "d" ]; [ "b" ]; [ "a"; "d" ]; [] ] in
           let c, builds =
@@ -456,14 +460,49 @@ let test_cold_query_on_measure () =
           check_int (op ^ ": one construction") (c0 + 1) (constructions ());
           if op = "winslett" || op = "forbus" then begin
             let r, builds =
-              deltas [ "sem.env.builds" ] (fun () ->
+              deltas [ "sem.env.builds"; "sem.env.copies" ] (fun () ->
                   sendf srv
                     {|{"verb":"revise","kb":"k","op":"%s","p":"~a | ~d"}|} op)
             in
             check_bool (op ^ ": cold revise") false (get_bool "cached" r);
-            check_bool (op ^ ": no measure") true (builds = [ 0 ])
+            check_bool (op ^ ": no measure") true (builds = [ 0; 0 ])
           end)
         [ "dalal"; "weber"; "satoh"; "winslett"; "forbus"; "borgida" ])
+
+(* Every measure starts as a copy of its epoch's loaded solver, never
+   of an earlier epoch's: after a [load] over the name, and after an
+   [update], the same op+P query answers for the new T, and its
+   epoch's first cold query builds that epoch's solver. *)
+let test_no_stale_solver () =
+  let query srv =
+    let v, builds =
+      deltas [ "sem.env.builds" ] (fun () ->
+          send srv {|{"verb":"query","kb":"k","op":"dalal","p":"a | c","q":"b"}|})
+    in
+    check_bool "cold" false (get_bool "cached" v);
+    check_bool "the epoch's solver built" true (builds = [ 1 ]);
+    get_bool "entails" v
+  in
+  let expected t =
+    Semantics.entails
+      (Compact.Construct.revise Revision.Model_based.Dalal
+         (Kb.make (Parser.formula_of_string t))
+         (Parser.formula_of_string "a | c"))
+      (Parser.formula_of_string "b")
+  in
+  let srv = Server.create () in
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
+  check_bool "T1 * P |= b" (expected "a & b") (query srv);
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"~a & ~b"}|});
+  check_bool "reloaded: T2 * P |/= b" (expected "~a & ~b") (query srv);
+  check_bool "the two answers differ" true
+    (expected "a & b" && not (expected "~a & ~b"));
+  let srv = Server.create () in
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
+  check_bool "T1 * P |= b" true (query srv);
+  ignore
+    (send srv {|{"verb":"update","kb":"k","op":"dalal","p":"~a & ~b"}|});
+  check_bool "updated: T2 * P |/= b" false (query srv)
 
 (* Winslett, Forbus and Borgida answer [query] and [check] on the
    measure at any width their CEGAR cap allows, while their
@@ -667,13 +706,14 @@ let test_batch_equality () =
   let on_fresh_server f =
     let srv = Server.create () in
     ignore (send srv kb26_load);
-    deltas [ "sem.env.builds" ] (fun () -> f srv)
+    deltas [ "sem.env.builds"; "sem.env.copies" ] (fun () -> f srv)
   in
-  let single, builds =
+  let single, work =
     on_fresh_server (fun srv ->
         List.concat_map (fun m -> results_of (send srv m)) members)
   in
-  check_int "24 checks build one solver" 1 (List.hd builds);
+  check_bool "24 checks build one solver and copy it once" true
+    (work = [ 1; 1 ]);
   let batched, _ =
     on_fresh_server (fun srv ->
         sendf srv {|{"verb":"batch","requests":[%s]}|}
@@ -793,13 +833,13 @@ let test_cached_equals_recomputed () =
 
 (* -- line framing ----------------------------------------------------------- *)
 
-(* The replies [Server.serve_fd] writes for [input].  The input is read
-   from a file, so each read returns the next 4096 bytes and the input
-   alone sets where its lines fall against the reads. *)
-let serve_input input =
+(* The replies [Server.serve_fd] writes for the input [write] puts in
+   a file.  Each read of a file returns the next 4096 bytes, so the
+   input alone sets where its lines fall against the reads. *)
+let serve_written write =
   let path_in = Filename.temp_file "revkb_serve" ".in" in
   let path_out = Filename.temp_file "revkb_serve" ".out" in
-  Out_channel.with_open_bin path_in (fun oc -> output_string oc input);
+  Out_channel.with_open_bin path_in write;
   let fd_in = Unix.openfile path_in [ Unix.O_RDONLY ] 0 in
   let fd_out = Unix.openfile path_out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   Fun.protect
@@ -812,6 +852,8 @@ let serve_input input =
   Sys.remove path_out;
   List.map Json.parse
     (List.filter (fun l -> l <> "") (String.split_on_char '\n' out))
+
+let serve_input input = serve_written (fun oc -> output_string oc input)
 
 let stats_line id = Printf.sprintf {|{"id":%d,"verb":"stats"}|} id
 
@@ -857,6 +899,49 @@ let test_long_line () =
   check_bool (Printf.sprintf "8 MB line in %.2f s, budget 5 s" dt) true
     (dt < 5.0)
 
+(* A line past the cap gets one [too_large] reply, and the line after
+   it is served: at the cap's boundary, across the thousands of reads
+   a line of twice the cap spans, and at end of input.  A line of
+   exactly the cap is served.  The input is written piecewise, so the
+   test holds no line of that size itself. *)
+let test_too_large_line () =
+  let cap = Server.max_line_bytes in
+  let xs oc n =
+    let piece = String.make 65536 'x' in
+    let rec go n =
+      if n > 0 then begin
+        let k = min n (String.length piece) in
+        output_substring oc piece 0 k;
+        go (n - k)
+      end
+    in
+    go n
+  in
+  let padded id =
+    Printf.sprintf {|{"id":%d,"verb":"stats","pad":"|} id
+  in
+  let replies =
+    serve_written (fun oc ->
+        output_string oc (stats_line 1 ^ "\n");
+        xs oc (cap + 1);
+        output_string oc ("\n" ^ stats_line 2 ^ "\n");
+        xs oc (2 * cap);
+        output_string oc ("\n" ^ padded 3);
+        xs oc (cap - String.length (padded 3) - 2);
+        output_string oc ({|"}|} ^ "\n" ^ stats_line 4 ^ "\n");
+        xs oc (cap + 1))
+  in
+  (* Each reply, by its id or, with none, by its error code. *)
+  let tag r =
+    match Json.int_member "id" r with
+    | Some id -> string_of_int id
+    | None -> Option.value ~default:"?" (Json.str_member "error" r)
+  in
+  Alcotest.(check (list string))
+    "one reply a line"
+    [ "1"; "too_large"; "2"; "too_large"; "3"; "4"; "too_large" ]
+    (List.map tag replies)
+
 let () =
   Alcotest.run "serve"
     [
@@ -895,6 +980,8 @@ let () =
             test_made_up_letters_free;
           Alcotest.test_case "cold query on the measure" `Quick
             test_cold_query_on_measure;
+          Alcotest.test_case "no stale solver across epochs" `Quick
+            test_no_stale_solver;
           Alcotest.test_case "Satoh past 8 letters" `Quick test_satoh_wide_p;
           Alcotest.test_case "refused revise counts no hit" `Quick
             test_refused_revise_uncounted;
@@ -922,5 +1009,6 @@ let () =
         [
           Alcotest.test_case "framing" `Quick test_framing;
           Alcotest.test_case "8 MB line" `Quick test_long_line;
+          Alcotest.test_case "line past the cap" `Quick test_too_large_line;
         ] );
     ]

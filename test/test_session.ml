@@ -611,6 +611,57 @@ let test_session_retract () =
   Session.retire s sc;
   check_bool "after retract: SAT" true (Session.solve s [])
 
+(* A copy of a session that has learnt clauses, memoized query
+   encodings and a retired scope (a model count's) answers as a fresh
+   solver of its KB, with models of the KB and the query.  An
+   assertion, new encodings and a live scope added to one copy reach
+   neither the source nor a sibling copy, and model counts on each
+   stay their own. *)
+let prop_session_copy =
+  let x = letters 8 in
+  let alpha = Interp_packed.alphabet x in
+  let arb_cnf3 n =
+    QCheck.make ~print:Formula.to_string (fun st ->
+        Gen.cnf3 st ~vars:x ~nclauses:n)
+  in
+  let agrees s kb qs =
+    List.for_all
+      (fun q ->
+        let sat = Session.solve s [ q ] in
+        sat = Semantics.is_sat (Formula.conj2 kb q)
+        && ((not sat)
+           || Interp.sat
+                (Semantics.model_on (Session.env s) x)
+                (Formula.conj2 kb q)))
+      qs
+  in
+  qtest "copy = fresh solver, independent of its source" ~count:100
+    (arb_triple (arb_cnf3 30) (arb_cnf3 4)
+       (QCheck.list_of_size (QCheck.Gen.return 6) (arb_formula x)))
+    (fun (t, more, qs) ->
+      let s = Session.create ~vars:x () in
+      Session.assert_always s t;
+      (* Half the queries are encoded before the copies, half first on
+         [c1]: an encoding memo shared with it would hand [s] and [c2]
+         literals of [c1]'s solver. *)
+      List.iteri (fun i q -> if i < 3 then ignore (Session.solve s [ q ])) qs;
+      let n = Session.count_masks s alpha [] in
+      let c1 = Session.copy s and c2 = Session.copy s in
+      Session.assert_always c1 more;
+      let live = Session.new_scope c1 in
+      if Session.solve c1 [] then
+        Session.block_mask (module Mask.Wide) c1 live alpha
+          (Session.mask_on (module Mask.Wide) c1 alpha);
+      let n1 = Semantics.count_sat alpha (Formula.conj2 t more) in
+      n = Semantics.count_sat alpha t
+      && agrees c1 (Formula.conj2 t more) qs
+      && agrees s t qs
+      && agrees c2 t qs
+      && Session.count_masks c1 alpha [] = n1
+      && Session.solve c1 ~scopes:[ live ] [] = (n1 > 1)
+      && Session.count_masks c2 alpha [] = n
+      && Session.count_masks s alpha [] = n)
+
 (* Two enumerations on one session must not contaminate each other: the
    blocking clauses of the first live in a retired scope. *)
 let test_session_models_isolated () =
@@ -722,6 +773,7 @@ let () =
             test_session_retract;
           Alcotest.test_case "scoped enumerations isolated" `Quick
             test_session_models_isolated;
+          prop_session_copy;
           Alcotest.test_case "CEGAR cap message" `Quick test_cegar_cap_message;
           Alcotest.test_case "one checker = pointwise" `Quick
             test_checker_pointwise;
