@@ -84,6 +84,20 @@ let weber_thm35 () =
       let p = Parser.formula_of_string "~x1 | ~x2" in
       Compact.Construct.revise Revision.Model_based.Weber (Kb.make t) p)
 
+(* Satoh's formula (7) and Weber's Theorem 3.5 on a wide P:
+   T = ~x1 & ... & ~xn, P = x1 | ... | xn, where δ is the n singletons
+   and Ω all of V(P).  Satoh's guard holds one n-letter difference
+   pattern per member of δ, Weber's construction renames T on Ω; both
+   measure past 16 letters. *)
+let wide_p op () =
+  sweep
+    (Revision.Model_based.name op ^ " on P = x1 | ... | xn (wide V(P))")
+    `Poly "|V(P)|"
+    [ 4; 8; 12; 16; 24; 32; 40 ]
+    (fun n ->
+      let t = Formula.and_ (List.map Formula.not_ (letters n)) in
+      Compact.Construct.revise op (Kb.make t) (Formula.or_ (letters n)))
+
 (* Formula (5) (Winslett, bounded |P|): linear in |T| with a 2^O(|V(P)|)
    constant, here |V(P)| = 2. *)
 let winslett_bounded () =
@@ -174,6 +188,8 @@ let run () =
     \  and asserts the paper's Table 1-2 verdicts.  DAG = distinct subterms.";
   dalal_thm34 ();
   weber_thm35 ();
+  wide_p Revision.Model_based.Satoh ();
+  wide_p Revision.Model_based.Weber ();
   winslett_bounded ();
   iterated_dalal ();
   iterated_weber ();

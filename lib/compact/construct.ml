@@ -97,10 +97,9 @@ let borgida x kb p m =
    quantifies the alternative T-model only over a copy of V(P), sharing
    the candidate's letters outside V(P), and so misses globally closer
    pairs (T = (x1 != x2) -> x1, P = ~x1: it admits the non-Satoh model
-   {x2}).  Instead δ(φ, P) comes from the measure ([2^{|V(P)|}] SAT
-   probes, polynomial in |φ| for bounded P, and refused past 16
-   letters by the measure's sweep) and pins the candidate's difference
-   inside it. *)
+   {x2}).  Instead δ(φ, P) comes from the measure (at most
+   |V(P)| + 1 SAT probes per member of δ, at any |V(P)|) and pins the
+   candidate's difference inside it. *)
 let satoh x kb p m =
   let vp = Var.Set.elements (Formula.vars p) in
   let delta = Measure.delta (Lazy.force m) in

@@ -41,9 +41,9 @@
     (Borgida's fallback to Winslett checks it again).  Every failure raises
     [Invalid_argument], as does a [P] with more than 8 letters for the
     three expanding operators, Winslett, Forbus and Borgida (their
-    expansion is exponential in [|V(P)|]), and a Weber or Satoh [P]
-    with more than 16 ({!Measure.diffs}: Ω and δ come from a sweep
-    exponential in [|V(P)|]). *)
+    expansion is exponential in [|V(P)|]).  Weber and Satoh take any
+    [|V(P)|]: their Ω and δ come from {!Measure.delta}, a walk over
+    the members of δ; Satoh's formula grows with [|δ|]. *)
 
 open Logic
 

@@ -23,7 +23,6 @@ type t = {
   ladder : Ladder.t Lazy.t;
   compatible : bool Lazy.t;
   k : int Lazy.t;
-  diffs : Var.Set.t list Lazy.t;
   delta : Var.Set.t list Lazy.t;
   omega : Var.Set.t Lazy.t;
 }
@@ -38,18 +37,14 @@ let pattern vp diff_lits sub =
     (fun x d -> if Var.Set.mem x sub then d else Lit.neg d)
     vp diff_lits
 
-let sweep s vp diff_lits =
-  if List.length vp > 16 then invalid_arg "Measure.diffs: |V(P)| > 16";
-  let diffs =
-    List.filter
-      (fun sub -> Session.solve s [] ~extra:(pattern vp diff_lits sub))
-      (Interp.subsets vp)
-  in
-  (* The session's first query found a model pair, and its difference
-     is one of the subsets: an empty sweep is a solver fault, never
-     an answer. *)
-  assert (diffs <> []);
-  diffs
+(* δ: the letters outside each maximal set of agreements ¬d_x that the
+   session can satisfy, i.e. the inclusion-minimal realizable
+   differences, in [Var.Set.compare] order. *)
+let minimal_diffs s vp diff_lits =
+  Session.maximal_subsets s (List.map Lit.neg diff_lits)
+  |> List.map (fun agree ->
+         Var.set_of_list (List.filteri (fun i _ -> not (List.mem i agree)) vp))
+  |> List.sort Var.Set.compare
 
 let unsat side = invalid_arg ("Measure: " ^ side ^ " is unsatisfiable")
 
@@ -75,8 +70,7 @@ let create kb p =
       vp y
   in
   let ladder = lazy (Ladder.of_lits env diff_lits) in
-  let diffs = lazy (sweep s vp diff_lits) in
-  let delta = lazy (Interp.min_incl (Lazy.force diffs)) in
+  let delta = lazy (minimal_diffs s vp diff_lits) in
   {
     kb;
     p;
@@ -90,7 +84,6 @@ let create kb p =
     compatible =
       lazy (Session.solve s ~extra:(List.map Lit.neg diff_lits) []);
     k = lazy (k_of s (Lazy.force ladder));
-    diffs;
     delta;
     omega = lazy (List.fold_left Var.Set.union Var.Set.empty (Lazy.force delta));
   }
@@ -103,7 +96,6 @@ let diff_lits m = m.diff_lits
 let ladder m = Lazy.force m.ladder
 let compatible m = Lazy.force m.compatible
 let k m = Lazy.force m.k
-let diffs m = Lazy.force m.diffs
 let delta m = Lazy.force m.delta
 let omega m = Lazy.force m.omega
 

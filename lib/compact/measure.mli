@@ -12,10 +12,10 @@
 
     - [k_{T,P}] is the least threshold of a cardinality ladder over the
       difference literals: [k + 1] assumption flips, at any [|V(P)|];
-    - [δ(T,P)] and [Ω] come from the realizable differences, one SAT
-      call per subset [S ⊆ V(P)] — [2^{|V(P)|}] calls, polynomial in
-      [|T|] for bounded [P] and exponential in general, exactly the
-      asymmetry Table 1 turns on.
+    - [δ(T,P)] is the complements of the maximal sets of agreements
+      [¬d_x] the session satisfies ({!Semantics.Session.maximal_subsets})
+      and [Ω] their union: at most [|V(P)| + 1] solves per member of
+      [δ], at any [|V(P)|]; Satoh's formula (7) pays for [|δ|] itself.
 
     Under one more constraint on the difference literals the session
     is the revision itself for Dalal, Weber and Satoh ({!member},
@@ -77,14 +77,9 @@ val k : t -> int
 (** [k_{T,P}]: the minimum Hamming distance between a model of [T] and
     a model of [P] over their joint alphabet. *)
 
-(* lint: iface-ok test_session holds it against a formula per subset *)
-val diffs : t -> Var.Set.t list
-(** Every [S ⊆ V(P)] such that some model of [T] and some model of [P]
-    differ exactly by [S].  Raises [Invalid_argument] when
-    [|V(P)| > 16]; so do {!delta} and {!omega}, which derive from it. *)
-
 val delta : t -> Var.Set.t list
-(** [δ(T, P)]: the inclusion-minimal realizable differences. *)
+(** [δ(T, P)]: the inclusion-minimal realizable differences, in
+    [Var.Set.compare] order. *)
 
 val omega : t -> Var.Set.t
 (** [Ω = ∪ δ(T, P)]. *)

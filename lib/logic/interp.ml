@@ -29,18 +29,6 @@ let subsets alphabet =
   done;
   !out
 
-let dedup sets = List.sort_uniq Var.Set.compare sets
-
-let min_incl sets =
-  let sets = dedup sets in
-  List.filter
-    (fun s ->
-      not
-        (List.exists
-           (fun s' -> (not (Var.Set.equal s s')) && Var.Set.subset s' s)
-           sets))
-    sets
-
 let equal = Var.Set.equal
 let pp = Var.pp_set
 

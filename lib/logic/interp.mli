@@ -25,10 +25,6 @@ val subsets : Var.t list -> t list
     {!Models.enumerate}, which switches to SAT-backed enumeration for
     large alphabets instead of failing. *)
 
-val min_incl : Var.Set.t list -> Var.Set.t list
-(** The paper's [minc S]: keep only the subset-minimal sets (duplicates
-    collapsed). *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

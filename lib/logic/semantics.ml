@@ -347,6 +347,37 @@ module Session = struct
         in
         go [] 0)
 
+  (* Maximal satisfiable subsets of [lits] by growing models (Liffiton
+     and Sakallah 2008; MARCO): the literals true in a model seed a set,
+     each literal still outside it is tried once by assumption, and a
+     model found on the way takes over as the set.  One scoped clause
+     over the literals left outside then makes the next seed leave
+     every set found so far; a seed keeps a literal outside each
+     earlier set, so growing it never meets those clauses. *)
+  let maximal_subsets ?(cap = 1_000_000) s lits =
+    let lits = Array.of_list lits in
+    let all = List.init (Array.length lits) Fun.id in
+    let model () = Array.map (S.value s.env.solver) lits in
+    with_retractable s (fun scope ->
+        let rec go acc found =
+          if not (solve s ~scopes:[ scope ] []) then List.rev acc
+          else if found >= cap then cap_exceeded "maximal_subsets" cap
+          else begin
+            let inside = ref (model ()) in
+            let members () = List.filter (Array.get !inside) all in
+            let grow i =
+              if not !inside.(i) then
+                let extra = List.map (Array.get lits) (i :: members ()) in
+                if solve s ~extra [] then inside := model ()
+            in
+            List.iter grow all;
+            let out = List.filter (fun i -> not !inside.(i)) all in
+            scoped_clause s scope (List.map (Array.get lits) out);
+            go (members () :: acc) (found + 1)
+          end
+        in
+        go [] 0)
+
   (* Model count by the same walk, tallying instead of storing: no mask
      is retained, so counting costs one blocking clause per model and
      O(words) transient memory.  Raises [Invalid_argument] past the cap

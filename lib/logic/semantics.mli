@@ -27,7 +27,8 @@ type env
 
 exception Enumeration_cap_exceeded of { enumerator : string; cap : int }
 (** A model-enumeration walk ([masks_sat] or {!Session.masks})
-    produced more than [cap] models.  Raised instead of truncating, so a silent partial model set
+    produced more than [cap] models, or {!Session.maximal_subsets} more
+    than [cap] sets.  Raised instead of truncating, so a silent partial model set
     can never flow into a revision. *)
 
 val lit_of_var : env -> Var.t -> Satsolver.Lit.t
@@ -172,6 +173,15 @@ module Session : sig
       session without contaminating each other.  Raises [Invalid_argument] when the alphabet does
       not fit it ({!Mask.S.fits}: one-word masks past
       {!Interp_packed.max_letters} letters). *)
+
+  val maximal_subsets : ?cap:int -> t -> Satsolver.Lit.t list -> int list list
+  (** [maximal_subsets s lits]: the inclusion-maximal subsets of [lits]
+      satisfiable with the permanent assertions, as ascending positions
+      in [lits], in the order found.  A set costs one solve for its seed
+      model and at most one per literal the seed leaves false, and one
+      unsatisfiable solve ends the walk; its blocking clauses live in a
+      retractable scope, as {!masks}'s do.  Raises
+      {!Enumeration_cap_exceeded} past [cap] sets (default 1_000_000). *)
 
   val count_masks :
     ?cap:int -> t -> Interp_packed.alphabet -> Formula.t list -> int

@@ -9,59 +9,20 @@ let dedupe t =
        (fun acc f -> if List.exists (Formula.equal f) acc then acc else f :: acc)
        [] t)
 
-(* DFS enumeration of the maximal subsets of [t] consistent with [p].
-
-   At each node, [included] and [excluded] partition the processed prefix
-   and [i] points at the next member.  If included ∪ rest ∪ {p} is
-   satisfiable then included ∪ rest is the unique inclusion-maximal
-   consistent set of the branch; it is a *global* MCS iff none of the
-   excluded members can be added back consistently.  Otherwise we branch
-   on member [i], pruning the include-branch when already inconsistent. *)
-(* One session serves the whole enumeration: [p] is asserted once, each
-   member is encoded once into its (biconditional) Tseitin literal, and
-   every consistency probe assumes the chosen members' literals, sharing
-   learned clauses across the thousands of probes a large enumeration
-   performs. *)
-let worlds_idx ?(cap = 100_000) arr p =
-  if not (Semantics.is_sat p) then []
-  else begin
-    let s = Semantics.Session.create () in
-    Semantics.Session.assert_always s p;
-    let n = Array.length arr in
-    let lits = Array.map (Semantics.encode (Semantics.Session.env s)) arr in
-    let sat_with idxs =
-      Semantics.Session.solve s ~extra:(List.map (fun i -> lits.(i)) idxs) []
-    in
-    let out = ref [] in
-    let count = ref 0 in
-    let rec dfs included excluded i =
-      let rest = List.init (n - i) (fun j -> i + j) in
-      if sat_with (included @ rest) then begin
-        let cand = included @ rest in
-        let maximal =
-          List.for_all (fun e -> not (sat_with (e :: cand))) excluded
-        in
-        if maximal then begin
-          incr count;
-          if !count > cap then raise (Cap_exceeded cap);
-          out := List.sort compare cand :: !out
-        end
-      end
-      else if i < n then begin
-        if sat_with (i :: included) then dfs (i :: included) excluded (i + 1);
-        dfs included (i :: excluded) (i + 1)
-      end
-    in
-    dfs [] [] 0;
-    List.rev !out
-  end
-
-let worlds ?cap t p =
-  let t = dedupe t in
-  let arr = Array.of_list t in
-  List.map
-    (fun idxs -> List.map (fun i -> arr.(i)) idxs)
-    (worlds_idx ?cap arr p)
+(* W(T, P) on one session: [p] is asserted once, each member is encoded
+   once into its (biconditional) Tseitin literal, and the worlds are the
+   maximal sets of member literals consistent with it.  Sorted as index
+   lists, they come in the order of a walk that tries each member in
+   before leaving it out. *)
+let worlds ?(cap = 100_000) t p =
+  let arr = Array.of_list (dedupe t) in
+  let s = Semantics.Session.create () in
+  Semantics.Session.assert_always s p;
+  let env = Semantics.Session.env s in
+  let lits = Array.to_list (Array.map (Semantics.encode env) arr) in
+  match Semantics.Session.maximal_subsets ~cap s lits with
+  | ws -> List.map (List.map (Array.get arr)) (List.sort compare ws)
+  | exception Semantics.Enumeration_cap_exceeded _ -> raise (Cap_exceeded cap)
 
 let gfuv_formula ?cap t p =
   let ws = worlds ?cap t p in

@@ -14,9 +14,10 @@ exception Cap_exceeded of int
 
 val worlds : ?cap:int -> Theory.t -> Formula.t -> Theory.t list
 (** [worlds t p] is [W(T, P)].  Each returned theory keeps the member
-    order of [t].  When [t] itself is consistent with [p], the single
-    world is [t].  When [p] is unsatisfiable, [W(T,P)] is empty.
-    [cap] (default 100_000) bounds the number of worlds. *)
+    order of [t], and the worlds are ordered by their members' positions
+    in [t], lexicographically.  When [t] itself is consistent with [p],
+    the single world is [t].  When [p] is unsatisfiable, [W(T,P)] is
+    empty.  [cap] (default 100_000) bounds the number of worlds. *)
 
 val gfuv_formula : ?cap:int -> Theory.t -> Formula.t -> Formula.t
 (** The explicit representation of [T *_GFUV P]:

@@ -74,3 +74,9 @@ let add t k v =
   Hashtbl.replace t.table k (v, stamp);
   compact t
 
+(* The queue records of a dropped key no longer match the table, so
+   eviction and compaction skip them as they skip superseded ones. *)
+let remove_if t p =
+  Hashtbl.filter_map_inplace
+    (fun k (v, s) -> if p k v then None else Some (v, s))
+    t.table

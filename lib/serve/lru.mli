@@ -11,7 +11,7 @@ type ('k, 'v) t
 val create : ?on_evict:('k -> 'v -> unit) -> int -> ('k, 'v) t
 (** [create cap]: an empty cache evicting beyond [cap] live entries,
     least-recently-touched first.  [on_evict] fires once per evicted
-    entry (not on {!remove} or overwrite).  Raises [Invalid_argument]
+    entry (not on {!remove_if} or overwrite).  Raises [Invalid_argument]
     when [cap < 1]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
@@ -22,3 +22,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 
 val length : ('k, 'v) t -> int
 (** Live entries (never exceeds capacity). *)
+
+val remove_if : ('k, 'v) t -> ('k -> 'v -> bool) -> unit
+(** Drop every entry the predicate holds of; [on_evict] does not fire. *)

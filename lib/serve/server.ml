@@ -12,8 +12,8 @@
      been compiled, on its ROBDD in diagram time;
    - revisions are answered from a bounded LRU keyed on
      (KB name, epoch, operator, normalized P) — an epoch bump on
-     [update]/[load] changes every key of that KB, so invalidation is
-     free and stale entries simply age out.  Every entry holds one
+     [update]/[load] changes every key of that KB and drops the old
+     epoch's entries, which no key reaches again.  Every entry holds one
      lazy measure of (T, P), for all six operators: a [check] asks its
      candidates on that measure's checker, an op+P [query] on its
      entailment test (a CEGAR loop over the measure's session for
@@ -49,6 +49,7 @@ let c_drained = Obs.counter "serve.drained.lines"
    entry's one measure; [rf] is the compact formula, built from that
    measure for Dalal, Weber and Satoh and without it for the others. *)
 type cached = {
+  kb : Kb.t; (* the epoch's handle it was built on *)
   rf : Formula.t Lazy.t;
   ask : (Formula.t -> bool) Lazy.t;
   check : (Interp.t -> bool) Lazy.t;
@@ -150,6 +151,7 @@ let cache_key (e : Registry.entry) op pf =
 let entry op kb pf =
   let m = lazy (Compact.Measure.create kb pf) in
   {
+    kb;
     rf =
       lazy
         (Obs.with_span "serve.revise"
@@ -178,6 +180,11 @@ let revised t (e : Registry.entry) op pf needs =
       Lru.add t.cache key c;
       (c, false)
 
+(* Just before [e]'s epoch bump, after which no key reaches the cache
+   entries built on its current handle. *)
+let drop_epoch t (e : Registry.entry) =
+  Lru.remove_if t.cache (fun _ c -> c.kb == e.kb)
+
 let formula c = Lazy.force c.rf
 let needs_formula c = ignore (formula c)
 let needs_check c = ignore (Lazy.force c.check : Interp.t -> bool)
@@ -193,6 +200,7 @@ let do_load t id req =
     | exception Parser.Syntax_error d ->
         failf id "syntax_error" "field \"theory\": %s" d
   in
+  Option.iter (drop_epoch t) (Registry.find t.registry name);
   let e = Registry.load t.registry name theory in
   ok id
     [
@@ -207,6 +215,7 @@ let do_update t id req =
   let op = op_of id req in
   let pf = formula_of id req "p" in
   let c, cached = revised t e op pf needs_formula in
+  drop_epoch t e;
   Registry.commit e [ formula c ];
   ok id
     [

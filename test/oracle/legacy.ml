@@ -9,6 +9,18 @@ open Logic
 (* [|M Δ N|]. *)
 let hamming m n = Var.Set.cardinal (Interp.sym_diff m n)
 
+(* The paper's [minc S]: the subset-minimal sets, duplicates collapsed,
+   in [Var.Set.compare] order. *)
+let min_incl sets =
+  let sets = List.sort_uniq Var.Set.compare sets in
+  List.filter
+    (fun s ->
+      not
+        (List.exists
+           (fun s' -> (not (Var.Set.equal s s')) && Var.Set.subset s' s)
+           sets))
+    sets
+
 module Models = struct
   let enumerate alphabet f =
     let missing = Var.Set.diff (Formula.vars f) (Var.set_of_list alphabet) in
@@ -36,7 +48,7 @@ module Distance = struct
 
   let mu m p_models =
     require "mu" p_models;
-    Interp.min_incl (List.map (fun n -> Interp.sym_diff m n) p_models)
+    min_incl (List.map (fun n -> Interp.sym_diff m n) p_models)
 
   let k_pointwise m p_models =
     require "k_pointwise" p_models;
@@ -45,7 +57,7 @@ module Distance = struct
   let delta t_models p_models =
     require "delta" t_models;
     require "delta" p_models;
-    Interp.min_incl (List.concat_map (fun m -> mu m p_models) t_models)
+    min_incl (List.concat_map (fun m -> mu m p_models) t_models)
 
   let k_global t_models p_models =
     require "k_global" t_models;

@@ -63,14 +63,14 @@ let prop_sat_agrees =
         (Interp.subsets (letters 8)))
 
 let prop_min_incl_agrees =
-  qtest "packed min_incl = Interp.min_incl" ~count:200
+  qtest "packed min_incl = Legacy.min_incl" ~count:200
     (QCheck.list_of_size (QCheck.Gen.int_range 0 12) (arb_interp vars6))
     (fun sets ->
       let alpha = Interp_packed.alphabet vars6 in
       let masks = Array.of_list (List.map (Interp_packed.pack alpha) sets) in
       same_models
         (Interp_packed.interps_of_set alpha (Interp_packed.min_incl masks))
-        (Interp.min_incl sets))
+        (Legacy.min_incl sets))
 
 (* -- enumeration ------------------------------------------------------------ *)
 

@@ -269,6 +269,40 @@ let test_worlds_cap () =
   | exception Formula_based.Cap_exceeded 3 -> ()
   | ws -> Alcotest.failf "expected cap, got %d worlds" (List.length ws)
 
+(* W(T, P), in its documented order, equals the brute-force oracle on
+   random theories over four letters and on the Theorem 3.1 GFUV
+   witness family over one to three clauses of T_3^max. *)
+let arb_worlds_input =
+  let print (t, p) =
+    Printf.sprintf "T = %s; P = %s"
+      (String.concat "; " (List.map Formula.to_string t))
+      (Formula.to_string p)
+  in
+  QCheck.make ~print (fun st ->
+      if Random.State.bool st then
+        let members = 1 + Random.State.int st 6 in
+        ( Gen.theory st ~vars:vars4 ~members ~depth:2,
+          Gen.formula st ~vars:vars4 ~depth:2 )
+      else
+        let k = 1 + Random.State.int st 3 in
+        let rec pick acc =
+          if List.length acc = k then List.sort compare acc
+          else
+            let i = Random.State.int st 8 in
+            pick (if List.mem i acc then acc else i :: acc)
+        in
+        let fam =
+          Witness.Gfuv_family.make (Witness.Threesat.sub_universe 3 (pick []))
+        in
+        (fam.Witness.Gfuv_family.t_n, fam.Witness.Gfuv_family.p_n))
+
+let prop_worlds_match_oracle =
+  qtest "worlds = brute-force oracle" ~count:150 arb_worlds_input
+    (fun (t, p) ->
+      List.equal (List.equal Formula.equal)
+        (Formula_based.worlds t p)
+        (Revkb_oracle.Worlds.worlds t p))
+
 let test_widtio_weaker_than_gfuv () =
   (* WIDTIO keeps only the formulas in every world: its result is always
      implied by the GFUV disjunction. *)
@@ -662,6 +696,7 @@ let () =
             test_worlds_consistent_theory;
           Alcotest.test_case "unsat P" `Quick test_worlds_unsat_p;
           Alcotest.test_case "cap is loud" `Quick test_worlds_cap;
+          prop_worlds_match_oracle;
           Alcotest.test_case "widtio weaker than gfuv" `Quick
             test_widtio_weaker_than_gfuv;
           Alcotest.test_case "gfuv entailment = naive formula" `Quick

@@ -108,6 +108,21 @@ let test_lru_churn () =
   Lru.add c "y" 0;
   check_bool "recency respected" true (Lru.find c "0" <> None)
 
+(* [remove_if] drops what the predicate holds of, fires no eviction,
+   and the survivors keep their recency order. *)
+let test_lru_remove_if () =
+  let evicted = ref 0 in
+  let c = Lru.create ~on_evict:(fun _ _ -> incr evicted) 3 in
+  List.iter (fun k -> Lru.add c k (String.length k)) [ "a"; "bb"; "cc" ];
+  Lru.remove_if c (fun _ v -> v = 2);
+  check_int "one left" 1 (Lru.length c);
+  check_int "no eviction" 0 !evicted;
+  Lru.add c "dd" 2;
+  Lru.add c "e" 1;
+  Lru.add c "f" 1;
+  check_bool "oldest survivor evicted first" true (Lru.find c "a" = None);
+  check_int "then full" 3 (Lru.length c)
+
 (* -- helpers over the server ------------------------------------------------- *)
 
 (* Drive the Json-level entry point directly: a parse/render
@@ -473,6 +488,28 @@ let test_cold_query_on_measure () =
    of an earlier epoch's: after a [load] over the name, and after an
    [update], the same op+P query answers for the new T, and its
    epoch's first cold query builds that epoch's solver. *)
+(* Load k and revise it three times, then reload it: the three entries
+   of the old epoch go at once, as the two of an epoch that [update]
+   ends do, while another KB's entry stays. *)
+let test_stale_epochs_dropped () =
+  let srv = Server.create () in
+  let entries () = get_int "cache_entries" (send srv {|{"verb":"stats"}|}) in
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b & c"}|});
+  ignore (send srv {|{"verb":"load","kb":"o","theory":"a"}|});
+  ignore (send srv {|{"verb":"revise","kb":"o","op":"dalal","p":"~a"}|});
+  List.iter
+    (fun p ->
+      ignore (sendf srv {|{"verb":"revise","kb":"k","op":"dalal","p":"%s"}|} p))
+    [ "~a"; "~b"; "~c" ];
+  check_int "four entries" 4 (entries ());
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b & c"}|});
+  check_int "k's old epoch dropped" 1 (entries ());
+  check_bool "a miss in the new epoch" false
+    (get_bool "cached"
+       (send srv {|{"verb":"revise","kb":"k","op":"dalal","p":"~a"}|}));
+  ignore (send srv {|{"verb":"update","kb":"k","op":"dalal","p":"~b"}|});
+  check_int "update drops its epoch" 1 (entries ())
+
 let test_no_stale_solver () =
   let query srv =
     let v, builds =
@@ -955,6 +992,7 @@ let () =
         [
           Alcotest.test_case "basic order" `Quick test_lru_basic;
           Alcotest.test_case "churn stays bounded" `Quick test_lru_churn;
+          Alcotest.test_case "remove_if" `Quick test_lru_remove_if;
         ] );
       ( "registry",
         [ Alcotest.test_case "lifecycle" `Quick test_registry_lifecycle ] );
@@ -964,6 +1002,8 @@ let () =
             test_epoch_invalidation;
           Alcotest.test_case "cached = recomputed" `Quick
             test_cached_equals_recomputed;
+          Alcotest.test_case "superseded epochs dropped" `Quick
+            test_stale_epochs_dropped;
         ] );
       ( "routes",
         [

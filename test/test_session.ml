@@ -557,39 +557,87 @@ let test_entails_copies_interned_first () =
       (entails_as_model_based x t p (qs @ literals x))
   done
 
-(* The measure's realizable-difference sweep agrees with the
-   formula-level per-subset oracle. *)
+(* δ, Ω and k of the measure agree with the formula-level oracle: one
+   satisfiability test per subset of V(P) for "some model of T and some
+   model of P differ exactly there", minimized by inclusion.  δ comes
+   in the oracle's order.  Each pair is asked as drawn and with T ∧ ¬P
+   for T, which P must revise. *)
+let measure_matches_formula_oracle t p =
+  let m = Compact.Measure.create (Kb.make t) p in
+  let vp = Var.Set.elements (Formula.vars p) in
+  let xs =
+    Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
+  in
+  let ys = List.map (Var.copy_of ~suffix:"__m2") xs in
+  let pairs = List.combine xs ys in
+  let t_y = Formula.rename pairs t in
+  let diff_exactly sset =
+    Formula.and_
+      (List.map
+         (fun (xv, yv) ->
+           if Var.Set.mem xv sset then
+             Formula.xor (Formula.var xv) (Formula.var yv)
+           else Formula.iff (Formula.var xv) (Formula.var yv))
+         pairs)
+  in
+  let diffs =
+    List.filter
+      (fun sset ->
+        Semantics.is_sat (Formula.and_ [ t_y; p; diff_exactly sset ]))
+      (Interp.subsets vp)
+  in
+  let delta = Legacy.min_incl diffs in
+  List.equal Var.Set.equal (Compact.Measure.delta m) delta
+  && Var.Set.equal (Compact.Measure.omega m)
+       (List.fold_left Var.Set.union Var.Set.empty delta)
+  && Compact.Measure.k m
+     = List.fold_left (fun k s -> min k (Var.Set.cardinal s)) max_int diffs
+
 let prop_measure_matches_formula_oracle =
-  let x = letters 4 in
-  qtest "realizable_diffs = per-subset formula oracle" ~count:80
-    (arb_pair (arb_sat_formula x) (arb_sat_formula x))
+  let x = letters 10 in
+  qtest "delta, omega, k = per-subset formula oracle" ~count:80
+    (arb_pair (arb_sat_formula x) (arb_sat_formula ~depth:4 x))
     (fun (t, p) ->
-      let diffs =
-        Compact.Measure.diffs (Compact.Measure.create (Kb.make t) p)
-      in
-      let vp = Var.Set.elements (Formula.vars p) in
-      let xs =
-        Var.Set.elements (Var.Set.union (Formula.vars t) (Formula.vars p))
-      in
-      let ys = List.map (Var.copy_of ~suffix:"__m2") xs in
-      let pairs = List.combine xs ys in
-      let t_y = Formula.rename pairs t in
-      let diff_exactly sset =
-        Formula.and_
-          (List.map
-             (fun (xv, yv) ->
-               if Var.Set.mem xv sset then
-                 Formula.xor (Formula.var xv) (Formula.var yv)
-               else Formula.iff (Formula.var xv) (Formula.var yv))
-             pairs)
-      in
-      let oracle =
-        List.filter
-          (fun sset ->
-            Semantics.is_sat (Formula.and_ [ t_y; p; diff_exactly sset ]))
-          (Interp.subsets vp)
-      in
-      same_models diffs oracle)
+      let revised = Formula.conj2 t (Formula.not_ p) in
+      measure_matches_formula_oracle t p
+      && ((not (Semantics.is_sat revised))
+         || measure_matches_formula_oracle revised p))
+
+(* Past the 2^|V(P)| sweep's reach: T = ~x1 & ... & ~x30 and
+   P = x1 | ... | x30, where δ is the 30 singletons and Ω all of V(P).
+   Satoh's T * P is the exactly-one assignments, Weber's every model of
+   P.  δ costs at most n + 1 solves per member and one to end the walk,
+   and the session answers after it. *)
+let test_measure_wide_vp () =
+  let n = 30 in
+  let xs = letters n in
+  let t = Formula.and_ (List.map (fun x -> Formula.not_ (Formula.var x)) xs) in
+  let p = Formula.or_ (List.map Formula.var xs) in
+  let x1 = List.nth xs 0 and x2 = List.nth xs 1 in
+  let m = Compact.Measure.create (Kb.make t) p in
+  let solves = Obs.counter "sat.solves" in
+  let before = Obs.value solves in
+  let delta = Compact.Measure.delta m in
+  check_bool "solves <= n(n+1) + 1" true
+    (Obs.value solves - before <= (n * (n + 1)) + 1);
+  check_bool "delta = the singletons" true
+    (List.equal Var.Set.equal delta
+       (List.sort Var.Set.compare (List.map Var.Set.singleton xs)));
+  check_bool "omega = V(P)" true
+    (Var.Set.equal (Compact.Measure.omega m) (Var.set_of_list xs));
+  let one = Var.Set.singleton x1 and two = Var.set_of_list [ x1; x2 ] in
+  let q = f "x1 | x2" and at_most = f "~x1 | ~x2" in
+  check_bool "satoh: {x1}" true (Compact.Measure.member m MB.Satoh one);
+  check_bool "satoh: not {x1, x2}" false (Compact.Measure.member m MB.Satoh two);
+  check_bool "satoh: not |= x1 | x2" false (Compact.Measure.entails m MB.Satoh q);
+  check_bool "satoh: |= ~x1 | ~x2" true
+    (Compact.Measure.entails m MB.Satoh at_most);
+  check_bool "weber: {x1}" true (Compact.Measure.member m MB.Weber one);
+  check_bool "weber: {x1, x2}" true (Compact.Measure.member m MB.Weber two);
+  check_bool "weber: not |= x1 | x2" false (Compact.Measure.entails m MB.Weber q);
+  check_bool "weber: not |= ~x1 | ~x2" false
+    (Compact.Measure.entails m MB.Weber at_most);
+  check_bool "weber: |= P" true (Compact.Measure.entails m MB.Weber p)
 
 (* -- retract discipline --------------------------------------------------- *)
 
@@ -750,6 +798,8 @@ let () =
           Alcotest.test_case "entails with copies interned first" `Quick
             test_entails_copies_interned_first;
           prop_measure_matches_formula_oracle;
+          Alcotest.test_case "delta past 16 letters" `Quick
+            test_measure_wide_vp;
         ] );
       ( "work",
         [

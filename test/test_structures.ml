@@ -19,7 +19,7 @@ let test_min_max_incl () =
   let sets =
     List.map interp_of_string [ "a"; "a,b"; "c"; "a,c"; "b,c"; "a,b,c" ]
   in
-  let mins = Interp.min_incl sets in
+  let mins = Revkb_oracle.Legacy.min_incl sets in
   check_int "two minimal" 2 (List.length mins);
   check_bool "a minimal" true
     (List.exists (Var.Set.equal (interp_of_string "a")) mins);
@@ -28,7 +28,7 @@ let test_min_max_incl () =
 
 let test_min_incl_dedups () =
   let sets = List.map interp_of_string [ "a"; "a"; "a,b" ] in
-  check_int "dedup" 1 (List.length (Interp.min_incl sets))
+  check_int "dedup" 1 (List.length (Revkb_oracle.Legacy.min_incl sets))
 
 let test_subsets_count () =
   check_int "2^4 subsets" 16 (List.length (Interp.subsets vars4));

@@ -86,7 +86,7 @@ let prop_order_agrees =
   |> QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
 let prop_min_incl =
-  qtest "wide min_incl = Interp.min_incl" ~count:200
+  qtest "wide min_incl = Legacy.min_incl" ~count:200
     (QCheck.make (fun st -> List.init 12 (fun _ -> rand_interp st vars100)))
     (fun interps ->
       let wide =
@@ -94,7 +94,7 @@ let prop_min_incl =
       in
       same_models
         (IW.interps_of_set alpha100 wide)
-        (Interp.min_incl interps))
+        (Legacy.min_incl interps))
 
 let prop_frontier =
   qtest "wide Frontier = min_incl (any insertion order)" ~count:200
