@@ -17,7 +17,6 @@ type t = {
   session : Session.t;
   alphabet : Var.Set.t; (* V(T) ∪ V(P) *)
   vp : Var.t list;
-  outside : Var.t list; (* V(T) \ V(P) *)
   copies : Var.t list;
   diff_lits : Lit.t list;
   ladder : Ladder.t Lazy.t;
@@ -77,7 +76,6 @@ let create kb p =
     session = s;
     alphabet;
     vp;
-    outside = Var.Set.elements (Var.Set.diff (Kb.vars kb) vp_set);
     copies = y;
     diff_lits;
     ladder;
@@ -115,20 +113,6 @@ let consistent m (op : MB.op) extra fs =
   | MB.Winslett | MB.Forbus | MB.Borgida ->
       invalid_arg ("Measure: " ^ MB.name op ^ " is not a measured revision")
 
-(* The copies and T's letters outside V(P) take the candidate's values:
-   the T side moves on V(P) alone, spelled out by the differences. *)
-let member m op n =
-  let env = Session.env m.session in
-  let pin x y =
-    let l = Semantics.lit_of_var env y in
-    if Var.Set.mem x n then l else Lit.neg l
-  in
-  consistent m op
-    (List.map (fun x -> pin x x) m.outside @ List.map2 pin m.vp m.copies)
-    []
-
 let on_copies m q =
   let q = Names.free ~alphabet:m.alphabet (Var.set_of_list m.copies) q in
   Formula.rename (List.combine m.vp m.copies) q
-
-let entails m op q = not (consistent m op [] [ Formula.not_ (on_copies m q) ])

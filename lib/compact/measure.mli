@@ -18,9 +18,9 @@
       [δ], at any [|V(P)|]; Satoh's formula (7) pays for [|δ|] itself.
 
     Under one more constraint on the difference literals the session
-    is the revision itself for Dalal, Weber and Satoh ({!member},
-    {!entails}): [EXA(k)] (Theorem 3.4), [T[Ω/Z] ∧ P] (Theorem 3.5) and
-    δ (formula (7)) each constrain only where [T] and [P] differ.
+    is the revision itself for Dalal, Weber and Satoh ({!consistent}):
+    [EXA(k)] (Theorem 3.4), [T[Ω/Z] ∧ P] (Theorem 3.5) and δ
+    (formula (7)) each constrain only where [T] and [P] differ.
 
     A value of {!t} is the one owner of its [(T, P)] pair: building it
     copies the solver of its {!Logic.Kb} handle, in which [T] is
@@ -29,7 +29,7 @@
     [T]'s decision from the handle, and each measure is
     computed at most once, on first use.  The session, the copies, the
     difference literals and the ladder are exported for {!Check}'s
-    CEGAR loops: pinning [V(P)] to a witness makes the difference
+    witness loop: pinning [V(P)] to a witness makes the difference
     literals spell out its difference with the P-model on the copies.
     A value is not domain-safe: build one per domain. *)
 
@@ -71,7 +71,7 @@ val ladder : t -> Semantics.Ladder.t
 val compatible : t -> bool
 (** Is [T ∧ P] satisfiable?  One solve with every difference literal
     off, on first use: the decision Borgida's revision turns on, shared
-    by its checker and its entailment test ({!Check}). *)
+    by its membership and entailment tests ({!Check}). *)
 
 val k : t -> int
 (** [k_{T,P}]: the minimum Hamming distance between a model of [T] and
@@ -84,20 +84,23 @@ val delta : t -> Var.Set.t list
 val omega : t -> Var.Set.t
 (** [Ω = ∪ δ(T, P)]. *)
 
-val member : t -> Revision.Model_based.op -> Interp.t -> bool
-(** [member m op n]: for [n |= P], is [n] a model of [T * P]?  With [n]
-    pinned, Dalal is one ladder probe at [k] ([sem.ladder.probes]),
-    Weber one solve with the differences outside [Ω] off, Satoh one
-    solve per [S ∈ δ].  Raises [Invalid_argument] for Winslett, Forbus
-    and Borgida, whose revisions are not of this shape, as {!entails}
-    does. *)
+val consistent :
+  t ->
+  Revision.Model_based.op ->
+  Satsolver.Lit.t list ->
+  Formula.t list ->
+  bool
+(** [consistent m op extra fs]: for Dalal, Weber and Satoh, does
+    [T * P], [V(P)] read on {!copies}, have a model consistent with
+    the assumption literals [extra] and the formulas [fs]?  Dalal is
+    one ladder probe at [k] ([sem.ladder.probes]), Weber one solve
+    with the differences outside [Ω] off, Satoh one solve per
+    [S ∈ δ].  {!Check} asks its membership and entailment tests
+    through it.  Raises [Invalid_argument] for Winslett, Forbus and
+    Borgida, whose revisions are not of this shape. *)
 
 val on_copies : t -> Formula.t -> Formula.t
 (** [on_copies m q]: [q] read on the session's model pairs: its letters
     of [V(P)] renamed onto {!copies}, and its letters outside
     [V(T) ∪ V(P)] that name a copy renamed apart ({!Names.free}), so
     they stay free. *)
-
-val entails : t -> Revision.Model_based.op -> Formula.t -> bool
-(** [entails m op q]: [T * P |= q], for Dalal, Weber and Satoh: one
-    query, on [¬q] read {!on_copies}. *)

@@ -380,18 +380,13 @@ module Session = struct
 
   (* Model count by the same walk, tallying instead of storing: no mask
      is retained, so counting costs one blocking clause per model and
-     O(words) transient memory.  Raises [Invalid_argument] past the cap
-     with the count so far, so the caller knows the scale it hit. *)
+     O(words) transient memory.  Raises [Enumeration_cap_exceeded] past
+     the cap, as every enumerator does. *)
   let count_masks ?(cap = 1_000_000) s alpha fs =
     declare s (Interp_packed.letters alpha);
     with_retractable s (fun scope ->
         let rec go n =
-          if n > cap then
-            invalid_arg
-              (Printf.sprintf
-                 "Semantics.count_sat: more than %d models over %d letters \
-                  (raise ~cap if walking a model set this size is intended)"
-                 cap (Interp_packed.size alpha))
+          if n > cap then cap_exceeded "count_masks" cap
           else if solve s ~scopes:[ scope ] fs then begin
             block_mask (module Mask.Wide) s scope alpha
               (mask_on (module Mask.Wide) s alpha);

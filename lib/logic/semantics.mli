@@ -26,10 +26,11 @@
 type env
 
 exception Enumeration_cap_exceeded of { enumerator : string; cap : int }
-(** A model-enumeration walk ([masks_sat] or {!Session.masks})
-    produced more than [cap] models, or {!Session.maximal_subsets} more
-    than [cap] sets.  Raised instead of truncating, so a silent partial model set
-    can never flow into a revision. *)
+(** A model-enumeration walk ([masks_sat], {!Session.masks} or the
+    counting walk {!Session.count_masks}) produced more than [cap]
+    models, or {!Session.maximal_subsets} more than [cap] sets.  Raised
+    instead of truncating, so a silent partial model set can never flow
+    into a revision. *)
 
 val lit_of_var : env -> Var.t -> Satsolver.Lit.t
 (** Solver literal for a formula letter (allocated on first use). *)
@@ -188,8 +189,8 @@ module Session : sig
   (** Model count of the permanent assertions and the given premises
       (none, on a session that asserts its KB) by the blocking walk,
       tallying instead of storing.
-      Raises [Invalid_argument] past [cap] (default 1_000_000) with an
-      actionable message — truncation is never silent. *)
+      Raises {!Enumeration_cap_exceeded} past [cap] (default 1_000_000):
+      truncation is never silent. *)
 end
 
 (** {1 One-shot queries} *)

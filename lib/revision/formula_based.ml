@@ -1,7 +1,5 @@
 open Logic
 
-exception Cap_exceeded of int
-
 (* Keep the first occurrence of each (structurally equal) member. *)
 let dedupe t =
   List.rev
@@ -20,9 +18,9 @@ let worlds ?(cap = 100_000) t p =
   Semantics.Session.assert_always s p;
   let env = Semantics.Session.env s in
   let lits = Array.to_list (Array.map (Semantics.encode env) arr) in
-  match Semantics.Session.maximal_subsets ~cap s lits with
-  | ws -> List.map (List.map (Array.get arr)) (List.sort compare ws)
-  | exception Semantics.Enumeration_cap_exceeded _ -> raise (Cap_exceeded cap)
+  Semantics.Session.maximal_subsets ~cap s lits
+  |> List.sort compare
+  |> List.map (List.map (Array.get arr))
 
 let gfuv_formula ?cap t p =
   let ws = worlds ?cap t p in

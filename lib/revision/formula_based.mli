@@ -8,16 +8,14 @@
 
 open Logic
 
-exception Cap_exceeded of int
-(** Raised when world enumeration exceeds its cap; enumeration is never
-    silently truncated. *)
-
 val worlds : ?cap:int -> Theory.t -> Formula.t -> Theory.t list
 (** [worlds t p] is [W(T, P)].  Each returned theory keeps the member
     order of [t], and the worlds are ordered by their members' positions
     in [t], lexicographically.  When [t] itself is consistent with [p],
     the single world is [t].  When [p] is unsatisfiable, [W(T,P)] is
-    empty.  [cap] (default 100_000) bounds the number of worlds. *)
+    empty.  [cap] (default 100_000) bounds the number of worlds: past it
+    {!Logic.Limits.Enumeration_cap_exceeded} is raised, never a
+    truncated list. *)
 
 val gfuv_formula : ?cap:int -> Theory.t -> Formula.t -> Formula.t
 (** The explicit representation of [T *_GFUV P]:

@@ -266,7 +266,7 @@ let test_worlds_cap () =
     Formula_based.worlds ~cap:3 ex.Witness.Nebel_example.t1
       ex.Witness.Nebel_example.p1
   with
-  | exception Formula_based.Cap_exceeded 3 -> ()
+  | exception Limits.Enumeration_cap_exceeded { cap = 3; _ } -> ()
   | ws -> Alcotest.failf "expected cap, got %d worlds" (List.length ws)
 
 (* W(T, P), in its documented order, equals the brute-force oracle on

@@ -431,6 +431,9 @@ let test_local_work () =
 
 (* -- session-backed checkers vs the fresh-solver oracle ------------------- *)
 
+(* The operators a witness loop answers for. *)
+let pointwise_ops = [ MB.Winslett; MB.Forbus; MB.Borgida ]
+
 let prop_model_check_matches_fresh =
   let x = letters 5 in
   qtest "model_check = Fresh.model_check (all ops)" ~count:60
@@ -458,28 +461,68 @@ let prop_batch_matches_fresh =
           = List.map (Fresh.model_check op t p) ns)
         MB.all)
 
+(* P widened by the cube of a T-model on [pv], [pv]'s letters outside
+   [tv] taken true: T ∧ P is then satisfiable, so Borgida is T ∧ P,
+   and V(P) keeps the letters outside V(T). *)
+let compatible_widening tv pv t p =
+  let n = List.find (fun n -> Interp.sat n t) (Interp.subsets tv) in
+  let lit x =
+    if Var.Set.mem x n || not (List.mem x tv) then Formula.var x
+    else Formula.not_ (Formula.var x)
+  in
+  Formula.or_ [ p; Formula.and_ (List.map lit pv) ]
+
 (* Proposition 2.1's locality on the alphabet's edges: P names a letter
    outside V(T) and leaves some of V(T) out, and the candidates carry a
    letter outside both.  Every operator's checker answers as the
-   enumeration route does. *)
+   enumeration route does, and so does Borgida's on a compatible pair
+   of that shape. *)
 let prop_batch_local_matches_enumeration =
   let tv = letters 4 and pv = List.filteri (fun i _ -> i >= 2) (letters 5) in
   let ns = Interp.subsets (letters 6) in
+  let as_enumeration op t p =
+    let r = MB.revise op t p in
+    check_all op (Kb.make t) p ns = List.map (Revision.Result.model_check r) ns
+  in
   qtest "one checker = enumeration, P partly outside V(T)" ~count:30
     (arb_pair (arb_sat_formula tv) (arb_sat_formula pv))
     (fun (t, p) ->
+      let pc = compatible_widening tv pv t p in
+      List.for_all (fun op -> as_enumeration op t p) MB.all
+      && Compact.Measure.compatible (Compact.Measure.create (Kb.make t) pc)
+      && as_enumeration MB.Borgida t pc)
+
+(* DESIGN.md §13's bound: a candidate's check is local to V(P), so on
+   the witness loop's operators it adds at most 2^|V(P)| to
+   [check.cegar_iters] however many letters T has, here with T over six
+   letters and P over three, one of them outside V(T). *)
+let prop_checker_refinements_local =
+  let tv = letters 6 in
+  let pv = List.filteri (fun i _ -> i >= 4) (letters 7) in
+  let ns = Interp.subsets (letters 7) in
+  let iters = Obs.counter "check.cegar_iters" in
+  qtest "one candidate <= 2^|V(P)| refinements (Winslett, Forbus, Borgida)"
+    ~count:40
+    (arb_pair (arb_sat_formula tv) (arb_sat_formula pv))
+    (fun (t, p) ->
+      let bound = 1 lsl Var.Set.cardinal (Formula.vars p) in
       List.for_all
         (fun op ->
-          let r = MB.revise op t p in
-          check_all op (Kb.make t) p ns
-          = List.map (Revision.Result.model_check r) ns)
-        MB.all)
+          let check = Check.checker op (Compact.Measure.create (Kb.make t) p) in
+          List.for_all
+            (fun n ->
+              let before = Obs.value iters in
+              ignore (check n);
+              Obs.value iters - before <= bound)
+            ns)
+        pointwise_ops)
 
 (* The measure route answers as the enumeration route does for the
    three operators whose revision is the measure's session under
    assumptions: entailment of a query over V(T) ∪ V(P) and beyond it,
-   and model checking by {!Compact.Measure.member} and by a checker,
-   with P partly outside V(T). *)
+   and model checking by a checker per candidate on the query's
+   measure and by one checker over every candidate, with P partly
+   outside V(T). *)
 let prop_measure_route_matches_model_based =
   let tv = letters 4 and pv = List.filteri (fun i _ -> i >= 2) (letters 5) in
   let x = letters 5 in
@@ -493,11 +536,8 @@ let prop_measure_route_matches_model_based =
           let r = MB.revise_on op x t p in
           let m = Compact.Measure.create (Kb.make t) p in
           let expected = List.map (Revision.Result.model_check r) ns in
-          Compact.Measure.entails m op q = Revision.Result.entails r q
-          && List.for_all2
-               (fun n e ->
-                 (not (Interp.sat n p)) || Compact.Measure.member m op n = e)
-               ns expected
+          Check.entails op m q = Revision.Result.entails r q
+          && List.for_all2 (fun n e -> Check.checker op m n = e) ns expected
           && check_all op (Kb.make t) p ns = expected)
         [ MB.Dalal; MB.Weber; MB.Satoh ])
 
@@ -507,8 +547,6 @@ let prop_measure_route_matches_model_based =
    Each test answers every literal and three random queries in a row
    on one measure, so a query's retired blocks must not bind the
    next. *)
-let pointwise_ops = [ MB.Winslett; MB.Forbus; MB.Borgida ]
-
 let entails_as_model_based x t p qs =
   List.for_all
     (fun op ->
@@ -627,17 +665,17 @@ let test_measure_wide_vp () =
     (Var.Set.equal (Compact.Measure.omega m) (Var.set_of_list xs));
   let one = Var.Set.singleton x1 and two = Var.set_of_list [ x1; x2 ] in
   let q = f "x1 | x2" and at_most = f "~x1 | ~x2" in
-  check_bool "satoh: {x1}" true (Compact.Measure.member m MB.Satoh one);
-  check_bool "satoh: not {x1, x2}" false (Compact.Measure.member m MB.Satoh two);
-  check_bool "satoh: not |= x1 | x2" false (Compact.Measure.entails m MB.Satoh q);
+  check_bool "satoh: {x1}" true (Check.checker MB.Satoh m one);
+  check_bool "satoh: not {x1, x2}" false (Check.checker MB.Satoh m two);
+  check_bool "satoh: not |= x1 | x2" false (Check.entails MB.Satoh m q);
   check_bool "satoh: |= ~x1 | ~x2" true
-    (Compact.Measure.entails m MB.Satoh at_most);
-  check_bool "weber: {x1}" true (Compact.Measure.member m MB.Weber one);
-  check_bool "weber: {x1, x2}" true (Compact.Measure.member m MB.Weber two);
-  check_bool "weber: not |= x1 | x2" false (Compact.Measure.entails m MB.Weber q);
+    (Check.entails MB.Satoh m at_most);
+  check_bool "weber: {x1}" true (Check.checker MB.Weber m one);
+  check_bool "weber: {x1, x2}" true (Check.checker MB.Weber m two);
+  check_bool "weber: not |= x1 | x2" false (Check.entails MB.Weber m q);
   check_bool "weber: not |= ~x1 | ~x2" false
-    (Compact.Measure.entails m MB.Weber at_most);
-  check_bool "weber: |= P" true (Compact.Measure.entails m MB.Weber p)
+    (Check.entails MB.Weber m at_most);
+  check_bool "weber: |= P" true (Check.entails MB.Weber m p)
 
 (* -- retract discipline --------------------------------------------------- *)
 
@@ -793,6 +831,7 @@ let () =
           prop_model_check_matches_fresh;
           prop_batch_matches_fresh;
           prop_batch_local_matches_enumeration;
+          prop_checker_refinements_local;
           prop_measure_route_matches_model_based;
           prop_pointwise_entails_matches_model_based;
           Alcotest.test_case "entails with copies interned first" `Quick
