@@ -62,8 +62,9 @@ let refutation_core (type m) (module M : Mask.S with type t = m) ~witness
    candidate's check does.  The witness masks span V(P) and the copies,
    ordered as {!Interp_packed.alphabet} orders them (by interning), so
    each position of a letter or its copy is looked up; they take the
-   representation {!Mask.engine} picks. *)
-let witness_loop budget ~inclusion m =
+   representation {!Mask.engine} picks.  A witness that stands is
+   answered by [read], before its refutation probe moves the model. *)
+let witness_loop budget ~inclusion ~read m =
   let s = Measure.session m in
   let vp = Var.Set.elements (Formula.vars (Measure.p m)) in
   let ys = Measure.copies m in
@@ -129,14 +130,15 @@ let witness_loop budget ~inclusion m =
     Session.with_retractable s (fun scope ->
         let rec loop i =
           budget i;
-          Session.solve s ~scopes:[ scope ] ~extra fs
-          &&
-          match refute (Session.mask_on (module M) s alpha) with
-          | Some (on, value) ->
-              Obs.incr c_cegar;
-              Session.block_mask (module M) ~on s scope alpha value;
-              loop (i + 1)
-          | None -> true
+          if not (Session.solve s ~scopes:[ scope ] ~extra fs) then None
+          else
+            let n = read () in
+            match refute (Session.mask_on (module M) s alpha) with
+            | Some (on, value) ->
+                Obs.incr c_cegar;
+                Session.block_mask (module M) ~on s scope alpha value;
+                loop (i + 1)
+            | None -> Some n
         in
         loop 0)
 
@@ -152,21 +154,29 @@ let budget cegar_cap op m i =
                (Var.Set.union (Kb.vars (Measure.kb m))
                   (Formula.vars (Measure.p m))) })
 
+(* T's letters outside V(P): a model pair's two sides agree there. *)
+let outside m =
+  Var.Set.elements
+    (Var.Set.diff (Kb.vars (Measure.kb m)) (Formula.vars (Measure.p m)))
+
 (* The one question both public tests ask, dispatched once per
    operator: does T * P, V(P) read on the copies, have a model
    consistent with the assumption literals [extra] and the formulas
-   [fs]?  Dalal, Weber and Satoh are the measure under assumptions;
-   Borgida on a compatible pair is T ∧ P, the session with every
-   difference literal off; Winslett, Forbus and Borgida otherwise ask
-   the witness loop. *)
-let consistent cegar_cap op m =
-  let loop ~inclusion = witness_loop (budget cegar_cap op m) ~inclusion m in
+   [fs]?  If so, [read ()] as that model's solve returns.  Dalal, Weber
+   and Satoh are the measure under assumptions; Borgida on a compatible
+   pair is T ∧ P, the session with every difference literal off;
+   Winslett, Forbus and Borgida otherwise ask the witness loop. *)
+let consistent cegar_cap op m read =
+  let answer sat = if sat then Some (read ()) else None in
+  let loop = witness_loop (budget cegar_cap op m) ~read m in
   match op with
-  | MB.Dalal | MB.Weber | MB.Satoh -> Measure.consistent m op
+  | MB.Dalal | MB.Weber | MB.Satoh ->
+      let consistent = Measure.consistent m op in
+      fun extra fs -> answer (consistent extra fs)
   | MB.Borgida when Measure.compatible m ->
       let off = List.map Satsolver.Lit.neg (Measure.diff_lits m) in
       fun extra fs ->
-        Session.solve (Measure.session m) ~extra:(off @ extra) fs
+        answer (Session.solve (Measure.session m) ~extra:(off @ extra) fs)
   | MB.Winslett | MB.Borgida -> loop ~inclusion:true
   | MB.Forbus -> loop ~inclusion:false
 
@@ -174,23 +184,30 @@ let consistent cegar_cap op m =
    with N pinned: on the copies for V(P), and on T's own letters
    outside V(P), where the T side cannot move (Proposition 2.1). *)
 let checker ?(cegar_cap = 50_000) op m =
-  let consistent = consistent cegar_cap op m in
+  let consistent = consistent cegar_cap op m ignore in
   let p = Measure.p m in
-  let vp = Formula.vars p in
-  let outside = Var.Set.elements (Var.Set.diff (Kb.vars (Measure.kb m)) vp) in
-  let letters = Var.Set.elements vp @ outside in
+  let outside = outside m in
+  let letters = Var.Set.elements (Formula.vars p) @ outside in
   let on = Measure.copies m @ outside in
   let env = Session.env (Measure.session m) in
   fun n ->
     Interp.sat n p
-    && consistent
-         (List.map2 (fun x y -> pin env y (Var.Set.mem x n)) letters on)
-         []
+    && Option.is_some
+         (consistent
+            (List.map2 (fun x y -> pin env y (Var.Set.mem x n)) letters on)
+            [])
 
-(* T * P |= q when T * P is inconsistent with ¬q on the copies. *)
+(* T * P |= q when T * P is inconsistent with ¬q on the copies; a model
+   of ¬q, read there and on T's other letters, answers later queries. *)
 let entails ?(cegar_cap = 50_000) op m =
-  let consistent = consistent cegar_cap op m in
-  fun q -> not (consistent [] [ Formula.not_ (Measure.on_copies m q) ])
+  let on = lazy (outside m @ Measure.copies m) in
+  let env = Session.env (Measure.session m) in
+  let read () = Semantics.model_on env (Lazy.force on) in
+  let consistent = consistent cegar_cap op m read in
+  let record = Witnesses.create () in
+  fun q ->
+    let q = Measure.on_copies m q in
+    Witnesses.entails record q (fun () -> consistent [] [ Formula.not_ q ])
 
 let model_check ?cegar_cap op t p n =
   Obs.with_span "check.batch"

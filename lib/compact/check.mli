@@ -9,10 +9,10 @@
     [T ∧ P[V(P)/Y]] with one difference literal per letter of [V(P)]
     (Proposition 2.1 puts every minimal difference there): does [T * P],
     [V(P)] read on the copies [Y], have a model consistent with these
-    assumption literals and these formulas?  {!checker} asks it with
-    the candidate pinned (on the copies for [V(P)], on [T]'s own
-    letters outside it), {!entails} with [¬Q] read on the copies.  It
-    is dispatched once per operator:
+    assumption literals and these formulas?  Its answer is such a model
+    or none.  {!checker} asks it with the candidate pinned (on the
+    copies for [V(P)], on [T]'s letters outside it), {!entails} with
+    [¬Q] on the copies.  It is dispatched once per operator:
 
     - {b Dalal}, {b Weber}, {b Satoh}: {!Measure.consistent}, the
       session under one assumption set: a ladder probe at [k]
@@ -92,13 +92,13 @@ val entails :
     no construction.  [entails op m q] holds when [T * P] is
     inconsistent with [¬q] read on the model pairs
     ({!Measure.on_copies}: letters outside [V(T) ∪ V(P)] are free),
-    asked as {!checker} asks, by the same dispatch (Borgida's [T ∧ P]
-    decision is taken when [entails op m] is applied).  The witness
-    loop's blocks sit in a scope retired when the query ends, so an
-    answer never depends on the queries asked before it.  No width
-    bound short of [cegar_cap] (default 50_000 per query, raising
-    {!Cegar_cap_exceeded}), where {!Construct} expands [2^{|V(P)|}] and
-    refuses [|V(P)| > 8].  Not domain-safe, as [m] is not. *)
+    asked as {!checker} asks (Borgida's [T ∧ P] decision is taken when
+    [entails op m] is applied).  Each model of [T * P] found for a [¬q]
+    is kept ({!Logic.Witnesses}): a later [q] it falsifies is answered
+    [false] with no solve.  The witness loop's blocks are retired with
+    their query.  No width bound short of [cegar_cap] (default 50_000
+    per query, raising {!Cegar_cap_exceeded}), where {!Construct}
+    expands [2^{|V(P)|}].  Not domain-safe, as [m] is not. *)
 
 val model_check :
   ?cegar_cap:int ->

@@ -293,12 +293,6 @@ module Session = struct
     let assumptions = List.concat_map (premise s) fs @ extra @ scopes in
     Obs.with_span "sem.query" (fun () -> solve ~assumptions s.env)
 
-  (* Entailment inside the session: ~q unsatisfiable.  The negated
-     query is activated by assumption like everything else, so repeated
-     entailment checks against one KB reuse its encodings and learned
-     clauses — the serving tier's hot query path. *)
-  let entails s q = not (solve s [ Formula.not_ q ])
-
   let mask_on m s alpha = mask_on m s.env alpha
   let new_scope s = fresh_lit s.env
   let scoped_clause s sel c = add s.env (L.neg sel :: c)

@@ -113,12 +113,6 @@ module Session : sig
       conjunct, encoded once), any [extra] assumption literals, and the
       clause groups of the activated [scopes]. *)
 
-  val entails : t -> Formula.t -> bool
-  (** [entails s q]: do the permanent assertions entail [q]?  One
-      {!solve} on [[not q]], so repeated entailment queries against one
-      asserted KB hit the Tseitin memo and the accumulated learned
-      clauses. *)
-
   val mask_on :
     (module Mask.S with type t = 'm) -> t -> Interp_packed.alphabet -> 'm
   (** Projection of the last model onto the alphabet, as a mask. *)

@@ -5,10 +5,10 @@
    encoded once per epoch), a monotonic epoch, and two lazily built
    acceleration structures: a pooled incremental SAT session, a copy
    of the handle's solver (so every query after the first reuses it
-   and its learned clauses)
-   and an optional compiled ROBDD for entail/count-heavy traffic.
-   Any content change bumps the epoch, builds a new handle and drops
-   both structures; the epoch is part of every serve-cache key, so a
+   and its learned clauses), with the record of the models of T its
+   answers found, and an optional compiled ROBDD for entail/count-heavy
+   traffic.  Any content change bumps the epoch, builds a new handle and
+   drops both structures; the epoch is part of every serve-cache key, so a
    bump invalidates all cached revisions of the entry at once without
    touching the cache. *)
 
@@ -25,7 +25,7 @@ type entry = {
   mutable theory : Theory.t;
   mutable kb : Kb.t;
   mutable epoch : int;
-  mutable session : Session.t option;
+  mutable session : (Session.t * Witnesses.t) option;
   mutable compiled : Semantics.Compiled.t option;
 }
 
@@ -69,16 +69,28 @@ let commit e theory =
   e.epoch <- e.epoch + 1;
   Obs.incr c_epoch_bumps
 
-let session e =
+(* The epoch's pooled session, and the models of T it found for a ¬q,
+   read on T's letters: each answers every later q it falsifies. *)
+let pooled e =
   match e.session with
-  | Some s ->
+  | Some p ->
       Obs.incr c_session_reuse;
-      s
+      p
   | None ->
       Obs.incr c_session_builds;
-      let s = Kb.session e.kb in
-      e.session <- Some s;
-      s
+      let p = (Kb.session e.kb, Witnesses.create ()) in
+      e.session <- Some p;
+      p
+
+let session e = fst (pooled e)
+
+let entails e q =
+  let s, record = pooled e in
+  Witnesses.entails record q (fun () ->
+      if Session.solve s [ Formula.not_ q ] then
+        let letters = Var.Set.elements (Kb.vars e.kb) in
+        Some (Semantics.model_on (Session.env s) letters)
+      else None)
 
 let compiled e = e.compiled
 

@@ -2,7 +2,7 @@
 
     Entries carry a monotonic {e epoch}: any content change ({!load}
     over an existing name, {!commit}) bumps it, builds a new {!Logic.Kb}
-    handle and drops the entry's pooled session and compiled diagram.
+    handle and drops the entry's pooled session, record and diagram.
     The handle is the epoch's one satisfiability decision and its one
     encoding of [T]: [load] decides and encodes nothing, the first
     request that needs [T] decided takes the decision for every later
@@ -18,7 +18,7 @@ type entry = {
   mutable theory : Theory.t;
   mutable kb : Kb.t; (* [Kb.of_theory theory], one per epoch *)
   mutable epoch : int;
-  mutable session : Semantics.Session.t option;
+  mutable session : (Semantics.Session.t * Witnesses.t) option;
   mutable compiled : Semantics.Compiled.t option;
 }
 
@@ -43,6 +43,10 @@ val session : entry -> Semantics.Session.t
     loaded solver ({!Logic.Kb.session}), so [T] is not encoded again.
     Made on first use, reused until the next epoch bump; counted as
     [serve.session.builds] / [serve.session.reuse]. *)
+
+val entails : entry -> Formula.t -> bool
+(** [entails e q]: [T |= q], with no solve when a model of [T] recorded
+    with the {!session} falsifies [q], else one solve of [¬q] on it. *)
 
 val compiled : entry -> Semantics.Compiled.t option
 val compile : entry -> Semantics.Compiled.t

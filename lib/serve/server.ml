@@ -8,17 +8,18 @@
      Tseitin-encoded once, into a solver every measure and the pooled
      session start as a copy of;
    - plain queries and counts run on the entry's pooled session (T
-     asserted once, accumulated learned clauses) or, when the KB has
-     been compiled, on its ROBDD in diagram time;
+     asserted once, learned clauses, a record of the models found) or,
+     when the KB has been compiled, on its ROBDD in diagram time;
    - revisions are answered from a bounded LRU keyed on
      (KB name, epoch, operator, normalized P) — an epoch bump on
      [update]/[load] changes every key of that KB and drops the old
      epoch's entries, which no key reaches again.  Every entry holds one
      lazy measure of (T, P), for all six operators: a [check] asks its
-     candidates on that measure's checker, an op+P [query] on its
-     entailment test (a CEGAR loop over the measure's session for
-     Winslett, Forbus and Borgida), and the compact formula is built
-     (from the measure, for Dalal, Weber and Satoh) only when a
+     candidates on that measure's checker, an op+P [query] its entailment
+     test (a recorded model of T * P refutes q, else one question on the
+     session: a CEGAR loop for Winslett, Forbus and incompatible Borgida,
+     one solve otherwise), and the compact formula is built (from the
+     measure, for Dalal, Weber and Satoh) only when a
      [revise] or [update] needs its size or text.  So the per-(T, P)
      setup is paid once per entry, whichever verb comes first and
      however the requests are split: a [batch] dispatches each member,
@@ -251,25 +252,20 @@ let do_query t id req =
   let e = entry_of t id req in
   let q = formula_of id req "q" in
   match Json.str_member "op" req with
-  | None -> (
+  | None ->
       (* Entailment by the raw KB: ROBDD route when compiled, pooled
          session otherwise. *)
-      match Registry.compiled e with
-      | Some c ->
-          ok id
-            [
-              ("kb", Json.Str e.name);
-              ("entails", Json.Bool (Semantics.Compiled.entails c q));
-              ("route", Json.Str "bdd");
-            ]
-      | None ->
-          let s = Registry.session e in
-          ok id
-            [
-              ("kb", Json.Str e.name);
-              ("entails", Json.Bool (Session.entails s q));
-              ("route", Json.Str "session");
-            ])
+      let entails, route =
+        match Registry.compiled e with
+        | Some c -> (Semantics.Compiled.entails c q, "bdd")
+        | None -> (Registry.entails e q, "session")
+      in
+      ok id
+        [
+          ("kb", Json.Str e.name);
+          ("entails", Json.Bool entails);
+          ("route", Json.Str route);
+        ]
   | Some _ ->
       (* Entailment by the revised KB: T * P |= q through the cache. *)
       let op = op_of id req in

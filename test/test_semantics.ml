@@ -264,7 +264,8 @@ let prop_clause_conjuncts =
       let s = Semantics.Session.create () in
       Semantics.Session.assert_always s fm;
       Semantics.Session.solve s [] = (Models.enumerate vars4 fm <> [])
-      && Semantics.Session.entails s q = Models.entails_on vars4 fm q)
+      && (not (Semantics.Session.solve s [ Formula.not_ q ]))
+         = Models.entails_on vars4 fm q)
 
 let test_clause_is_one_clause () =
   let clauses = Revkb_obs.Obs.counter "sem.encode.clauses" in

@@ -541,6 +541,94 @@ let test_no_stale_solver () =
     (send srv {|{"verb":"update","kb":"k","op":"dalal","p":"~a & ~b"}|});
   check_bool "updated: T2 * P |/= b" false (query srv)
 
+(* A raw query's record of models of T is the epoch's: after a reload
+   or an update, a model of the old T must not answer for the new one.
+   a | b has the model {b}, which falsifies a; a & b entails a. *)
+let test_no_stale_record () =
+  let raw srv =
+    get_bool "entails" (send srv {|{"verb":"query","kb":"k","q":"a"}|})
+  in
+  List.iter
+    (fun change ->
+      let srv = Server.create () in
+      ignore (send srv {|{"verb":"load","kb":"k","theory":"a | b"}|});
+      check_bool "a | b |/= a" false (raw srv);
+      ignore (send srv change);
+      check_bool (change ^ ": a & b |= a") true (raw srv))
+    [
+      {|{"verb":"load","kb":"k","theory":"a & b"}|};
+      {|{"verb":"update","kb":"k","op":"dalal","p":"a & b"}|};
+    ]
+
+(* The second asking of a query that T * P (or T) does not entail is
+   answered from the record of models: no solve, one record hit, and
+   the same answer on the same route.  a & b revised by ~a | ~b has the
+   models {a} and {b} under all six operators, so none entails a. *)
+let test_repeated_no_costs_no_solve () =
+  let srv = Server.create () in
+  ignore (send srv {|{"verb":"load","kb":"k","theory":"a & b"}|});
+  ignore (send srv {|{"verb":"load","kb":"r","theory":"a | b"}|});
+  let counters = [ "sat.solves"; "sem.record.hits"; "sem.record.adds" ] in
+  let twice what line =
+    let first, d1 = deltas counters (fun () -> send srv line) in
+    let second, d2 = deltas counters (fun () -> send srv line) in
+    check_bool (what ^ ": not entailed") false (get_bool "entails" first);
+    check_bool (what ^ ": same answer and route") true
+      (List.for_all
+         (fun f -> Json.member f first = Json.member f second)
+         [ "entails"; "route" ]);
+    check_bool (what ^ ": first solves, records one model") true
+      (List.hd d1 > 0 && List.tl d1 = [ 0; 1 ]);
+    check_bool (what ^ ": second is one hit, no solve") true (d2 = [ 0; 1; 0 ])
+  in
+  List.iter
+    (fun op ->
+      let name = Revision.Model_based.name op in
+      twice name
+        (Printf.sprintf
+           {|{"verb":"query","kb":"k","op":"%s","p":"~a | ~b","q":"a"}|} name))
+    Revision.Model_based.all;
+  twice "session" {|{"verb":"query","kb":"r","q":"a"}|}
+
+(* [Registry.entails] answers as [Semantics.entails] over up to 80
+   queries on one epoch, its record running past its capacity.  T is
+   one or two two-literal clauses over x1..x8; x9 is outside V(T).  The
+   stream asks the negated minterms over x1..x8 of 66 models of T, each
+   falsified by its own model alone: the record reads the letters
+   outside V(T) false, so each minterm making one of them true adds a
+   model, and the record wraps.  T's clauses (entailed) follow the 30th
+   and the last; random queries over x1..x9 close the stream. *)
+let prop_registry_entails_matches_semantics =
+  let x = Helpers.letters 9 in
+  let x8 = List.filteri (fun i _ -> i < 8) x in
+  let gen st =
+    let lit () =
+      let v = Formula.var (List.nth x8 (Random.State.int st 8)) in
+      if Random.State.bool st then v else Formula.not_ v
+    in
+    let clause _ = Formula.or_ [ lit (); lit () ] in
+    ( List.init (1 + Random.State.int st 2) clause,
+      List.init 10 (fun _ -> Gen.formula st ~vars:x ~depth:2) )
+  in
+  let print (th, _) = String.concat "; " (List.map Formula.to_string th) in
+  Helpers.qtest ~count:40
+    "Registry.entails = Semantics.entails, past the record's capacity"
+    (QCheck.make ~print gen)
+    (fun (th, randoms) ->
+      let t = Theory.conj th in
+      let minterms =
+        List.filteri (fun i _ -> i < 66)
+          (List.map
+             (fun m -> Formula.not_ (Interp.minterm x8 m))
+             (Models.enumerate x8 t))
+      in
+      let early = List.filteri (fun i _ -> i < 30) minterms
+      and late = List.filteri (fun i _ -> i >= 30) minterms in
+      let e = Registry.load (Registry.create ()) "k" th in
+      List.for_all
+        (fun q -> Registry.entails e q = Semantics.entails t q)
+        (early @ th @ late @ th @ randoms))
+
 (* Winslett, Forbus and Borgida answer [query] and [check] on the
    measure at any width their CEGAR cap allows, while their
    constructions expand 2^|V(P)| and refuse past 8 letters: on a
@@ -1022,6 +1110,11 @@ let () =
             test_cold_query_on_measure;
           Alcotest.test_case "no stale solver across epochs" `Quick
             test_no_stale_solver;
+          Alcotest.test_case "no stale record across epochs" `Quick
+            test_no_stale_record;
+          Alcotest.test_case "a repeated non-entailed query costs no solve"
+            `Quick test_repeated_no_costs_no_solve;
+          prop_registry_entails_matches_semantics;
           Alcotest.test_case "Satoh past 8 letters" `Quick test_satoh_wide_p;
           Alcotest.test_case "refused revise counts no hit" `Quick
             test_refused_revise_uncounted;

@@ -568,6 +568,57 @@ let prop_pointwise_entails_matches_model_based =
        (QCheck.list_of_size (QCheck.Gen.return 3) (arb_formula x)))
     (fun (t, p, qs) -> entails_as_model_based x t p (qs @ literals x))
 
+(* Every operator's entailment test answers as the enumeration route
+   does over 80 queries on one measure, its record of models of T * P
+   running past its capacity.  T is over x1..x5 and P over x4..x6; x7
+   is outside V(T) ∪ V(P).  An add is ¬(m ∧ x7) for a model m of T * P
+   over x1..x6, in turn: the record reads x7 false, so no recorded model
+   falsifies it, and the solver's model joins the record, read on
+   x1..x6.  A check is P, entailed, or a random query over x1..x7.
+   The stream is 29 adds, 4 checks, 31 adds and then an add and a check
+   in turn: the last checks follow the record's replacement of its
+   oldest models. *)
+let prop_recorded_entails_matches_model_based =
+  let x = letters 7 in
+  let tv = List.filteri (fun i _ -> i < 5) x
+  and pv = List.filteri (fun i _ -> i >= 3 && i < 6) x in
+  let x6 = List.filteri (fun i _ -> i < 6) x and x7 = List.nth x 6 in
+  let gen st =
+    let rec sat vars =
+      let f = Gen.formula st ~vars ~depth:2 in
+      if Semantics.is_sat f then f else sat vars
+    in
+    let t = sat tv and p = sat pv in
+    (t, p, List.init 20 (fun _ -> Gen.formula st ~vars:x ~depth:2))
+  in
+  let print (t, p, _) = Formula.to_string t ^ " * " ^ Formula.to_string p in
+  qtest "recorded entails = Model_based (all ops), past the record's capacity"
+    ~count:30 (QCheck.make ~print gen)
+    (fun (t, p, randoms) ->
+      List.for_all
+        (fun op ->
+          let r = MB.revise_on op x t p in
+          let ms =
+            Array.of_list
+              (List.sort_uniq Var.Set.compare
+                 (List.map (Interp.restrict (Var.set_of_list x6))
+                    (Revision.Result.models r)))
+          in
+          let add i =
+            let m = Interp.minterm x6 ms.(i mod Array.length ms) in
+            Formula.not_ (Formula.and_ [ m; Formula.var x7 ])
+          in
+          let check i = if i mod 2 = 0 then p else List.nth randoms (i / 2) in
+          let stream =
+            List.init 29 add
+            @ List.init 4 check
+            @ List.init 31 (fun i -> add (29 + i))
+            @ List.concat (List.init 8 (fun i -> [ add (60 + i); check (4 + i) ]))
+          in
+          let ask = Check.entails op (Compact.Measure.create (Kb.make t) p) in
+          List.for_all (fun q -> ask q = Revision.Result.entails r q) stream)
+        MB.all)
+
 (* The query loop's masks span V(P) and its copies, which the packed
    alphabet orders by interning: here every copy is interned before
    the letter it copies, in reverse, so the copies sort first and in
@@ -834,6 +885,7 @@ let () =
           prop_checker_refinements_local;
           prop_measure_route_matches_model_based;
           prop_pointwise_entails_matches_model_based;
+          prop_recorded_entails_matches_model_based;
           Alcotest.test_case "entails with copies interned first" `Quick
             test_entails_copies_interned_first;
           prop_measure_matches_formula_oracle;
